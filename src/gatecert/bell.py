@@ -176,7 +176,13 @@ def _evaluate_realization(
     r: Mapping[int, int] | None,
     renormalize: bool,
 ) -> float:
-    from .network import _state_with_eve, validate_realization
+    from .network import (
+        ZERO_WEIGHT_TOL,
+        ZeroProbabilityEvent,
+        _event_label,
+        _state_with_eve,
+        validate_realization,
+    )
 
     validate_realization(real)
     lay = real.layout()
@@ -205,8 +211,8 @@ def _evaluate_realization(
         val = float(np.real(np.vdot(psi, vec)))
         total += term.coeff * val
     if renormalize:
-        if weight <= 1e-14:
-            raise ValueError(f"conditioning event has probability {weight!r}")
+        if weight <= ZERO_WEIGHT_TOL:
+            raise ZeroProbabilityEvent(_event_label(real.n, l=l, r=r), weight)
         total /= weight
     return total
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bell import evaluate, functional_I, functional_K, k_sign_bits
 from .decomp import delta_set, f_coeffs
-from .network import ALMOST_DI, DI, PERP, ProbabilityTable, Realization, expectation
+from .network import ALMOST_DI, DI, PERP, ProbabilityTable, Realization, ZeroProbabilityEvent, expectation
 from .primitives import SettingSymbol, ghz_bits
 from .tensor import Operator
 
@@ -95,7 +95,7 @@ class CertificationReport:
             mark = "PASS" if c.passed else "FAIL"
             lines.append(
                 f"{mark}  {c.id}: value {c.lhs:+.12f}, expected {c.rhs:+.12f}, "
-                f"residual {c.residual:.3e} (tol {c.tol:.1e})"
+                f"residual {c.residual:.3e} (tol {c.tol:.1e})" + (f": {c.detail}" if c.detail else "")
             )
         lines.append(f"branch: {self.branch}")
         lines.append(f"verdict: {self.verdict}")
@@ -154,6 +154,15 @@ def _joint(table, assignment, *, e, l, r=None):
     return expectation(table, assignment, e=e, l=l, r=r, renormalize=False)
 
 
+def _conditional_row(row_id: str, value, rhs: float, tol: float) -> CheckRow:
+    """Row for a conditional value, computed by ``value()``; a conditioning
+    event of probability zero gives a failing row that names the event."""
+    try:
+        return CheckRow(row_id, value(), rhs, tol)
+    except ZeroProbabilityEvent as err:
+        return CheckRow(row_id, 1.0, 0.0, 0.0, detail=f"{err.event} has probability {err.probability:.3g}")
+
+
 def _rows_step1_almost(table: ProbabilityTable, tol: float) -> list[CheckRow]:
     n = table.n
     rows = []
@@ -185,10 +194,12 @@ def _rows_step1_di(table: ProbabilityTable, tol: float) -> list[CheckRow]:
     x0 = (0,) * n
     for i in range(1, n + 1):
         for k in range(4):
-            value = evaluate(
-                functional_K(i, k_sign_bits(k), n), table, e=0, r={i: k}, renormalize=True
+            func = functional_K(i, k_sign_bits(k), n)
+            rows.append(
+                _conditional_row(
+                    f"step1.k[{i};{k}]", lambda: evaluate(func, table, e=0, r={i: k}, renormalize=True), 2.0, tol
+                )
             )
-            rows.append(CheckRow(f"step1.k[{i};{k}]", value, 2.0, tol))
             rate = table.signed_sum((x0, 0, PERP), r={i: k})
             rows.append(CheckRow(f"step1.rate[{i};{k}]", rate, 0.25, tol))
     return rows
@@ -242,9 +253,11 @@ def _rows_branch(table: ProbabilityTable, tol: float) -> tuple[list[CheckRow], s
         for j in range(2, n + 1):
             if j != i:
                 assignment[f"A{j}"] = SettingSymbol.S1
-        value = -expectation(table, assignment, e=0, l=0, r=r0, renormalize=True)
-        rows.append(CheckRow(f"branch.pair[1,{i}]", value, 1.0, tol))
-        if value < 0:
+        row = _conditional_row(
+            f"branch.pair[1,{i}]", lambda: -expectation(table, assignment, e=0, l=0, r=r0, renormalize=True), 1.0, tol
+        )
+        rows.append(row)
+        if row.lhs < 0:
             mixed = True
     return rows, ("mixed" if mixed else "undetermined")
 

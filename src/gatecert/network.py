@@ -13,10 +13,18 @@ Two scenarios are supported:
 
 Canonical site order: A_1..A_N, then (di only) R_{1,1}..R_{N,1},
 R_{1,2}..R_{N,2}, then L_1..L_N.  Probability arrays are indexed by
-(a_1..a_N, (r_1..r_N,) l) with the joint L outcome l as a single axis.
+(a_1..a_N, (r_1..r_N,) l) with the joint L outcome l as a single axis;
+for the per-site boxes l is the integer b_1...b_N with b_1 most
+significant.
 
 All probabilities are exact Born values; tables carry every setting row,
-including rows no verification step consumes.
+including rows no verification step consumes.  ``born_table`` factors
+every measurement element once as E = K^dagger K, with K the rows
+sqrt(lambda) v^dagger of the eigenpairs of E above an eps-scaled rank
+cutoff (d * machine eps * max(1, |E|)); the factors of one measurement
+are zero-padded to a common rank, so a zero element is a block of zero
+rows.  A probability is then the squared norm ||(K_a (x) K_r (x) K_l) psi||^2,
+real and non-negative by construction.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .primitives import SettingSymbol, ghz_bits, ghz_state, phi_plus, ref_b_observable, ref_observable
+from .primitives import SettingSymbol, ghz_bits, ghz_int, ghz_state, phi_plus, ref_b_observable, ref_observable
 from .tensor import (
     Operator,
     StateVector,
@@ -48,9 +56,8 @@ PERP = "perp"
 SCHEMES = (ALMOST_DI, DI)
 
 VALIDATE_TOL = 1e-10
-PROB_IMAG_TOL = 1e-12
-PROB_NEG_TOL = -1e-14
 SUM_TOL = 1e-12
+ZERO_WEIGHT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -331,69 +338,71 @@ def _state_with_eve(real: Realization, e: int) -> np.ndarray:
     return apply_raw(psi.amplitudes, psi.dims, real.eve.entries, lay.v_sites())
 
 
+def _factor_stack(elements: Sequence[np.ndarray]) -> np.ndarray:
+    """Square-root factors K with K^dagger K = E, one per element, as a
+    ``(k, rank, d)`` stack padded with zero rows to the largest rank."""
+    factors = []
+    for el in elements:
+        vals, vecs = np.linalg.eigh(el)
+        keep = vals > len(vals) * np.finfo(float).eps * max(1.0, float(np.abs(vals).max()))
+        factors.append(np.sqrt(vals[keep])[:, None] * vecs[:, keep].conj().T)
+    rank = max(f.shape[0] for f in factors)
+    stack = np.zeros((len(factors), rank, factors[0].shape[1]), dtype=complex)
+    for k, f in enumerate(factors):
+        stack[k, : f.shape[0]] = f
+    return stack
+
+
+def _measure(block: np.ndarray, dims: tuple[int, ...], stack: np.ndarray, sites: Sequence[int]):
+    """Apply a factor stack; returns the new block and its site dimensions."""
+    new_dims = [1 if s in sites else d for s, d in enumerate(dims)]
+    new_dims[sites[0]] = stack.shape[1]
+    return apply_raw_batch(block, dims, stack, sites), tuple(new_dims)
+
+
 def born_table(real: Realization) -> "ProbabilityTable":
-    """Exact probability table over every setting row of the scenario."""
+    """Exact probability table over every setting row of the scenario.
+
+    Layers on disjoint sites commute, so the repeaters are measured once
+    per e, the L boxes once per (e, y), and the A layer last with one
+    stacked factor per party that covers all three settings."""
     validate_realization(real)
     lay = real.layout()
-    dims = lay.dims
     n = real.n
     scen = real.scenario()
     a_stacks = [
-        [_binary_elements(real.a_obs[i - 1][x]) for x in range(3)] for i in range(1, n + 1)
+        _factor_stack([el for obs in triple for el in _binary_elements(obs)]) for triple in real.a_obs
     ]
+    joint = _factor_stack([m.entries for m in real.l_meas])
+    n_rep = n if real.scheme == DI else 0
+    if real.scheme == DI:
+        rep_stacks = [_factor_stack([el.entries for el in quad]) for quad in real.repeaters]
+        box_stacks = [[_factor_stack(_binary_elements(obs)) for obs in pair] for pair in real.b_obs]
+    # row digits (x_1 a_1 .. x_n a_n, l, r_1..r_n) -> (x_1..x_n, a_1..a_n, r_1..r_n, l)
+    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2), *range(2 * n + 1, 2 * n + 1 + n_rep), 2 * n]
     entries: dict = {}
     for e in (0, 1):
-        base = _state_with_eve(real, e)
-        joint_bras = np.stack(
-            [apply_raw(base, dims, m.entries, lay.l_sites()) for m in real.l_meas]
-        )
-        if real.scheme == DI:
-            rep_stacks = [
-                np.stack([el.entries for el in real.repeaters[i - 1]]) for i in range(1, n + 1)
-            ]
-            box_bras: dict[tuple, np.ndarray] = {}
-            for y in product(range(2), repeat=n):
-                vecs = [base]
-                for i in range(1, n + 1):
-                    els = _binary_elements(real.b_obs[i - 1][y[i - 1]])
-                    vecs = [
-                        apply_raw(v, dims, els[bit], [lay.l_site(i)])
-                        for v in vecs
-                        for bit in (0, 1)
-                    ]
-                box_bras[y] = np.stack(vecs)
-        for x in scen.x_settings():
-            block = base[None, :]
-            if real.scheme == DI:
-                for i in range(n, 0, -1):
-                    block = apply_raw_batch(
-                        block, dims, rep_stacks[i - 1], [lay.r1_site(i), lay.r2_site(i)]
-                    )
-            for i in range(n, 0, -1):
-                block = apply_raw_batch(block, dims, a_stacks[i - 1][x[i - 1]], [lay.a_site(i)])
-            if real.scheme == ALMOST_DI:
-                entries[(x, e)] = _finish_probs(block, joint_bras, scen, (x, e))
+        block, dims = _state_with_eve(real, e)[None, :], lay.dims
+        for i in range(n_rep, 0, -1):
+            block, dims = _measure(block, dims, rep_stacks[i - 1], [lay.r1_site(i), lay.r2_site(i)])
+        for y in scen.y_settings() or [None]:
+            if y is None or y == PERP:
+                rows, rdims = _measure(block, dims, joint, lay.l_sites())
             else:
-                for y in scen.y_settings():
-                    bras = joint_bras if y == PERP else box_bras[y]
-                    entries[(x, e, y)] = _finish_probs(block, bras, scen, (x, e, y))
+                rows, rdims = block, dims
+                for i in range(n, 0, -1):
+                    rows, rdims = _measure(rows, rdims, box_stacks[i - 1][y[i - 1]], [lay.l_site(i)])
+            for i in range(n, 0, -1):
+                rows, rdims = _measure(rows, rdims, a_stacks[i - 1], [lay.a_site(i)])
+            probs = (rows.real**2 + rows.imag**2).sum(axis=1)
+            probs = probs.reshape((3, 2) * n + (2**n,) + (4,) * n_rep).transpose(order)
+            totals = probs.reshape(3**n, -1).sum(axis=1)
+            for x, total in zip(scen.x_settings(), totals):
+                key = (x, e) if y is None else (x, e, y)
+                if abs(total - 1.0) > SUM_TOL:
+                    raise ValueError(f"setting {key}: probabilities sum to {float(total)!r}")
+                entries[key] = probs[x]
     return ProbabilityTable(real.scheme, n, entries)
-
-
-def _finish_probs(block: np.ndarray, bras: np.ndarray, scen: ScenarioSpec, key: tuple) -> np.ndarray:
-    raw = block @ bras.conj().T  # (branches, 2^N)
-    worst = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if worst > PROB_IMAG_TOL:
-        raise ValueError(f"setting {key}: probabilities have imaginary part {worst:.2e}")
-    probs = raw.real.reshape(scen.outcome_shape())
-    low = float(probs.min())
-    if low < PROB_NEG_TOL:
-        raise ValueError(f"setting {key}: negative probability {low:.2e}")
-    total = float(probs.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"setting {key}: probabilities sum to {total!r}")
-    probs.setflags(write=False)
-    return probs
 
 
 class ProbabilityTable:
@@ -553,6 +562,23 @@ def _parse_assignment(assignment: Mapping[str, SettingSymbol], n: int, scheme: s
     return a_syms, b_syms
 
 
+class ZeroProbabilityEvent(ValueError):
+    """A conditional value was asked for an event of (numerically) zero
+    probability; ``event`` names it, e.g. ``r_1=1`` or ``l=00, r_1=0``."""
+
+    def __init__(self, event: str, probability: float):
+        super().__init__(f"conditioning event {event} has probability {probability!r}")
+        self.event = event
+        self.probability = probability
+
+
+def _event_label(n: int, *, l: int | None = None, r: Mapping[int, int] | None = None) -> str:
+    """Conditioning event as text, e.g. ``r_1=1`` or ``l=00, r_1=0, r_2=0``."""
+    parts = [] if l is None else ["l=" + "".join(str(b) for b in ghz_bits(int(l), n))]
+    parts += [f"r_{i}={int(k)}" for i, k in sorted((r or {}).items())]
+    return ", ".join(parts)
+
+
 def expectation(
     table: ProbabilityTable,
     assignment: Mapping[str, SettingSymbol],
@@ -608,8 +634,8 @@ def expectation(
         value = table.signed_sum(key, a_signed, b_signed, l=l, r=r)
         if renormalize:
             weight = table.signed_sum(key, (), (), l=l, r=r)
-            if weight <= 1e-14:
-                raise ValueError(f"conditioning event has probability {weight!r}")
+            if weight <= ZERO_WEIGHT_TOL:
+                raise ZeroProbabilityEvent(_event_label(table.n, l=l, r=r), weight)
             value /= weight
         total += coeff * value
     return total
@@ -643,8 +669,8 @@ def conditional_state(
     otherwise the density Operator.
     """
     rho, dims, p = _steer(real, e=e, r=r, l=l)
-    if p <= 1e-14:
-        raise ValueError(f"conditioning event has probability {p!r}")
+    if p <= ZERO_WEIGHT_TOL:
+        raise ZeroProbabilityEvent(_event_label(real.n, l=l, r=r), p)
     vals, vecs = np.linalg.eigh(rho)
     if 1.0 - vals[-1] <= purity_tol:
         vec = vecs[:, -1]
@@ -678,7 +704,7 @@ def _steer(real: Realization, *, e: int, r: Mapping[int, int] | None, l: int | N
     chi_m = np.moveaxis(chi.reshape(dims), keep, range(len(keep))).reshape(kdim, -1)
     psi_m = np.moveaxis(psi.reshape(dims), keep, range(len(keep))).reshape(kdim, -1)
     rho = chi_m @ psi_m.conj().T
-    if p > 1e-14:
+    if p > ZERO_WEIGHT_TOL:
         rho = rho / p
     rho = (rho + rho.conj().T) / 2
     return rho, tuple(dims[s] for s in keep), p
@@ -725,35 +751,51 @@ def save_table(table: ProbabilityTable, path: str) -> None:
 
 
 def read_table(stream: io.TextIOBase) -> ProbabilityTable:
-    lines = [ln for ln in stream.read().splitlines() if ln.strip()]
-    if not lines:
+    """Parse a table file; a malformed line raises ValueError naming it."""
+    lines = stream.read().splitlines()
+    first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if first is None:
         raise ValueError("empty table file")
-    header = json.loads(lines[0])
-    if header.get("kind") != "probability_table":
-        raise ValueError("not a probability table file")
-    scheme = header["scheme"]
-    n = int(header["n"])
+    lineno = first + 1
+    try:
+        header = json.loads(lines[first])
+        if header.get("kind") != "probability_table":
+            raise ValueError("not a probability table file")
+        scheme = header["scheme"]
+        n = int(header["n"])
+    except KeyError as err:
+        raise ValueError(f"line {lineno}: header lacks field {err.args[0]!r}") from None
+    except (AttributeError, TypeError, json.JSONDecodeError) as err:
+        raise ValueError(f"line {lineno}: {err}") from None
     scen = ScenarioSpec(scheme, n)
     shape = scen.outcome_shape()
     arrays: dict[tuple, np.ndarray] = {}
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        x = tuple(int(v) for v in rec["x"])
-        e = int(rec["e"])
-        if scheme == ALMOST_DI:
-            key: tuple = (x, e)
+    for lineno, ln in enumerate(lines[lineno:], start=lineno + 1):
+        if not ln.strip():
+            continue
+        try:
+            rec = json.loads(ln)
+            x = tuple(int(v) for v in rec["x"])
+            e = int(rec["e"])
             idx = tuple(int(v) for v in rec["a"])
-        else:
-            y = rec["y"]
-            y = PERP if y == PERP else tuple(int(v) for v in y)
-            key = (x, e, y)
-            idx = tuple(int(v) for v in rec["a"]) + tuple(int(v) for v in rec["r"])
-        l = 0
-        for bit in rec["l"]:
-            l = (l << 1) | int(bit)
-        if key not in arrays:
-            arrays[key] = np.zeros(shape)
-        arrays[key][idx + (l,)] = float(rec["p"])
+            if scheme == ALMOST_DI:
+                key: tuple = (x, e)
+            else:
+                y = rec["y"]
+                key = (x, e, PERP if y == PERP else tuple(int(v) for v in y))
+                idx += tuple(int(v) for v in rec["r"])
+            if len(rec["l"]) != n:
+                raise ValueError(f"joint outcome {rec['l']} is not {n} bits")
+            idx += (ghz_int(rec["l"]),)
+            if len(idx) != len(shape) or min(idx) < 0:
+                raise ValueError(f"outcome {idx} lies outside the outcome shape {shape}")
+            if key not in arrays:
+                arrays[key] = np.zeros(shape)
+            arrays[key][idx] = float(rec["p"])
+        except KeyError as err:
+            raise ValueError(f"line {lineno}: record lacks field {err.args[0]!r}") from None
+        except (TypeError, ValueError, IndexError) as err:
+            raise ValueError(f"line {lineno}: {err}") from None
     return ProbabilityTable(scheme, n, arrays)
 
 

@@ -201,24 +201,28 @@ def apply_raw(vec: np.ndarray, dims: Sequence[int], mat: np.ndarray, sites: Sequ
 
 
 def apply_raw_batch(block: np.ndarray, dims: Sequence[int], mats: np.ndarray, sites: Sequence[int]) -> np.ndarray:
-    """Apply a stack of k operators to every row of ``block``.
+    """Apply a stack of k factors to the listed sites of every row of ``block``.
 
-    Returns a ``(k * rows, dim)`` block whose row index is ``outcome * rows + row``,
+    ``mats`` has shape ``(k, rank, d)``, with ``d`` the joint dimension of
+    ``sites``; a stack of square operators is the case ``rank == d``.  The
+    listed sites collapse to one site of dimension ``rank`` at ``sites[0]``
+    and the others to dimension 1, so site indices stay valid.  Returns a
+    ``(k * rows, dim')`` block whose row index is ``outcome * rows + row``,
     i.e. the new outcome digit is prepended as the most significant digit.
     """
     dims = tuple(dims)
     sites = list(sites)
     rows = block.shape[0]
-    t = block.reshape((rows,) + dims)
-    t = np.moveaxis(t, [s + 1 for s in sites], range(1, 1 + len(sites)))
     d = int(np.prod([dims[s] for s in sites]))
+    mats = np.asarray(mats).reshape(len(mats), -1, d)
+    k, rank = mats.shape[:2]
+    # one (k*rank, d) x (d, rows*rest) product with the measured sites leading
+    t = np.moveaxis(block.reshape((rows,) + dims), [s + 1 for s in sites], range(len(sites)))
     rest = t.shape[1 + len(sites):]
-    t = t.reshape(rows, d, -1)
-    out = np.einsum("kde,bef->kbdf", mats.reshape(len(mats), d, d), t)
-    out = out.reshape((len(mats) * rows, d) + rest)
-    out = out.reshape((len(mats) * rows,) + tuple(dims[s] for s in sites) + rest)
-    out = np.moveaxis(out, range(1, 1 + len(sites)), [s + 1 for s in sites])
-    return out.reshape(len(mats) * rows, -1)
+    out = (mats.reshape(k * rank, d) @ t.reshape(d, -1)).reshape((k, rank, rows) + rest)
+    before = sum(1 for s in range(sites[0]) if s not in sites)
+    out = np.moveaxis(out, 1, 2 + before)
+    return out.reshape(k * rows, -1)
 
 
 def apply_to_sites(state: StateVector, op: Operator, sites: Sequence[int]) -> StateVector:

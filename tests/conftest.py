@@ -1,6 +1,32 @@
-"""Replay the acceptance-criterion verdict lines after the test run."""
+"""Shared fixtures, and a replay of the acceptance-criterion verdict lines
+after the test run."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from gatecert.network import DI, reference_realization
+from gatecert.primitives import gate
+from gatecert.tensor import Operator
 
 _CRITERION_LINES = []
+
+
+@pytest.fixture
+def zero_element_repeater():
+    """di n=2 CNOT realization whose first repeater merges Bell outcomes 0
+    and 1 into outcome 0, so outcome 1 has the zero element."""
+    real = reference_realization(2, gate("cnot", 2), scheme=DI)
+    bell = real.repeaters[0]
+    dims = bell[0].dims
+    merged = (
+        Operator(bell[0].entries + bell[1].entries, dims),
+        Operator(np.zeros((4, 4)), dims),
+        bell[2],
+        bell[3],
+    )
+    return replace(real, repeaters=(merged,) + real.repeaters[1:])
 
 
 def pytest_runtest_logreport(report):

@@ -180,3 +180,16 @@ def test_summary_text():
     assert "verdict: certified" in text
     assert "branch: undetermined" in text
     assert text.count("PASS") == len(report.checks)
+
+
+def test_zero_probability_event_fails_named_row(zero_element_repeater):
+    """r_1=1 never occurs: the K functional conditioned on it has no value,
+    which is a failing row naming the event, not an exception."""
+    u = gate("cnot", 2)
+    table = born_table(zero_element_repeater)
+    assert np.all(table.array(((0, 0), 0, "perp"))[:, :, 1] == 0.0)
+    for report in (certify(table, u), certify(table, u, realization=zero_element_repeater)):
+        assert report.verdict == "not-certified"
+        row = next(c for c in report.checks if c.id == "step1.k[1;1]")
+        assert not row.passed
+        assert row.detail == "r_1=1 has probability 0"

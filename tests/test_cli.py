@@ -9,7 +9,7 @@ import pytest
 
 from gatecert.adversary import AdversarySpec, save_adversary
 from gatecert.cli import main
-from gatecert.network import load_table
+from gatecert.network import born_table, load_table, save_table
 
 
 def test_simulate_writes_table_and_summary(tmp_path, capsys):
@@ -88,6 +88,30 @@ def test_certify_corrupted_table_exits_one(tmp_path, capsys):
     code = main(["certify", "--gate", "cz", "--table", str(bad)])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_certify_record_missing_field_exits_two(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["simulate", "--n", "2", "--gate", "cz", "--out", str(run)]) == 0
+    lines = (run / "table.jsonl").read_text().splitlines()
+    rec = json.loads(lines[5])
+    del rec["l"]
+    lines[5] = json.dumps(rec, sort_keys=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["certify", "--gate", "cz", "--table", str(bad)]) == 2
+    assert "line 6: record lacks field 'l'" in capsys.readouterr().err
+
+
+def test_certify_zero_probability_event_exits_one(tmp_path, capsys, zero_element_repeater):
+    table = born_table(zero_element_repeater)
+    path = tmp_path / "table.jsonl"
+    save_table(table, str(path))
+    assert main(["certify", "--scheme", "di", "--gate", "cnot", "--table", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  step1.k[1;1]" in out
+    assert "r_1=1 has probability 0" in out
+    assert "verdict: not-certified" in out
 
 
 def test_certify_wrong_gate_exits_one(tmp_path):

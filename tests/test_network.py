@@ -7,6 +7,7 @@ by test_tensor) and compares every probability entry.
 
 import io
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -337,3 +338,34 @@ def test_max_difference_sees_every_entry():
     entries[((2, 2), 1)][1, 1, 3] += 3e-7
     bumped = ProbabilityTable(ALMOST_DI, 2, entries)
     assert np.isclose(table.max_difference(bumped), 3e-7)
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"l": None}, "record lacks field 'l'"),
+        ({"a": [2, 0]}, "out of bounds"),
+        ({"a": [-1, 0]}, "lies outside the outcome shape"),
+        ({"l": [0, 1, 1]}, "is not 2 bits"),
+        ({"x": 7}, "not iterable"),
+    ],
+)
+def test_read_table_names_line_of_malformed_record(change, reason):
+    table = born_table(reference_realization(2, gate("cz", 2)))
+    buf = io.StringIO()
+    write_table(table, buf)
+    lines = buf.getvalue().splitlines()
+    rec = json.loads(lines[4])
+    for field, value in change.items():
+        if value is None:
+            del rec[field]
+        else:
+            rec[field] = value
+    lines[4] = json.dumps(rec)
+    with pytest.raises(ValueError, match=f"^line 5: .*{re.escape(reason)}"):
+        read_table(io.StringIO("\n".join(lines)))
+
+
+def test_read_table_names_missing_header_field():
+    with pytest.raises(ValueError, match="^line 2: header lacks field 'n'"):
+        read_table(io.StringIO('\n{"kind": "probability_table", "scheme": "di"}\n'))
