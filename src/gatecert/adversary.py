@@ -20,6 +20,7 @@ correlations and must be caught:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,18 +61,35 @@ class AdversarySpec:
 
     @staticmethod
     def from_record(rec: dict) -> "AdversarySpec":
+        if not isinstance(rec, dict):
+            raise ValueError("adversary record must be a mapping")
         kind = rec.get("kind")
         if kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind {kind!r}")
+
+        def field(name, convert, default):
+            if name not in rec:
+                return default
+            try:
+                return convert(rec[name])
+            except (TypeError, ValueError):
+                raise ValueError(f"adversary field {name!r} has malformed value {rec[name]!r}") from None
+
         return AdversarySpec(
             kind=kind,
-            junk_dim=int(rec.get("junk_dim", 2)),
-            seed=int(rec.get("seed", 0)),
-            rotate=bool(rec.get("rotate", True)),
-            thetas=tuple(float(t) for t in rec["thetas"]) if "thetas" in rec else None,
-            epsilon=float(rec.get("epsilon", 0.0)),
-            eta=float(rec.get("eta", 0.0)),
+            junk_dim=field("junk_dim", operator.index, 2),
+            seed=field("seed", operator.index, 0),
+            rotate=field("rotate", _json_bool, True),
+            thetas=field("thetas", lambda ts: tuple(float(t) for t in ts), None),
+            epsilon=field("epsilon", float, 0.0),
+            eta=field("eta", float, 0.0),
         )
+
+
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("not a boolean")
+    return value
 
 
 def load_adversary(path: str) -> AdversarySpec:

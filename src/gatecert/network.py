@@ -25,12 +25,26 @@ cutoff (d * machine eps * max(1, |E|)); the factors of one measurement
 are zero-padded to a common rank, so a zero element is a block of zero
 rows.  A probability is then the squared norm ||(K_a (x) K_r (x) K_l) psi||^2,
 real and non-negative by construction.
+
+Table files (``write_table``/``read_table``) hold a header line
+``{"kind": "probability_table", "n": N, "scheme": S}``, then one JSON
+record per settings row, in sorted settings order:
+``{"e": e, "p": [...], "x": [x_1..x_N]}``, plus ``"y"`` (a bit list or
+``"perp"``) for di.  ``p`` is the row's outcome array flattened in C order
+over (a_1..a_N, (r_1..r_N,) l); float repr makes the round trip exact.
+The reader rejects, with a ValueError naming the line, a record that lacks
+a field, has settings outside the scenario, repeats a row, or whose ``p``
+has the wrong length, a negative or non-finite entry, or a sum more than
+``SUM_TOL`` from one; a file missing rows is rejected naming the first,
+and a header whose n is not an integer from 2 to ``MAX_TABLE_N`` before
+any row is read.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, replace
@@ -39,7 +53,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .primitives import SettingSymbol, ghz_bits, ghz_int, ghz_state, phi_plus, ref_b_observable, ref_observable
+from .primitives import SettingSymbol, ghz_bits, ghz_state, phi_plus, ref_b_observable, ref_observable
 from .tensor import (
     Operator,
     StateVector,
@@ -58,6 +72,7 @@ SCHEMES = (ALMOST_DI, DI)
 VALIDATE_TOL = 1e-10
 SUM_TOL = 1e-12
 ZERO_WEIGHT_TOL = 1e-14
+MAX_TABLE_N = 8  # an almost_di table at n=9 holds 1e10 probabilities
 
 
 @dataclass(frozen=True)
@@ -724,23 +739,14 @@ def _sorted_keys(table: ProbabilityTable) -> list[tuple]:
 
 
 def write_table(table: ProbabilityTable, stream: io.TextIOBase) -> None:
-    """One JSON record per line: a header, then every (settings, outcomes, p)."""
+    """A header line, then one record per settings row in sorted order."""
     header = {"kind": "probability_table", "scheme": table.scheme, "n": table.n}
     stream.write(json.dumps(header, sort_keys=True) + "\n")
-    n = table.n
     for key in _sorted_keys(table):
-        arr = table.entries[key]
-        for idx in np.ndindex(arr.shape):
-            a = list(idx[:n])
-            l = list(ghz_bits(idx[-1], n))
-            rec: dict = {"x": list(key[0]), "e": key[1]}
-            if table.scheme == DI:
-                rec["y"] = PERP if key[2] == PERP else list(key[2])
-                rec["r"] = list(idx[n : 2 * n])
-            rec["a"] = a
-            rec["l"] = l
-            rec["p"] = float(arr[idx])
-            stream.write(json.dumps(rec, sort_keys=True) + "\n")
+        rec: dict = {"x": list(key[0]), "e": key[1], "p": table.entries[key].ravel().tolist()}
+        if table.scheme == DI:
+            rec["y"] = PERP if key[2] == PERP else list(key[2])
+        stream.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def save_table(table: ProbabilityTable, path: str) -> None:
@@ -750,52 +756,75 @@ def save_table(table: ProbabilityTable, path: str) -> None:
     os.replace(tmp, path)
 
 
+def _record_key(rec: dict, scheme: str, n: int) -> tuple:
+    """Settings key of a record; ValueError if the settings lie outside the scenario."""
+    x, e = tuple(rec["x"]), rec["e"]
+    inside = len(x) == n and all(v in (0, 1, 2) for v in x) and e in (0, 1)
+    if scheme == ALMOST_DI:
+        if not inside:
+            raise ValueError(f"settings x={rec['x']!r}, e={e!r} lie outside the scenario")
+        return (tuple(int(v) for v in x), int(e))
+    y = rec["y"]
+    if y != PERP:
+        y = tuple(y)
+        inside = inside and len(y) == n and all(b in (0, 1) for b in y)
+    if not inside:
+        raise ValueError(f"settings x={rec['x']!r}, e={e!r}, y={rec['y']!r} lie outside the scenario")
+    return (tuple(int(v) for v in x), int(e), y if y == PERP else tuple(int(b) for b in y))
+
+
 def read_table(stream: io.TextIOBase) -> ProbabilityTable:
-    """Parse a table file; a malformed line raises ValueError naming it."""
-    lines = stream.read().splitlines()
-    first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
-    if first is None:
+    """Parse a table file line by line.  A malformed or unphysical record
+    raises ValueError naming its line; a missing settings row raises
+    ValueError naming the first one missing."""
+    lines = enumerate(stream, start=1)
+    for lineno, ln in lines:
+        if ln.strip():
+            break
+    else:
         raise ValueError("empty table file")
-    lineno = first + 1
     try:
-        header = json.loads(lines[first])
+        header = json.loads(ln)
         if header.get("kind") != "probability_table":
             raise ValueError("not a probability table file")
-        scheme = header["scheme"]
-        n = int(header["n"])
+        n = header["n"]
+        if type(n) is not int or not 2 <= n <= MAX_TABLE_N:
+            raise ValueError(f"header n={n!r} is not an integer from 2 to {MAX_TABLE_N}")
+        scen = ScenarioSpec(header["scheme"], n)
     except KeyError as err:
         raise ValueError(f"line {lineno}: header lacks field {err.args[0]!r}") from None
-    except (AttributeError, TypeError, json.JSONDecodeError) as err:
+    except (AttributeError, TypeError, ValueError) as err:
         raise ValueError(f"line {lineno}: {err}") from None
-    scen = ScenarioSpec(scheme, n)
-    shape = scen.outcome_shape()
+    scheme, shape = scen.scheme, scen.outcome_shape()
+    size = math.prod(shape)
     arrays: dict[tuple, np.ndarray] = {}
-    for lineno, ln in enumerate(lines[lineno:], start=lineno + 1):
+    for lineno, ln in lines:
         if not ln.strip():
             continue
         try:
             rec = json.loads(ln)
-            x = tuple(int(v) for v in rec["x"])
-            e = int(rec["e"])
-            idx = tuple(int(v) for v in rec["a"])
-            if scheme == ALMOST_DI:
-                key: tuple = (x, e)
-            else:
-                y = rec["y"]
-                key = (x, e, PERP if y == PERP else tuple(int(v) for v in y))
-                idx += tuple(int(v) for v in rec["r"])
-            if len(rec["l"]) != n:
-                raise ValueError(f"joint outcome {rec['l']} is not {n} bits")
-            idx += (ghz_int(rec["l"]),)
-            if len(idx) != len(shape) or min(idx) < 0:
-                raise ValueError(f"outcome {idx} lies outside the outcome shape {shape}")
-            if key not in arrays:
-                arrays[key] = np.zeros(shape)
-            arrays[key][idx] = float(rec["p"])
+            key = _record_key(rec, scheme, n)
+            if key in arrays:
+                raise ValueError(f"duplicate settings row {key}")
+            p = np.array(rec["p"], dtype=float)
+            if p.shape != (size,):
+                raise ValueError(f"p has shape {p.shape}, expected a list of {size} probabilities")
+            ok = np.isfinite(p) & (p >= 0)
+            if not ok.all():
+                k = int(np.argmin(ok))
+                raise ValueError(f"p[{k}] = {float(p[k])!r} is negative or not finite")
+            total = float(p.sum())
+            if abs(total - 1.0) > SUM_TOL:
+                raise ValueError(f"p sums to {total!r}, not 1")
+            arrays[key] = p.reshape(shape)
         except KeyError as err:
             raise ValueError(f"line {lineno}: record lacks field {err.args[0]!r}") from None
-        except (TypeError, ValueError, IndexError) as err:
+        except (TypeError, ValueError) as err:
             raise ValueError(f"line {lineno}: {err}") from None
+    missing = [key for key in scen.settings() if key not in arrays]
+    if missing:
+        rows = len(missing) + len(arrays)
+        raise ValueError(f"table lacks {len(missing)} of {rows} settings rows, the first is {missing[0]}")
     return ProbabilityTable(scheme, n, arrays)
 
 

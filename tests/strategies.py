@@ -1,0 +1,31 @@
+"""Hypothesis strategies shared by the property tests."""
+
+import numpy as np
+from hypothesis import strategies as st
+
+from gatecert.adversary import ADVERSARY_KINDS, conjugate, depolarize_sources, dilate, gauge_phase, perturb
+from gatecert.network import ALMOST_DI, DI, SCHEMES, reference_realization
+from gatecert.primitives import gate
+
+SEEDS = st.integers(0, 2**16)
+
+
+@st.composite
+def realizations(draw):
+    """Random n=2 gate in either scheme and branch under any adversary;
+    depolarize is drawn for almost_di only and di dilations carry no junk,
+    which keeps each example cheap for the dense oracle."""
+    kind = draw(st.sampled_from(ADVERSARY_KINDS))
+    scheme = ALMOST_DI if kind == "depolarize" else draw(st.sampled_from(SCHEMES))
+    branch = draw(st.sampled_from((+1, -1)))
+    real = reference_realization(2, gate("random", 2, seed=draw(SEEDS)), branch=branch, scheme=scheme)
+    if kind == "dilate":
+        junk = 1 if scheme == DI else draw(st.integers(1, 2))
+        return dilate(real, junk, seed=draw(SEEDS))
+    if kind == "conjugate":
+        return conjugate(real)
+    if kind == "gauge_phase":
+        return gauge_phase(real, draw(st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4)))
+    if kind == "perturb":
+        return perturb(real, draw(st.floats(0.0, 0.5)), seed=draw(SEEDS))
+    return depolarize_sources(real, draw(st.floats(0.0, 1.0)))

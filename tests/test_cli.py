@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from gatecert import cli
 from gatecert.adversary import AdversarySpec, save_adversary
 from gatecert.cli import main
-from gatecert.network import born_table, load_table, save_table
+from gatecert.network import DI, born_table, load_table, reference_realization, save_table
+from gatecert.primitives import gate
 
 
 def test_simulate_writes_table_and_summary(tmp_path, capsys):
@@ -20,7 +22,7 @@ def test_simulate_writes_table_and_summary(tmp_path, capsys):
     ])
     assert code == 0
     lines = (out / "table.jsonl").read_text().splitlines()
-    assert len(lines) == 1 + 18 * 16  # header plus 9x2 settings times 2x2x4 outcomes
+    assert len(lines) == 1 + 18  # header plus one record per 9x2 settings row
     summary = json.loads((out / "summary.json").read_text())
     assert summary["scheme"] == "almost_di"
     assert np.allclose(summary["p_l"], 0.25)
@@ -81,7 +83,8 @@ def test_certify_corrupted_table_exits_one(tmp_path, capsys):
     assert main(["simulate", "--n", "2", "--gate", "cz", "--out", str(run)]) == 0
     lines = (run / "table.jsonl").read_text().splitlines()
     rec = json.loads(lines[3])
-    rec["p"] += 0.004
+    rec["p"][0] -= 0.004  # the row still sums to one
+    rec["p"][1] += 0.004
     lines[3] = json.dumps(rec, sort_keys=True)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
@@ -90,17 +93,31 @@ def test_certify_corrupted_table_exits_one(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_certify_unnormalized_row_exits_two(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["simulate", "--n", "2", "--gate", "cz", "--out", str(run)]) == 0
+    lines = (run / "table.jsonl").read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["p"][0] += 0.004
+    lines[3] = json.dumps(rec, sort_keys=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["certify", "--gate", "cz", "--table", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 4: p sums to 1.00399" in err
+
+
 def test_certify_record_missing_field_exits_two(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["simulate", "--n", "2", "--gate", "cz", "--out", str(run)]) == 0
     lines = (run / "table.jsonl").read_text().splitlines()
     rec = json.loads(lines[5])
-    del rec["l"]
+    del rec["p"]
     lines[5] = json.dumps(rec, sort_keys=True)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
     assert main(["certify", "--gate", "cz", "--table", str(bad)]) == 2
-    assert "line 6: record lacks field 'l'" in capsys.readouterr().err
+    assert "line 6: record lacks field 'p'" in capsys.readouterr().err
 
 
 def test_certify_zero_probability_event_exits_one(tmp_path, capsys, zero_element_repeater):
@@ -142,6 +159,40 @@ def test_certify_adversary_flag(tmp_path):
         "certify", "--n", "2", "--gate", "cz", "--adversary", str(adv), "--tol", "1e-6",
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        ([1, 2], "adversary record must be a mapping"),
+        ({"kind": "gauge_phase", "thetas": 5}, "adversary field 'thetas' has malformed value 5"),
+        ({"kind": "dilate", "junk_dim": None}, "adversary field 'junk_dim' has malformed value None"),
+        ({"kind": "dilate", "seed": 1.5}, "adversary field 'seed' has malformed value 1.5"),
+        ({"kind": "dilate", "rotate": "false"}, "adversary field 'rotate' has malformed value 'false'"),
+    ],
+    ids=["list", "thetas-number", "junk-null", "seed-float", "rotate-string"],
+)
+def test_certify_malformed_adversary_exits_two(tmp_path, capsys, record, reason):
+    adv = tmp_path / "adv.json"
+    adv.write_text(json.dumps(record))
+    assert main(["certify", "--n", "2", "--gate", "cz", "--adversary", str(adv)]) == 2
+    assert f"error: {reason}" in capsys.readouterr().err
+
+
+def test_di_three_subnet_table_roundtrip(tmp_path, monkeypatch):
+    """The largest table the CLI writes loads back exactly and certifies."""
+    loaded = []
+
+    def load_and_keep(path):
+        loaded.append(load_table(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_table", load_and_keep)
+    run = tmp_path / "run"
+    assert main(["simulate", "--scheme", "di", "--n", "3", "--gate", "toffoli", "--out", str(run)]) == 0
+    assert main(["certify", "--gate", "toffoli", "--table", str(run / "table.jsonl")]) == 0
+    table = born_table(reference_realization(3, gate("toffoli", 3), scheme=DI))
+    assert table.max_difference(loaded[0]) == 0.0
 
 
 def test_gate_file_input(tmp_path):

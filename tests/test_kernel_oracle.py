@@ -10,32 +10,12 @@ for almost_di only).
 import numpy as np
 from dense_oracle import dense_born_table
 from hypothesis import given, settings
-from hypothesis import strategies as st
+from strategies import realizations
 
-from gatecert.adversary import ADVERSARY_KINDS, conjugate, depolarize_sources, dilate, gauge_phase, perturb
-from gatecert.network import ALMOST_DI, DI, SCHEMES, born_table, reference_realization
+from gatecert.network import ALMOST_DI, DI, born_table, reference_realization
 from gatecert.primitives import gate
 
 ORACLE_TOL = 1e-15
-SEEDS = st.integers(0, 2**16)
-
-
-@st.composite
-def realizations(draw):
-    kind = draw(st.sampled_from(ADVERSARY_KINDS))
-    scheme = ALMOST_DI if kind == "depolarize" else draw(st.sampled_from(SCHEMES))
-    branch = draw(st.sampled_from((+1, -1)))
-    real = reference_realization(2, gate("random", 2, seed=draw(SEEDS)), branch=branch, scheme=scheme)
-    if kind == "dilate":
-        junk = 1 if scheme == DI else draw(st.integers(1, 2))
-        return dilate(real, junk, seed=draw(SEEDS))
-    if kind == "conjugate":
-        return conjugate(real)
-    if kind == "gauge_phase":
-        return gauge_phase(real, draw(st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4)))
-    if kind == "perturb":
-        return perturb(real, draw(st.floats(0.0, 0.5)), seed=draw(SEEDS))
-    return depolarize_sources(real, draw(st.floats(0.0, 1.0)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -5,6 +5,7 @@ projectors densely (numpy.kron plus the tensor primitives already covered
 by test_tensor) and compares every probability entry.
 """
 
+import functools
 import io
 import json
 import re
@@ -12,11 +13,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import realizations
 
 from gatecert.network import (
     ALMOST_DI,
     DI,
     PERP,
+    SCHEMES,
     ProbabilityTable,
     ScenarioSpec,
     assemble_state,
@@ -340,30 +345,152 @@ def test_max_difference_sees_every_entry():
     assert np.isclose(table.max_difference(bumped), 3e-7)
 
 
-@pytest.mark.parametrize(
-    "change, reason",
-    [
-        ({"l": None}, "record lacks field 'l'"),
-        ({"a": [2, 0]}, "out of bounds"),
-        ({"a": [-1, 0]}, "lies outside the outcome shape"),
-        ({"l": [0, 1, 1]}, "is not 2 bits"),
-        ({"x": 7}, "not iterable"),
-    ],
-)
-def test_read_table_names_line_of_malformed_record(change, reason):
-    table = born_table(reference_realization(2, gate("cz", 2)))
+@functools.cache
+def table_lines(scheme=ALMOST_DI):
+    """Lines of the cz n=2 table file: the header, then one record per row."""
     buf = io.StringIO()
-    write_table(table, buf)
-    lines = buf.getvalue().splitlines()
-    rec = json.loads(lines[4])
+    write_table(born_table(reference_realization(2, gate("cz", 2), scheme=scheme)), buf)
+    return tuple(buf.getvalue().splitlines())
+
+
+def read_with_change(lines, index, change):
+    """Read ``lines`` after editing the record at ``index``: each field of
+    ``change`` is deleted (None), mapped (a callable) or replaced."""
+    lines = list(lines)
+    rec = json.loads(lines[index])
     for field, value in change.items():
         if value is None:
             del rec[field]
         else:
-            rec[field] = value
-    lines[4] = json.dumps(rec)
+            rec[field] = value(rec[field]) if callable(value) else value
+    lines[index] = json.dumps(rec)
+    return read_table(io.StringIO("\n".join(lines)))
+
+
+def negate_largest(p):
+    k = p.index(max(p))
+    return p[:k] + [-p[k]] + p[k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"p": None}, "record lacks field 'p'"),
+        ({"p": lambda p: p[:-1]}, "p has shape (15,)"),
+        ({"p": negate_largest}, "is negative"),
+        ({"x": [7, 0]}, "outside the scenario"),
+        ({"x": 7}, "not iterable"),
+    ],
+)
+def test_read_table_names_line_of_malformed_record(change, reason):
     with pytest.raises(ValueError, match=f"^line 5: .*{re.escape(reason)}"):
-        read_table(io.StringIO("\n".join(lines)))
+        read_with_change(table_lines(), 4, change)
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"e": 2}, "settings x=[0, 0], e=2, y=[1, 1] lie outside the scenario"),
+        ({"y": [0, 2]}, "settings x=[0, 0], e=0, y=[0, 2] lie outside the scenario"),
+        ({"y": "other"}, "settings x=[0, 0], e=0, y='other' lie outside the scenario"),
+        ({"x": [0, 0, 1]}, "settings x=[0, 0, 1], e=0, y=[1, 1] lie outside the scenario"),
+        ({"y": [1, 0]}, "duplicate settings row ((0, 0), 0, (1, 0))"),
+        ({"p": lambda p: p + [0.0]}, "p has shape (257,), expected a list of 256 probabilities"),
+        ({"p": lambda p: [p]}, "p has shape (1, 256)"),
+        ({"p": lambda p: [float("nan")] + p[1:]}, "p[0] = nan is negative or not finite"),
+        ({"p": lambda p: [float("inf")] + p[1:]}, "p[0] = inf is negative or not finite"),
+        ({"p": lambda p: [p[0] + 1e-11] + p[1:]}, "p sums to"),
+    ],
+    ids=["e", "y-bits", "y-name", "x-length", "duplicate", "long-p", "nested-p", "nan", "inf", "sum"],
+)
+def test_read_table_rejects_unphysical_di_record(change, reason):
+    with pytest.raises(ValueError, match=f"^line 5: {re.escape(reason)}"):
+        read_with_change(table_lines(DI), 4, change)
+
+
+def test_read_table_names_first_missing_row():
+    lines = table_lines()
+    with pytest.raises(ValueError, match=re.escape("table lacks 1 of 18 settings rows, the first is ((0, 1), 0)")):
+        read_table(io.StringIO("\n".join(lines[:3] + lines[4:])))
+    with pytest.raises(ValueError, match=re.escape("table lacks 18 of 18 settings rows, the first is ((0, 0), 0)")):
+        read_table(io.StringIO(lines[0]))
+
+
+def test_read_table_rejects_per_outcome_records():
+    old = '{"a": [0, 0], "e": 0, "l": [0, 0], "p": 0.25, "x": [0, 0]}'
+    with pytest.raises(ValueError, match=re.escape("line 2: p has shape (), expected a list of 16 probabilities")):
+        read_table(io.StringIO(table_lines()[0] + "\n" + old))
+
+
+@pytest.mark.parametrize("n", ["9", "2.0", "true", "1", '"2"'])
+def test_read_table_rejects_header_n(n):
+    with pytest.raises(ValueError, match="^line 1: header n=.* is not an integer from 2 to 8"):
+        read_table(io.StringIO('{"kind": "probability_table", "n": %s, "scheme": "di"}' % n))
+
+
+def test_table_record_layout():
+    """One record per settings row in sorted order, p flattened in C order
+    over (a_1, a_2, r_1, r_2, l)."""
+    table = born_table(reference_realization(2, gate("random", 2, seed=4), scheme=DI))
+    buf = io.StringIO()
+    write_table(table, buf)
+    records = [json.loads(ln) for ln in buf.getvalue().splitlines()[1:]]
+    assert len(records) == 90
+    assert all(list(rec) == ["e", "p", "x", "y"] for rec in records)
+    assert [(rec["x"], rec["e"], rec["y"]) for rec in records[:6]] == [
+        ([0, 0], 0, [0, 0]), ([0, 0], 0, [0, 1]), ([0, 0], 0, [1, 0]), ([0, 0], 0, [1, 1]),
+        ([0, 0], 0, "perp"), ([0, 0], 1, [0, 0]),
+    ]
+    rec = next(rec for rec in records if (rec["x"], rec["e"], rec["y"]) == ([1, 2], 1, [0, 1]))
+    arr = table.array(((1, 2), 1, (0, 1)))
+    assert len(set(rec["p"])) > 40
+    assert rec["p"] == [arr[idx] for idx in np.ndindex(arr.shape)]
+    # a = (1, 0), r = (3, 2), boxes b = (0, 1), so l = 1
+    assert rec["p"][(((1 * 2 + 0) * 4 + 3) * 4 + 2) * 4 + 1] == arr[1, 0, 3, 2, 1]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(realizations())
+def test_load_after_save_is_identity(real):
+    table = born_table(real)
+    buf = io.StringIO()
+    write_table(table, buf)
+    back = read_table(io.StringIO(buf.getvalue()))
+    assert table.max_difference(back) == 0.0
+    again = io.StringIO()
+    write_table(back, again)
+    assert again.getvalue() == buf.getvalue()
+
+
+@st.composite
+def corruptions(draw):
+    """A table's lines, the index of one record, a single-field change to
+    it, and the reason the loader must give."""
+    lines = table_lines(draw(st.sampled_from(SCHEMES)))
+    index = draw(st.integers(1, len(lines) - 1))
+    rec = json.loads(lines[index])
+    kind = draw(st.sampled_from(("delete", "truncate", "negate", "push_x")))
+    if kind == "delete":
+        field = draw(st.sampled_from(sorted(rec)))
+        return lines, index, {field: None}, f"record lacks field {field!r}"
+    if kind == "truncate":
+        k = draw(st.integers(0, len(rec["p"]) - 1))
+        return lines, index, {"p": lambda p: p[:k]}, f"p has shape ({k},)"
+    if kind == "negate":
+        k = draw(st.sampled_from([k for k, v in enumerate(rec["p"]) if v > 0]))
+        negated = rec["p"][:k] + [-rec["p"][k]] + rec["p"][k + 1 :]
+        return lines, index, {"p": negated}, f"p[{k}] = {-rec['p'][k]!r} is negative"
+    i = draw(st.integers(0, 1))
+    v = draw(st.one_of(st.integers(3, 99), st.integers(-99, -1)))
+    return lines, index, {"x": lambda x: x[:i] + [v] + x[i + 1 :]}, "lie outside the scenario"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(corruptions())
+def test_single_field_corruption_names_its_line(case):
+    lines, index, change, reason = case
+    with pytest.raises(ValueError, match=f"^line {index + 1}: .*{re.escape(reason)}"):
+        read_with_change(lines, index, change)
 
 
 def test_read_table_names_missing_header_field():
