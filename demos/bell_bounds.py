@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 
 from gatecert import (
+    born_table,
     classical_bound,
     evaluate,
     functional_I,
@@ -25,25 +26,25 @@ from gatecert.network import DI
 def main():
     n = 2
     u = gate("cz", n)
-    real = reference_realization(n, u)
+    table = born_table(reference_realization(n, u))
 
     print(f"joint-box functionals, n={n}")
     print(f"{'l':>4} {'classical':>12} {'reference':>12} {'see-saw':>12}")
     for bits in itertools.product((0, 1), repeat=n):
         f = functional_I(bits)
         c = classical_bound(f)
-        q = evaluate(f, real, e=0, l=int("".join(map(str, bits)), 2))
+        q = evaluate(f, table, e=0, l=int("".join(map(str, bits)), 2))
         s = seesaw_max(f, restarts=8, seed=0).value
         print(f"{''.join(map(str, bits)):>4} {c:>12.6f} {q:>12.6f} {s:>12.6f}")
 
-    real_di = reference_realization(n, u, scheme=DI)
+    table_di = born_table(reference_realization(n, u, scheme=DI))
     print()
     print("repeater functionals (same for every wing i)")
     print(f"{'k':>4} {'classical':>12} {'reference':>12} {'see-saw':>12}")
     for k in range(4):
         f = functional_K(1, k_sign_bits(k), n)
         c = classical_bound(f)
-        q = evaluate(f, real_di, r={1: k})
+        q = evaluate(f, table_di, r={1: k})
         s = seesaw_max(f, restarts=8, seed=0).value
         print(f"{k:>4} {c:>12.6f} {q:>12.6f} {s:>12.6f}")
 

@@ -10,25 +10,23 @@ Two families:
   box B_i, used to certify the repeater's Bell measurement in the di
   scheme.  Deterministic bound sqrt(2), quantum maximum 2.
 
-``evaluate`` computes a functional either from a probability table (pure
-table arithmetic) or directly from a realization (operator arithmetic,
-useful when the full table would be large).  ``seesaw_max`` searches for
-the quantum maximum over qubit strategies by alternating optimization.
+``evaluate`` computes a functional from a probability table by table
+arithmetic alone.  ``seesaw_max`` searches for the quantum maximum over
+qubit strategies by alternating optimization.  Every tool reads a setting
+symbol through its expansion into base settings, ``primitives.EXPANSION``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .network import DI, ProbabilityTable, Realization, expectation
-from .primitives import SettingSymbol
+from .network import ProbabilityTable, expectation
+from .primitives import EXPANSION, SettingSymbol
 from .tensor import Operator, apply_raw, polar_unitary
-
-SQ2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -109,135 +107,48 @@ def functional_K(i: int, signs: tuple[int, int], n: int | None = None) -> BellFu
 
 def evaluate(
     functional: BellFunctional,
-    source: ProbabilityTable | Realization,
+    table: ProbabilityTable,
     *,
     e: int = 0,
     l: int | None = None,
     r: Mapping[int, int] | None = None,
     renormalize: bool = True,
 ) -> float:
-    """Value of a Bell functional on a table or a realization.
+    """Value of a Bell functional on a probability table.
 
     Conditions (``l``, ``r``) restrict outcomes as in
-    :func:`gatecert.network.expectation`.
+    :func:`gatecert.network.expectation`.  A realization is evaluated
+    through its table, ``evaluate(functional, born_table(real), ...)``.
     """
-    if isinstance(source, ProbabilityTable):
-        return sum(
-            t.coeff * expectation(source, t.assignment, e=e, l=l, r=r, renormalize=renormalize)
-            for t in functional.terms
-        )
-    if isinstance(source, Realization):
-        return _evaluate_realization(functional, source, e=e, l=l, r=r, renormalize=renormalize)
-    raise TypeError(f"cannot evaluate on {type(source).__name__}")
-
-
-_TILDE_COEFFS = {
-    SettingSymbol.T0: ((1 / SQ2, 0), (-1 / SQ2, 1)),
-    SettingSymbol.T1: ((1 / SQ2, 0), (1 / SQ2, 1)),
-}
-
-
-def _site_operator(real: Realization, label: str, sym: SettingSymbol) -> tuple[int, np.ndarray]:
-    lay = real.layout()
-    kind, num = label[0], int(label[1:])
-    if kind == "A":
-        site = lay.a_site(num)
-        bank = real.a_obs[num - 1]
-        if sym in _TILDE_COEFFS:
-            if num != 1:
-                raise ValueError("rotated combinations are defined for party A1 only")
-            op = sum(c * bank[x].entries for c, x in _TILDE_COEFFS[sym])
-        elif sym is SettingSymbol.T2:
-            op = bank[2].entries
-        else:
-            op = bank[{SettingSymbol.S0: 0, SettingSymbol.S1: 1, SettingSymbol.S2: 2}[sym]].entries
-        return site, np.asarray(op)
-    if kind == "B":
-        if real.scheme != DI:
-            raise ValueError("box parties exist only in the di scheme")
-        site = lay.l_site(num)
-        bank = real.b_obs[num - 1]
-        if sym in _TILDE_COEFFS:
-            op = sum(c * bank[y].entries for c, y in _TILDE_COEFFS[sym])
-        elif sym in (SettingSymbol.S0, SettingSymbol.S1):
-            op = bank[{SettingSymbol.S0: 0, SettingSymbol.S1: 1}[sym]].entries
-        else:
-            raise ValueError("boxes have two settings; S2/T2 are not available")
-        return site, np.asarray(op)
-    raise ValueError(f"unknown party label {label!r}")
-
-
-def _evaluate_realization(
-    functional: BellFunctional,
-    real: Realization,
-    *,
-    e: int,
-    l: int | None,
-    r: Mapping[int, int] | None,
-    renormalize: bool,
-) -> float:
-    from .network import (
-        ZERO_WEIGHT_TOL,
-        ZeroProbabilityEvent,
-        _event_label,
-        _state_with_eve,
-        validate_realization,
+    if not isinstance(table, ProbabilityTable):
+        raise TypeError(f"cannot evaluate on {type(table).__name__}; pass a ProbabilityTable")
+    return sum(
+        t.coeff * expectation(table, t.assignment, e=e, l=l, r=r, renormalize=renormalize)
+        for t in functional.terms
     )
-
-    validate_realization(real)
-    lay = real.layout()
-    dims = lay.dims
-    psi = _state_with_eve(real, e)
-    cond = psi
-    if r:
-        for subnet, k in sorted(r.items()):
-            cond = apply_raw(
-                cond,
-                dims,
-                real.repeaters[subnet - 1][int(k)].entries,
-                [lay.r1_site(subnet), lay.r2_site(subnet)],
-            )
-    if l is not None:
-        cond = apply_raw(cond, dims, real.l_meas[int(l)].entries, lay.l_sites())
-    weight = float(np.real(np.vdot(psi, cond)))
-    total = 0.0
-    for term in functional.terms:
-        vec = cond
-        for label, sym in sorted(term.assignment.items()):
-            if sym is SettingSymbol.ID:
-                continue
-            site, op = _site_operator(real, label, sym)
-            vec = apply_raw(vec, dims, op, [site])
-        val = float(np.real(np.vdot(psi, vec)))
-        total += term.coeff * val
-    if renormalize:
-        if weight <= ZERO_WEIGHT_TOL:
-            raise ZeroProbabilityEvent(_event_label(real.n, l=l, r=r), weight)
-        total /= weight
-    return total
 
 
 # --- deterministic (classical) bound ---------------------------------------
 
 
-def _term_parties(functional: BellFunctional) -> list[tuple[str, list[SettingSymbol]]]:
+def _symbols(functional: BellFunctional) -> dict[str, list[SettingSymbol]]:
+    """Setting symbols each party's terms measure, parties in label order."""
     used: dict[str, set[SettingSymbol]] = {}
     for term in functional.terms:
         for label, sym in term.assignment.items():
-            if sym is SettingSymbol.ID:
-                continue
-            used.setdefault(label, set()).add(sym)
-    return [(label, sorted(syms, key=lambda s: s.name)) for label, syms in sorted(used.items())]
+            if sym is not SettingSymbol.ID:
+                used.setdefault(label, set()).add(sym)
+    return {label: sorted(used[label], key=lambda s: s.name) for label in sorted(used)}
 
 
-_BASE_SETTINGS = {
-    SettingSymbol.S0: ("0", None),
-    SettingSymbol.S1: ("1", None),
-    SettingSymbol.S2: ("2", None),
-    SettingSymbol.T2: ("2", None),
-    SettingSymbol.T0: (None, (1 / SQ2, -1 / SQ2)),
-    SettingSymbol.T1: (None, (1 / SQ2, 1 / SQ2)),
-}
+def _base_settings(symbols: Mapping[str, list[SettingSymbol]]) -> dict[str, list[int]]:
+    """Base settings each party's symbols expand into."""
+    return {label: sorted({k for sym in syms for _, k in EXPANSION[sym]}) for label, syms in symbols.items()}
+
+
+def _combine(values: Mapping[tuple[str, int], Any], label: str, sym: SettingSymbol) -> Any:
+    """Value of a party's setting symbol from the values of its base settings."""
+    return sum(c * values[(label, k)] for c, k in EXPANSION[sym])
 
 
 def classical_bound(functional: BellFunctional) -> float:
@@ -245,37 +156,19 @@ def classical_bound(functional: BellFunctional) -> float:
 
     Rotated combinations (T0, T1) are computed from the assigned values of
     the two base settings, so they range over {0, +-sqrt(2)}, not {+-1}.
+    All assignments are evaluated at once, one array entry each.
     """
-    parties = _term_parties(functional)
-    base: dict[str, set[str]] = {}
-    for label, syms in parties:
-        needed = set()
-        for sym in syms:
-            code, combo = _BASE_SETTINGS[sym]
-            if code is not None:
-                needed.add(code)
-            else:
-                needed.update(("0", "1"))
-        base[label] = needed
-    slots = [(label, code) for label in sorted(base) for code in sorted(base[label])]
-    best = -np.inf
-    for values in product((1.0, -1.0), repeat=len(slots)):
-        table = dict(zip(slots, values))
-        total = 0.0
-        for term in functional.terms:
-            prod_val = term.coeff
-            for label, sym in term.assignment.items():
-                if sym is SettingSymbol.ID:
-                    continue
-                code, combo = _BASE_SETTINGS[sym]
-                if code is not None:
-                    prod_val *= table[(label, code)]
-                else:
-                    c0, c1 = combo
-                    prod_val *= c0 * table[(label, "0")] + c1 * table[(label, "1")]
-            total += prod_val
-        best = max(best, total)
-    return float(best)
+    slots = [(label, k) for label, settings in _base_settings(_symbols(functional)).items() for k in settings]
+    grid = np.array(list(product((1.0, -1.0), repeat=len(slots)))).reshape(2 ** len(slots), len(slots))
+    values = {slot: grid[:, j] for j, slot in enumerate(slots)}
+    total = np.zeros(len(grid))
+    for term in functional.terms:
+        prod_val = np.full(len(grid), term.coeff)
+        for label, sym in term.assignment.items():
+            if sym is not SettingSymbol.ID:
+                prod_val = prod_val * _combine(values, label, sym)
+        total = total + prod_val
+    return float(total.max())
 
 
 # --- see-saw search for the quantum maximum --------------------------------
@@ -291,7 +184,7 @@ class SeesawResult:
 
 def _bell_operator(
     functional: BellFunctional,
-    observables: Mapping[tuple[str, str], np.ndarray],
+    measured: Mapping[tuple[str, SettingSymbol], np.ndarray],
     labels: list[str],
     site_dim: int,
 ) -> np.ndarray:
@@ -301,14 +194,8 @@ def _bell_operator(
     for term in functional.terms:
         factors = [np.eye(site_dim, dtype=complex) for _ in labels]
         for label, sym in term.assignment.items():
-            if sym is SettingSymbol.ID:
-                continue
-            code, combo = _BASE_SETTINGS[sym]
-            if code is not None:
-                factors[pos[label]] = observables[(label, code)]
-            else:
-                c0, c1 = combo
-                factors[pos[label]] = c0 * observables[(label, "0")] + c1 * observables[(label, "1")]
+            if sym is not SettingSymbol.ID:
+                factors[pos[label]] = measured[(label, sym)]
         mat = factors[0]
         for f in factors[1:]:
             mat = np.kron(mat, f)
@@ -331,19 +218,13 @@ def seesaw_max(
     effective operator, the exact maximizer at fixed state.  The iteration
     is monotone; several random restarts guard against poor local optima.
     """
-    parties = _term_parties(functional)
-    labels = [label for label, _ in parties]
-    base: dict[str, list[str]] = {}
-    for label, syms in parties:
-        needed: set[str] = set()
-        for sym in syms:
-            code, _ = _BASE_SETTINGS[sym]
-            needed.update(("0", "1") if code is None else (code,))
-        base[label] = sorted(needed)
+    symbols = _symbols(functional)
+    base = _base_settings(symbols)
+    labels = list(base)
     rng = np.random.default_rng(seed)
     best = SeesawResult(-np.inf, False, 0, ())
     for _ in range(max(1, restarts)):
-        obs: dict[tuple[str, str], np.ndarray] = {}
+        obs: dict[tuple[str, int], np.ndarray] = {}
         for label in labels:
             for code in base[label]:
                 h = rng.normal(size=(site_dim, site_dim)) + 1j * rng.normal(size=(site_dim, site_dim))
@@ -354,22 +235,26 @@ def seesaw_max(
                 # at a deterministic point
                 signs = np.array([1.0, -1.0] * ((site_dim + 1) // 2))[:site_dim]
                 obs[(label, code)] = (vecs * rng.permutation(signs)) @ vecs.conj().T
+        # each symbol's operator, refreshed whenever one of its base observables changes
+        measured = {(label, sym): _combine(obs, label, sym) for label in labels for sym in symbols[label]}
         history: list[float] = []
         value = -np.inf
         converged = False
         it = 0
         for it in range(1, max_iters + 1):
-            bell = _bell_operator(functional, obs, labels, site_dim)
+            bell = _bell_operator(functional, measured, labels, site_dim)
             vals, vecs = np.linalg.eigh(bell)
             state = vecs[:, -1]
             value = float(vals[-1])
             history.append(value)
             for label in labels:
-                for code in base[label]:
-                    g = _effective_site(functional, obs, labels, site_dim, state, label, code)
+                # a party's effective operators involve only the other parties
+                effective = _effective_operators(functional, measured, labels, site_dim, state, label, base[label])
+                for code, g in effective.items():
                     obs[(label, code)] = polar_unitary(
                         Operator((g + g.conj().T) / 2, (site_dim,))
                     ).entries
+                measured.update({(label, sym): _combine(obs, label, sym) for sym in symbols[label]})
             if len(history) >= 2 and abs(history[-1] - history[-2]) < stall_tol:
                 converged = True
                 break
@@ -378,44 +263,33 @@ def seesaw_max(
     return best
 
 
-def _effective_site(
+def _effective_operators(
     functional: BellFunctional,
-    obs: Mapping[tuple[str, str], np.ndarray],
+    measured: Mapping[tuple[str, SettingSymbol], np.ndarray],
     labels: list[str],
     site_dim: int,
     state: np.ndarray,
     label: str,
-    code: str,
-) -> np.ndarray:
-    """Matrix G such that the functional value equals Tr[A_{label,code} G]
-    plus terms not involving that base observable."""
+    codes: list[int],
+) -> dict[int, np.ndarray]:
+    """For each base setting ``code`` of party ``label``, the matrix G such
+    that the functional value equals Tr[A_{label,code} G] plus terms not
+    involving that base observable."""
     k = labels.index(label)
     dims = (site_dim,) * len(labels)
     psi_m = np.moveaxis(state.reshape(dims), k, 0).reshape(site_dim, -1)
-    g = np.zeros((site_dim, site_dim), dtype=complex)
+    g = {code: np.zeros((site_dim, site_dim), dtype=complex) for code in codes}
     for term in functional.terms:
         sym = term.assignment.get(label)
         if sym is None or sym is SettingSymbol.ID:
             continue
-        tcode, combo = _BASE_SETTINGS[sym]
-        if tcode is not None:
-            if tcode != code:
-                continue
-            weight = term.coeff
-        else:
-            if code not in ("0", "1"):
-                continue
-            weight = term.coeff * (combo[0] if code == "0" else combo[1])
         vec = state
         for olabel, osym in term.assignment.items():
             if olabel == label or osym is SettingSymbol.ID:
                 continue
-            ocode, ocombo = _BASE_SETTINGS[osym]
-            if ocode is not None:
-                mat = obs[(olabel, ocode)]
-            else:
-                mat = ocombo[0] * obs[(olabel, "0")] + ocombo[1] * obs[(olabel, "1")]
-            vec = apply_raw(vec, dims, mat, [labels.index(olabel)])
+            vec = apply_raw(vec, dims, measured[(olabel, osym)], [labels.index(olabel)])
         chi_m = np.moveaxis(vec.reshape(dims), k, 0).reshape(site_dim, -1)
-        g = g + weight * (chi_m @ psi_m.conj().T)
+        contribution = chi_m @ psi_m.conj().T
+        for c, code in EXPANSION[sym]:
+            g[code] = g[code] + term.coeff * c * contribution
     return g

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -67,7 +68,7 @@ def _marginals(table: ProbabilityTable) -> dict:
 
 
 def _build_realization(args):
-    scheme = SCHEME_FLAGS[args.scheme]
+    scheme = SCHEME_FLAGS[args.scheme or "almost-di"]
     u = _resolve_gate(args.gate, args.n, args.seed)
     branch = +1 if args.branch == "plus" else -1
     real = reference_realization(args.n, u, branch=branch, scheme=scheme)
@@ -148,6 +149,8 @@ def cmd_certify(args) -> int:
         n = table.n
         if args.n is not None and args.n != n:
             raise ValueError(f"--n {args.n} does not match table n={n}")
+        if args.scheme is not None and SCHEME_FLAGS[args.scheme] != table.scheme:
+            raise ValueError(f"--scheme {args.scheme} does not match table scheme={table.scheme}")
         u = _resolve_gate(args.gate, n, args.seed)
     else:
         if args.n is None:
@@ -203,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, need_n=True, table_mode=False):
-        p.add_argument("--scheme", choices=sorted(SCHEME_FLAGS), default="almost-di")
+        p.add_argument("--scheme", choices=sorted(SCHEME_FLAGS), default=None,
+                       help="default almost-di; with --table, the table's scheme")
         if need_n:
             p.add_argument("--n", type=int, choices=(2, 3), required=not table_mode, default=None)
         p.add_argument("--gate", required=True, help="gate name or JSON file")
@@ -244,9 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", 1.0) <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return 2
+    for flag in ("tol", "op_tol"):
+        value = getattr(args, flag, 1.0)
+        if not (math.isfinite(value) and value > 0):
+            name = "--" + flag.replace("_", "-")
+            print(f"error: {name} must be positive and finite, got {value!r}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

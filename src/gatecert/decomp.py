@@ -12,54 +12,14 @@ of a normalized vector satisfy sum_i f^2 = 2^(-N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .primitives import ghz_bits, ghz_state, pauli
-from .tensor import Operator, StateVector, apply_raw, kron
+from .tensor import Operator, StateVector, apply_raw
 
 IMAG_TOL = 1e-12
-
-PAULI_LEGEND = {0: "Z", 1: "X", 2: "Y", 3: "I"}
-
-
-@dataclass(frozen=True)
-class FTensor:
-    """Real Pauli coefficients of one |delta_l><delta_l| projector."""
-
-    l_bits: tuple[int, ...]
-    coeffs: np.ndarray  # shape (4,)*N, real, read-only
-
-    def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "l_bits", tuple(int(b) for b in self.l_bits))
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.ndim
-
-    def to_record(self) -> dict:
-        return {
-            "legend": dict(PAULI_LEGEND),
-            "l": list(self.l_bits),
-            "coeffs": [
-                {"idx": list(idx), "value": float(self.coeffs[idx])}
-                for idx in product(range(4), repeat=self.n)
-            ],
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "FTensor":
-        l_bits = tuple(int(b) for b in record["l"])
-        n = len(l_bits)
-        coeffs = np.zeros((4,) * n)
-        for item in record["coeffs"]:
-            coeffs[tuple(item["idx"])] = float(item["value"])
-        return cls(l_bits, coeffs)
 
 
 def delta_set(u: Operator) -> list[StateVector]:
@@ -90,24 +50,3 @@ def f_coeffs(delta: StateVector) -> np.ndarray:
         out[idx] = val.real
     out.setflags(write=False)
     return out
-
-
-def f_tensor(u: Operator, l: int) -> FTensor:
-    """FTensor of the gate's l-th target projector."""
-    n = u.n_sites
-    return FTensor(ghz_bits(l, n), f_coeffs(delta_set(u)[l]))
-
-
-def reconstruct(coeffs: np.ndarray) -> Operator:
-    """Sum of coeffs[i] * (S_{i_1} x ... x S_{i_N}) over all Pauli words."""
-    coeffs = np.asarray(coeffs)
-    n = coeffs.ndim
-    if coeffs.shape != (4,) * n:
-        raise ValueError(f"coefficient tensor must have shape (4,)*N, got {coeffs.shape}")
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for idx in product(range(4), repeat=n):
-        c = coeffs[idx]
-        if c == 0.0:
-            continue
-        out += c * kron([pauli(i) for i in idx]).entries
-    return Operator(out, (2,) * n)

@@ -53,7 +53,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .primitives import SettingSymbol, ghz_bits, ghz_state, phi_plus, ref_b_observable, ref_observable
+from .primitives import EXPANSION, SettingSymbol, ghz_bits, ghz_state, phi_plus, ref_b_observable, ref_observable
 from .tensor import (
     Operator,
     StateVector,
@@ -143,18 +143,6 @@ class SiteLayout:
 
     def v_sites(self) -> list[int]:
         return self.l_sites() if self.scheme == ALMOST_DI else self.r1_sites()
-
-    def label(self, site: int) -> str:
-        n = self.n
-        if site < n:
-            return f"A{site + 1}"
-        if self.scheme == ALMOST_DI:
-            return f"L{site - n + 1}"
-        if site < 2 * n:
-            return f"R{site - n + 1},1"
-        if site < 3 * n:
-            return f"R{site - 2 * n + 1},2"
-        return f"L{site - 3 * n + 1}"
 
 
 @dataclass(frozen=True)
@@ -448,9 +436,11 @@ class ProbabilityTable:
             x, e = key
             return (tuple(int(v) for v in x), int(e))
         x, e, y = key
-        y = PERP if isinstance(y, str) else tuple(int(v) for v in y)
-        if isinstance(y, str) and y != PERP:
-            raise ValueError(f"unknown box setting {y!r}")
+        if isinstance(y, str):
+            if y != PERP:
+                raise ValueError(f"unknown box setting {y!r}")
+        else:
+            y = tuple(int(v) for v in y)
         return (tuple(int(v) for v in x), int(e), y)
 
     def scenario(self) -> ScenarioSpec:
@@ -459,24 +449,12 @@ class ProbabilityTable:
     def keys(self):
         return self.entries.keys()
 
-    def __contains__(self, key: tuple) -> bool:
-        return self._norm_key(key) in self.entries
-
     def array(self, key: tuple) -> np.ndarray:
         nk = self._norm_key(key)
         try:
             return self.entries[nk]
         except KeyError:
             raise ValueError(f"settings row {nk} is missing from the table") from None
-
-    def prob(self, key: tuple, a: Sequence[int], l: int, r: Sequence[int] | None = None) -> float:
-        arr = self.array(key)
-        idx: tuple = tuple(int(v) for v in a)
-        if self.scheme == DI:
-            if r is None:
-                raise ValueError("di outcomes need repeater results r")
-            idx = idx + tuple(int(v) for v in r)
-        return float(arr[idx + (int(l),)])
 
     def signed_sum(
         self,
@@ -535,21 +513,6 @@ class ProbabilityTable:
 
 
 _PARTY_RE = re.compile(r"^([AB])([0-9]+)$")
-
-_A_EXPANSION = {
-    SettingSymbol.S0: ((1.0, 0),),
-    SettingSymbol.S1: ((1.0, 1),),
-    SettingSymbol.S2: ((1.0, 2),),
-    SettingSymbol.T2: ((1.0, 2),),
-    SettingSymbol.T0: ((1 / np.sqrt(2), 0), (-1 / np.sqrt(2), 1)),
-    SettingSymbol.T1: ((1 / np.sqrt(2), 0), (1 / np.sqrt(2), 1)),
-}
-_B_EXPANSION = {
-    SettingSymbol.S0: ((1.0, 0),),
-    SettingSymbol.S1: ((1.0, 1),),
-    SettingSymbol.T0: ((1 / np.sqrt(2), 0), (-1 / np.sqrt(2), 1)),
-    SettingSymbol.T1: ((1 / np.sqrt(2), 0), (1 / np.sqrt(2), 1)),
-}
 
 
 def _parse_assignment(assignment: Mapping[str, SettingSymbol], n: int, scheme: str):
@@ -610,8 +573,10 @@ def expectation(
     restricts to one joint L outcome (di: within ``perp`` rows), ``r``
     restricts repeater outcomes per subnet.  With ``renormalize`` the signed
     sum is divided by the probability of the restriction, yielding a
-    conditional expectation; without it the joint (unnormalized) value is
-    returned.
+    conditional expectation, and a restriction of probability at most
+    ``ZERO_WEIGHT_TOL`` raises ``ZeroProbabilityEvent``; without it the
+    joint (unnormalized) value is returned.  Each setting symbol is read
+    through ``primitives.EXPANSION``.
     """
     a_syms, b_syms = _parse_assignment(assignment, table.n, table.scheme)
     if l is not None and b_syms:
@@ -623,7 +588,7 @@ def expectation(
         combos = [
             (c * w, {**xs, party: setting}, ys)
             for (c, xs, ys) in combos
-            for (w, setting) in _A_EXPANSION[sym]
+            for (w, setting) in EXPANSION[sym]
         ]
     for subnet, sym in sorted(b_syms.items()):
         if sym is SettingSymbol.ID:
@@ -631,7 +596,7 @@ def expectation(
         combos = [
             (c * w, xs, {**ys, subnet: setting})
             for (c, xs, ys) in combos
-            for (w, setting) in _B_EXPANSION[sym]
+            for (w, setting) in EXPANSION[sym]
         ]
     a_signed = [p for p, s in a_syms.items() if s is not SettingSymbol.ID]
     b_signed = [p for p, s in b_syms.items() if s is not SettingSymbol.ID]
@@ -654,75 +619,6 @@ def expectation(
             value /= weight
         total += coeff * value
     return total
-
-
-def condition_probability(
-    real: Realization,
-    *,
-    e: int = 0,
-    r: Mapping[int, int] | None = None,
-    l: int | None = None,
-) -> float:
-    """Probability of the given repeater and/or joint-box outcomes."""
-    _, _, p = _steer(real, e=e, r=r, l=l)
-    return p
-
-
-def conditional_state(
-    real: Realization,
-    *,
-    e: int = 0,
-    r: Mapping[int, int] | None = None,
-    l: int | None = None,
-    purity_tol: float = 1e-10,
-):
-    """Steered state on the unmeasured sites after conditioning.
-
-    Conditioning on repeater outcomes removes the measured (R_{i,1}, R_{i,2})
-    pairs; conditioning on the joint box removes the L sites.  Returns a
-    StateVector when the steered state is pure (within ``purity_tol``),
-    otherwise the density Operator.
-    """
-    rho, dims, p = _steer(real, e=e, r=r, l=l)
-    if p <= ZERO_WEIGHT_TOL:
-        raise ZeroProbabilityEvent(_event_label(real.n, l=l, r=r), p)
-    vals, vecs = np.linalg.eigh(rho)
-    if 1.0 - vals[-1] <= purity_tol:
-        vec = vecs[:, -1]
-        k = int(np.argmax(np.abs(vec)))
-        vec = vec * np.exp(-1j * np.angle(vec[k]))
-        return StateVector(vec, dims)
-    return Operator(rho, dims)
-
-
-def _steer(real: Realization, *, e: int, r: Mapping[int, int] | None, l: int | None):
-    validate_realization(real)
-    lay = real.layout()
-    dims = lay.dims
-    psi = _state_with_eve(real, e)
-    chi = psi
-    dismissed: list[int] = []
-    if r:
-        if real.scheme != DI:
-            raise ValueError("repeater conditions apply only to the di scheme")
-        for subnet, k in sorted(r.items()):
-            el = real.repeaters[subnet - 1][int(k)]
-            sites = [lay.r1_site(subnet), lay.r2_site(subnet)]
-            chi = apply_raw(chi, dims, el.entries, sites)
-            dismissed += sites
-    if l is not None:
-        chi = apply_raw(chi, dims, real.l_meas[int(l)].entries, lay.l_sites())
-        dismissed += lay.l_sites()
-    p = float(np.real(np.vdot(psi, chi)))
-    keep = [s for s in range(len(dims)) if s not in dismissed]
-    kdim = int(np.prod([dims[s] for s in keep]))
-    chi_m = np.moveaxis(chi.reshape(dims), keep, range(len(keep))).reshape(kdim, -1)
-    psi_m = np.moveaxis(psi.reshape(dims), keep, range(len(keep))).reshape(kdim, -1)
-    rho = chi_m @ psi_m.conj().T
-    if p > ZERO_WEIGHT_TOL:
-        rho = rho / p
-    rho = (rho + rho.conj().T) / 2
-    return rho, tuple(dims[s] for s in keep), p
 
 
 # --- serialization ---------------------------------------------------------

@@ -39,6 +39,18 @@ class SettingSymbol(Enum):
     ID = "ID"
 
 
+# Each symbol as a linear combination ((coeff, base setting), ...) of the
+# base settings 0..2; ID is the identity and has no expansion.
+EXPANSION: dict[SettingSymbol, tuple[tuple[float, int], ...]] = {
+    SettingSymbol.S0: ((1.0, 0),),
+    SettingSymbol.S1: ((1.0, 1),),
+    SettingSymbol.S2: ((1.0, 2),),
+    SettingSymbol.T2: ((1.0, 2),),
+    SettingSymbol.T0: ((1 / SQ2, 0), (-1 / SQ2, 1)),
+    SettingSymbol.T1: ((1 / SQ2, 0), (1 / SQ2, 1)),
+}
+
+
 def pauli(idx: int) -> Operator:
     """Single-qubit operator for a Pauli index (0=Z, 1=X, 2=Y, 3=identity)."""
     if idx not in (0, 1, 2, 3):
@@ -94,59 +106,30 @@ def _plain_observable(party: int, setting: int, branch: int) -> np.ndarray:
     return table[setting]
 
 
-def ref_observable(party: int, setting: int | SettingSymbol, branch: int = +1) -> Operator:
+def ref_observable(party: int, setting: int, branch: int = +1) -> Operator:
     """Reference observable of external party ``party`` (1-based).
 
     Party 1 uses the rotated pair ((X+Z)/sqrt2, (X-Z)/sqrt2, branch*Y); every
-    other party uses (Z, X, branch*Y).  ``T0``/``T1`` are the inverse-rotated
-    combinations of party 1's first two settings and evaluate to Z and X;
-    they are defined for party 1 only.  ``T2`` is an alias for setting 2 and
-    ``ID`` is the identity.
+    other party uses (Z, X, branch*Y).  Party 1's ``T0``/``T1`` combinations
+    of its first two settings (see ``EXPANSION``) evaluate to Z and X.
     """
     if party < 1:
         raise ValueError(f"party index is 1-based, got {party}")
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
-    if isinstance(setting, SettingSymbol):
-        sym = setting
-        if sym is SettingSymbol.ID:
-            return Operator(_I, (2,))
-        if sym in (SettingSymbol.T0, SettingSymbol.T1):
-            if party != 1:
-                raise ValueError(f"{sym.value} is only defined for party 1")
-            a0 = _plain_observable(1, 0, branch)
-            a1 = _plain_observable(1, 1, branch)
-            m = (a0 - a1) / SQ2 if sym is SettingSymbol.T0 else (a0 + a1) / SQ2
-            return Operator(m, (2,))
-        setting = {SettingSymbol.S0: 0, SettingSymbol.S1: 1, SettingSymbol.S2: 2, SettingSymbol.T2: 2}[sym]
     if setting not in (0, 1, 2):
         raise ValueError(f"setting must be 0..2, got {setting}")
     return Operator(_plain_observable(party, setting, branch), (2,))
 
 
-def ref_b_observable(subnet: int, setting: int | SettingSymbol) -> Operator:
+def ref_b_observable(subnet: int, setting: int) -> Operator:
     """Reference binary observable of the final party's box for one subnet.
 
     Subnet 1 uses (Z, X); every other subnet uses the rotated pair, whose
-    ``T0``/``T1`` combinations evaluate to Z and X.
+    ``T0``/``T1`` combinations (see ``EXPANSION``) evaluate to Z and X.
     """
     if subnet < 1:
         raise ValueError(f"subnet index is 1-based, got {subnet}")
-    if isinstance(setting, SettingSymbol):
-        sym = setting
-        if sym is SettingSymbol.ID:
-            return Operator(_I, (2,))
-        if sym in (SettingSymbol.T0, SettingSymbol.T1):
-            if subnet == 1:
-                raise ValueError(f"{sym.value} is only defined for subnets >= 2")
-            b0 = (_X + _Z) / SQ2
-            b1 = (_X - _Z) / SQ2
-            m = (b0 - b1) / SQ2 if sym is SettingSymbol.T0 else (b0 + b1) / SQ2
-            return Operator(m, (2,))
-        try:
-            setting = {SettingSymbol.S0: 0, SettingSymbol.S1: 1}[sym]
-        except KeyError:
-            raise ValueError(f"{sym.value} is not a valid box setting") from None
     if setting not in (0, 1):
         raise ValueError(f"box setting must be 0 or 1, got {setting}")
     if subnet == 1:

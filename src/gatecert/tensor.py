@@ -59,9 +59,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -85,20 +82,12 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, self.dims)
-
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
 
     def is_unitary(self, tol: float = HERMITIAN_TOL) -> bool:
         d = self.dim
         return bool(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(d))) <= tol)
-
-    def is_projector(self, tol: float = HERMITIAN_TOL) -> bool:
-        return self.is_hermitian(tol) and bool(
-            np.max(np.abs(self.entries @ self.entries - self.entries)) <= tol
-        )
 
 
 def kron(factors: Iterable[StateVector] | Iterable[Operator]):
@@ -117,44 +106,6 @@ def kron(factors: Iterable[StateVector] | Iterable[Operator]):
     raise ValueError("kron factors must be all StateVector or all Operator")
 
 
-def _normalize_keep(keep: Sequence[int], n_sites: int) -> list[int]:
-    keep = list(dict.fromkeys(int(k) for k in keep))
-    if not keep:
-        raise ValueError("must keep at least one site")
-    for k in keep:
-        if k < 0 or k >= n_sites:
-            raise ValueError(f"site index {k} out of range for {n_sites} sites")
-    return keep
-
-
-def partial_trace(op: Operator, keep: Sequence[int]) -> Operator:
-    """Trace out all sites not listed in ``keep`` (result keeps their order)."""
-    keep = _normalize_keep(keep, op.n_sites)
-    drop = [s for s in range(op.n_sites) if s not in keep]
-    dims = op.dims
-    t = op.entries.reshape(dims + dims)
-    n = len(dims)
-    # move kept row/col axes first, then collapse the dropped pairs
-    order = keep + [n + k for k in keep] + drop + [n + d for d in drop]
-    t = t.transpose(order)
-    dk = int(np.prod([dims[k] for k in keep]))
-    dd = int(np.prod([dims[d] for d in drop])) if drop else 1
-    t = t.reshape(dk, dk, dd, dd)
-    out = np.einsum("abtt->ab", t)
-    return Operator(out, tuple(dims[k] for k in keep))
-
-
-def reduced_density(state: StateVector, keep: Sequence[int]) -> Operator:
-    """Reduced density matrix of a pure state on the kept sites."""
-    keep = _normalize_keep(keep, state.n_sites)
-    drop = [s for s in range(state.n_sites) if s not in keep]
-    t = state.amplitudes.reshape(state.dims)
-    t = t.transpose(keep + drop)
-    dk = int(np.prod([state.dims[k] for k in keep]))
-    m = t.reshape(dk, -1)
-    return Operator(m @ m.conj().T, tuple(state.dims[k] for k in keep))
-
-
 def polar_unitary(op: Operator, zero_tol: float = DEFAULT_ZERO_TOL) -> Operator:
     """Unitary factor of the polar decomposition.
 
@@ -168,19 +119,6 @@ def polar_unitary(op: Operator, zero_tol: float = DEFAULT_ZERO_TOL) -> Operator:
         return Operator((vecs * signs) @ vecs.conj().T, op.dims)
     u, _, vh = np.linalg.svd(m)
     return Operator(u @ vh, op.dims)
-
-
-def fidelity(a: StateVector | Operator, b: StateVector | Operator) -> float:
-    """Squared overlap; density-matrix arguments use Tr[rho sigma] on the pure side."""
-    if a.dim != b.dim:
-        raise ValueError(f"total dimensions differ: {a.dim} vs {b.dim}")
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-    if isinstance(a, StateVector) and isinstance(b, Operator):
-        return float(np.real(np.vdot(a.amplitudes, b.entries @ a.amplitudes)))
-    if isinstance(a, Operator) and isinstance(b, StateVector):
-        return fidelity(b, a)
-    raise ValueError("fidelity of two density operators is not supported")
 
 
 # --- raw ndarray plumbing used by the simulator ---------------------------
@@ -225,15 +163,6 @@ def apply_raw_batch(block: np.ndarray, dims: Sequence[int], mats: np.ndarray, si
     return out.reshape(k * rows, -1)
 
 
-def apply_to_sites(state: StateVector, op: Operator, sites: Sequence[int]) -> StateVector:
-    """Apply an operator to the given sites of a state."""
-    sites = list(sites)
-    want = tuple(state.dims[s] for s in sites)
-    if want != op.dims:
-        raise ValueError(f"operator dims {op.dims} do not match sites {sites} with dims {want}")
-    return StateVector(apply_raw(state.amplitudes, state.dims, op.entries, sites), state.dims)
-
-
 def permute_sites(state: StateVector, order: Sequence[int]) -> StateVector:
     """Reorder sites so that new site ``i`` is old site ``order[i]``."""
     order = list(order)
@@ -241,16 +170,3 @@ def permute_sites(state: StateVector, order: Sequence[int]) -> StateVector:
         raise ValueError(f"{order} is not a permutation of {state.n_sites} sites")
     t = state.amplitudes.reshape(state.dims).transpose(order)
     return StateVector(t.reshape(-1), tuple(state.dims[i] for i in order))
-
-
-def expectation_value(state: StateVector, factors: Sequence[tuple[Operator, Sequence[int]]]) -> complex:
-    """<psi| prod_j O_j |psi> for operators on pairwise disjoint site sets."""
-    seen: set[int] = set()
-    vec = state.amplitudes
-    for op, sites in factors:
-        s = set(sites)
-        if s & seen:
-            raise ValueError("operator site sets must be pairwise disjoint")
-        seen |= s
-        vec = apply_raw(vec, state.dims, op.entries, list(sites))
-    return complex(np.vdot(state.amplitudes, vec))

@@ -10,6 +10,19 @@ from gatecert.primitives import gate
 SEEDS = st.integers(0, 2**16)
 
 
+def _transform(draw, real, kind, junk_dims):
+    """``real`` under adversary ``kind``; a dilation draws its junk dimension from ``junk_dims``."""
+    if kind == "dilate":
+        return dilate(real, draw(junk_dims), seed=draw(SEEDS))
+    if kind == "conjugate":
+        return conjugate(real)
+    if kind == "gauge_phase":
+        return gauge_phase(real, draw(st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4)))
+    if kind == "perturb":
+        return perturb(real, draw(st.floats(0.0, 0.5)), seed=draw(SEEDS))
+    return depolarize_sources(real, draw(st.floats(0.0, 1.0)))
+
+
 @st.composite
 def realizations(draw):
     """Random n=2 gate in either scheme and branch under any adversary;
@@ -19,13 +32,17 @@ def realizations(draw):
     scheme = ALMOST_DI if kind == "depolarize" else draw(st.sampled_from(SCHEMES))
     branch = draw(st.sampled_from((+1, -1)))
     real = reference_realization(2, gate("random", 2, seed=draw(SEEDS)), branch=branch, scheme=scheme)
-    if kind == "dilate":
-        junk = 1 if scheme == DI else draw(st.integers(1, 2))
-        return dilate(real, junk, seed=draw(SEEDS))
-    if kind == "conjugate":
-        return conjugate(real)
-    if kind == "gauge_phase":
-        return gauge_phase(real, draw(st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4)))
-    if kind == "perturb":
-        return perturb(real, draw(st.floats(0.0, 0.5)), seed=draw(SEEDS))
-    return depolarize_sources(real, draw(st.floats(0.0, 1.0)))
+    return _transform(draw, real, kind, st.just(1) if scheme == DI else st.integers(1, 2))
+
+
+@st.composite
+def hidden_side_pairs(draw):
+    """A random n=2 gate, its reference realization in either scheme and
+    branch, and that realization changed on the hidden side only: dilated
+    with junk dimension 2, conjugated, or re-phased in the GHZ basis."""
+    scheme = draw(st.sampled_from(SCHEMES))
+    branch = draw(st.sampled_from((+1, -1)))
+    u = gate("random", 2, seed=draw(SEEDS))
+    real = reference_realization(2, u, branch=branch, scheme=scheme)
+    kind = draw(st.sampled_from(("dilate", "conjugate", "gauge_phase")))
+    return u, real, _transform(draw, real, kind, st.just(2))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dense_oracle import realization_value
 
 from gatecert.bell import (
     BellFunctional,
@@ -110,20 +111,24 @@ def test_quantum_value_repeater_functionals():
 
 
 def test_table_and_realization_paths_agree():
+    """The table path matches an operator-side evaluation of the same
+    realization; a realization itself is not accepted."""
     real = reference_realization(2, gate("random", 2, seed=9))
     table = born_table(real)
     for l in (None, 0, 3):
         for e in (0, 1):
             f = functional_I((0, 1))
             a = evaluate(f, table, e=e, l=l)
-            b = evaluate(f, real, e=e, l=l)
+            b = realization_value(f, real, e=e, l=l)
             assert np.isclose(a, b, atol=1e-12)
     di = reference_realization(2, gate("cnot", 2), scheme=DI)
     dtab = born_table(di)
     f = functional_K(2, (0, 0), 2)
     assert np.isclose(
-        evaluate(f, dtab, e=0, r={2: 0}), evaluate(f, di, e=0, r={2: 0}), atol=1e-12
+        evaluate(f, dtab, e=0, r={2: 0}), realization_value(f, di, e=0, r={2: 0}), atol=1e-12
     )
+    with pytest.raises(TypeError):
+        evaluate(f, di, e=0, r={2: 0})
 
 
 def test_mismatched_party_count_rejected():

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from strategies import hidden_side_pairs
 
 from gatecert.adversary import conjugate, dilate, perturb
 from gatecert.certify import CertificationReport, CheckRow, certify, load_report, save_report
@@ -193,3 +195,16 @@ def test_zero_probability_event_fails_named_row(zero_element_repeater):
         row = next(c for c in report.checks if c.id == "step1.k[1;1]")
         assert not row.passed
         assert row.detail == "r_1=1 has probability 0"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(hidden_side_pairs())
+def test_statistics_only_report_invariant_under_hidden_side_changes(case):
+    """Dilation, conjugation and GHZ-basis phases behind the central node
+    leave the statistics-only report unchanged."""
+    u, real, moved = case
+    base = certify(born_table(real), u)
+    report = certify(born_table(moved), u)
+    assert report.verdict == base.verdict
+    assert [c.id for c in report.checks] == [c.id for c in base.checks]
+    assert max(abs(a.lhs - b.lhs) for a, b in zip(report.checks, base.checks)) <= 1e-12

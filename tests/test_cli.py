@@ -147,6 +147,32 @@ def test_certify_flag_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_certify_table_scheme_must_match(tmp_path, capsys):
+    """With --table an omitted --scheme means the table's scheme; a
+    mismatched one exits 2 and names both."""
+    run = tmp_path / "run"
+    assert main(["simulate", "--scheme", "di", "--n", "2", "--gate", "cz", "--out", str(run)]) == 0
+    path = str(run / "table.jsonl")
+    assert main(["certify", "--gate", "cz", "--table", path]) == 0
+    assert main(["certify", "--scheme", "di", "--gate", "cz", "--table", path]) == 0
+    capsys.readouterr()
+    assert main(["certify", "--scheme", "almost-di", "--gate", "cz", "--table", path]) == 2
+    assert "--scheme almost-di does not match table scheme=di" in capsys.readouterr().err
+    almost = tmp_path / "almost"
+    assert main(["simulate", "--n", "2", "--gate", "cz", "--out", str(almost)]) == 0
+    assert main(["certify", "--scheme", "di", "--gate", "cz", "--table", str(almost / "table.jsonl")]) == 2
+    assert "--scheme di does not match table scheme=almost_di" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--op-tol", "-1"), ("--op-tol", "0"), ("--op-tol", "nan")],
+)
+def test_certify_rejects_bad_tolerance(capsys, flag, value):
+    assert main(["certify", "--n", "2", "--gate", "cz", flag, value]) == 2
+    assert f"error: {flag} must be positive and finite, got" in capsys.readouterr().err
+
+
 def test_certify_adversary_flag(tmp_path):
     adv = tmp_path / "adv.json"
     save_adversary(AdversarySpec("dilate", junk_dim=2, seed=5), str(adv))

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from dense_oracle import steered_state
 from hypothesis import strategies as st
 from strategies import realizations
 
@@ -26,8 +27,6 @@ from gatecert.network import (
     ScenarioSpec,
     assemble_state,
     born_table,
-    condition_probability,
-    conditional_state,
     expectation,
     load_table,
     read_table,
@@ -242,6 +241,18 @@ def test_expectation_conditioning_and_renormalization():
     assert np.isclose(joint, 0.25, atol=1e-12)
 
 
+def test_expectation_rejects_symbols_a_party_lacks():
+    """Rotated combinations exist for A1 only, and boxes have two settings."""
+    almost = born_table(reference_realization(2, gate("cz", 2)))
+    di = born_table(reference_realization(2, gate("cz", 2), scheme=DI))
+    with pytest.raises(ValueError, match="A1 only"):
+        expectation(almost, {"A2": SettingSymbol.T0}, e=0)
+    with pytest.raises(ValueError, match="two settings"):
+        expectation(di, {"B1": SettingSymbol.S2}, e=0)
+    with pytest.raises(ValueError, match="only in the di scheme"):
+        expectation(almost, {"B1": SettingSymbol.S0}, e=0)
+
+
 def test_expectation_rejects_zero_weight_condition():
     real = reference_realization(2, gate("identity", 2), scheme=DI)
     table = born_table(real)
@@ -256,38 +267,21 @@ def test_di_r0_conditioning_reproduces_almost_di_state():
     the wings with no correction, leaving the almost_di network state."""
     u = gate("random", 2, seed=5)
     di = reference_realization(2, u, scheme=DI)
-    steered = conditional_state(di, e=0, r={1: 0, 2: 0})
-    almost = assemble_state(reference_realization(2, u))
-    assert isinstance(steered, StateVector)
-    overlap = abs(np.vdot(steered.amplitudes, almost.amplitudes))
-    assert np.isclose(overlap, 1.0, atol=1e-12)
+    steered = steered_state(di, e=0, r={1: 0, 2: 0})
+    almost = assemble_state(reference_realization(2, u)).amplitudes
+    assert np.isclose(np.trace(steered).real, 1.0, atol=1e-12)
+    assert np.isclose(np.vdot(almost, steered @ almost).real, 1.0, atol=1e-12)
 
 
 def test_condition_probability_values():
-    di = reference_realization(2, gate("cnot", 2), scheme=DI)
-    assert np.isclose(condition_probability(di, r={1: 0}), 0.25, atol=1e-13)
-    assert np.isclose(condition_probability(di, r={1: 0, 2: 0}), 1 / 16, atol=1e-13)
-    almost = reference_realization(2, gate("cnot", 2))
+    """Probabilities of conditioning events, read from the table rows."""
+    di = born_table(reference_realization(2, gate("cnot", 2), scheme=DI))
+    x0 = (0, 0)
+    assert np.isclose(di.signed_sum((x0, 0, PERP), r={1: 0}), 0.25, atol=1e-13)
+    assert np.isclose(di.signed_sum((x0, 0, PERP), r={1: 0, 2: 0}), 1 / 16, atol=1e-13)
+    almost = born_table(reference_realization(2, gate("cnot", 2)))
     for l in range(4):
-        assert np.isclose(condition_probability(almost, l=l), 0.25, atol=1e-13)
-
-
-def test_conditional_state_mixed_branch():
-    """A coarse-grained joint-box element steers the wings into a mixture."""
-    real = reference_realization(2, gate("cz", 2))
-    m = real.l_meas
-    zero = Operator(np.zeros((4, 4), dtype=complex), (2, 2))
-    coarse = (
-        Operator(m[0].entries + m[1].entries, (2, 2)),
-        Operator(m[2].entries + m[3].entries, (2, 2)),
-        zero,
-        zero,
-    )
-    out = conditional_state(replace(real, l_meas=coarse), e=0, l=0)
-    assert isinstance(out, Operator)
-    assert np.isclose(np.trace(out.entries).real, 1.0, atol=1e-12)
-    vals = np.linalg.eigvalsh(out.entries)
-    assert vals[-1] < 1.0 - 1e-3
+        assert np.isclose(almost.signed_sum((x0, 0), l=l), 0.25, atol=1e-13)
 
 
 def test_table_roundtrip_identical():
@@ -329,6 +323,13 @@ def test_missing_settings_row_raises():
         partial.array(((1, 1), 0))
     with pytest.raises(ValueError):
         expectation(partial, {"A1": SettingSymbol.S1}, e=0)
+
+
+def test_unknown_box_setting_rejected():
+    table = born_table(reference_realization(2, gate("cz", 2), scheme=DI))
+    assert table.array(((0, 0), 0, "perp")) is table.array(((0, 0), 0, PERP))
+    with pytest.raises(ValueError, match="unknown box setting 'bogus'"):
+        table.array(((0, 0), 0, "bogus"))
 
 
 def test_probability_table_shape_guard():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gatecert.primitives import (
+    EXPANSION,
     SettingSymbol,
     gate,
     gate_from_record,
@@ -97,12 +98,24 @@ def test_ref_observables_other_parties():
         assert np.allclose(ref_observable(party, 2).entries, Y)
 
 
+def combine(observable, index, sym):
+    """A setting symbol's operator from the base observables, via EXPANSION."""
+    return sum(c * observable(index, k).entries for c, k in EXPANSION[sym])
+
+
 def test_tilde_combinations_are_z_and_x():
-    assert np.allclose(ref_observable(1, SettingSymbol.T0).entries, Z)
-    assert np.allclose(ref_observable(1, SettingSymbol.T1).entries, X)
-    assert np.allclose(ref_observable(1, SettingSymbol.T2).entries, Y)
+    assert np.allclose(combine(ref_observable, 1, SettingSymbol.T0), Z)
+    assert np.allclose(combine(ref_observable, 1, SettingSymbol.T1), X)
+    assert np.allclose(combine(ref_observable, 1, SettingSymbol.T2), Y)
     with pytest.raises(ValueError):
-        ref_observable(2, SettingSymbol.T0)
+        ref_observable(1, SettingSymbol.T0)
+
+
+def test_expansion_covers_every_measured_symbol():
+    assert set(EXPANSION) == set(SettingSymbol) - {SettingSymbol.ID}
+    for sym in (SettingSymbol.S0, SettingSymbol.S1, SettingSymbol.S2):
+        assert EXPANSION[sym] == ((1.0, int(sym.value[1])),)
+    assert EXPANSION[SettingSymbol.T2] == EXPANSION[SettingSymbol.S2]
 
 
 def test_every_reference_observable_is_an_involution():
@@ -119,12 +132,12 @@ def test_box_observables():
     assert np.allclose(ref_b_observable(1, 1).entries, X)
     assert np.allclose(ref_b_observable(2, 0).entries, (X + Z) / SQ2)
     assert np.allclose(ref_b_observable(2, 1).entries, (X - Z) / SQ2)
-    assert np.allclose(ref_b_observable(2, SettingSymbol.T0).entries, Z)
-    assert np.allclose(ref_b_observable(2, SettingSymbol.T1).entries, X)
+    assert np.allclose(combine(ref_b_observable, 2, SettingSymbol.T0), Z)
+    assert np.allclose(combine(ref_b_observable, 2, SettingSymbol.T1), X)
     with pytest.raises(ValueError):
-        ref_b_observable(1, SettingSymbol.T0)
+        ref_b_observable(2, 2)
     with pytest.raises(ValueError):
-        ref_b_observable(2, SettingSymbol.S2)
+        ref_b_observable(2, SettingSymbol.T0)
 
 
 def test_haar_unitary_deterministic_and_unitary():

@@ -6,14 +6,9 @@ from gatecert.tensor import (
     StateVector,
     apply_raw,
     apply_raw_batch,
-    apply_to_sites,
-    expectation_value,
-    fidelity,
     kron,
-    partial_trace,
     permute_sites,
     polar_unitary,
-    reduced_density,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,9 +27,9 @@ def test_state_vector_basics():
     v = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
     assert v.n_sites == 2
     assert v.dim == 4
-    assert v.is_normalized()
+    assert np.isclose(v.norm(), 1.0)
     w = StateVector(np.array([1.0, 1.0]), (2,))
-    assert not w.is_normalized()
+    assert np.isclose(w.norm(), np.sqrt(2.0))
     with pytest.raises(ValueError):
         StateVector(np.zeros(4), (2, 3))
 
@@ -43,9 +38,7 @@ def test_operator_flags():
     h = Operator((X + Z) / np.sqrt(2), (2,))
     assert h.is_hermitian()
     assert h.is_unitary()
-    assert not h.is_projector()
-    p = Operator(np.array([[1, 0], [0, 0]], dtype=complex), (2,))
-    assert p.is_projector()
+    assert not Operator(np.array([[1, 0], [0, 0]], dtype=complex), (2,)).is_unitary()
     assert not Operator(np.array([[0, 1], [0, 0]], dtype=complex), (2,)).is_hermitian()
 
 
@@ -74,40 +67,6 @@ def test_basis_ordering_site0_most_significant():
     zero = StateVector(np.array([1.0, 0.0]), (2,))
     v = kron([one, zero])
     assert np.argmax(np.abs(v.amplitudes)) == 2
-
-
-def test_partial_trace_explicit():
-    """Trace of |psi><psi| with psi = (|00> + |11>)/sqrt(2) over either site
-    is maximally mixed."""
-    v = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    rho = Operator(np.outer(v, v.conj()), (2, 2))
-    for keep in ([0], [1]):
-        red = partial_trace(rho, keep)
-        assert red.dims == (2,)
-        assert np.allclose(red.entries, np.eye(2) / 2)
-    full = partial_trace(rho, [0, 1])
-    assert np.allclose(full.entries, rho.entries)
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    a = a @ a.conj().T
-    b = b @ b.conj().T
-    b /= np.trace(b)
-    op = Operator(np.kron(a, b), (2, 3))
-    red = partial_trace(op, [0])
-    assert np.allclose(red.entries, a)
-
-
-def test_reduced_density_matches_partial_trace():
-    v = rand_state((2, 3, 2), seed=5)
-    rho = Operator(np.outer(v.amplitudes, v.amplitudes.conj()), v.dims)
-    for keep in ([0], [2], [0, 2], [1]):
-        assert np.allclose(
-            reduced_density(v, keep).entries, partial_trace(rho, keep).entries
-        )
 
 
 def test_permute_sites_roundtrip():
@@ -159,12 +118,6 @@ def test_apply_raw_batch_matches_loop():
             assert np.allclose(out[k * 2 + b], apply_raw(block[b], (2, 2), mats[k], [1]))
 
 
-def test_apply_to_sites_operator_wrapper():
-    v = rand_state((2, 2), seed=8)
-    got = apply_to_sites(v, Operator(X, (2,)), [0])
-    assert np.allclose(got.amplitudes, np.kron(X, np.eye(2)) @ v.amplitudes)
-
-
 def test_polar_unitary_recovers_rotation():
     rng = np.random.default_rng(21)
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -183,20 +136,6 @@ def test_polar_unitary_fills_null_directions():
     # Hermitian input with a null eigendirection still yields a full unitary
     u = polar_unitary(Operator(np.diag([1.0, 0.0, -2.0]).astype(complex), (3,)))
     assert np.allclose(u.entries, np.diag([1.0, 1.0, -1.0]))
-
-
-def test_fidelity_pure_states():
-    a = StateVector(np.array([1.0, 0.0]), (2,))
-    b = StateVector(np.array([1.0, 1.0]) / np.sqrt(2), (2,))
-    assert np.isclose(fidelity(a, a), 1.0)
-    assert np.isclose(fidelity(a, b), 0.5)
-
-
-def test_expectation_value_product_of_factors():
-    v = rand_state((2, 2, 2), seed=6)
-    val = expectation_value(v, [(Operator(Z, (2,)), [0]), (Operator(X, (2,)), [2])])
-    dense = np.kron(np.kron(Z, np.eye(2)), X)
-    assert np.isclose(val, np.vdot(v.amplitudes, dense @ v.amplitudes))
 
 
 def test_dims_must_multiply_out():
