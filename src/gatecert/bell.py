@@ -10,8 +10,9 @@ Two families:
   box B_i, used to certify the repeater's Bell measurement in the di
   scheme.  Deterministic bound sqrt(2), quantum maximum 2.
 
-``evaluate`` computes a functional from a probability table by table
-arithmetic alone.  ``seesaw_max`` searches for the quantum maximum over
+``functional_weights`` gives a functional's weight array on each table row
+it reads, and ``evaluate`` reads those weights against a probability table
+as dot products.  ``seesaw_max`` searches for the quantum maximum over
 qubit strategies by alternating optimization.  Every tool reads a setting
 symbol through its expansion into base settings, ``primitives.EXPANSION``.
 """
@@ -24,7 +25,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .network import ProbabilityTable, expectation
+from .network import ProbabilityTable, correlator_weights, event_index, event_label, weighted_sum
 from .primitives import EXPANSION, SettingSymbol
 from .tensor import Operator, apply_raw, polar_unitary
 
@@ -105,6 +106,25 @@ def functional_K(i: int, signs: tuple[int, int], n: int | None = None) -> BellFu
     return BellFunctional(n, f"K[{i};{s1}{s2}]", terms)
 
 
+def functional_weights(
+    functional: BellFunctional,
+    scheme: str,
+    n: int,
+    *,
+    e: int,
+    l: int | None = None,
+    r: Mapping[int, int] | None = None,
+) -> dict[tuple, np.ndarray]:
+    """Weight array of a Bell functional on each settings row it reads: the
+    coefficient-weighted sum of its terms' ``correlator_weights``, rows in
+    the order the terms first read them."""
+    out: dict[tuple, np.ndarray] = {}
+    for term in functional.terms:
+        for key, w in correlator_weights(scheme, n, term.assignment, e=e, l=l, r=r).items():
+            out[key] = out[key] + term.coeff * w if key in out else term.coeff * w
+    return out
+
+
 def evaluate(
     functional: BellFunctional,
     table: ProbabilityTable,
@@ -117,15 +137,16 @@ def evaluate(
     """Value of a Bell functional on a probability table.
 
     Conditions (``l``, ``r``) restrict outcomes as in
-    :func:`gatecert.network.expectation`.  A realization is evaluated
+    :func:`gatecert.network.expectation`, and with ``renormalize`` each
+    settings row is conditioned on them.  A realization is evaluated
     through its table, ``evaluate(functional, born_table(real), ...)``.
     """
     if not isinstance(table, ProbabilityTable):
         raise TypeError(f"cannot evaluate on {type(table).__name__}; pass a ProbabilityTable")
-    return sum(
-        t.coeff * expectation(table, t.assignment, e=e, l=l, r=r, renormalize=renormalize)
-        for t in functional.terms
-    )
+    weights = functional_weights(functional, table.scheme, table.n, e=e, l=l, r=r)
+    rows = {key: table.array(key) for key in weights}
+    event = event_label(table.n, l=l, r=r) if renormalize else None
+    return weighted_sum(rows, event_index(table.scheme, table.n, l=l, r=r), weights, event)
 
 
 # --- deterministic (classical) bound ---------------------------------------

@@ -9,9 +9,26 @@ A table passes when every check row holds within tolerance:
 * step 3 (di only) pins Eve's operation through the coefficient tensor of
   the target gate, as step 2 of almost_di does directly.
 
+Every table-level check is data, a ``Check``: a weight array on each
+settings row it reads, over the outcomes its conditioning event selects
+(``network.event_index``).  Its value is ``sum over rows of <W_row,
+p_row>``; a conditional check (step1.k, branch.pair) divides each row's
+term by the row's probability of the event, and an event of probability
+zero gives a failing row that names it.  ``check_matrix`` builds the
+checks: correlators and Bell functionals from the per-party matrices
+``network.party_matrix`` (read from ``primitives.EXPANSION``), conditioning
+as selectors on the outcome axes, and the f-sum rows as one contraction of
+the gate's f tensor with those matrices for all joint outcomes l at once.
+Only the f-sum rows depend on the gate; the others are built once per
+scenario.  ``certify`` reads the rows the weighted sums weigh once.  A
+check that is one product correlator (the rate rows, branch.pair) is read
+through ``network.expectation``, which is ``weighted_sum`` over the same
+weights.
+
 Operator-level rows (effective-measurement distances, the unitary
 certificate, extraction fidelity) are appended when the underlying
-realization is supplied.  The branch field records the sign of the third
+realization is supplied; one ``extract.Extraction`` computes what they
+share once.  The branch field records the sign of the third
 reference setting: "plus"/"minus" when a realization pins it, "mixed" when
 parties disagree (never certified), "undetermined" when only a table is
 available and both uniform signs explain it equally well.
@@ -21,12 +38,29 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
-from .bell import evaluate, functional_I, functional_K, k_sign_bits
+from .bell import functional_I, functional_K, functional_weights, k_sign_bits
 from .decomp import delta_set, f_coeffs
-from .network import ALMOST_DI, DI, PERP, ProbabilityTable, Realization, ZeroProbabilityEvent, expectation
+from .network import (
+    ALMOST_DI,
+    DI,
+    PERP,
+    ProbabilityTable,
+    Realization,
+    ZeroProbabilityEvent,
+    correlator_weights,
+    event_index,
+    event_label,
+    expectation,
+    party_matrix,
+    weighted_sum,
+)
 from .primitives import SettingSymbol, ghz_bits
 from .tensor import Operator
 
@@ -127,139 +161,154 @@ def _bits_label(bits) -> str:
     return "".join(str(b) for b in bits)
 
 
+# Party 1's and the other parties' symbols in Pauli order (Z, X, Y, identity).
 _A1_SYMBOLS = (SettingSymbol.T0, SettingSymbol.T1, SettingSymbol.T2, SettingSymbol.ID)
 _AI_SYMBOLS = (SettingSymbol.S0, SettingSymbol.S1, SettingSymbol.S2, SettingSymbol.ID)
+F_ZERO = 1e-15  # Pauli coefficients below this weigh nothing
 
 
-def _f_weighted_joint(
-    table: ProbabilityTable, u: Operator, l: int, *, e: int, r=None
-) -> float:
-    """Sum over Pauli words of f times the joint (unnormalized) correlator
-    restricted to the given box outcome."""
-    n = table.n
-    coeffs = f_coeffs(delta_set(u)[l])
-    total = 0.0
-    for idx in np.ndindex(coeffs.shape):
-        c = float(coeffs[idx])
-        if abs(c) < 1e-15:
-            continue
-        assignment = {"A1": _A1_SYMBOLS[idx[0]]}
-        for i in range(2, n + 1):
-            assignment[f"A{i}"] = _AI_SYMBOLS[idx[i - 1]]
-        total += c * _joint(table, assignment, e=e, l=l, r=r)
-    return total
+@dataclass(frozen=True)
+class Correlator:
+    """``sign`` times the product correlator ``assignment`` at input e=0,
+    restricted to joint outcome ``l`` and repeater outcomes ``r``."""
+
+    assignment: Mapping[str, SettingSymbol]
+    l: int | None = None
+    r: Mapping[int, int] | None = None
+    sign: float = 1.0
 
 
-def _joint(table, assignment, *, e, l, r=None):
-    return expectation(table, assignment, e=e, l=l, r=r, renormalize=False)
+@dataclass(frozen=True)
+class Check:
+    """One table-level check as data.
+
+    ``lhs = sum over rows of <weights[row], p_row[index]>``; with an
+    ``event`` (the conditioning event's label) each row's term is divided
+    by the row's probability of the event, ``p_row[index].sum()``.  A check
+    that is one product correlator keeps it as ``correlator`` and is read
+    through ``network.expectation``, the same sum over the same weights.
+    """
+
+    id: str
+    rhs: float
+    index: tuple
+    weights: Mapping[tuple, np.ndarray]
+    event: str | None = None
+    correlator: Correlator | None = None
 
 
-def _conditional_row(row_id: str, value, rhs: float, tol: float) -> CheckRow:
-    """Row for a conditional value, computed by ``value()``; a conditioning
-    event of probability zero gives a failing row that names the event."""
-    try:
-        return CheckRow(row_id, value(), rhs, tol)
-    except ZeroProbabilityEvent as err:
-        return CheckRow(row_id, 1.0, 0.0, 0.0, detail=f"{err.event} has probability {err.probability:.3g}")
+def _check(check_id, rhs, scheme, n, weights, *, l=None, r=None, conditional=False, correlator=None) -> Check:
+    """Check over read-only weights; ``conditional`` renormalizes each row
+    on the event (l, r)."""
+    for w in weights.values():
+        w.setflags(write=False)
+    event = event_label(n, l=l, r=r) if conditional else None
+    return Check(check_id, rhs, event_index(scheme, n, l=l, r=r), MappingProxyType(weights), event, correlator)
 
 
-def _rows_step1_almost(table: ProbabilityTable, tol: float) -> list[CheckRow]:
-    n = table.n
-    rows = []
-    x0 = (0,) * n
+def _correlator_check(check_id, rhs, scheme, n, assignment, *, l=None, r=None, sign=1.0, conditional=False) -> Check:
+    corr = Correlator(MappingProxyType(assignment), l, None if r is None else MappingProxyType(r), sign)
+    weights = correlator_weights(scheme, n, assignment, e=0, l=l, r=r)
+    weights = {key: sign * w for key, w in weights.items()}
+    return _check(check_id, rhs, scheme, n, weights, l=l, r=r, conditional=conditional, correlator=corr)
+
+
+def _fsum_checks(scheme: str, n: int, u: Operator, prefix: str, rhs: float, r=None) -> list[Check]:
+    """``{prefix}.fsum[l]`` for every l at once: the f tensor of the gate
+    contracted with each party's ``party_matrix`` in Pauli order gives
+    ``w[l, x_1..x_N, a_1..a_N]``, the weight of row x (input e=1) on the
+    outcomes a at joint outcome l."""
+    f = np.stack([f_coeffs(delta) for delta in delta_set(u)])
+    f = np.where(np.abs(f) < F_ZERO, 0.0, f)
+    operands: list = [f, list(range(n + 1))]
+    # subscripts: l = 0, symbol i_k = 1 + k, setting x_k = 1 + n + k, outcome a_k = 1 + 2n + k
+    for k in range(n):
+        operands += [party_matrix(_A1_SYMBOLS if k == 0 else _AI_SYMBOLS), [1 + k, 1 + n + k, 1 + 2 * n + k]]
+    w = np.einsum(*operands, [0, *range(1 + n, 1 + 3 * n)], optimize=True)
+    checks = []
     for l in range(2**n):
-        bits = ghz_bits(l, n)
-        joint = evaluate(functional_I(bits), table, e=0, l=l, renormalize=False)
-        rows.append(
-            CheckRow(f"step1.joint[{_bits_label(bits)}]", joint, 3 * (n - 1) / 2**n, tol)
-        )
-        rate = table.signed_sum((x0, 0), l=l)
-        rows.append(CheckRow(f"step1.rate[{_bits_label(bits)}]", rate, 1 / 2**n, tol))
-    return rows
+        weights = {}
+        for x in product(range(3), repeat=n):
+            if w[l][x].any():
+                weights[(x, 1) if scheme == ALMOST_DI else (x, 1, PERP)] = w[l][x]
+        label = _bits_label(ghz_bits(l, n))
+        checks.append(_check(f"{prefix}.fsum[{label}]", rhs, scheme, n, weights, l=l, r=r))
+    return checks
 
 
-def _rows_step2_almost(table: ProbabilityTable, u: Operator, tol: float) -> list[CheckRow]:
-    n = table.n
-    rows = []
-    for l in range(2**n):
-        bits = ghz_bits(l, n)
-        value = _f_weighted_joint(table, u, l, e=1)
-        rows.append(CheckRow(f"step2.fsum[{_bits_label(bits)}]", value, 1 / 2**n, tol))
-    return rows
+def check_matrix(scheme: str, n: int, u: Operator) -> list[Check]:
+    """Every table-level check of the protocol for target gate ``u``
+    (``certify`` sorts the rows by id).
+
+    almost_di: step1.joint[l], step1.rate[l], step2.fsum[l];
+    di: step1.k[i;k], step1.rate[i;k], step2.joint[l], step2.rate[l],
+    step3.fsum[l]; both: branch.pair[1,i].  Only the f-sum checks depend
+    on the gate; the others are built once per scenario.
+    """
+    if scheme == ALMOST_DI:
+        fsums = _fsum_checks(scheme, n, u, "step2", 1 / 2**n)
+    else:
+        fsums = _fsum_checks(scheme, n, u, "step3", 1 / 2 ** (3 * n), r={i: 0 for i in range(1, n + 1)})
+    return [*_scenario_checks(scheme, n), *fsums]
 
 
-def _rows_step1_di(table: ProbabilityTable, tol: float) -> list[CheckRow]:
-    n = table.n
-    rows = []
-    x0 = (0,) * n
-    for i in range(1, n + 1):
-        for k in range(4):
-            func = functional_K(i, k_sign_bits(k), n)
-            rows.append(
-                _conditional_row(
-                    f"step1.k[{i};{k}]", lambda: evaluate(func, table, e=0, r={i: k}, renormalize=True), 2.0, tol
-                )
-            )
-            rate = table.signed_sum((x0, 0, PERP), r={i: k})
-            rows.append(CheckRow(f"step1.rate[{i};{k}]", rate, 0.25, tol))
-    return rows
-
-
-def _rows_step2_di(table: ProbabilityTable, tol: float) -> list[CheckRow]:
-    n = table.n
-    rows = []
-    x0 = (0,) * n
-    r0 = {i: 0 for i in range(1, n + 1)}
-    for l in range(2**n):
-        bits = ghz_bits(l, n)
-        joint = evaluate(functional_I(bits), table, e=0, l=l, r=r0, renormalize=False)
-        rows.append(
-            CheckRow(
-                f"step2.joint[{_bits_label(bits)}]",
-                joint,
-                3 * (n - 1) / (2**n * 4**n),
-                tol,
-            )
-        )
-        rate = table.signed_sum((x0, 0, PERP), l=l, r=r0)
-        rows.append(CheckRow(f"step2.rate[{_bits_label(bits)}]", rate, 1 / (2**n * 4**n), tol))
-    return rows
-
-
-def _rows_step3_di(table: ProbabilityTable, u: Operator, tol: float) -> list[CheckRow]:
-    n = table.n
-    r0 = {i: 0 for i in range(1, n + 1)}
-    rows = []
-    for l in range(2**n):
-        bits = ghz_bits(l, n)
-        value = _f_weighted_joint(table, u, l, e=1, r=r0)
-        rows.append(CheckRow(f"step3.fsum[{_bits_label(bits)}]", value, 1 / 2**(3 * n), tol))
-    return rows
-
-
-def _rows_branch(table: ProbabilityTable, tol: float) -> tuple[list[CheckRow], str]:
-    """Consistency of the y-direction signs across parties, from the table.
-
-    The pair products <A_{1,2} A_{i,2} (x)_j A_{j,1}> on the first joint
-    outcome equal -s_1 s_i; uniform signs give +1 after negation, mixed
-    signs show up as -1 and fail.  A bare table cannot split "plus" from
-    "minus", so uniform tables report "undetermined"."""
-    n = table.n
-    r0 = {i: 0 for i in range(1, n + 1)} if table.scheme == DI else None
-    rows = []
-    mixed = False
+@lru_cache(maxsize=None)
+def _scenario_checks(scheme: str, n: int) -> tuple[Check, ...]:
+    """The checks that do not depend on the gate, built on first use of each
+    (scheme, n) and shared read-only: building them again on every call
+    costs about a sixth of a ``verify`` job."""
+    checks: list[Check] = []
+    r0 = {i: 0 for i in range(1, n + 1)} if scheme == DI else None
+    if scheme == ALMOST_DI:
+        for l in range(2**n):
+            label = _bits_label(ghz_bits(l, n))
+            joint = functional_weights(functional_I(ghz_bits(l, n)), scheme, n, e=0, l=l)
+            checks.append(_check(f"step1.joint[{label}]", 3 * (n - 1) / 2**n, scheme, n, joint, l=l))
+            checks.append(_correlator_check(f"step1.rate[{label}]", 1 / 2**n, scheme, n, {}, l=l))
+    else:
+        for i in range(1, n + 1):
+            for k in range(4):
+                r = {i: k}
+                func = functional_weights(functional_K(i, k_sign_bits(k), n), scheme, n, e=0, r=r)
+                checks.append(_check(f"step1.k[{i};{k}]", 2.0, scheme, n, func, r=r, conditional=True))
+                checks.append(_correlator_check(f"step1.rate[{i};{k}]", 0.25, scheme, n, {}, r=r))
+        for l in range(2**n):
+            label = _bits_label(ghz_bits(l, n))
+            joint = functional_weights(functional_I(ghz_bits(l, n)), scheme, n, e=0, l=l, r=r0)
+            rhs = 3 * (n - 1) / (2**n * 4**n)
+            checks.append(_check(f"step2.joint[{label}]", rhs, scheme, n, joint, l=l, r=r0))
+            rhs = 1 / (2**n * 4**n)
+            checks.append(_correlator_check(f"step2.rate[{label}]", rhs, scheme, n, {}, l=l, r=r0))
+    # The pair products <A_{1,2} A_{i,2} (x)_j A_{j,1}> on the first joint
+    # outcome equal -s_1 s_i: uniform signs give +1 after negation, mixed
+    # signs show up as -1 and fail.
     for i in range(2, n + 1):
         assignment = {"A1": SettingSymbol.S2, f"A{i}": SettingSymbol.S2}
-        for j in range(2, n + 1):
-            if j != i:
-                assignment[f"A{j}"] = SettingSymbol.S1
-        row = _conditional_row(
-            f"branch.pair[1,{i}]", lambda: -expectation(table, assignment, e=0, l=0, r=r0, renormalize=True), 1.0, tol
-        )
-        rows.append(row)
-        if row.lhs < 0:
-            mixed = True
-    return rows, ("mixed" if mixed else "undetermined")
+        assignment.update({f"A{j}": SettingSymbol.S1 for j in range(2, n + 1) if j != i})
+        pair_id = f"branch.pair[1,{i}]"
+        checks.append(_correlator_check(pair_id, 1.0, scheme, n, assignment, l=0, r=r0, sign=-1.0, conditional=True))
+    return tuple(checks)
+
+
+def _table_rows(table: ProbabilityTable, checks: list[Check], tol: float) -> list[CheckRow]:
+    """Evaluate the checks on a table, reading the rows the weighted sums
+    weigh once; a conditioning event of probability zero gives a failing
+    row that names the event."""
+    sums = [check for check in checks if check.correlator is None]
+    rows = {key: table.array(key) for key in dict.fromkeys(key for check in sums for key in check.weights)}
+    out = []
+    for check in checks:
+        corr = check.correlator
+        try:
+            if corr is None:
+                lhs = weighted_sum(rows, check.index, check.weights, check.event)
+            else:
+                renormalize = check.event is not None
+                lhs = corr.sign * expectation(table, corr.assignment, e=0, l=corr.l, r=corr.r, renormalize=renormalize)
+            out.append(CheckRow(check.id, lhs, check.rhs, tol))
+        except ZeroProbabilityEvent as err:
+            out.append(CheckRow(check.id, 1.0, 0.0, 0.0, detail=f"{err.event} has probability {err.probability:.3g}"))
+    return out
 
 
 def certify(
@@ -271,25 +320,23 @@ def certify(
 ) -> CertificationReport:
     """Run every protocol check for the target gate on a probability table.
 
-    With ``realization`` the operator-level rows (effective-measurement
-    distances, unitary certificate, block structure, extraction fidelity)
-    are appended and the branch is pinned to "plus" or "minus".  Missing
-    settings rows raise ValueError.
+    The table-level rows are ``check_matrix(table.scheme, table.n, u)``
+    read as dot products with the table rows.  Uniform y-direction signs
+    across parties leave the branch "undetermined" (a bare table cannot
+    split "plus" from "minus"); a failing ``branch.pair`` row with a
+    negative value makes it "mixed".  With ``realization`` the
+    operator-level rows (effective-measurement distances, unitary
+    certificate, block structure, extraction fidelity) are appended and
+    the branch is pinned to "plus" or "minus".  Missing settings rows
+    raise ValueError.
     """
     if u.dims != (2,) * table.n:
         raise ValueError(f"target gate must act on {table.n} qubits, got dims {u.dims}")
     if not u.is_unitary():
         raise ValueError("target gate is not unitary")
-    rows: list[CheckRow] = []
-    if table.scheme == ALMOST_DI:
-        rows += _rows_step1_almost(table, tol)
-        rows += _rows_step2_almost(table, u, tol)
-    else:
-        rows += _rows_step1_di(table, tol)
-        rows += _rows_step2_di(table, tol)
-        rows += _rows_step3_di(table, u, tol)
-    branch_rows, branch = _rows_branch(table, tol)
-    rows += branch_rows
+    rows = _table_rows(table, check_matrix(table.scheme, table.n, u), tol)
+    mixed = any(row.id.startswith("branch.") and row.lhs < 0 for row in rows)
+    branch = "mixed" if mixed else "undetermined"
     if realization is not None:
         if (realization.scheme, realization.n) != (table.scheme, table.n):
             raise ValueError("realization and table describe different scenarios")
@@ -302,23 +349,16 @@ def certify(
 
 
 def _realization_rows(real: Realization, u: Operator, op_tol: float) -> tuple[list[CheckRow], str]:
-    from .extract import (
-        extract_all,
-        extraction_fidelity,
-        f_block_structure,
-        branch_of,
-        verify_effective_measurements,
-        verify_unitary_certificate,
-    )
+    from .extract import Extraction
 
     rows: list[CheckRow] = []
     try:
-        frames = extract_all(real, op_tol)
+        ext = Extraction(real, u, op_tol=op_tol)
     except ValueError as err:
         rows.append(CheckRow("extract.frames", 1.0, 0.0, 0.0, detail=str(err)))
         return rows, "undetermined"
     rows.append(CheckRow("extract.frames", 0.0, 0.0, 0.0))
-    branch = branch_of(real, frames)
+    branch = ext.branch
     if branch == "mixed":
         rows.append(
             CheckRow(
@@ -330,16 +370,13 @@ def _realization_rows(real: Realization, u: Operator, op_tol: float) -> tuple[li
             )
         )
         return rows, branch
-    dists, _ = verify_effective_measurements(real, u, frames, op_tol)
+    dists = ext.measurement_distances()
     n = real.n
     for l in range(2**n):
         rows.append(
             CheckRow(f"extract.meas[{_bits_label(ghz_bits(l, n))}]", float(dists[l]), 0.0, op_tol)
         )
-    cert, _ = verify_unitary_certificate(real, u, frames, op_tol)
-    rows.append(CheckRow("extract.unitary", cert, 0.0, op_tol))
-    fdev, _ = f_block_structure(real, u, frames, op_tol)
-    rows.append(CheckRow("extract.blocks", fdev, 0.0, op_tol))
-    fid, _ = extraction_fidelity(real, u, frames)
-    rows.append(CheckRow("extract.fidelity", fid, 1.0, FIDELITY_TOL))
+    rows.append(CheckRow("extract.unitary", ext.unitary_certificate(), 0.0, op_tol))
+    rows.append(CheckRow("extract.blocks", ext.block_deviation(), 0.0, op_tol))
+    rows.append(CheckRow("extract.fidelity", ext.fidelity(), 1.0, FIDELITY_TOL))
     return rows, branch

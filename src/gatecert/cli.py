@@ -20,7 +20,7 @@ import numpy as np
 
 from .adversary import apply_adversary, load_adversary
 from .bell import classical_bound, functional_I, functional_K, k_sign_bits, seesaw_max
-from .certify import certify, save_report
+from .certify import certify, check_matrix, save_report
 from .decomp import delta_set, f_coeffs
 from .network import (
     ALMOST_DI,
@@ -67,21 +67,22 @@ def _marginals(table: ProbabilityTable) -> dict:
     return out
 
 
-def _build_realization(args):
+def _build_realization(args, u):
+    """Reference realization of ``u`` for the flags; an omitted --scheme
+    means almost-di and an omitted --branch plus."""
     scheme = SCHEME_FLAGS[args.scheme or "almost-di"]
-    u = _resolve_gate(args.gate, args.n, args.seed)
-    branch = +1 if args.branch == "plus" else -1
+    branch = -1 if args.branch == "minus" else +1
     real = reference_realization(args.n, u, branch=branch, scheme=scheme)
     adversary = None
     if args.adversary:
         spec = load_adversary(args.adversary)
         real = apply_adversary(real, spec)
         adversary = spec.to_record()
-    return real, u, adversary
+    return real, adversary
 
 
 def cmd_simulate(args) -> int:
-    real, _, adversary = _build_realization(args)
+    real, adversary = _build_realization(args, _resolve_gate(args.gate, args.n, args.seed))
     table = born_table(real)
     os.makedirs(args.out, exist_ok=True)
     save_table(table, os.path.join(args.out, "table.jsonl"))
@@ -143,19 +144,27 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    real = None
     if args.table:
+        for flag in ("adversary", "branch"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} does not apply with --table: the table's statistics are fixed")
         table = load_table(args.table)
-        real = None
-        n = table.n
+        n, scheme = table.n, table.scheme
         if args.n is not None and args.n != n:
             raise ValueError(f"--n {args.n} does not match table n={n}")
-        if args.scheme is not None and SCHEME_FLAGS[args.scheme] != table.scheme:
-            raise ValueError(f"--scheme {args.scheme} does not match table scheme={table.scheme}")
-        u = _resolve_gate(args.gate, n, args.seed)
+        if args.scheme is not None and SCHEME_FLAGS[args.scheme] != scheme:
+            raise ValueError(f"--scheme {args.scheme} does not match table scheme={scheme}")
+    elif args.n is None:
+        raise ValueError("--n is required when no table file is given")
     else:
-        if args.n is None:
-            raise ValueError("--n is required when no table file is given")
-        real, u, _ = _build_realization(args)
+        n, scheme = args.n, SCHEME_FLAGS[args.scheme or "almost-di"]
+    u = _resolve_gate(args.gate, n, args.seed)
+    if args.explain is not None:
+        print(_explain(check_matrix(scheme, n, u), args.explain, scheme, n))
+        return 0
+    if not args.table:
+        real, _ = _build_realization(args, u)
         table = born_table(real)
     report = certify(table, u, tol=args.tol, realization=real, op_tol=args.op_tol)
     print(report.summary())
@@ -166,6 +175,29 @@ def cmd_certify(args) -> int:
         save_report(report, os.path.join(args.out, "report.json"))
         print(f"wrote {args.out}/report.json")
     return 0 if report.verdict == "certified" else 1
+
+
+def _explain(checks, check_id: str, scheme: str, n: int) -> str:
+    """One check's nonzero weights, per settings row, at full outcome
+    indices (a_1..a_N, (r_1..r_N,) l)."""
+    by_id = {check.id: check for check in checks}
+    if check_id not in by_id:
+        raise ValueError(f"unknown check id {check_id!r}; the table checks are {', '.join(sorted(by_id))}")
+    check = by_id[check_id]
+    axes = [f"a_{i}" for i in range(1, n + 1)] + ([f"r_{i}" for i in range(1, n + 1)] if scheme == DI else []) + ["l"]
+    head = f"{check.id}: expected {check.rhs!r}"
+    if check.event is not None:
+        head += f"; each row's value is divided by the row's probability of {check.event}"
+    lines = [head]
+    for key, w in check.weights.items():
+        row = f"x={key[0]} e={key[1]}" + (f" y={key[2]}" if scheme == DI else "")
+        nonzero = np.argwhere(w != 0)
+        lines.append(f"row {row}: {len(nonzero)} nonzero weights at ({', '.join(axes)})")
+        for pos in nonzero:
+            free = iter(pos)
+            full = tuple(int(next(free)) if isinstance(i, slice) else i for i in check.index)
+            lines.append(f"  {full} {float(w[tuple(pos)])!r}")
+    return "\n".join(lines)
 
 
 def cmd_decompose(args) -> int:
@@ -211,9 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
         if need_n:
             p.add_argument("--n", type=int, choices=(2, 3), required=not table_mode, default=None)
         p.add_argument("--gate", required=True, help="gate name or JSON file")
-        p.add_argument("--branch", choices=("plus", "minus"), default="plus")
+        p.add_argument("--branch", choices=("plus", "minus"), default=None if table_mode else "plus",
+                       help="default plus; not allowed with --table" if table_mode else None)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--adversary", default=None, help="adversary spec JSON file")
+        p.add_argument("--adversary", default=None,
+                       help="adversary spec JSON file" + ("; not allowed with --table" if table_mode else ""))
 
     p_sim = sub.add_parser("simulate", help="write the probability table of a realization")
     common(p_sim)
@@ -233,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--tol", type=float, default=1e-9)
     p_cert.add_argument("--op-tol", type=float, default=1e-8)
     p_cert.add_argument("--out", default=None, help="output directory")
+    p_cert.add_argument("--explain", default=None, metavar="ID",
+                        help="print the nonzero weights of table check ID per settings row and exit")
     p_cert.set_defaults(func=cmd_certify)
 
     p_dec = sub.add_parser("decompose", help="coefficient tensor of the target gate per joint outcome")

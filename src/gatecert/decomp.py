@@ -7,17 +7,18 @@ tensor-Pauli basis with real coefficients
     f[l, i] = Tr[ (S_{i_1} x ... x S_{i_N}) |delta_l><delta_l| ] / 2^N,
 
 where the single-site legend is 0=Z, 1=X, 2=Y, 3=identity.  The coefficients
-of a normalized vector satisfy sum_i f^2 = 2^(-N).
+of a normalized vector satisfy sum_i f^2 = 2^(-N).  ``f_coeffs`` computes a
+state's whole tensor in one contraction; stacked over l, the tensors are
+the weights the check matrix of :mod:`gatecert.certify` puts on the
+tomographic (f-sum) rows, contracted with each party's setting matrix.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from .primitives import ghz_bits, ghz_state, pauli
-from .tensor import Operator, StateVector, apply_raw
+from .tensor import Operator, StateVector
 
 IMAG_TOL = 1e-12
 
@@ -32,21 +33,25 @@ def delta_set(u: Operator) -> list[StateVector]:
 
 
 def f_coeffs(delta: StateVector) -> np.ndarray:
-    """Pauli coefficients of |delta><delta|, shape (4,)*N."""
+    """Pauli coefficients of |delta><delta|, shape (4,)*N.
+
+    One contraction per state: with ``rho[(a_1 b_1), ..., (a_N b_N)] =
+    conj(delta[a]) delta[b]``, every site's pair axis is contracted with
+    ``q[i, (a b)] = S_i[a, b]``, then divided by 2^N."""
     n = delta.n_sites
     if delta.dims != (2,) * n:
         raise ValueError(f"state must live on qubits, got site dims {delta.dims}")
     amps = delta.amplitudes
-    out = np.zeros((4,) * n)
-    singles = [pauli(i).entries for i in range(4)]
-    for idx in product(range(4), repeat=n):
-        vec = amps
-        for site, i in enumerate(idx):
-            if i != 3:
-                vec = apply_raw(vec, delta.dims, singles[i], [site])
-        val = np.vdot(amps, vec) / 2**n
-        if abs(val.imag) > IMAG_TOL:
-            raise ValueError(f"coefficient at {idx} has imaginary part {val.imag:.3e}")
-        out[idx] = val.real
+    q = np.stack([pauli(i).entries for i in range(4)]).reshape(4, 4)
+    rho = np.outer(amps.conj(), amps).reshape((2,) * (2 * n))
+    vals = rho.transpose([p for k in range(n) for p in (k, n + k)]).reshape((4,) * n)
+    for k in range(n):
+        vals = np.moveaxis(np.tensordot(q, vals, axes=([1], [k])), 0, k)
+    vals = vals / 2**n
+    bad = np.abs(vals.imag) > IMAG_TOL
+    if bad.any():
+        idx = tuple(int(v) for v in np.argwhere(bad)[0])
+        raise ValueError(f"coefficient at {idx} has imaginary part {vals.imag[idx]:.3e}")
+    out = np.ascontiguousarray(vals.real)
     out.setflags(write=False)
     return out

@@ -16,7 +16,7 @@ no consistent target and is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 
 import numpy as np
 
@@ -276,17 +276,13 @@ def effective_elements(real: Realization, support_tol: float = SUPPORT_TOL) -> t
     rescaled by its largest eigenvalue.  Also returns the projector onto
     the support of the collective's reduced state.
     """
-    n = real.n
-    if real.scheme == ALMOST_DI:
-        v = real.eve.entries
-        elements = [v.conj().T @ m.entries @ v for m in real.l_meas]
-        rho = _collective_state(real)
-        return elements, support_projector(rho, support_tol)
-    raw = teleported_elements(real, support_tol)
+    return _box_elements(real, support_tol), support_projector(_collective_state(real), support_tol)
+
+
+def _box_elements(real: Realization, support_tol: float = SUPPORT_TOL) -> list[np.ndarray]:
+    raw = [m.entries for m in real.l_meas] if real.scheme == ALMOST_DI else teleported_elements(real, support_tol)
     v = real.eve.entries
-    elements = [v.conj().T @ el @ v for el in raw]
-    rho = _collective_state(real)
-    return elements, support_projector(rho, support_tol)
+    return [v.conj().T @ el @ v for el in raw]
 
 
 def teleported_elements(real: Realization, support_tol: float = SUPPORT_TOL) -> list[np.ndarray]:
@@ -353,32 +349,145 @@ def _teleported_element(real: Realization, l: int) -> np.ndarray:
     return out.reshape(d1, d1)
 
 
-def verify_effective_measurements(
-    real: Realization,
-    u: Operator,
-    frames: LocalFrames | None = None,
-    op_tol: float = OP_TOL,
-) -> tuple[np.ndarray, str]:
-    """Entrywise distances between the realized effective box elements and
-    the frame pull-backs of the ideal rotated projectors.  Returns the
-    per-outcome distances and the detected branch."""
-    if frames is None:
-        frames = extract_all(real, op_tol)
-    branch = branch_of(real, frames)
-    targets = _targets(u, branch)
-    collection = "l" if real.scheme == ALMOST_DI else "r1"
-    w = frames.grouped(collection)
-    elements, support = effective_elements(real)
-    dj = w.shape[0] // 2**real.n
-    dists = []
-    for l, el in enumerate(elements):
-        t = targets[l]
-        proj = np.outer(t, t.conj())
-        pull = w.conj().T @ np.kron(proj, np.eye(dj)) @ w
-        lhs = el if real.scheme == ALMOST_DI else support @ el @ support
-        rhs = pull if real.scheme == ALMOST_DI else support @ pull @ support
-        dists.append(float(np.max(np.abs(lhs - rhs))))
-    return np.array(dists), branch
+class Extraction:
+    """The operator-level checks of one realization against a target gate.
+
+    What the checks share is computed once, on first use: the local frames,
+    the branch, the comparison targets, the grouped isometry W of the
+    collection Eve acts on, the support of the collective state, Eve's
+    operation Vbar restricted to that support, the GHZ blocks of
+    W Vbar^dagger W^dagger and the junk floor.  The effective box elements
+    serve one check and are not kept.  ``u`` may be None when only the
+    extracted gate is wanted.
+    """
+
+    def __init__(
+        self, real: Realization, u: Operator | None, frames: LocalFrames | None = None, op_tol: float = OP_TOL
+    ):
+        self.real = real
+        self.u = u
+        self.frames = extract_all(real, op_tol) if frames is None else frames
+        self.collection = "l" if real.scheme == ALMOST_DI else "r1"
+
+    @cached_property
+    def branch(self) -> str:
+        return branch_of(self.real, self.frames)
+
+    @cached_property
+    def targets(self) -> list[np.ndarray]:
+        return _targets(self.u, self.branch)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return self.frames.grouped(self.collection)
+
+    @property
+    def dj(self) -> int:
+        return self.w.shape[0] // 2**self.real.n
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        return support_projector(_collective_state(self.real))
+
+    @cached_property
+    def vbar(self) -> np.ndarray:
+        if self.real.scheme == ALMOST_DI:
+            return self.real.eve.entries
+        return _restricted_eve(self.real, self.support)
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        lifted = self.w @ self.vbar.conj().T @ self.w.conj().T
+        return _ghz_blocks(lifted, ghz_basis(self.real.n), self.dj)
+
+    @cached_property
+    def junk_floor(self) -> np.ndarray:
+        return self.frames.junk_floor(self.collection)
+
+    def _on_support(self, op: np.ndarray) -> np.ndarray:
+        return op if self.real.scheme == ALMOST_DI else self.support @ op @ self.support
+
+    def measurement_distances(self) -> np.ndarray:
+        """Entrywise distances between the realized effective box elements
+        and the frame pull-backs of the ideal rotated projectors, one per
+        outcome l."""
+        targets, w, dj = self.targets, self.w, self.dj
+        dists = []
+        for l, el in enumerate(_box_elements(self.real)):
+            t = targets[l]
+            proj = np.outer(t, t.conj())
+            pull = w.conj().T @ np.kron(proj, np.eye(dj)) @ w
+            dists.append(float(np.max(np.abs(self._on_support(el) - self._on_support(pull)))))
+        return np.array(dists)
+
+    def unitary_certificate(self) -> float:
+        """Entrywise distance certifying Eve's operation itself.
+
+        With F_l and G_l the frame pull-backs of the ideal basis projectors
+        and of the rotated target projectors, a faithful realization
+        satisfies V^dagger F_l V = G_l for every l; the certificate is the
+        worst entrywise deviation (Eve restricted to the collective's
+        support)."""
+        targets, w, dj, vbar = self.targets, self.w, self.dj, self.vbar
+        basis = ghz_basis(self.real.n)
+        worst = 0.0
+        for l in range(2**self.real.n):
+            phi = basis[:, l]
+            f_op = w.conj().T @ np.kron(np.outer(phi, phi.conj()), np.eye(dj)) @ w
+            t = targets[l]
+            g_op = w.conj().T @ np.kron(np.outer(t, t.conj()), np.eye(dj)) @ w
+            lhs = vbar.conj().T @ f_op @ vbar
+            worst = max(worst, float(np.max(np.abs(lhs - self._on_support(g_op)))))
+        return worst
+
+    def block_deviation(self) -> float:
+        """Deviation of W Vbar^dagger W^dagger from its ideal block form.
+
+        Grouping the lifted adjoint of Eve's operation into 2^N x 2^N
+        junk-sized blocks indexed by ideal basis states, block (i, l) of a
+        faithful realization equals <phi_i|target_l> times one fixed
+        positive junk operator (x)_j K_{j,0} K_{j,0}^dagger."""
+        targets, blocks, q = self.targets, self.blocks, self.junk_floor
+        basis = ghz_basis(self.real.n)
+        worst = 0.0
+        for i in range(2**self.real.n):
+            phi = basis[:, i]
+            for l in range(2**self.real.n):
+                coeff = complex(np.vdot(phi, targets[l]))
+                dev = float(np.max(np.abs(blocks[i, :, l, :] - coeff * q)))
+                worst = max(worst, dev)
+        return worst
+
+    def gate(self) -> np.ndarray:
+        """Gate read out of the realization through the local frames.
+
+        The junk-traced blocks of W Vbar^dagger W^dagger give the matrix of
+        the adjoint target in the ideal basis; undoing the basis change and
+        the branch conjugation yields the gate on qubits, unitarized
+        through the polar decomposition."""
+        branch = self.branch
+        n = self.real.n
+        blocks, q = self.blocks, self.junk_floor
+        basis = ghz_basis(n)
+        qn = float(np.real(np.trace(q)))
+        m = np.einsum("ikjk->ij", blocks) / qn
+        # m[i, l] = <phi_i| target_l>: columns are the rotated basis images
+        images = basis @ m  # column l = target_l in the computational basis
+        # target_l = W_branch(U)^dagger phi_l with W_plus = conj, W_minus = id
+        gate_adj = images @ basis.conj().T
+        if branch == "plus":
+            gate = gate_adj.T
+        elif branch == "minus":
+            gate = gate_adj.conj().T
+        else:
+            raise ValueError("realization mixes branch signs across parties")
+        return polar_unitary(Operator(gate, (2,) * n)).entries
+
+    def fidelity(self) -> float:
+        """Phase-insensitive overlap |Tr(G^dagger U)/2^N|^2 between the
+        extracted gate G and the target."""
+        overlap = abs(np.trace(self.gate().conj().T @ self.u.entries) / 2**self.real.n) ** 2
+        return float(overlap)
 
 
 def _restricted_eve(real: Realization, support: np.ndarray) -> np.ndarray:
@@ -390,83 +499,6 @@ def _restricted_eve(real: Realization, support: np.ndarray) -> np.ndarray:
     return support @ real.eve.entries @ support
 
 
-def verify_unitary_certificate(
-    real: Realization,
-    u: Operator,
-    frames: LocalFrames | None = None,
-    op_tol: float = OP_TOL,
-) -> tuple[float, str]:
-    """Entrywise distance certifying Eve's operation itself.
-
-    With F_l and G_l the frame pull-backs of the ideal basis projectors and
-    of the rotated target projectors, a faithful realization satisfies
-    V^dagger F_l V = G_l for every l; the certificate is the worst
-    entrywise deviation (Eve restricted to the collective's support)."""
-    if frames is None:
-        frames = extract_all(real, op_tol)
-    branch = branch_of(real, frames)
-    targets = _targets(u, branch)
-    n = real.n
-    collection = "l" if real.scheme == ALMOST_DI else "r1"
-    w = frames.grouped(collection)
-    dj = w.shape[0] // 2**n
-    basis = ghz_basis(n)
-    _, support = effective_elements(real) if real.scheme == DI else (None, None)
-    if real.scheme == ALMOST_DI:
-        vbar = real.eve.entries
-    else:
-        vbar = _restricted_eve(real, support)
-    worst = 0.0
-    for l in range(2**n):
-        phi = basis[:, l]
-        f_op = w.conj().T @ np.kron(np.outer(phi, phi.conj()), np.eye(dj)) @ w
-        t = targets[l]
-        g_op = w.conj().T @ np.kron(np.outer(t, t.conj()), np.eye(dj)) @ w
-        lhs = vbar.conj().T @ f_op @ vbar
-        rhs = g_op if real.scheme == ALMOST_DI else support @ g_op @ support
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst, branch
-
-
-def f_block_structure(
-    real: Realization,
-    u: Operator,
-    frames: LocalFrames | None = None,
-    op_tol: float = OP_TOL,
-) -> tuple[float, str]:
-    """Deviation of W Vbar^dagger W^dagger from its ideal block form.
-
-    Grouping the lifted adjoint of Eve's operation into 2^N x 2^N junk-sized
-    blocks indexed by ideal basis states, block (i, l) of a faithful
-    realization equals <phi_i|target_l> times one fixed positive junk
-    operator (x)_j K_{j,0} K_{j,0}^dagger."""
-    if frames is None:
-        frames = extract_all(real, op_tol)
-    branch = branch_of(real, frames)
-    targets = _targets(u, branch)
-    n = real.n
-    collection = "l" if real.scheme == ALMOST_DI else "r1"
-    w = frames.grouped(collection)
-    dj = w.shape[0] // 2**n
-    basis = ghz_basis(n)
-    if real.scheme == ALMOST_DI:
-        vbar = real.eve.entries
-    else:
-        _, support = effective_elements(real)
-        vbar = _restricted_eve(real, support)
-    lifted = w @ vbar.conj().T @ w.conj().T
-    q = frames.junk_floor(collection)
-    blocks = _ghz_blocks(lifted, basis, dj)
-    worst = 0.0
-    for i in range(2**n):
-        phi = basis[:, i]
-        for l in range(2**n):
-            coeff = complex(np.vdot(phi, targets[l]))
-            dev = float(np.max(np.abs(blocks[i, :, l, :] - coeff * q)))
-            worst = max(worst, dev)
-    return worst, branch
-
-
 def _ghz_blocks(lifted: np.ndarray, basis: np.ndarray, dj: int) -> np.ndarray:
     """Rotate the qubit factor of a (qubits (x) junk) operator into the
     ideal basis and expose the junk-sized blocks."""
@@ -476,53 +508,53 @@ def _ghz_blocks(lifted: np.ndarray, basis: np.ndarray, dj: int) -> np.ndarray:
     return rotated.reshape(d, dj, d, dj)
 
 
+# Each check on its own, with the detected branch.
+
+
+def verify_effective_measurements(
+    real: Realization,
+    u: Operator,
+    frames: LocalFrames | None = None,
+    op_tol: float = OP_TOL,
+) -> tuple[np.ndarray, str]:
+    """``Extraction.measurement_distances`` and the detected branch."""
+    ext = Extraction(real, u, frames, op_tol)
+    return ext.measurement_distances(), ext.branch
+
+
+def verify_unitary_certificate(
+    real: Realization,
+    u: Operator,
+    frames: LocalFrames | None = None,
+    op_tol: float = OP_TOL,
+) -> tuple[float, str]:
+    """``Extraction.unitary_certificate`` and the detected branch."""
+    ext = Extraction(real, u, frames, op_tol)
+    return ext.unitary_certificate(), ext.branch
+
+
+def f_block_structure(
+    real: Realization,
+    u: Operator,
+    frames: LocalFrames | None = None,
+    op_tol: float = OP_TOL,
+) -> tuple[float, str]:
+    """``Extraction.block_deviation`` and the detected branch."""
+    ext = Extraction(real, u, frames, op_tol)
+    return ext.block_deviation(), ext.branch
+
+
 def extracted_gate(
     real: Realization,
     frames: LocalFrames | None = None,
     op_tol: float = OP_TOL,
 ) -> tuple[np.ndarray, str]:
-    """Gate read out of the realization through the local frames.
-
-    The junk-traced blocks of W Vbar^dagger W^dagger give the matrix of the
-    adjoint target in the ideal basis; undoing the basis change and the
-    branch conjugation yields the gate on qubits, unitarized through the
-    polar decomposition."""
-    if frames is None:
-        frames = extract_all(real, op_tol)
-    branch = branch_of(real, frames)
-    n = real.n
-    collection = "l" if real.scheme == ALMOST_DI else "r1"
-    w = frames.grouped(collection)
-    dj = w.shape[0] // 2**n
-    if real.scheme == ALMOST_DI:
-        vbar = real.eve.entries
-    else:
-        _, support = effective_elements(real)
-        vbar = _restricted_eve(real, support)
-    lifted = w @ vbar.conj().T @ w.conj().T
-    basis = ghz_basis(n)
-    blocks = _ghz_blocks(lifted, basis, dj)
-    q = frames.junk_floor(collection)
-    qn = float(np.real(np.trace(q)))
-    m = np.einsum("ikjk->ij", blocks) / qn
-    # m[i, l] = <phi_i| target_l>: columns are the rotated basis images
-    images = basis @ m  # column l = target_l in the computational basis
-    # target_l = W_branch(U)^dagger phi_l with W_plus = conj, W_minus = id
-    gate_adj = images @ basis.conj().T
-    if branch == "plus":
-        gate = gate_adj.T
-    elif branch == "minus":
-        gate = gate_adj.conj().T
-    else:
-        raise ValueError("realization mixes branch signs across parties")
-    gate = polar_unitary(Operator(gate, (2,) * n)).entries
-    return gate, branch
+    """``Extraction.gate`` and the detected branch."""
+    ext = Extraction(real, None, frames, op_tol)
+    return ext.gate(), ext.branch
 
 
 def extraction_fidelity(real: Realization, u: Operator, frames: LocalFrames | None = None) -> tuple[float, str]:
-    """Phase-insensitive overlap |Tr(G^dagger U)/2^N|^2 between the
-    extracted gate G and the target, together with the detected branch."""
-    gate, branch = extracted_gate(real, frames)
-    n = real.n
-    overlap = abs(np.trace(gate.conj().T @ u.entries) / 2**n) ** 2
-    return float(overlap), branch
+    """``Extraction.fidelity`` and the detected branch."""
+    ext = Extraction(real, u, frames)
+    return ext.fidelity(), ext.branch

@@ -48,6 +48,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
@@ -398,14 +399,14 @@ def born_table(real: Realization) -> "ProbabilityTable":
             for i in range(n, 0, -1):
                 rows, rdims = _measure(rows, rdims, a_stacks[i - 1], [lay.a_site(i)])
             probs = (rows.real**2 + rows.imag**2).sum(axis=1)
-            probs = probs.reshape((3, 2) * n + (2**n,) + (4,) * n_rep).transpose(order)
+            probs = np.ascontiguousarray(probs.reshape((3, 2) * n + (2**n,) + (4,) * n_rep).transpose(order))
             totals = probs.reshape(3**n, -1).sum(axis=1)
             for x, total in zip(scen.x_settings(), totals):
                 key = (x, e) if y is None else (x, e, y)
                 if abs(total - 1.0) > SUM_TOL:
                     raise ValueError(f"setting {key}: probabilities sum to {float(total)!r}")
                 entries[key] = probs[x]
-    return ProbabilityTable(real.scheme, n, entries)
+    return ProbabilityTable._adopt(real.scheme, n, entries)
 
 
 class ProbabilityTable:
@@ -423,13 +424,23 @@ class ProbabilityTable:
         shape = scen.outcome_shape()
         norm: dict = {}
         for key, arr in entries.items():
-            arr = np.asarray(arr, dtype=float)
+            arr = np.array(arr, dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"outcome array for {key} has shape {arr.shape}, expected {shape}")
-            arr = arr.copy()
             arr.setflags(write=False)
             norm[self._norm_key(key)] = arr
         self.entries = norm
+
+    @classmethod
+    def _adopt(cls, scheme: str, n: int, entries: dict) -> "ProbabilityTable":
+        """Table over arrays built for it alone, under normalized keys and
+        of the outcome shape: stored without a copy, made read-only."""
+        table = cls.__new__(cls)
+        table.scheme, table.n = scheme, n
+        for arr in entries.values():
+            arr.setflags(write=False)
+        table.entries = entries
+        return table
 
     def _norm_key(self, key: tuple) -> tuple:
         if self.scheme == ALMOST_DI:
@@ -468,36 +479,18 @@ class ProbabilityTable:
         ``a_signs`` and (-1)^(l_i) for subnets in ``b_signs``, restricted to
         a fixed joint outcome ``l`` and/or fixed repeater outcomes ``r``
         (mapping subnet -> outcome).  No renormalization."""
-        arr = self.array(key)
+        if l is not None and b_signs:
+            raise ValueError("cannot fix the joint outcome and sign box bits at once")
         n = self.n
-        w = arr
-        for party in a_signs:
-            shape = [1] * arr.ndim
-            shape[party - 1] = 2
-            w = w * np.array([1.0, -1.0]).reshape(shape)
-        if r:
-            if self.scheme != DI:
-                raise ValueError("repeater conditions apply only to di tables")
-            for subnet, k in r.items():
-                sel = np.zeros(4)
-                sel[int(k)] = 1.0
-                shape = [1] * arr.ndim
-                shape[n + subnet - 1] = 4
-                w = w * sel.reshape(shape)
-        lvec = np.ones(2**n)
-        if l is not None:
-            if b_signs:
-                raise ValueError("cannot fix the joint outcome and sign box bits at once")
-            lvec = np.zeros(2**n)
-            lvec[int(l)] = 1.0
-        else:
-            for subnet in b_signs:
-                bits = np.array([ghz_bits(v, n)[subnet - 1] for v in range(2**n)])
-                lvec = lvec * (-1.0) ** bits
-        shape = [1] * arr.ndim
-        shape[-1] = 2**n
-        w = w * lvec.reshape(shape)
-        return float(w.sum())
+        sign, ones = np.array([1.0, -1.0]), np.ones(2)
+        a_vecs = [sign if i in a_signs else ones for i in range(1, n + 1)]
+        b_vecs = [sign if i in b_signs else ones for i in range(1, n + 1)]
+        arr = self.array(key)
+        weight = np.zeros(arr.shape)
+        weight[event_index(self.scheme, n, l=l, r=r)] = _row_weight(self.scheme, n, a_vecs, b_vecs, l=l, r=r)
+        # Summing over the whole row keeps the summation order, and so every
+        # bit, of the marginals that ``gatecert simulate`` writes.
+        return float((arr * weight).sum())
 
     def max_difference(self, other: "ProbabilityTable") -> float:
         """Largest entrywise deviation over the union of settings rows."""
@@ -550,11 +543,130 @@ class ZeroProbabilityEvent(ValueError):
         self.probability = probability
 
 
-def _event_label(n: int, *, l: int | None = None, r: Mapping[int, int] | None = None) -> str:
+def event_label(n: int, *, l: int | None = None, r: Mapping[int, int] | None = None) -> str:
     """Conditioning event as text, e.g. ``r_1=1`` or ``l=00, r_1=0, r_2=0``."""
     parts = [] if l is None else ["l=" + "".join(str(b) for b in ghz_bits(int(l), n))]
     parts += [f"r_{i}={int(k)}" for i, k in sorted((r or {}).items())]
     return ", ".join(parts)
+
+
+@lru_cache(maxsize=None)
+def party_matrix(symbols: tuple[SettingSymbol, ...], settings: int = 3) -> np.ndarray:
+    """``M[s, x, o]``: the weight a party measuring ``symbols[s]`` puts on
+    outcome ``o`` of its base setting ``x`` (3 settings for a party, 2 for a
+    box, whose outcome is its bit of ``l``).
+
+    A symbol spreads over its base settings as ``EXPANSION`` says, each
+    term carrying the outcome sign (-1)^o; ``ID`` reads setting 0 with no
+    sign.  The array is read-only and cached per argument.
+    """
+    m = np.zeros((len(symbols), settings, 2))
+    for s, sym in enumerate(symbols):
+        if sym is SettingSymbol.ID:
+            m[s, 0] = 1.0
+            continue
+        for coeff, x in EXPANSION[sym]:
+            m[s, x] += (coeff, -coeff)
+    m.setflags(write=False)
+    return m
+
+
+def event_index(scheme: str, n: int, *, l: int | None = None, r: Mapping[int, int] | None = None) -> tuple:
+    """Index selecting, on a row's outcome array, the outcomes of the
+    conditioning event: joint outcome ``l`` and repeater outcomes ``r``
+    (subnet -> outcome); unconditioned axes are kept whole."""
+    if r and scheme != DI:
+        raise ValueError("repeater conditions apply only to di tables")
+    r = r or {}
+    if not set(r) <= set(range(1, n + 1)):
+        raise ValueError(f"repeater conditions name subnets {sorted(r)}, not all in 1..{n}")
+    index: list = [slice(None)] * n
+    if scheme == DI:
+        index += [int(r[i]) if i in r else slice(None) for i in range(1, n + 1)]
+    index.append(slice(None) if l is None else int(l))
+    return tuple(index)
+
+
+def _outer(vecs) -> np.ndarray:
+    return reduce(np.multiply.outer, vecs, np.array(1.0))
+
+
+def _row_weight(scheme: str, n: int, a_vecs, b_vecs, *, l=None, r=None) -> np.ndarray:
+    """Weight of a product correlator over the outcomes ``event_index``
+    selects: the outer product of one vector per party over its outcome,
+    ones on every free repeater axis, and, unless ``l`` is fixed, the outer
+    product of one vector per box over its bit of ``l``."""
+    vecs = list(a_vecs)
+    if scheme == DI:
+        vecs += [np.ones(4)] * (n - len(r or {}))
+    if l is None:
+        vecs.append(_outer(b_vecs).ravel())
+    return _outer(vecs)
+
+
+def correlator_weights(
+    scheme: str,
+    n: int,
+    assignment: Mapping[str, SettingSymbol],
+    *,
+    e: int,
+    l: int | None = None,
+    r: Mapping[int, int] | None = None,
+) -> dict[tuple, np.ndarray]:
+    """Weight array of a product correlator on each settings row it reads,
+    over the outcomes ``event_index(scheme, n, l=l, r=r)`` selects.
+
+    ``assignment`` maps party labels ("A1".."AN", and "B1".."BN" for di)
+    to setting symbols; omitted parties act as identity.  A row's weight is
+    the outer product of the parties' rows of ``party_matrix``; rows are
+    listed with the first party's setting varying slowest.
+    """
+    a_syms, b_syms = _parse_assignment(assignment, n, scheme)
+    if l is not None and b_syms:
+        raise ValueError("cannot combine box observables with a joint-outcome condition")
+    ident = SettingSymbol.ID
+
+    def spread(sym, settings):
+        m = party_matrix((sym,), settings)[0]
+        return [(x, m[x]) for x in range(settings) if m[x].any()]
+
+    parties = [spread(a_syms.get(i, ident), 3) for i in range(1, n + 1)]
+    boxed = any(sym is not ident for sym in b_syms.values())
+    # without box symbols every box reads the perp row with no sign
+    boxes = [spread(b_syms.get(i, ident), 2) for i in range(1, n + 1)] if boxed else [[(None, np.ones(2))]] * n
+    out: dict[tuple, np.ndarray] = {}
+    for combo in product(*parties, *boxes):
+        x = tuple(s for s, _ in combo[:n])
+        y = tuple(s for s, _ in combo[n:]) if boxed else PERP
+        key = (x, e) if scheme == ALMOST_DI else (x, e, y)
+        out[key] = _row_weight(scheme, n, [v for _, v in combo[:n]], [v for _, v in combo[n:]], l=l, r=r)
+    return out
+
+
+def weighted_sum(
+    rows: Mapping[tuple, np.ndarray],
+    index: tuple,
+    weights: Mapping[tuple, np.ndarray],
+    event: str | None = None,
+) -> float:
+    """``sum over rows of <weights[row], rows[row][index]>``.
+
+    With ``event`` (the conditioning event's label) each row's term is
+    divided by the row's probability of the event, ``rows[row][index].sum()``,
+    and a probability of at most ``ZERO_WEIGHT_TOL`` raises
+    ``ZeroProbabilityEvent`` naming the event, for the first such row.
+    """
+    total = 0.0
+    for key, w in weights.items():
+        block = rows[key][index]
+        value = float(np.vdot(w, block))
+        if event is not None:
+            prob = float(block.sum())
+            if prob <= ZERO_WEIGHT_TOL:
+                raise ZeroProbabilityEvent(event, prob)
+            value /= prob
+        total += value
+    return total
 
 
 def expectation(
@@ -575,50 +687,13 @@ def expectation(
     sum is divided by the probability of the restriction, yielding a
     conditional expectation, and a restriction of probability at most
     ``ZERO_WEIGHT_TOL`` raises ``ZeroProbabilityEvent``; without it the
-    joint (unnormalized) value is returned.  Each setting symbol is read
-    through ``primitives.EXPANSION``.
+    joint (unnormalized) value is returned.  The value is
+    ``weighted_sum`` over ``correlator_weights``.
     """
-    a_syms, b_syms = _parse_assignment(assignment, table.n, table.scheme)
-    if l is not None and b_syms:
-        raise ValueError("cannot combine box observables with a joint-outcome condition")
-    combos: list[tuple[float, dict[int, int], dict[int, int]]] = [(1.0, {}, {})]
-    for party, sym in sorted(a_syms.items()):
-        if sym is SettingSymbol.ID:
-            continue
-        combos = [
-            (c * w, {**xs, party: setting}, ys)
-            for (c, xs, ys) in combos
-            for (w, setting) in EXPANSION[sym]
-        ]
-    for subnet, sym in sorted(b_syms.items()):
-        if sym is SettingSymbol.ID:
-            continue
-        combos = [
-            (c * w, xs, {**ys, subnet: setting})
-            for (c, xs, ys) in combos
-            for (w, setting) in EXPANSION[sym]
-        ]
-    a_signed = [p for p, s in a_syms.items() if s is not SettingSymbol.ID]
-    b_signed = [p for p, s in b_syms.items() if s is not SettingSymbol.ID]
-    total = 0.0
-    for coeff, xs, ys in combos:
-        x = tuple(xs.get(i, 0) for i in range(1, table.n + 1))
-        if table.scheme == ALMOST_DI:
-            key: tuple = (x, e)
-        else:
-            if b_signed or ys:
-                y: tuple | str = tuple(ys.get(i, 0) for i in range(1, table.n + 1))
-            else:
-                y = PERP
-            key = (x, e, y)
-        value = table.signed_sum(key, a_signed, b_signed, l=l, r=r)
-        if renormalize:
-            weight = table.signed_sum(key, (), (), l=l, r=r)
-            if weight <= ZERO_WEIGHT_TOL:
-                raise ZeroProbabilityEvent(_event_label(table.n, l=l, r=r), weight)
-            value /= weight
-        total += coeff * value
-    return total
+    weights = correlator_weights(table.scheme, table.n, assignment, e=e, l=l, r=r)
+    rows = {key: table.array(key) for key in weights}
+    event = event_label(table.n, l=l, r=r) if renormalize else None
+    return weighted_sum(rows, event_index(table.scheme, table.n, l=l, r=r), weights, event)
 
 
 # --- serialization ---------------------------------------------------------
@@ -721,7 +796,7 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
     if missing:
         rows = len(missing) + len(arrays)
         raise ValueError(f"table lacks {len(missing)} of {rows} settings rows, the first is {missing[0]}")
-    return ProbabilityTable(scheme, n, arrays)
+    return ProbabilityTable._adopt(scheme, n, arrays)
 
 
 def load_table(path: str) -> ProbabilityTable:

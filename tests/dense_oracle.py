@@ -15,6 +15,15 @@ parties' observables, and ``steered_state`` is the normalized state left
 on the unmeasured sites by a conditioning.  Both read the realization's
 operators directly and write out the rotated combinations themselves, so
 they share nothing with ``expectation`` or ``primitives.EXPANSION``.
+
+``loop_table_rows`` is the loop certifier, kept as the oracle of the check
+matrix in ``gatecert.certify``: every table-level check row computed the way
+the package did before the check matrix, one table pass per Pauli word and
+per expanded setting.  Its helpers ``loop_signed_sum``,
+``loop_expectation``, ``loop_evaluate`` and ``loop_f_coeffs`` are the
+package's former ``ProbabilityTable.signed_sum``, ``expectation``,
+``evaluate`` and ``f_coeffs``, with ``primitives.EXPANSION`` replaced by the
+weights written out below.
 """
 
 from __future__ import annotations
@@ -23,8 +32,23 @@ from itertools import product
 
 import numpy as np
 
-from gatecert.network import DI, PERP, ProbabilityTable, Realization, _state_with_eve, validate_realization
-from gatecert.primitives import SettingSymbol
+from gatecert.bell import functional_I, functional_K, k_sign_bits
+from gatecert.certify import CheckRow
+from gatecert.decomp import delta_set
+from gatecert.network import (
+    ALMOST_DI,
+    DI,
+    PERP,
+    ZERO_WEIGHT_TOL,
+    ProbabilityTable,
+    Realization,
+    ZeroProbabilityEvent,
+    _parse_assignment,
+    _state_with_eve,
+    event_label,
+    validate_realization,
+)
+from gatecert.primitives import SettingSymbol, ghz_bits, pauli
 from gatecert.tensor import apply_raw
 
 S = SettingSymbol
@@ -144,3 +168,248 @@ def steered_state(real: Realization, *, e=0, r=None, l=None) -> np.ndarray:
     chi_m = np.moveaxis(chi.reshape(dims), keep, range(len(keep))).reshape(kdim, -1)
     psi_m = np.moveaxis(psi.reshape(dims), keep, range(len(keep))).reshape(kdim, -1)
     return chi_m @ psi_m.conj().T / float(np.real(np.vdot(psi, chi)))
+
+
+# --- the loop certifier ------------------------------------------------------
+
+
+def loop_f_coeffs(delta) -> np.ndarray:
+    """Pauli coefficients of |delta><delta|, one Pauli word at a time."""
+    n = delta.n_sites
+    amps = delta.amplitudes
+    out = np.zeros((4,) * n)
+    singles = [pauli(i).entries for i in range(4)]
+    for idx in product(range(4), repeat=n):
+        vec = amps
+        for site, i in enumerate(idx):
+            if i != 3:
+                vec = apply_raw(vec, delta.dims, singles[i], [site])
+        val = np.vdot(amps, vec) / 2**n
+        assert abs(val.imag) <= 1e-12
+        out[idx] = val.real
+    return out
+
+
+def loop_signed_sum(table, key, a_signs=(), b_signs=(), l=None, r=None) -> float:
+    arr = table.array(key)
+    n = table.n
+    w = arr
+    for party in a_signs:
+        shape = [1] * arr.ndim
+        shape[party - 1] = 2
+        w = w * np.array([1.0, -1.0]).reshape(shape)
+    if r:
+        for subnet, k in r.items():
+            sel = np.zeros(4)
+            sel[int(k)] = 1.0
+            shape = [1] * arr.ndim
+            shape[n + subnet - 1] = 4
+            w = w * sel.reshape(shape)
+    lvec = np.ones(2**n)
+    if l is not None:
+        lvec = np.zeros(2**n)
+        lvec[int(l)] = 1.0
+    else:
+        for subnet in b_signs:
+            bits = np.array([ghz_bits(v, n)[subnet - 1] for v in range(2**n)])
+            lvec = lvec * (-1.0) ** bits
+    shape = [1] * arr.ndim
+    shape[-1] = 2**n
+    w = w * lvec.reshape(shape)
+    return float(w.sum())
+
+
+def loop_expectation(table, assignment, *, e, l=None, r=None, renormalize=True) -> float:
+    a_syms, b_syms = _parse_assignment(assignment, table.n, table.scheme)
+    combos: list[tuple[float, dict[int, int], dict[int, int]]] = [(1.0, {}, {})]
+    for party, sym in sorted(a_syms.items()):
+        if sym is SettingSymbol.ID:
+            continue
+        combos = [
+            (c * w, {**xs, party: setting}, ys)
+            for (c, xs, ys) in combos
+            for (w, setting) in _WEIGHTS[sym]
+        ]
+    for subnet, sym in sorted(b_syms.items()):
+        if sym is SettingSymbol.ID:
+            continue
+        combos = [
+            (c * w, xs, {**ys, subnet: setting})
+            for (c, xs, ys) in combos
+            for (w, setting) in _WEIGHTS[sym]
+        ]
+    a_signed = [p for p, s in a_syms.items() if s is not SettingSymbol.ID]
+    b_signed = [p for p, s in b_syms.items() if s is not SettingSymbol.ID]
+    total = 0.0
+    for coeff, xs, ys in combos:
+        x = tuple(xs.get(i, 0) for i in range(1, table.n + 1))
+        if table.scheme == ALMOST_DI:
+            key: tuple = (x, e)
+        else:
+            if b_signed or ys:
+                y: tuple | str = tuple(ys.get(i, 0) for i in range(1, table.n + 1))
+            else:
+                y = PERP
+            key = (x, e, y)
+        value = loop_signed_sum(table, key, a_signed, b_signed, l=l, r=r)
+        if renormalize:
+            weight = loop_signed_sum(table, key, (), (), l=l, r=r)
+            if weight <= ZERO_WEIGHT_TOL:
+                raise ZeroProbabilityEvent(event_label(table.n, l=l, r=r), weight)
+            value /= weight
+        total += coeff * value
+    return total
+
+
+def loop_evaluate(functional, table, *, e=0, l=None, r=None, renormalize=True) -> float:
+    return sum(
+        t.coeff * loop_expectation(table, t.assignment, e=e, l=l, r=r, renormalize=renormalize)
+        for t in functional.terms
+    )
+
+
+def _bits_label(bits) -> str:
+    return "".join(str(b) for b in bits)
+
+
+_A1_SYMBOLS = (SettingSymbol.T0, SettingSymbol.T1, SettingSymbol.T2, SettingSymbol.ID)
+_AI_SYMBOLS = (SettingSymbol.S0, SettingSymbol.S1, SettingSymbol.S2, SettingSymbol.ID)
+
+
+def _f_weighted_joint(table, u, l, *, e, r=None) -> float:
+    """Sum over Pauli words of f times the joint (unnormalized) correlator
+    restricted to the given box outcome."""
+    n = table.n
+    coeffs = loop_f_coeffs(delta_set(u)[l])
+    total = 0.0
+    for idx in np.ndindex(coeffs.shape):
+        c = float(coeffs[idx])
+        if abs(c) < 1e-15:
+            continue
+        assignment = {"A1": _A1_SYMBOLS[idx[0]]}
+        for i in range(2, n + 1):
+            assignment[f"A{i}"] = _AI_SYMBOLS[idx[i - 1]]
+        total += c * _joint(table, assignment, e=e, l=l, r=r)
+    return total
+
+
+def _joint(table, assignment, *, e, l, r=None):
+    return loop_expectation(table, assignment, e=e, l=l, r=r, renormalize=False)
+
+
+def _conditional_row(row_id: str, value, rhs: float, tol: float) -> CheckRow:
+    """Row for a conditional value, computed by ``value()``; a conditioning
+    event of probability zero gives a failing row that names the event."""
+    try:
+        return CheckRow(row_id, value(), rhs, tol)
+    except ZeroProbabilityEvent as err:
+        return CheckRow(row_id, 1.0, 0.0, 0.0, detail=f"{err.event} has probability {err.probability:.3g}")
+
+
+def _rows_step1_almost(table, tol):
+    n = table.n
+    rows = []
+    x0 = (0,) * n
+    for l in range(2**n):
+        bits = ghz_bits(l, n)
+        joint = loop_evaluate(functional_I(bits), table, e=0, l=l, renormalize=False)
+        rows.append(
+            CheckRow(f"step1.joint[{_bits_label(bits)}]", joint, 3 * (n - 1) / 2**n, tol)
+        )
+        rate = loop_signed_sum(table, (x0, 0), l=l)
+        rows.append(CheckRow(f"step1.rate[{_bits_label(bits)}]", rate, 1 / 2**n, tol))
+    return rows
+
+
+def _rows_step2_almost(table, u, tol):
+    n = table.n
+    rows = []
+    for l in range(2**n):
+        bits = ghz_bits(l, n)
+        value = _f_weighted_joint(table, u, l, e=1)
+        rows.append(CheckRow(f"step2.fsum[{_bits_label(bits)}]", value, 1 / 2**n, tol))
+    return rows
+
+
+def _rows_step1_di(table, tol):
+    n = table.n
+    rows = []
+    x0 = (0,) * n
+    for i in range(1, n + 1):
+        for k in range(4):
+            func = functional_K(i, k_sign_bits(k), n)
+            rows.append(
+                _conditional_row(
+                    f"step1.k[{i};{k}]", lambda: loop_evaluate(func, table, e=0, r={i: k}, renormalize=True), 2.0, tol
+                )
+            )
+            rate = loop_signed_sum(table, (x0, 0, PERP), r={i: k})
+            rows.append(CheckRow(f"step1.rate[{i};{k}]", rate, 0.25, tol))
+    return rows
+
+
+def _rows_step2_di(table, tol):
+    n = table.n
+    rows = []
+    x0 = (0,) * n
+    r0 = {i: 0 for i in range(1, n + 1)}
+    for l in range(2**n):
+        bits = ghz_bits(l, n)
+        joint = loop_evaluate(functional_I(bits), table, e=0, l=l, r=r0, renormalize=False)
+        rows.append(
+            CheckRow(
+                f"step2.joint[{_bits_label(bits)}]",
+                joint,
+                3 * (n - 1) / (2**n * 4**n),
+                tol,
+            )
+        )
+        rate = loop_signed_sum(table, (x0, 0, PERP), l=l, r=r0)
+        rows.append(CheckRow(f"step2.rate[{_bits_label(bits)}]", rate, 1 / (2**n * 4**n), tol))
+    return rows
+
+
+def _rows_step3_di(table, u, tol):
+    n = table.n
+    r0 = {i: 0 for i in range(1, n + 1)}
+    rows = []
+    for l in range(2**n):
+        bits = ghz_bits(l, n)
+        value = _f_weighted_joint(table, u, l, e=1, r=r0)
+        rows.append(CheckRow(f"step3.fsum[{_bits_label(bits)}]", value, 1 / 2**(3 * n), tol))
+    return rows
+
+
+def _rows_branch(table, tol):
+    n = table.n
+    r0 = {i: 0 for i in range(1, n + 1)} if table.scheme == DI else None
+    rows = []
+    mixed = False
+    for i in range(2, n + 1):
+        assignment = {"A1": SettingSymbol.S2, f"A{i}": SettingSymbol.S2}
+        for j in range(2, n + 1):
+            if j != i:
+                assignment[f"A{j}"] = SettingSymbol.S1
+        row = _conditional_row(
+            f"branch.pair[1,{i}]", lambda: -loop_expectation(table, assignment, e=0, l=0, r=r0, renormalize=True), 1.0, tol
+        )
+        rows.append(row)
+        if row.lhs < 0:
+            mixed = True
+    return rows, ("mixed" if mixed else "undetermined")
+
+
+def loop_table_rows(table, u, tol) -> tuple[list[CheckRow], str]:
+    """Every table-level check row, sorted by id, and the table's branch."""
+    rows = []
+    if table.scheme == ALMOST_DI:
+        rows += _rows_step1_almost(table, tol)
+        rows += _rows_step2_almost(table, u, tol)
+    else:
+        rows += _rows_step1_di(table, tol)
+        rows += _rows_step2_di(table, tol)
+        rows += _rows_step3_di(table, u, tol)
+    branch_rows, branch = _rows_branch(table, tol)
+    rows += branch_rows
+    rows.sort(key=lambda r: r.id)
+    return rows, branch

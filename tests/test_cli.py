@@ -164,6 +164,41 @@ def test_certify_table_scheme_must_match(tmp_path, capsys):
     assert "--scheme di does not match table scheme=almost_di" in capsys.readouterr().err
 
 
+def test_certify_table_rejects_realization_flags(tmp_path, capsys):
+    """A table fixes the statistics: --adversary and --branch cannot apply
+    to it and exit 2 with a reason instead of being ignored."""
+    run = tmp_path / "run"
+    assert main(["simulate", "--scheme", "di", "--n", "2", "--gate", "cnot", "--out", str(run)]) == 0
+    adv = tmp_path / "adv.json"
+    save_adversary(AdversarySpec("conjugate"), str(adv))
+    path = str(run / "table.jsonl")
+    capsys.readouterr()
+    for extra, flag in ((["--adversary", str(adv)], "--adversary"), (["--branch", "minus"], "--branch"),
+                        (["--branch", "plus"], "--branch")):
+        assert main(["certify", "--gate", "cnot", "--table", path] + extra) == 2
+        assert f"error: {flag} does not apply with --table" in capsys.readouterr().err
+    assert main(["certify", "--gate", "cnot", "--table", path]) == 0
+    assert main(["certify", "--scheme", "di", "--n", "2", "--gate", "cnot", "--branch", "minus"]) == 0
+
+
+def test_certify_explain_prints_check_weights(tmp_path, capsys):
+    assert main(["certify", "--n", "2", "--gate", "cnot", "--explain", "step1.rate[01]"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "step1.rate[01]: expected 0.25"
+    assert lines[1] == "row x=(0, 0) e=0: 4 nonzero weights at (a_1, a_2, l)"
+    assert lines[2:] == [f"  ({a1}, {a2}, 1) 1.0" for a1 in (0, 1) for a2 in (0, 1)]
+    run = tmp_path / "run"
+    assert main(["simulate", "--scheme", "di", "--n", "2", "--gate", "cz", "--out", str(run)]) == 0
+    capsys.readouterr()
+    path = str(run / "table.jsonl")
+    assert main(["certify", "--gate", "cz", "--table", path, "--explain", "step1.k[2;1]"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("step1.k[2;1]: expected 2.0; each row's value is divided by the row's probability of r_2=1")
+    assert "row x=(0, 1) e=0 y=(0, 1):" in out
+    assert main(["certify", "--gate", "cz", "--table", path, "--explain", "extract.unitary"]) == 2
+    assert "error: unknown check id 'extract.unitary'; the table checks are branch.pair[1,2], " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--op-tol", "-1"), ("--op-tol", "0"), ("--op-tol", "nan")],

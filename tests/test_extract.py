@@ -1,10 +1,12 @@
 """Local frame extraction and the operator-level certification identities."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gatecert import extract
 from gatecert.adversary import conjugate, dilate
 from gatecert.extract import (
     branch_of,
@@ -23,7 +25,8 @@ from gatecert.extract import (
     verify_effective_measurements,
     verify_unitary_certificate,
 )
-from gatecert.network import ALMOST_DI, DI, reference_realization
+from gatecert.certify import certify
+from gatecert.network import ALMOST_DI, DI, born_table, reference_realization
 from gatecert.primitives import gate, haar_unitary, ref_observable
 from gatecert.tensor import Operator, StateVector
 
@@ -229,3 +232,39 @@ def test_mixed_branch_has_no_comparison_target():
     mixed = replace(real, a_obs=(real.a_obs[0], (real.a_obs[1][0], real.a_obs[1][1], third)))
     with pytest.raises(ValueError):
         verify_unitary_certificate(mixed, gate("cz", 2))
+
+
+def test_certify_computes_shared_extraction_pieces_once(monkeypatch):
+    """One ``Extraction`` serves every operator-level row of a report: the
+    frames, branch, targets, effective elements, support of the collective
+    state (di only) and GHZ blocks are computed once, and the rows equal
+    the steps run on their own."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(extract, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = ("extract_all", "branch_of", "delta_set", "_box_elements", "_collective_state", "_ghz_blocks")
+    for name in names:
+        monkeypatch.setattr(extract, name, counted(name))
+    u = gate("random", 2, seed=6)
+    for scheme, junk in ((ALMOST_DI, 2), (DI, 1)):
+        real = dilate(reference_realization(2, u, scheme=scheme), junk_dim=junk, seed=3)
+        calls.clear()
+        rows = {c.id: c.lhs for c in certify(born_table(real), u, realization=real).checks}
+        once = {name: 1 for name in names}
+        if scheme == ALMOST_DI:
+            once["_collective_state"] = 0  # almost_di checks never restrict to the support
+        assert calls == Counter(once)
+        dists, _ = verify_effective_measurements(real, u)
+        alone = {f"extract.meas[{l:02b}]": dists[l] for l in range(4)}
+        alone["extract.unitary"] = verify_unitary_certificate(real, u)[0]
+        alone["extract.blocks"] = f_block_structure(real, u)[0]
+        alone["extract.fidelity"] = extraction_fidelity(real, u)[0]
+        assert all(abs(rows[key] - value) <= 1e-13 for key, value in alone.items())

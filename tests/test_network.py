@@ -337,6 +337,25 @@ def test_probability_table_shape_guard():
         ProbabilityTable(ALMOST_DI, 2, {((0, 0), 0): np.zeros((2, 2, 3))})
 
 
+def test_table_arrays_are_read_only_and_unaliased():
+    """The constructor copies a caller's arrays, so changing them later
+    leaves the table as it was; the arrays ``born_table`` and
+    ``read_table`` hand over are stored without a copy, read-only too."""
+    table = born_table(reference_realization(2, gate("cz", 2), scheme=DI))
+    mine = {key: np.array(table.array(key)) for key in table.keys()}
+    copied = ProbabilityTable(DI, 2, mine)
+    for arr in mine.values():
+        arr[...] = 0.0
+    assert copied.max_difference(table) == 0.0
+    buf = io.StringIO()
+    write_table(table, buf)
+    for t in (table, copied, read_table(io.StringIO(buf.getvalue()))):
+        for key in t.keys():
+            assert not t.array(key).flags.writeable
+            with pytest.raises(ValueError):
+                t.array(key)[(0,) * t.array(key).ndim] = 1.0
+
+
 def test_max_difference_sees_every_entry():
     table = born_table(reference_realization(2, gate("cz", 2)))
     entries = {key: np.array(table.array(key)) for key in table.keys()}
