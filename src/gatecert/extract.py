@@ -6,6 +6,14 @@ frame defines a swap isometry K mapping the site into qubit (x) junk; the
 grouped isometries turn the network's effective measurements into explicit
 qubit operators that can be compared entrywise against the ideal ones.
 
+The grouped isometry W of a collection is held as (2^N, dj, D): qubit
+index, junk index, input.  Every operator-level check is a contraction on
+its first axis: for a qubit state s, B = (<s| (x) 1) W is a (dj, D) matrix
+and the pull-back W^dagger (|s><s| (x) 1) W is B^dagger B, so no operator
+lifted by the junk identity, of size (2^N dj)^2, is ever formed.  The GHZ
+blocks of W Vbar^dagger W^dagger, which hold (2^N dj)^2 entries, are walked
+a few rows at a time with W^dagger applied site by site.
+
 Branch convention: a realization built with V = conj(U) ("plus") steers the
 joint box toward the complex-conjugated images of the rotated basis states,
 so the comparison targets are conj(delta_l); with V = U ("minus") they are
@@ -17,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -239,8 +248,8 @@ def detect_branch_signs(real: Realization, frames: LocalFrames | None = None) ->
     for i in range(1, real.n + 1):
         k = frames.a[i - 1].isometry()
         d = frames.a[i - 1].z.shape[0]
-        lifted = k @ real.a_obs[i - 1][2].entries @ k.conj().T
-        val = float(np.real(np.trace(np.kron(y, np.eye(d)) @ lifted)))
+        lifted = (k @ real.a_obs[i - 1][2].entries @ k.conj().T).reshape(2, d, 2, d)
+        val = float(np.real(np.einsum("ab,bjaj->", y, lifted)))
         if abs(val) < 1e-10:
             raise ValueError(f"party {i}: third observable has no overlap with the frame's y-direction")
         signs.append(1 if val > 0 else -1)
@@ -264,19 +273,6 @@ def _targets(u: Operator, branch: str) -> list[np.ndarray]:
     if branch == "minus":
         return [d.amplitudes.copy() for d in deltas]
     raise ValueError(f"no consistent comparison target for branch {branch!r}")
-
-
-def effective_elements(real: Realization, support_tol: float = SUPPORT_TOL) -> tuple[list[np.ndarray], np.ndarray]:
-    """Effective joint-box elements on the collective Eve acts on.
-
-    For ``almost_di`` these are V^dagger M_l V on the L collective.  For
-    ``di`` the box is teleported: E_l is the subnormalized element on the
-    R_{*,1} collective obtained by projecting every repeater on outcome 0
-    and the joint box on l, traced against the L-side sources; each E_l is
-    rescaled by its largest eigenvalue.  Also returns the projector onto
-    the support of the collective's reduced state.
-    """
-    return _box_elements(real, support_tol), support_projector(_collective_state(real), support_tol)
 
 
 def _box_elements(real: Realization, support_tol: float = SUPPORT_TOL) -> list[np.ndarray]:
@@ -352,12 +348,15 @@ def _teleported_element(real: Realization, l: int) -> np.ndarray:
 class Extraction:
     """The operator-level checks of one realization against a target gate.
 
-    What the checks share is computed once, on first use: the local frames,
-    the branch, the comparison targets, the grouped isometry W of the
-    collection Eve acts on, the support of the collective state, Eve's
-    operation Vbar restricted to that support, the GHZ blocks of
-    W Vbar^dagger W^dagger and the junk floor.  The effective box elements
-    serve one check and are not kept.  ``u`` may be None when only the
+    The checks contract W on its qubit axis (see the module docstring).
+    What they share is computed once, on first use: the local frames, the
+    branch, the comparison targets and their coefficients in the ideal
+    basis, the support of the collective state, Eve's operation Vbar
+    restricted to that support, the rows C_i = (<phi_i| (x) 1) W of the
+    ideal basis, C_i Vbar^dagger and the junk floor.  W is not kept: a
+    target's row (<target_l| (x) 1) W is a combination of the C_i.  Target
+    pull-backs, box elements and GHZ blocks are formed one outcome, or a few
+    rows, at a time and not kept.  ``u`` may be None when only the
     extracted gate is wanted.
     """
 
@@ -378,14 +377,6 @@ class Extraction:
         return _targets(self.u, self.branch)
 
     @cached_property
-    def w(self) -> np.ndarray:
-        return self.frames.grouped(self.collection)
-
-    @property
-    def dj(self) -> int:
-        return self.w.shape[0] // 2**self.real.n
-
-    @cached_property
     def support(self) -> np.ndarray:
         return support_projector(_collective_state(self.real))
 
@@ -396,9 +387,29 @@ class Extraction:
         return _restricted_eve(self.real, self.support)
 
     @cached_property
-    def blocks(self) -> np.ndarray:
-        lifted = self.w @ self.vbar.conj().T @ self.w.conj().T
-        return _ghz_blocks(lifted, ghz_basis(self.real.n), self.dj)
+    def coeffs(self) -> np.ndarray:
+        """coeffs[i, l] = <phi_i|target_l>: the targets in the ideal basis."""
+        return ghz_basis(self.real.n).conj().T @ np.array(self.targets).T
+
+    @cached_property
+    def basis_rows(self) -> np.ndarray:
+        """C_i = (<phi_i| (x) 1) W for the ideal basis states, (2^N, dj, D)."""
+        w = self.frames.grouped(self.collection)
+        return np.tensordot(ghz_basis(self.real.n).conj(), w.reshape(2**self.real.n, -1, w.shape[1]), axes=(0, 0))
+
+    @cached_property
+    def adjoint_rows(self) -> np.ndarray:
+        """C_i Vbar^dagger, the row-blocks of W Vbar^dagger W^dagger before
+        the columns are rotated into the ideal basis."""
+        return self.basis_rows @ self.vbar.conj().T
+
+    def _target_pullbacks(self) -> Iterator[np.ndarray]:
+        """W^dagger (|target_l><target_l| (x) 1) W for each outcome l in
+        turn, as B_l^dagger B_l with B_l = (<target_l| (x) 1) W, which is
+        sum_i conj(coeffs[i, l]) C_i."""
+        for c in self.coeffs.T:
+            b = np.tensordot(c.conj(), self.basis_rows, axes=(0, 0))
+            yield b.conj().T @ b
 
     @cached_property
     def junk_floor(self) -> np.ndarray:
@@ -411,14 +422,8 @@ class Extraction:
         """Entrywise distances between the realized effective box elements
         and the frame pull-backs of the ideal rotated projectors, one per
         outcome l."""
-        targets, w, dj = self.targets, self.w, self.dj
-        dists = []
-        for l, el in enumerate(_box_elements(self.real)):
-            t = targets[l]
-            proj = np.outer(t, t.conj())
-            pull = w.conj().T @ np.kron(proj, np.eye(dj)) @ w
-            dists.append(float(np.max(np.abs(self._on_support(el) - self._on_support(pull)))))
-        return np.array(dists)
+        pairs = zip(_box_elements(self.real), self._target_pullbacks())
+        return np.array([float(np.max(np.abs(self._on_support(el) - self._on_support(g)))) for el, g in pairs])
 
     def unitary_certificate(self) -> float:
         """Entrywise distance certifying Eve's operation itself.
@@ -427,17 +432,12 @@ class Extraction:
         and of the rotated target projectors, a faithful realization
         satisfies V^dagger F_l V = G_l for every l; the certificate is the
         worst entrywise deviation (Eve restricted to the collective's
-        support)."""
-        targets, w, dj, vbar = self.targets, self.w, self.dj, self.vbar
-        basis = ghz_basis(self.real.n)
+        support).  F_l = C_l^dagger C_l, so V^dagger F_l V is the Gram
+        matrix of C_l V."""
         worst = 0.0
-        for l in range(2**self.real.n):
-            phi = basis[:, l]
-            f_op = w.conj().T @ np.kron(np.outer(phi, phi.conj()), np.eye(dj)) @ w
-            t = targets[l]
-            g_op = w.conj().T @ np.kron(np.outer(t, t.conj()), np.eye(dj)) @ w
-            lhs = vbar.conj().T @ f_op @ vbar
-            worst = max(worst, float(np.max(np.abs(lhs - self._on_support(g_op)))))
+        for c, g in zip(self.basis_rows, self._target_pullbacks()):
+            cv = c @ self.vbar
+            worst = max(worst, float(np.max(np.abs(cv.conj().T @ cv - self._on_support(g)))))
         return worst
 
     def block_deviation(self) -> float:
@@ -447,30 +447,30 @@ class Extraction:
         junk-sized blocks indexed by ideal basis states, block (i, l) of a
         faithful realization equals <phi_i|target_l> times one fixed
         positive junk operator (x)_j K_{j,0} K_{j,0}^dagger."""
-        targets, blocks, q = self.targets, self.blocks, self.junk_floor
-        basis = ghz_basis(self.real.n)
+        basis, q = ghz_basis(self.real.n), self.junk_floor
+        ks = [f.isometry() for f in getattr(self.frames, self.collection)]
+        step = -(-q.shape[0] // 2**self.real.n)  # rows per pass: about one dj x dj block's worth of entries
         worst = 0.0
-        for i in range(2**self.real.n):
-            phi = basis[:, i]
-            for l in range(2**self.real.n):
-                coeff = complex(np.vdot(phi, targets[l]))
-                dev = float(np.max(np.abs(blocks[i, :, l, :] - coeff * q)))
-                worst = max(worst, dev)
+        for r, row_coeffs in zip(self.adjoint_rows, self.coeffs):
+            for a in range(0, q.shape[0], step):
+                # blocks[:, l] = rows a.. of C_i Vbar^dagger C_l^dagger
+                blocks = basis.T @ _times_w_adjoint(r[a : a + step], ks)
+                blocks -= row_coeffs[:, None] * q[a : a + step, None, :]
+                worst = max(worst, float(np.max(np.abs(blocks))))
         return worst
 
     def gate(self) -> np.ndarray:
         """Gate read out of the realization through the local frames.
 
-        The junk-traced blocks of W Vbar^dagger W^dagger give the matrix of
-        the adjoint target in the ideal basis; undoing the basis change and
-        the branch conjugation yields the gate on qubits, unitarized
-        through the polar decomposition."""
+        The junk traces of the blocks of W Vbar^dagger W^dagger give the
+        matrix of the adjoint target in the ideal basis; undoing the basis
+        change and the branch conjugation yields the gate on qubits,
+        unitarized through the polar decomposition."""
         branch = self.branch
         n = self.real.n
-        blocks, q = self.blocks, self.junk_floor
         basis = ghz_basis(n)
-        qn = float(np.real(np.trace(q)))
-        m = np.einsum("ikjk->ij", blocks) / qn
+        qn = float(np.real(np.trace(self.junk_floor)))
+        m = np.einsum("iad,lad->il", self.adjoint_rows, self.basis_rows.conj(), optimize=True) / qn
         # m[i, l] = <phi_i| target_l>: columns are the rotated basis images
         images = basis @ m  # column l = target_l in the computational basis
         # target_l = W_branch(U)^dagger phi_l with W_plus = conj, W_minus = id
@@ -490,6 +490,22 @@ class Extraction:
         return float(overlap)
 
 
+def _times_w_adjoint(r: np.ndarray, ks: list[np.ndarray]) -> np.ndarray:
+    """r W^dagger for r of shape (m, D), with W the grouped isometry of the
+    per-site isometries ``ks``: each site's K^dagger acts on its own leg,
+    last site first, so W^dagger is never formed.  Returns (m, 2^N, dj)."""
+    m, n = r.shape[0], len(ks)
+    dims = [k.shape[1] for k in ks]
+    t, after = r, 1
+    for k, d in zip(ks[::-1], dims[::-1]):
+        t = np.matmul(k.conj(), t.reshape(-1, d, after))
+        after *= 2 * d
+    # legs (m, q_1, j_1, ..., q_N, j_N), regrouped as in grouped_isometry
+    t = t.reshape([m] + [x for d in dims for x in (2, d)])
+    t = t.transpose([0] + [1 + 2 * s for s in range(n)] + [2 + 2 * s for s in range(n)])
+    return t.reshape(m, 2**n, -1)
+
+
 def _restricted_eve(real: Realization, support: np.ndarray) -> np.ndarray:
     """Eve's operation compressed to the support of the collective state.
     On full support this is just V."""
@@ -497,15 +513,6 @@ def _restricted_eve(real: Realization, support: np.ndarray) -> np.ndarray:
     if np.max(np.abs(support - eye)) < 1e-12:
         return real.eve.entries
     return support @ real.eve.entries @ support
-
-
-def _ghz_blocks(lifted: np.ndarray, basis: np.ndarray, dj: int) -> np.ndarray:
-    """Rotate the qubit factor of a (qubits (x) junk) operator into the
-    ideal basis and expose the junk-sized blocks."""
-    d = basis.shape[0]
-    rot = np.kron(basis, np.eye(dj))
-    rotated = rot.conj().T @ lifted @ rot
-    return rotated.reshape(d, dj, d, dj)
 
 
 # Each check on its own, with the detected branch.

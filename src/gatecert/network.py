@@ -47,6 +47,7 @@ import json
 import math
 import os
 import re
+import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import product
@@ -192,8 +193,25 @@ class Realization:
         return SiteLayout(self.scheme, self.n, dims)
 
 
+# Realizations that passed ``validate_realization`` at the default tolerance,
+# by id.  A realization and its operators are frozen and read-only, so a
+# pass stays valid for the object's lifetime; the weak values drop an entry
+# when its realization is collected, before its id can be reused.
+_VALIDATED: weakref.WeakValueDictionary[int, Realization] = weakref.WeakValueDictionary()
+
+
 def validate_realization(real: Realization, tol: float = VALIDATE_TOL) -> None:
-    """Check structural and operator invariants; raises ValueError on failure."""
+    """Check structural and operator invariants; raises ValueError on failure.
+
+    At the default ``tol`` each realization object is checked once."""
+    if tol != VALIDATE_TOL:
+        _validate(real, tol)
+    elif _VALIDATED.get(id(real)) is not real:
+        _validate(real, tol)
+        _VALIDATED[id(real)] = real
+
+
+def _validate(real: Realization, tol: float) -> None:
     n = real.n
     if real.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {real.scheme!r}")

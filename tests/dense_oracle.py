@@ -24,6 +24,15 @@ per expanded setting.  Its helpers ``loop_signed_sum``,
 package's former ``ProbabilityTable.signed_sum``, ``expectation``,
 ``evaluate`` and ``f_coeffs``, with ``primitives.EXPANSION`` replaced by the
 weights written out below.
+
+``kron_extract_rows`` is the lifted extractor, kept as the oracle of the
+operator-level rows of ``gatecert.extract.Extraction``: the effective
+measurement distances, the unitary certificate, the GHZ block deviation and
+the fidelity computed the way the package did before it contracted the
+grouped isometry W, by forming ``np.kron(projector, 1_dj)`` of size
+(2^N dj)^2 and multiplying it by W on both sides, and by materialising every
+GHZ block of W Vbar^dagger W^dagger.  It reads the shared pieces (frames,
+targets, W, Vbar, support, junk floor) from the ``Extraction``.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ import numpy as np
 from gatecert.bell import functional_I, functional_K, k_sign_bits
 from gatecert.certify import CheckRow
 from gatecert.decomp import delta_set
+from gatecert.extract import _box_elements
 from gatecert.network import (
     ALMOST_DI,
     DI,
@@ -48,8 +58,8 @@ from gatecert.network import (
     event_label,
     validate_realization,
 )
-from gatecert.primitives import SettingSymbol, ghz_bits, pauli
-from gatecert.tensor import apply_raw
+from gatecert.primitives import SettingSymbol, ghz_basis, ghz_bits, pauli
+from gatecert.tensor import Operator, apply_raw, polar_unitary
 
 S = SettingSymbol
 # setting symbol -> ((weight, base setting), ...), with T0 = (S0 - S1)/sqrt2
@@ -413,3 +423,98 @@ def loop_table_rows(table, u, tol) -> tuple[list[CheckRow], str]:
     rows += branch_rows
     rows.sort(key=lambda r: r.id)
     return rows, branch
+
+
+# --- the lifted extractor ----------------------------------------------------
+
+
+def _kron_w(ext):
+    """The grouped isometry W, (2^N dj, D), and dj."""
+    w = ext.frames.grouped(ext.collection)
+    return w, w.shape[0] // 2**ext.real.n
+
+
+def kron_measurement_distances(ext) -> np.ndarray:
+    targets, (w, dj) = ext.targets, _kron_w(ext)
+    dists = []
+    for l, el in enumerate(_box_elements(ext.real)):
+        t = targets[l]
+        proj = np.outer(t, t.conj())
+        pull = w.conj().T @ np.kron(proj, np.eye(dj)) @ w
+        dists.append(float(np.max(np.abs(ext._on_support(el) - ext._on_support(pull)))))
+    return np.array(dists)
+
+
+def kron_unitary_certificate(ext) -> float:
+    targets, (w, dj), vbar = ext.targets, _kron_w(ext), ext.vbar
+    basis = ghz_basis(ext.real.n)
+    worst = 0.0
+    for l in range(2**ext.real.n):
+        phi = basis[:, l]
+        f_op = w.conj().T @ np.kron(np.outer(phi, phi.conj()), np.eye(dj)) @ w
+        t = targets[l]
+        g_op = w.conj().T @ np.kron(np.outer(t, t.conj()), np.eye(dj)) @ w
+        lhs = vbar.conj().T @ f_op @ vbar
+        worst = max(worst, float(np.max(np.abs(lhs - ext._on_support(g_op)))))
+    return worst
+
+
+def _ghz_blocks(lifted: np.ndarray, basis: np.ndarray, dj: int) -> np.ndarray:
+    """Rotate the qubit factor of a (qubits (x) junk) operator into the
+    ideal basis and expose the junk-sized blocks."""
+    d = basis.shape[0]
+    rot = np.kron(basis, np.eye(dj))
+    rotated = rot.conj().T @ lifted @ rot
+    return rotated.reshape(d, dj, d, dj)
+
+
+def kron_blocks(ext) -> np.ndarray:
+    w, dj = _kron_w(ext)
+    lifted = w @ ext.vbar.conj().T @ w.conj().T
+    return _ghz_blocks(lifted, ghz_basis(ext.real.n), dj)
+
+
+def kron_block_deviation(ext, blocks) -> float:
+    targets, q = ext.targets, ext.junk_floor
+    basis = ghz_basis(ext.real.n)
+    worst = 0.0
+    for i in range(2**ext.real.n):
+        phi = basis[:, i]
+        for l in range(2**ext.real.n):
+            coeff = complex(np.vdot(phi, targets[l]))
+            dev = float(np.max(np.abs(blocks[i, :, l, :] - coeff * q)))
+            worst = max(worst, dev)
+    return worst
+
+
+def kron_gate(ext, blocks) -> np.ndarray:
+    branch = ext.branch
+    n = ext.real.n
+    q = ext.junk_floor
+    basis = ghz_basis(n)
+    qn = float(np.real(np.trace(q)))
+    m = np.einsum("ikjk->ij", blocks) / qn
+    images = basis @ m
+    gate_adj = images @ basis.conj().T
+    if branch == "plus":
+        gate = gate_adj.T
+    elif branch == "minus":
+        gate = gate_adj.conj().T
+    else:
+        raise ValueError("realization mixes branch signs across parties")
+    return polar_unitary(Operator(gate, (2,) * n)).entries
+
+
+def kron_extract_rows(ext) -> dict[str, float]:
+    """Every operator-level row value of ``ext``, by row id."""
+    n = ext.real.n
+    rows = {
+        f"extract.meas[{_bits_label(ghz_bits(l, n))}]": float(d)
+        for l, d in enumerate(kron_measurement_distances(ext))
+    }
+    rows["extract.unitary"] = kron_unitary_certificate(ext)
+    blocks = kron_blocks(ext)
+    rows["extract.blocks"] = kron_block_deviation(ext, blocks)
+    g = kron_gate(ext, blocks)
+    rows["extract.fidelity"] = float(abs(np.trace(g.conj().T @ ext.u.entries) / 2**n) ** 2)
+    return rows

@@ -24,15 +24,19 @@ def _transform(draw, real, kind, junk_dims):
 
 
 @st.composite
-def realizations(draw):
-    """Random n=2 gate in either scheme and branch under any adversary;
-    depolarize is drawn for almost_di only and di dilations carry no junk,
-    which keeps each example cheap for the dense oracle."""
-    kind = draw(st.sampled_from(ADVERSARY_KINDS))
-    scheme = ALMOST_DI if kind == "depolarize" else draw(st.sampled_from(SCHEMES))
+def realizations(draw, kinds=ADVERSARY_KINDS, junk_dims=None):
+    """Random n=2 gate in either scheme and branch under any adversary of
+    ``kinds``.  By default depolarize is drawn for almost_di only and di
+    dilations carry no junk, which keeps each example cheap for the dense
+    Born oracle; ``junk_dims`` lifts both limits and gives every dilation's
+    junk dimension."""
+    kind = draw(st.sampled_from(kinds))
+    scheme = ALMOST_DI if kind == "depolarize" and junk_dims is None else draw(st.sampled_from(SCHEMES))
     branch = draw(st.sampled_from((+1, -1)))
     real = reference_realization(2, gate("random", 2, seed=draw(SEEDS)), branch=branch, scheme=scheme)
-    return _transform(draw, real, kind, st.just(1) if scheme == DI else st.integers(1, 2))
+    if junk_dims is None:
+        junk_dims = st.just(1) if scheme == DI else st.integers(1, 2)
+    return _transform(draw, real, kind, junk_dims)
 
 
 @st.composite

@@ -11,7 +11,6 @@ from gatecert.adversary import conjugate, dilate
 from gatecert.extract import (
     branch_of,
     detect_branch_signs,
-    effective_elements,
     extract_all,
     extracted_gate,
     extraction_fidelity,
@@ -159,7 +158,7 @@ def test_branch_detection():
 
 def test_effective_elements_reference_almost():
     real = reference_realization(2, gate("swap", 2))
-    elements, support = effective_elements(real)
+    elements, support = extract._box_elements(real), extract.Extraction(real, None).support
     assert len(elements) == 4
     assert np.allclose(support, np.eye(4), atol=1e-12)
     total = sum(elements)
@@ -237,21 +236,28 @@ def test_mixed_branch_has_no_comparison_target():
 def test_certify_computes_shared_extraction_pieces_once(monkeypatch):
     """One ``Extraction`` serves every operator-level row of a report: the
     frames, branch, targets, effective elements, support of the collective
-    state (di only) and GHZ blocks are computed once, and the rows equal
-    the steps run on their own."""
+    state (di only) and the grouped isometry W, from which the ideal-basis
+    rows of the GHZ blocks are contracted, are computed once, and the rows
+    equal the steps run on their own."""
     calls = Counter()
+    collective = []
 
     def counted(name):
         fn = getattr(extract, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if name == "_collective_state":
+                collective.append(out)
+            elif name == "support_projector" and any(args[0] is rho for rho in collective):
+                calls["collective support"] += 1
+            return out
 
         return wrapper
 
-    names = ("extract_all", "branch_of", "delta_set", "_box_elements", "_collective_state", "_ghz_blocks")
-    for name in names:
+    names = ("extract_all", "branch_of", "delta_set", "_box_elements", "_collective_state", "grouped_isometry")
+    for name in names + ("support_projector",):
         monkeypatch.setattr(extract, name, counted(name))
     u = gate("random", 2, seed=6)
     for scheme, junk in ((ALMOST_DI, 2), (DI, 1)):
@@ -261,6 +267,10 @@ def test_certify_computes_shared_extraction_pieces_once(monkeypatch):
         once = {name: 1 for name in names}
         if scheme == ALMOST_DI:
             once["_collective_state"] = 0  # almost_di checks never restrict to the support
+        else:
+            once["collective support"] = 1
+        site_supports = calls.pop("support_projector") - calls["collective support"]
+        assert site_supports == (2 if scheme == ALMOST_DI else 4) * real.n  # one per frame in extract_all
         assert calls == Counter(once)
         dists, _ = verify_effective_measurements(real, u)
         alone = {f"extract.meas[{l:02b}]": dists[l] for l in range(4)}

@@ -1,0 +1,73 @@
+"""The operator-level rows of ``extract.Extraction`` against the lifted
+extractor in ``dense_oracle.py``.
+
+``Extraction`` contracts the grouped isometry W on its qubit axis and walks
+the GHZ blocks a few rows at a time; the oracle forms ``np.kron(projector,
+1_dj)`` and every block.  Property cases draw random n=2 gates in both
+schemes and both branches, dilated with junk dimension 1 to 3 or depolarized
+(see ``strategies.realizations``), each checked against a random gate, cnot
+and the gate extracted from it; fixed cases cover n=3.  Every row must be
+within ``ROW_TOL`` of the oracle's: the two sum the same products in another
+order.  A last test guards the memory of the depolarized n=3 case, which
+the lifted extractor needs over 1 GB for.
+"""
+
+import tracemalloc
+
+import pytest
+from dense_oracle import kron_extract_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import realizations
+
+from gatecert.adversary import depolarize_sources, dilate
+from gatecert.certify import _realization_rows, certify
+from gatecert.extract import OP_TOL, Extraction
+from gatecert.network import ALMOST_DI, DI, born_table, reference_realization
+from gatecert.primitives import gate
+from gatecert.tensor import Operator
+
+ROW_TOL = 1e-13
+
+
+def assert_matches_kron_oracle(real, targets):
+    for u in targets:
+        rows = {row.id: row.lhs for row in _realization_rows(real, u, OP_TOL)[0]}
+        assert rows.pop("extract.frames") == 0.0
+        want = kron_extract_rows(Extraction(real, u))
+        assert rows.keys() == want.keys()
+        for key, value in want.items():
+            assert abs(rows[key] - value) <= ROW_TOL, key
+
+
+def own_gate(real):
+    return Operator(Extraction(real, None).gate(), (2,) * real.n)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(realizations(kinds=("dilate", "depolarize"), junk_dims=st.integers(1, 3)))
+def test_extract_rows_match_kron_oracle(real):
+    assert_matches_kron_oracle(real, (gate("random", 2, seed=11), gate("cnot", 2), own_gate(real)))
+
+
+@pytest.mark.parametrize("scheme, junk", [(ALMOST_DI, 2), (DI, None)])
+def test_extract_rows_match_kron_oracle_three_subnets(scheme, junk):
+    u = gate("toffoli", 3)
+    real = reference_realization(3, u, scheme=scheme)
+    if junk is not None:
+        real = dilate(real, junk_dim=junk, seed=5)
+    assert_matches_kron_oracle(real, (u, gate("random", 3, seed=8)))
+
+
+def test_depolarized_three_subnets_fit_in_memory():
+    u = gate("toffoli", 3)
+    real = depolarize_sources(reference_realization(3, u), 0.05)
+    table = born_table(real)
+    tracemalloc.start()
+    try:
+        report = certify(table, u, realization=real)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "not-certified"
+    assert peak < 300 * 2**20

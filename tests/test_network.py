@@ -87,6 +87,31 @@ def test_validate_rejects_broken_parts():
         validate_realization(replace(real, eve=shrink))
 
 
+def test_realization_is_validated_once(monkeypatch):
+    """``born_table`` then realization-mode ``certify`` check each POVM of a
+    realization once; a copy of it, or another tolerance, is checked again."""
+    from gatecert import network
+    from gatecert.certify import certify
+
+    checked = []
+    check_povm = network._check_povm
+
+    def counted(elements, dim, what, tol):
+        checked.append(what)
+        check_povm(elements, dim, what, tol)
+
+    monkeypatch.setattr(network, "_check_povm", counted)
+    u = gate("cnot", 2)
+    for scheme, povms in ((ALMOST_DI, ["joint box"]), (DI, ["joint box", "repeater 1", "repeater 2"])):
+        real = reference_realization(2, u, scheme=scheme)
+        checked.clear()
+        assert certify(born_table(real), u, realization=real).verdict == "certified"
+        assert checked == povms
+        validate_realization(real, tol=1e-6)
+        validate_realization(replace(real, branch=real.branch))
+        assert checked == povms * 3
+
+
 def test_assemble_state_site_order_almost():
     """Sites come out as A1 .. AN, L1 .. LN."""
     # distinguishable sources: phi+ on subnet 1, (|01>+|10>)/sqrt2 on subnet 2
