@@ -15,18 +15,24 @@ correlations and must be caught:
   unit spectral norm.
 * ``depolarize``: pass one wing of each source through a depolarizing
   channel of strength eta, simulated exactly through a purification.
+
+Each kind is new sources plus one ``Realization.map_operators`` walk, in
+which every operator is lifted onto the junk of its sites (``dilate``,
+``depolarize``) or conjugated, or is ``dataclasses.replace`` of Eve's
+operation (``gauge_phase``, ``perturb``).
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import prod
 
 import numpy as np
 
 from .extract import teleported_elements
-from .network import ALMOST_DI, DI, Realization
+from .network import ALMOST_DI, Realization
 from .primitives import haar_unitary, pauli
 from .tensor import Operator, StateVector
 
@@ -120,27 +126,24 @@ def apply_adversary(real: Realization, spec: AdversarySpec) -> Realization:
     raise ValueError(f"unknown adversary kind {spec.kind!r}")
 
 
-def _embed_junk(entries: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
-    """O -> O (x) identity on per-site junk, with sites interleaved as
-    (d_1, j), (d_2, j), ..."""
-    if j == 1:
-        return entries.copy()
-    k = len(dims)
-    big = np.kron(entries, np.eye(j**k))
-    full = big.reshape(tuple(dims) + (j,) * k + tuple(dims) + (j,) * k)
-    perm = []
-    for i in range(k):
-        perm += [i, k + i]
-    perm = perm + [2 * k + p for p in perm]
-    d = int(np.prod(dims)) * j**k
-    return full.transpose(perm).reshape(d, d)
-
-
-def _rotate_op(entries: np.ndarray, ws: list[np.ndarray]) -> np.ndarray:
-    w = ws[0]
-    for m in ws[1:]:
-        w = np.kron(w, m)
-    return w @ entries @ w.conj().T
+def _lift(op: Operator, junk_per_site, rotations) -> Operator:
+    """O -> O (x) identity on junk of dimension ``junk_per_site[k]``, placed
+    right after site k of the operator.  ``rotations`` is None or one
+    unitary per lifted site; given, the result is conjugated by their
+    tensor product."""
+    dims, js = op.dims, tuple(junk_per_site)
+    k, big = len(dims), [d * j for d, j in zip(dims, js)]
+    entries = op.entries.copy()
+    if any(j > 1 for j in js):
+        full = np.kron(op.entries, np.eye(prod(js))).reshape(dims + js + dims + js)
+        perm = [p for i in range(k) for p in (i, k + i)]
+        entries = full.transpose(perm + [2 * k + p for p in perm]).reshape(prod(big), prod(big))
+    if rotations is not None:
+        w = rotations[0]
+        for m in rotations[1:]:
+            w = np.kron(w, m)
+        entries = w @ entries @ w.conj().T
+    return Operator(entries, tuple(big))
 
 
 def dilate(real: Realization, junk_dim: int, seed: int = 0, rotate: bool = True) -> Realization:
@@ -154,7 +157,6 @@ def dilate(real: Realization, junk_dim: int, seed: int = 0, rotate: bool = True)
     if junk_dim < 1:
         raise ValueError(f"junk dimension must be >= 1, got {junk_dim}")
     rng = np.random.default_rng(seed)
-    n = real.n
     j = junk_dim
 
     def junk_state() -> np.ndarray:
@@ -163,105 +165,26 @@ def dilate(real: Realization, junk_dim: int, seed: int = 0, rotate: bool = True)
         v = rng.normal(size=j * j) + 1j * rng.normal(size=j * j)
         return v / np.linalg.norm(v)
 
-    sources = []
+    junked = []
     for src in real.sources:
         d0, d1 = src.dims
-        xi = junk_state()
-        amp = np.tensordot(src.amplitudes.reshape(d0, d1), xi.reshape(j, j), axes=0)
-        amp = amp.transpose(0, 2, 1, 3).reshape(d0 * j * d1 * j)
-        sources.append(StateVector(amp, (d0 * j, d1 * j)))
+        amp = np.tensordot(src.amplitudes.reshape(d0, d1), junk_state().reshape(j, j), axes=0)
+        junked.append(amp.transpose(0, 2, 1, 3).reshape(d0 * j * d1 * j))
     lay = real.layout()
-    n_sites = len(lay.dims)
-    if rotate:
-        ws = [haar_unitary(lay.dims[s] * j, rng) for s in range(n_sites)]
-    else:
-        ws = [np.eye(lay.dims[s] * j) for s in range(n_sites)]
-    # rotate source wings
-    rotated_sources = []
-    for idx, src in enumerate(sources):
-        if real.scheme == ALMOST_DI:
-            s0, s1 = lay.a_site(idx + 1), lay.l_site(idx + 1)
-        elif idx < n:
-            s0, s1 = lay.a_site(idx + 1), lay.r1_site(idx + 1)
-        else:
-            s0, s1 = lay.r2_site(idx - n + 1), lay.l_site(idx - n + 1)
-        amp = np.kron(ws[s0], ws[s1]) @ src.amplitudes
-        rotated_sources.append(StateVector(amp, src.dims))
-    a_obs = tuple(
-        tuple(
-            Operator(
-                _rotate_op(_embed_junk(ob.entries, ob.dims, j), [ws[lay.a_site(i)]]),
-                (real.a_dims()[i - 1] * j,),
-            )
-            for ob in real.a_obs[i - 1]
-        )
-        for i in range(1, n + 1)
+    ws = [haar_unitary(d * j, rng) if rotate else np.eye(d * j) for d in lay.dims]
+    sources = tuple(
+        StateVector(np.kron(ws[s0], ws[s1]) @ amp, (src.dims[0] * j, src.dims[1] * j))
+        for src, amp, (s0, s1) in zip(real.sources, junked, lay.source_sites())
     )
-    l_sites = lay.l_sites()
-    l_dims = real.l_dims()
-    new_l_dims = tuple(d * j for d in l_dims)
-    l_meas = tuple(
-        Operator(_rotate_op(_embed_junk(m.entries, l_dims, j), [ws[s] for s in l_sites]), new_l_dims)
-        for m in real.l_meas
-    )
-    v_sites = lay.v_sites()
-    v_dims = real.l_dims() if real.scheme == ALMOST_DI else real.r1_dims()
-    new_v_dims = tuple(d * j for d in v_dims)
-    eve = Operator(
-        _rotate_op(_embed_junk(real.eve.entries, v_dims, j), [ws[s] for s in v_sites]), new_v_dims
-    )
-    if real.scheme == ALMOST_DI:
-        return Realization(
-            ALMOST_DI, n, tuple(rotated_sources), a_obs, l_meas, eve, real.branch
-        )
-    b_obs = tuple(
-        tuple(
-            Operator(
-                _rotate_op(_embed_junk(ob.entries, ob.dims, j), [ws[lay.l_site(i)]]),
-                (l_dims[i - 1] * j,),
-            )
-            for ob in real.b_obs[i - 1]
-        )
-        for i in range(1, n + 1)
-    )
-    r1_dims, r2_dims = real.r1_dims(), real.r2_dims()
-    repeaters = tuple(
-        tuple(
-            Operator(
-                _rotate_op(
-                    _embed_junk(el.entries, (r1_dims[i - 1], r2_dims[i - 1]), j),
-                    [ws[lay.r1_site(i)], ws[lay.r2_site(i)]],
-                ),
-                (r1_dims[i - 1] * j, r2_dims[i - 1] * j),
-            )
-            for el in real.repeaters[i - 1]
-        )
-        for i in range(1, n + 1)
-    )
-    return Realization(
-        DI, n, tuple(rotated_sources), a_obs, l_meas, eve, real.branch, b_obs, repeaters
-    )
+    return real.map_operators(lambda op, sites: _lift(op, [j] * len(sites), [ws[s] for s in sites]), sources=sources)
 
 
 def conjugate(real: Realization) -> Realization:
     """Complex-conjugate every state and operator.  All probabilities are
     unchanged, but the realized gate branch flips sign."""
-
-    def c_op(op: Operator) -> Operator:
-        return Operator(op.entries.conj(), op.dims)
-
     sources = tuple(StateVector(s.amplitudes.conj(), s.dims) for s in real.sources)
-    a_obs = tuple(tuple(c_op(ob) for ob in triple) for triple in real.a_obs)
-    l_meas = tuple(c_op(m) for m in real.l_meas)
-    eve = c_op(real.eve)
-    b_obs = None if real.b_obs is None else tuple(tuple(c_op(ob) for ob in pair) for pair in real.b_obs)
-    repeaters = (
-        None
-        if real.repeaters is None
-        else tuple(tuple(c_op(el) for el in quad) for quad in real.repeaters)
-    )
-    return Realization(
-        real.scheme, real.n, sources, a_obs, l_meas, eve, -real.branch, b_obs, repeaters
+    return real.map_operators(
+        lambda op, _: Operator(op.entries.conj(), op.dims), sources=sources, branch=-real.branch
     )
 
 
@@ -278,7 +201,6 @@ def gauge_phase(real: Realization, thetas) -> Realization:
         p = np.zeros((dl, dl), dtype=complex)
         for th, m in zip(thetas, real.l_meas):
             p += np.exp(1j * th) * m.entries
-        dims = real.l_dims()
     else:
         els = teleported_elements(real)
         d1 = els[0].shape[0]
@@ -288,18 +210,13 @@ def gauge_phase(real: Realization, thetas) -> Realization:
             p += np.exp(1j * th) * el
             total += el
         p += np.eye(d1) - total
-        dims = real.r1_dims()
     dev = np.max(np.abs(p @ p.conj().T - np.eye(p.shape[0])))
     if dev > 1e-8:
         raise ValueError(
             f"phase gauge is not unitary (deviation {dev:.2e}); the box elements "
             "are not an orthogonal projective family"
         )
-    eve = Operator(p @ real.eve.entries, real.eve.dims)
-    return Realization(
-        real.scheme, real.n, real.sources, real.a_obs, real.l_meas, eve, real.branch,
-        real.b_obs, real.repeaters,
-    )
+    return replace(real, eve=Operator(p @ real.eve.entries, real.eve.dims))
 
 
 def perturb(real: Realization, epsilon: float, seed: int = 0) -> Realization:
@@ -312,11 +229,7 @@ def perturb(real: Realization, epsilon: float, seed: int = 0) -> Realization:
     h = h / np.max(np.abs(np.linalg.eigvalsh(h)))
     vals, vecs = np.linalg.eigh(h)
     rot = (vecs * np.exp(1j * epsilon * vals)) @ vecs.conj().T
-    eve = Operator(real.eve.entries @ rot, real.eve.dims)
-    return Realization(
-        real.scheme, real.n, real.sources, real.a_obs, real.l_meas, eve, real.branch,
-        real.b_obs, real.repeaters,
-    )
+    return replace(real, eve=Operator(real.eve.entries @ rot, real.eve.dims))
 
 
 def depolarize_sources(real: Realization, eta: float) -> Realization:
@@ -337,35 +250,8 @@ def depolarize_sources(real: Realization, eta: float) -> Realization:
         for k, op in enumerate(kraus):
             amp[:, :, k] = m @ op.T
         sources.append(StateVector(amp.reshape(d0 * d1 * 4), (d0, d1 * 4)))
-    n = real.n
-
-    def widen(op: Operator) -> Operator:
-        return Operator(_embed_junk(op.entries, op.dims, 4), tuple(d * 4 for d in op.dims))
-
-    a_obs = real.a_obs
-    if real.scheme == ALMOST_DI:
-        l_meas = tuple(widen(m) for m in real.l_meas)
-        eve = widen(real.eve)
-        return Realization(ALMOST_DI, n, tuple(sources), a_obs, l_meas, eve, real.branch)
-    # di: the widened wings are R_{i,1} (sources 1..n) and L_i (sources n+1..2n)
-    l_meas = tuple(widen(m) for m in real.l_meas)
-    eve = widen(real.eve)
-    b_obs = tuple(tuple(widen(ob) for ob in pair) for pair in real.b_obs)
-    repeaters = tuple(
-        tuple(
-            Operator(
-                _embed_first_junk(el.entries, el.dims, 4), (el.dims[0] * 4, el.dims[1])
-            )
-            for el in quad
-        )
-        for quad in real.repeaters
-    )
-    return Realization(DI, n, tuple(sources), a_obs, l_meas, eve, real.branch, b_obs, repeaters)
-
-
-def _embed_first_junk(entries: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
-    """O -> O (x) junk identity on the first site only of a two-site operator."""
-    d0, d1 = dims
-    full = np.kron(entries, np.eye(j)).reshape(d0, d1, j, d0, d1, j)
-    full = full.transpose(0, 2, 1, 3, 5, 4)
-    return full.reshape(d0 * j * d1, d0 * j * d1)
+    lay = real.layout()
+    junk = [1] * len(lay.dims)
+    for _, s1 in lay.source_sites():
+        junk[s1] = 4
+    return real.map_operators(lambda op, sites: _lift(op, [junk[s] for s in sites], None), sources=tuple(sources))

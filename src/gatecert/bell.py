@@ -194,6 +194,10 @@ def classical_bound(functional: BellFunctional) -> float:
 
 # --- see-saw search for the quantum maximum --------------------------------
 
+SEESAW_SITE_DIM = 2  # one qubit per party
+SEESAW_MAX_ITERS = 500
+SEESAW_STALL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SeesawResult:
@@ -224,21 +228,15 @@ def _bell_operator(
     return op
 
 
-def seesaw_max(
-    functional: BellFunctional,
-    site_dim: int = 2,
-    restarts: int = 8,
-    seed: int = 0,
-    max_iters: int = 500,
-    stall_tol: float = 1e-10,
-) -> SeesawResult:
-    """Alternating maximization of a Bell functional over one qudit per party.
+def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> SeesawResult:
+    """Alternating maximization of a Bell functional over one qubit per party.
 
     State step: top eigenvector of the Bell operator.  Observable step: each
     binary observable is replaced by the polar unitary part of its Hermitian
     effective operator, the exact maximizer at fixed state.  The iteration
     is monotone; several random restarts guard against poor local optima.
     """
+    site_dim = SEESAW_SITE_DIM
     symbols = _symbols(functional)
     base = _base_settings(symbols)
     labels = list(base)
@@ -262,7 +260,7 @@ def seesaw_max(
         value = -np.inf
         converged = False
         it = 0
-        for it in range(1, max_iters + 1):
+        for it in range(1, SEESAW_MAX_ITERS + 1):
             bell = _bell_operator(functional, measured, labels, site_dim)
             vals, vecs = np.linalg.eigh(bell)
             state = vecs[:, -1]
@@ -276,7 +274,7 @@ def seesaw_max(
                         Operator((g + g.conj().T) / 2, (site_dim,))
                     ).entries
                 measured.update({(label, sym): _combine(obs, label, sym) for sym in symbols[label]})
-            if len(history) >= 2 and abs(history[-1] - history[-2]) < stall_tol:
+            if len(history) >= 2 and abs(history[-1] - history[-2]) < SEESAW_STALL_TOL:
                 converged = True
                 break
         if value > best.value:

@@ -47,6 +47,7 @@ import numpy as np
 
 from .bell import functional_I, functional_K, functional_weights, k_sign_bits
 from .decomp import delta_set, f_coeffs
+from .extract import OP_TOL
 from .network import (
     ALMOST_DI,
     DI,
@@ -65,7 +66,6 @@ from .primitives import SettingSymbol, ghz_bits
 from .tensor import Operator
 
 TABLE_TOL = 1e-9
-OP_TOL = 1e-8
 FIDELITY_TOL = 1e-9
 
 

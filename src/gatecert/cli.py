@@ -20,8 +20,9 @@ import numpy as np
 
 from .adversary import apply_adversary, load_adversary
 from .bell import classical_bound, functional_I, functional_K, k_sign_bits, seesaw_max
-from .certify import certify, check_matrix, save_report
+from .certify import TABLE_TOL, certify, check_matrix, save_report
 from .decomp import delta_set, f_coeffs
+from .extract import OP_TOL
 from .network import (
     ALMOST_DI,
     DI,
@@ -35,6 +36,7 @@ from .network import (
 from .primitives import gate, gate_from_record, ghz_bits
 
 SCHEME_FLAGS = {"almost-di": ALMOST_DI, "di": DI}
+N_CHOICES = (2, 3)
 _PAULI_LETTERS = "ZXYI"
 
 
@@ -106,8 +108,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.n > 3:
-        raise ValueError("bounds enumeration is limited to n <= 3")
     rows = []
     for l in range(2**args.n):
         func = functional_I(ghz_bits(l, args.n))
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scheme", choices=sorted(SCHEME_FLAGS), default=None,
                        help="default almost-di; with --table, the table's scheme")
         if need_n:
-            p.add_argument("--n", type=int, choices=(2, 3), required=not table_mode, default=None)
+            p.add_argument("--n", type=int, choices=N_CHOICES, required=not table_mode, default=None)
         p.add_argument("--gate", required=True, help="gate name or JSON file")
         p.add_argument("--branch", choices=("plus", "minus"), default=None if table_mode else "plus",
                        help="default plus; not allowed with --table" if table_mode else None)
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bounds = sub.add_parser("bounds", help="classical and see-saw bounds for the protocol functionals")
-    p_bounds.add_argument("--n", type=int, choices=(2, 3), required=True)
+    p_bounds.add_argument("--n", type=int, choices=N_CHOICES, required=True)
     p_bounds.add_argument("--seed", type=int, default=0)
     p_bounds.add_argument("--restarts", type=int, default=8)
     p_bounds.add_argument("--out", default=None, help="output directory")
@@ -264,15 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="run all protocol checks against a target gate")
     common(p_cert, table_mode=True)
     p_cert.add_argument("--table", default=None, help="existing table file (statistics-only mode)")
-    p_cert.add_argument("--tol", type=float, default=1e-9)
-    p_cert.add_argument("--op-tol", type=float, default=1e-8)
+    p_cert.add_argument("--tol", type=float, default=TABLE_TOL)
+    p_cert.add_argument("--op-tol", type=float, default=OP_TOL)
     p_cert.add_argument("--out", default=None, help="output directory")
     p_cert.add_argument("--explain", default=None, metavar="ID",
                         help="print the nonzero weights of table check ID per settings row and exit")
     p_cert.set_defaults(func=cmd_certify)
 
     p_dec = sub.add_parser("decompose", help="coefficient tensor of the target gate per joint outcome")
-    p_dec.add_argument("--n", type=int, choices=(2, 3), required=True)
+    p_dec.add_argument("--n", type=int, choices=N_CHOICES, required=True)
     p_dec.add_argument("--gate", required=True, help="gate name or JSON file")
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--out", default=None, help="output directory")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -106,9 +105,9 @@ def grouped_isometry(ks: list[np.ndarray]) -> np.ndarray:
     return full.reshape(2**n * int(np.prod(dims)), int(np.prod(dims)))
 
 
-def support_projector(rho: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
+def support_projector(rho: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(rho)
-    keep = vecs[:, vals > tol]
+    keep = vecs[:, vals > SUPPORT_TOL]
     return keep @ keep.conj().T
 
 
@@ -148,45 +147,13 @@ class LocalFrames:
         return out
 
 
-def _site_states(real: Realization) -> dict[str, np.ndarray]:
-    """Reduced density matrix of each site, from its source."""
-    out: dict[str, np.ndarray] = {}
-    n = real.n
-
-    def wing(src: StateVector, which: int) -> np.ndarray:
-        d0, d1 = src.dims
-        m = src.amplitudes.reshape(d0, d1)
-        return m @ m.conj().T if which == 0 else m.T @ m.conj()
-
-    for i in range(1, n + 1):
-        src = real.sources[i - 1]
-        out[f"A{i}"] = wing(src, 0)
-        if real.scheme == ALMOST_DI:
-            out[f"L{i}"] = wing(src, 1)
-        else:
-            out[f"R{i},1"] = wing(src, 1)
-    if real.scheme == DI:
-        for i in range(1, n + 1):
-            src = real.sources[n + i - 1]
-            out[f"R{i},2"] = wing(src, 0)
-            out[f"L{i}"] = wing(src, 1)
+def _site_states(real: Realization) -> dict[int, np.ndarray]:
+    """Reduced density matrix of each site, from its source, by site."""
+    out: dict[int, np.ndarray] = {}
+    for src, (s0, s1) in zip(real.sources, real.layout().source_sites()):
+        m = src.amplitudes.reshape(src.dims)
+        out[s0], out[s1] = m @ m.conj().T, m.T @ m.conj()
     return out
-
-
-def _check_frame(label: str, z: np.ndarray, x: np.ndarray, support: np.ndarray, op_tol: float) -> None:
-    eye = np.eye(z.shape[0])
-    for name, op in (("z", z), ("x", x)):
-        if np.max(np.abs(op - op.conj().T)) > op_tol:
-            raise ValueError(f"site {label}: {name} frame operator is not Hermitian")
-        if np.max(np.abs(op @ op - eye)) > op_tol:
-            raise ValueError(f"site {label}: {name} frame operator is not an involution")
-    anti = support @ (z @ x + x @ z) @ support
-    worst = float(np.max(np.abs(anti)))
-    if worst > op_tol:
-        raise ValueError(
-            f"site {label}: frame operators do not anticommute on the local support "
-            f"(deviation {worst:.2e}); the realization does not meet the extraction conditions"
-        )
 
 
 def extract_all(real: Realization, op_tol: float = OP_TOL) -> LocalFrames:
@@ -198,44 +165,39 @@ def extract_all(real: Realization, op_tol: float = OP_TOL) -> LocalFrames:
     conditions on its local support.
     """
     validate_realization(real)
-    n = real.n
-    states = _site_states(real)
-    a_frames: list[SiteFrame] = []
-    for i in range(1, n + 1):
-        z, x = regularize(real.a_obs[i - 1][0], real.a_obs[i - 1][1], tilde=(i == 1))
-        sup = support_projector(states[f"A{i}"])
-        _check_frame(f"A{i}", z, x, sup, op_tol)
-        a_frames.append(SiteFrame(f"A{i}", z, x, sup))
+    n, lay, states = real.n, real.layout(), _site_states(real)
+    subnets = range(1, n + 1)
+
+    def frame(label: str, site: int, pair: tuple[np.ndarray, np.ndarray]) -> SiteFrame:
+        (z, x), support = pair, support_projector(states[site])
+        eye = np.eye(z.shape[0])
+        for name, op in (("z", z), ("x", x)):
+            if np.max(np.abs(op - op.conj().T)) > op_tol:
+                raise ValueError(f"site {label}: {name} frame operator is not Hermitian")
+            if np.max(np.abs(op @ op - eye)) > op_tol:
+                raise ValueError(f"site {label}: {name} frame operator is not an involution")
+        worst = float(np.max(np.abs(support @ (z @ x + x @ z) @ support)))
+        if worst > op_tol:
+            raise ValueError(
+                f"site {label}: frame operators do not anticommute on the local support "
+                f"(deviation {worst:.2e}); the realization does not meet the extraction conditions"
+            )
+        return SiteFrame(label, z, x, support)
+
+    owner = {s: (k, wing) for k, pair in enumerate(lay.source_sites()) for wing, s in enumerate(pair)}
+
+    def mirrored(label: str, site: int, partner: SiteFrame) -> SiteFrame:
+        k, wing = owner[site]
+        return frame(label, site, mirror_frame(partner.z, partner.x, real.sources[k], 1 - wing))
+
+    a = tuple(frame(f"A{i}", lay.a_site(i), regularize(*real.a_obs[i - 1][:2], tilde=(i == 1))) for i in subnets)
     if real.scheme == ALMOST_DI:
-        l_frames = []
-        for i in range(1, n + 1):
-            src = real.sources[i - 1]
-            z, x = mirror_frame(a_frames[i - 1].z, a_frames[i - 1].x, src, framed_wing=0)
-            sup = support_projector(states[f"L{i}"])
-            _check_frame(f"L{i}", z, x, sup, op_tol)
-            l_frames.append(SiteFrame(f"L{i}", z, x, sup))
-        return LocalFrames(ALMOST_DI, n, tuple(a_frames), tuple(l_frames))
-    l_frames = []
-    for i in range(1, n + 1):
-        z, x = regularize(real.b_obs[i - 1][0], real.b_obs[i - 1][1], tilde=(i != 1))
-        sup = support_projector(states[f"L{i}"])
-        _check_frame(f"L{i}", z, x, sup, op_tol)
-        l_frames.append(SiteFrame(f"L{i}", z, x, sup))
-    r1_frames = []
-    for i in range(1, n + 1):
-        src = real.sources[i - 1]
-        z, x = mirror_frame(a_frames[i - 1].z, a_frames[i - 1].x, src, framed_wing=0)
-        sup = support_projector(states[f"R{i},1"])
-        _check_frame(f"R{i},1", z, x, sup, op_tol)
-        r1_frames.append(SiteFrame(f"R{i},1", z, x, sup))
-    r2_frames = []
-    for i in range(1, n + 1):
-        src = real.sources[n + i - 1]
-        z, x = mirror_frame(l_frames[i - 1].z, l_frames[i - 1].x, src, framed_wing=1)
-        sup = support_projector(states[f"R{i},2"])
-        _check_frame(f"R{i},2", z, x, sup, op_tol)
-        r2_frames.append(SiteFrame(f"R{i},2", z, x, sup))
-    return LocalFrames(DI, n, tuple(a_frames), tuple(l_frames), tuple(r1_frames), tuple(r2_frames))
+        l = tuple(mirrored(f"L{i}", lay.l_site(i), a[i - 1]) for i in subnets)
+        return LocalFrames(ALMOST_DI, n, a, l)
+    l = tuple(frame(f"L{i}", lay.l_site(i), regularize(*real.b_obs[i - 1], tilde=(i != 1))) for i in subnets)
+    r1 = tuple(mirrored(f"R{i},1", lay.r1_site(i), a[i - 1]) for i in subnets)
+    r2 = tuple(mirrored(f"R{i},2", lay.r2_site(i), l[i - 1]) for i in subnets)
+    return LocalFrames(DI, n, a, l, r1, r2)
 
 
 def detect_branch_signs(real: Realization, frames: LocalFrames | None = None) -> list[int]:
@@ -275,13 +237,13 @@ def _targets(u: Operator, branch: str) -> list[np.ndarray]:
     raise ValueError(f"no consistent comparison target for branch {branch!r}")
 
 
-def _box_elements(real: Realization, support_tol: float = SUPPORT_TOL) -> list[np.ndarray]:
-    raw = [m.entries for m in real.l_meas] if real.scheme == ALMOST_DI else teleported_elements(real, support_tol)
+def _box_elements(real: Realization) -> list[np.ndarray]:
+    raw = [m.entries for m in real.l_meas] if real.scheme == ALMOST_DI else teleported_elements(real)
     v = real.eve.entries
     return [v.conj().T @ el @ v for el in raw]
 
 
-def teleported_elements(real: Realization, support_tol: float = SUPPORT_TOL) -> list[np.ndarray]:
+def teleported_elements(real: Realization) -> list[np.ndarray]:
     """Joint-box elements carried onto the R_{*,1} collective (before Eve's
     operation) by projecting every repeater on outcome 0, rescaled by the
     largest eigenvalue across outcomes."""
@@ -289,7 +251,7 @@ def teleported_elements(real: Realization, support_tol: float = SUPPORT_TOL) -> 
         raise ValueError("teleported elements exist only in the di scheme")
     elements = [_teleported_element(real, l) for l in range(2**real.n)]
     scale = max(float(np.linalg.eigvalsh(el)[-1]) for el in elements)
-    if scale <= support_tol:
+    if scale <= SUPPORT_TOL:
         raise ValueError("teleported box elements vanish; repeater outcome 0 has no weight")
     return [el / scale for el in elements]
 
@@ -403,13 +365,21 @@ class Extraction:
         the columns are rotated into the ideal basis."""
         return self.basis_rows @ self.vbar.conj().T
 
-    def _target_pullbacks(self) -> Iterator[np.ndarray]:
-        """W^dagger (|target_l><target_l| (x) 1) W for each outcome l in
-        turn, as B_l^dagger B_l with B_l = (<target_l| (x) 1) W, which is
-        sum_i conj(coeffs[i, l]) C_i."""
-        for c in self.coeffs.T:
-            b = np.tensordot(c.conj(), self.basis_rows, axes=(0, 0))
-            yield b.conj().T @ b
+    @cached_property
+    def _residuals(self) -> tuple[np.ndarray, float]:
+        """The measurement distances and the unitary certificate, in one pass
+        over the outcomes l.  Each pass forms the pull-back
+        W^dagger (|target_l><target_l| (x) 1) W as B_l^dagger B_l, with
+        B_l = (<target_l| (x) 1) W = sum_i conj(coeffs[i, l]) C_i, uses it
+        for both residuals and drops it."""
+        dists, worst = [], 0.0
+        for el, c, coeffs in zip(_box_elements(self.real), self.basis_rows, self.coeffs.T):
+            b = np.tensordot(coeffs.conj(), self.basis_rows, axes=(0, 0))
+            g = self._on_support(b.conj().T @ b)
+            dists.append(float(np.max(np.abs(self._on_support(el) - g))))
+            cv = c @ self.vbar
+            worst = max(worst, float(np.max(np.abs(cv.conj().T @ cv - g))))
+        return np.array(dists), worst
 
     @cached_property
     def junk_floor(self) -> np.ndarray:
@@ -422,8 +392,7 @@ class Extraction:
         """Entrywise distances between the realized effective box elements
         and the frame pull-backs of the ideal rotated projectors, one per
         outcome l."""
-        pairs = zip(_box_elements(self.real), self._target_pullbacks())
-        return np.array([float(np.max(np.abs(self._on_support(el) - self._on_support(g)))) for el, g in pairs])
+        return self._residuals[0].copy()
 
     def unitary_certificate(self) -> float:
         """Entrywise distance certifying Eve's operation itself.
@@ -434,11 +403,7 @@ class Extraction:
         worst entrywise deviation (Eve restricted to the collective's
         support).  F_l = C_l^dagger C_l, so V^dagger F_l V is the Gram
         matrix of C_l V."""
-        worst = 0.0
-        for c, g in zip(self.basis_rows, self._target_pullbacks()):
-            cv = c @ self.vbar
-            worst = max(worst, float(np.max(np.abs(cv.conj().T @ cv - self._on_support(g)))))
-        return worst
+        return self._residuals[1]
 
     def block_deviation(self) -> float:
         """Deviation of W Vbar^dagger W^dagger from its ideal block form.

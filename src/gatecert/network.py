@@ -12,7 +12,11 @@ Two scenarios are supported:
   y in {0,1}^N) or the joint 2^N-outcome box (setting ``perp``).
 
 Canonical site order: A_1..A_N, then (di only) R_{1,1}..R_{N,1},
-R_{1,2}..R_{N,2}, then L_1..L_N.  Probability arrays are indexed by
+R_{1,2}..R_{N,2}, then L_1..L_N.  ``SiteLayout.source_sites`` (the two
+sites of each source wing pair) and ``Realization.map_operators`` (every
+operator with the sites it acts on) are the one map from a realization to
+these sites: state assembly, the site dimensions, the frames of ``extract``
+and every adversary read it.  Probability arrays are indexed by
 (a_1..a_N, (r_1..r_N,) l) with the joint L outcome l as a single axis;
 for the per-site boxes l is the integer b_1...b_N with b_1 most
 significant.
@@ -146,14 +150,23 @@ class SiteLayout:
     def v_sites(self) -> list[int]:
         return self.l_sites() if self.scheme == ALMOST_DI else self.r1_sites()
 
+    def source_sites(self) -> tuple[tuple[int, int], ...]:
+        """The two sites of each source, in source order: (A_i, L_i) for
+        almost_di; (A_i, R_{i,1}) for the first N and (R_{i,2}, L_i) for the
+        next N in di.  Depends on the scheme and n only."""
+        subnets = range(1, self.n + 1)
+        if self.scheme == ALMOST_DI:
+            return tuple((self.a_site(i), self.l_site(i)) for i in subnets)
+        first = tuple((self.a_site(i), self.r1_site(i)) for i in subnets)
+        return first + tuple((self.r2_site(i), self.l_site(i)) for i in subnets)
+
 
 @dataclass(frozen=True)
 class Realization:
     """Concrete states and measurement operators for one scenario.
 
-    ``sources`` lists two-site pure states: for ``almost_di`` the i-th state
-    lives on (A_i, L_i); for ``di`` the first N live on (A_i, R_{i,1}) and
-    the next N on (R_{i,2}, L_i).  ``eve`` acts on the L collective
+    ``sources`` lists two-site pure states on the sites
+    ``SiteLayout.source_sites`` gives.  ``eve`` acts on the L collective
     (``almost_di``) or the R_{*,1} collective (``di``).  ``branch`` records
     the sign of the third reference setting this realization is built for.
     """
@@ -172,42 +185,56 @@ class Realization:
         return ScenarioSpec(self.scheme, self.n)
 
     def a_dims(self) -> tuple[int, ...]:
-        return tuple(src.dims[0] for src in self.sources[: self.n])
+        return self._dims(SiteLayout.a_site)
 
     def l_dims(self) -> tuple[int, ...]:
-        if self.scheme == ALMOST_DI:
-            return tuple(src.dims[1] for src in self.sources[: self.n])
-        return tuple(src.dims[1] for src in self.sources[self.n :])
+        return self._dims(SiteLayout.l_site)
 
     def r1_dims(self) -> tuple[int, ...]:
-        return tuple(src.dims[1] for src in self.sources[: self.n])
+        return self._dims(SiteLayout.r1_site)
 
     def r2_dims(self) -> tuple[int, ...]:
-        return tuple(src.dims[0] for src in self.sources[self.n :])
+        return self._dims(SiteLayout.r2_site)
+
+    def _dims(self, site) -> tuple[int, ...]:
+        lay = self.layout()
+        return tuple(lay.dims[site(lay, i)] for i in range(1, self.n + 1))
 
     def layout(self) -> SiteLayout:
-        if self.scheme == ALMOST_DI:
-            dims = self.a_dims() + self.l_dims()
-        else:
-            dims = self.a_dims() + self.r1_dims() + self.r2_dims() + self.l_dims()
-        return SiteLayout(self.scheme, self.n, dims)
+        pairs = SiteLayout(self.scheme, self.n, ()).source_sites()
+        dims = dict(zip(sum(pairs, ()), (d for src in self.sources for d in src.dims)))
+        return SiteLayout(self.scheme, self.n, tuple(dims[s] for s in sorted(dims)))
+
+    def map_operators(self, fn, **fields) -> "Realization":
+        """This realization with every operator ``op`` of ``a_obs``,
+        ``l_meas``, ``eve``, ``b_obs`` and ``repeaters`` replaced by
+        ``fn(op, sites)``, ``sites`` being the canonical sites it acts on, in
+        its own site order; ``fields`` replace other fields as well."""
+        lay, subnets = self.layout(), range(1, self.n + 1)
+        ops = {
+            "a_obs": tuple(tuple(fn(op, (lay.a_site(i),)) for op in self.a_obs[i - 1]) for i in subnets),
+            "l_meas": tuple(fn(m, tuple(lay.l_sites())) for m in self.l_meas),
+            "eve": fn(self.eve, tuple(lay.v_sites())),
+        }
+        if self.scheme == DI:
+            ops["b_obs"] = tuple(tuple(fn(op, (lay.l_site(i),)) for op in self.b_obs[i - 1]) for i in subnets)
+            pairs = [(lay.r1_site(i), lay.r2_site(i)) for i in subnets]
+            ops["repeaters"] = tuple(tuple(fn(el, pair) for el in quad) for quad, pair in zip(self.repeaters, pairs))
+        return replace(self, **ops, **fields)
 
 
-# Realizations that passed ``validate_realization`` at the default tolerance,
-# by id.  A realization and its operators are frozen and read-only, so a
-# pass stays valid for the object's lifetime; the weak values drop an entry
-# when its realization is collected, before its id can be reused.
+# Realizations that passed ``validate_realization``, by id.  A realization
+# and its operators are frozen and read-only, so a pass stays valid for the
+# object's lifetime; the weak values drop an entry when its realization is
+# collected, before its id can be reused.
 _VALIDATED: weakref.WeakValueDictionary[int, Realization] = weakref.WeakValueDictionary()
 
 
-def validate_realization(real: Realization, tol: float = VALIDATE_TOL) -> None:
-    """Check structural and operator invariants; raises ValueError on failure.
-
-    At the default ``tol`` each realization object is checked once."""
-    if tol != VALIDATE_TOL:
-        _validate(real, tol)
-    elif _VALIDATED.get(id(real)) is not real:
-        _validate(real, tol)
+def validate_realization(real: Realization) -> None:
+    """Check structural and operator invariants to ``VALIDATE_TOL``; raises
+    ValueError on failure.  Each realization object is checked once."""
+    if _VALIDATED.get(id(real)) is not real:
+        _validate(real, VALIDATE_TOL)
         _VALIDATED[id(real)] = real
 
 
@@ -331,20 +358,8 @@ def _projector(state: StateVector) -> Operator:
 
 def assemble_state(real: Realization) -> StateVector:
     """Tensor product of all sources, permuted into the canonical site order."""
-    joint = kron(list(real.sources))
-    n = real.n
-    if real.scheme == ALMOST_DI:
-        # source order A1 L1 A2 L2 ... -> A1..AN L1..LN
-        order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
-    else:
-        # source order A1 R11 A2 R21 ... R12 L1 R22 L2 ... -> canonical
-        order = (
-            [2 * i for i in range(n)]
-            + [2 * i + 1 for i in range(n)]
-            + [2 * n + 2 * i for i in range(n)]
-            + [2 * n + 2 * i + 1 for i in range(n)]
-        )
-    return permute_sites(joint, order)
+    listed = sum(real.layout().source_sites(), ())
+    return permute_sites(kron(list(real.sources)), sorted(range(len(listed)), key=listed.__getitem__))
 
 
 def _binary_elements(obs: Operator) -> np.ndarray:

@@ -106,16 +106,16 @@ def kron(factors: Iterable[StateVector] | Iterable[Operator]):
     raise ValueError("kron factors must be all StateVector or all Operator")
 
 
-def polar_unitary(op: Operator, zero_tol: float = DEFAULT_ZERO_TOL) -> Operator:
+def polar_unitary(op: Operator) -> Operator:
     """Unitary factor of the polar decomposition.
 
     Hermitian inputs are resolved by eigendecomposition; eigendirections with
-    magnitude below ``zero_tol`` are sent to +1 so the result is total.
+    magnitude below ``DEFAULT_ZERO_TOL`` are sent to +1 so the result is total.
     """
     m = op.entries
     if np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
         vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-        signs = np.where(np.abs(vals) < zero_tol, 1.0, np.sign(vals))
+        signs = np.where(np.abs(vals) < DEFAULT_ZERO_TOL, 1.0, np.sign(vals))
         return Operator((vecs * signs) @ vecs.conj().T, op.dims)
     u, _, vh = np.linalg.svd(m)
     return Operator(u @ vh, op.dims)

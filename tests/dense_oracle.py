@@ -33,6 +33,14 @@ grouped isometry W, by forming ``np.kron(projector, 1_dj)`` of size
 (2^N dj)^2 and multiplying it by W on both sides, and by materialising every
 GHZ block of W Vbar^dagger W^dagger.  It reads the shared pieces (frames,
 targets, W, Vbar, support, junk floor) from the ``Extraction``.
+
+``listed_assemble_state``, ``listed_dilate``, ``listed_conjugate`` and
+``listed_depolarize_sources`` are the oracles of ``assemble_state`` and of
+the adversaries in ``gatecert.adversary``: the package's former bodies,
+which write out per scheme which site each source wing and each operator
+sits on instead of reading ``SiteLayout.source_sites`` and
+``Realization.map_operators``.  Their ``_embed_junk``, ``_embed_first_junk``
+and ``_rotate_op`` are the former lifts onto junk.
 """
 
 from __future__ import annotations
@@ -58,8 +66,8 @@ from gatecert.network import (
     event_label,
     validate_realization,
 )
-from gatecert.primitives import SettingSymbol, ghz_basis, ghz_bits, pauli
-from gatecert.tensor import Operator, apply_raw, polar_unitary
+from gatecert.primitives import SettingSymbol, ghz_basis, ghz_bits, haar_unitary, pauli
+from gatecert.tensor import Operator, StateVector, apply_raw, kron, permute_sites, polar_unitary
 
 S = SettingSymbol
 # setting symbol -> ((weight, base setting), ...), with T0 = (S0 - S1)/sqrt2
@@ -518,3 +526,221 @@ def kron_extract_rows(ext) -> dict[str, float]:
     g = kron_gate(ext, blocks)
     rows["extract.fidelity"] = float(abs(np.trace(g.conj().T @ ext.u.entries) / 2**n) ** 2)
     return rows
+
+
+# --- the listed site maps ----------------------------------------------------
+
+
+def listed_assemble_state(real: Realization) -> StateVector:
+    """Tensor product of all sources, permuted into the canonical site order."""
+    joint = kron(list(real.sources))
+    n = real.n
+    if real.scheme == ALMOST_DI:
+        # source order A1 L1 A2 L2 ... -> A1..AN L1..LN
+        order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
+    else:
+        # source order A1 R11 A2 R21 ... R12 L1 R22 L2 ... -> canonical
+        order = (
+            [2 * i for i in range(n)]
+            + [2 * i + 1 for i in range(n)]
+            + [2 * n + 2 * i for i in range(n)]
+            + [2 * n + 2 * i + 1 for i in range(n)]
+        )
+    return permute_sites(joint, order)
+
+
+def _embed_junk(entries: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
+    """O -> O (x) identity on per-site junk, with sites interleaved as
+    (d_1, j), (d_2, j), ..."""
+    if j == 1:
+        return entries.copy()
+    k = len(dims)
+    big = np.kron(entries, np.eye(j**k))
+    full = big.reshape(tuple(dims) + (j,) * k + tuple(dims) + (j,) * k)
+    perm = []
+    for i in range(k):
+        perm += [i, k + i]
+    perm = perm + [2 * k + p for p in perm]
+    d = int(np.prod(dims)) * j**k
+    return full.transpose(perm).reshape(d, d)
+
+
+def _rotate_op(entries: np.ndarray, ws: list[np.ndarray]) -> np.ndarray:
+    w = ws[0]
+    for m in ws[1:]:
+        w = np.kron(w, m)
+    return w @ entries @ w.conj().T
+
+
+def listed_dilate(real: Realization, junk_dim: int, seed: int = 0, rotate: bool = True) -> Realization:
+    """Equivalent realization with junk tensored on and sites scrambled.
+
+    Every source gains a Haar-random pure junk state shared between its two
+    wings; every operator is extended by the identity on junk.  With
+    ``rotate`` each site is additionally conjugated by its own Haar-random
+    unitary.  ``junk_dim=1`` with ``rotate=False`` returns the realization
+    unchanged."""
+    if junk_dim < 1:
+        raise ValueError(f"junk dimension must be >= 1, got {junk_dim}")
+    rng = np.random.default_rng(seed)
+    n = real.n
+    j = junk_dim
+
+    def junk_state() -> np.ndarray:
+        if j == 1:
+            return np.ones(1, dtype=complex)
+        v = rng.normal(size=j * j) + 1j * rng.normal(size=j * j)
+        return v / np.linalg.norm(v)
+
+    sources = []
+    for src in real.sources:
+        d0, d1 = src.dims
+        xi = junk_state()
+        amp = np.tensordot(src.amplitudes.reshape(d0, d1), xi.reshape(j, j), axes=0)
+        amp = amp.transpose(0, 2, 1, 3).reshape(d0 * j * d1 * j)
+        sources.append(StateVector(amp, (d0 * j, d1 * j)))
+    lay = real.layout()
+    n_sites = len(lay.dims)
+    if rotate:
+        ws = [haar_unitary(lay.dims[s] * j, rng) for s in range(n_sites)]
+    else:
+        ws = [np.eye(lay.dims[s] * j) for s in range(n_sites)]
+    # rotate source wings
+    rotated_sources = []
+    for idx, src in enumerate(sources):
+        if real.scheme == ALMOST_DI:
+            s0, s1 = lay.a_site(idx + 1), lay.l_site(idx + 1)
+        elif idx < n:
+            s0, s1 = lay.a_site(idx + 1), lay.r1_site(idx + 1)
+        else:
+            s0, s1 = lay.r2_site(idx - n + 1), lay.l_site(idx - n + 1)
+        amp = np.kron(ws[s0], ws[s1]) @ src.amplitudes
+        rotated_sources.append(StateVector(amp, src.dims))
+    a_obs = tuple(
+        tuple(
+            Operator(
+                _rotate_op(_embed_junk(ob.entries, ob.dims, j), [ws[lay.a_site(i)]]),
+                (real.a_dims()[i - 1] * j,),
+            )
+            for ob in real.a_obs[i - 1]
+        )
+        for i in range(1, n + 1)
+    )
+    l_sites = lay.l_sites()
+    l_dims = real.l_dims()
+    new_l_dims = tuple(d * j for d in l_dims)
+    l_meas = tuple(
+        Operator(_rotate_op(_embed_junk(m.entries, l_dims, j), [ws[s] for s in l_sites]), new_l_dims)
+        for m in real.l_meas
+    )
+    v_sites = lay.v_sites()
+    v_dims = real.l_dims() if real.scheme == ALMOST_DI else real.r1_dims()
+    new_v_dims = tuple(d * j for d in v_dims)
+    eve = Operator(
+        _rotate_op(_embed_junk(real.eve.entries, v_dims, j), [ws[s] for s in v_sites]), new_v_dims
+    )
+    if real.scheme == ALMOST_DI:
+        return Realization(
+            ALMOST_DI, n, tuple(rotated_sources), a_obs, l_meas, eve, real.branch
+        )
+    b_obs = tuple(
+        tuple(
+            Operator(
+                _rotate_op(_embed_junk(ob.entries, ob.dims, j), [ws[lay.l_site(i)]]),
+                (l_dims[i - 1] * j,),
+            )
+            for ob in real.b_obs[i - 1]
+        )
+        for i in range(1, n + 1)
+    )
+    r1_dims, r2_dims = real.r1_dims(), real.r2_dims()
+    repeaters = tuple(
+        tuple(
+            Operator(
+                _rotate_op(
+                    _embed_junk(el.entries, (r1_dims[i - 1], r2_dims[i - 1]), j),
+                    [ws[lay.r1_site(i)], ws[lay.r2_site(i)]],
+                ),
+                (r1_dims[i - 1] * j, r2_dims[i - 1] * j),
+            )
+            for el in real.repeaters[i - 1]
+        )
+        for i in range(1, n + 1)
+    )
+    return Realization(
+        DI, n, tuple(rotated_sources), a_obs, l_meas, eve, real.branch, b_obs, repeaters
+    )
+
+
+def listed_conjugate(real: Realization) -> Realization:
+    """Complex-conjugate every state and operator.  All probabilities are
+    unchanged, but the realized gate branch flips sign."""
+
+    def c_op(op: Operator) -> Operator:
+        return Operator(op.entries.conj(), op.dims)
+
+    sources = tuple(StateVector(s.amplitudes.conj(), s.dims) for s in real.sources)
+    a_obs = tuple(tuple(c_op(ob) for ob in triple) for triple in real.a_obs)
+    l_meas = tuple(c_op(m) for m in real.l_meas)
+    eve = c_op(real.eve)
+    b_obs = None if real.b_obs is None else tuple(tuple(c_op(ob) for ob in pair) for pair in real.b_obs)
+    repeaters = (
+        None
+        if real.repeaters is None
+        else tuple(tuple(c_op(el) for el in quad) for quad in real.repeaters)
+    )
+    return Realization(
+        real.scheme, real.n, sources, a_obs, l_meas, eve, -real.branch, b_obs, repeaters
+    )
+
+
+def listed_depolarize_sources(real: Realization, eta: float) -> Realization:
+    """Send the second wing of each source through a depolarizing channel
+    of strength eta, realized exactly by purifying into a dimension-4
+    environment attached to that wing's site."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"depolarizing strength must be in [0, 1], got {eta}")
+    weights = np.sqrt([1 - 3 * eta / 4, eta / 4, eta / 4, eta / 4])
+    kraus = [w * pauli(idx).entries for w, idx in zip(weights, (3, 1, 2, 0))]
+    sources = []
+    for src in real.sources:
+        d0, d1 = src.dims
+        if d1 != 2:
+            raise ValueError("depolarization is implemented for qubit wings only")
+        amp = np.zeros((d0, d1, 4), dtype=complex)
+        m = src.amplitudes.reshape(d0, d1)
+        for k, op in enumerate(kraus):
+            amp[:, :, k] = m @ op.T
+        sources.append(StateVector(amp.reshape(d0 * d1 * 4), (d0, d1 * 4)))
+    n = real.n
+
+    def widen(op: Operator) -> Operator:
+        return Operator(_embed_junk(op.entries, op.dims, 4), tuple(d * 4 for d in op.dims))
+
+    a_obs = real.a_obs
+    if real.scheme == ALMOST_DI:
+        l_meas = tuple(widen(m) for m in real.l_meas)
+        eve = widen(real.eve)
+        return Realization(ALMOST_DI, n, tuple(sources), a_obs, l_meas, eve, real.branch)
+    # di: the widened wings are R_{i,1} (sources 1..n) and L_i (sources n+1..2n)
+    l_meas = tuple(widen(m) for m in real.l_meas)
+    eve = widen(real.eve)
+    b_obs = tuple(tuple(widen(ob) for ob in pair) for pair in real.b_obs)
+    repeaters = tuple(
+        tuple(
+            Operator(
+                _embed_first_junk(el.entries, el.dims, 4), (el.dims[0] * 4, el.dims[1])
+            )
+            for el in quad
+        )
+        for quad in real.repeaters
+    )
+    return Realization(DI, n, tuple(sources), a_obs, l_meas, eve, real.branch, b_obs, repeaters)
+
+
+def _embed_first_junk(entries: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
+    """O -> O (x) junk identity on the first site only of a two-site operator."""
+    d0, d1 = dims
+    full = np.kron(entries, np.eye(j)).reshape(d0, d1, j, d0, d1, j)
+    full = full.transpose(0, 2, 1, 3, 5, 4)
+    return full.reshape(d0 * j * d1, d0 * j * d1)

@@ -1,7 +1,12 @@
 """Families of alternative realizations and what they do to the statistics."""
 
+import math
+
 import numpy as np
 import pytest
+from dense_oracle import listed_assemble_state, listed_conjugate, listed_depolarize_sources, listed_dilate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatecert.adversary import (
     ADVERSARY_KINDS,
@@ -20,6 +25,8 @@ from gatecert.network import (
     ALMOST_DI,
     DI,
     PERP,
+    SCHEMES,
+    assemble_state,
     born_table,
     reference_realization,
     validate_realization,
@@ -166,3 +173,55 @@ def test_depolarize_sources_di_widens_and_validates():
     noisy = depolarize_sources(real, 0.1)
     validate_realization(noisy)
     assert noisy.sources[0].dims != real.sources[0].dims
+
+
+def _parts(real):
+    """Dims and bytes of every source and operator, in field order."""
+    ops = [*real.sources, *(op for triple in real.a_obs for op in triple), *real.l_meas, real.eve]
+    if real.scheme == DI:
+        ops += [op for pair in real.b_obs for op in pair] + [el for quad in real.repeaters for el in quad]
+    return [(op.dims, (op.amplitudes if hasattr(op, "amplitudes") else op.entries).tobytes()) for op in ops]
+
+
+@st.composite
+def adversary_pairs(draw):
+    """A reference realization under an adversary, built by the package and
+    by the listed oracle.  Dilations at di n=3, and dilations of depolarized
+    realizations at n=3, are not drawn: their operators run to thousands of
+    rows."""
+    scheme, n = draw(st.sampled_from(SCHEMES)), draw(st.sampled_from((2, 3)))
+    kinds = ["dilate", "conjugate", "depolarize", "dilate-depolarize", "conjugate-depolarize"]
+    if n == 3:
+        kinds = [k for k in kinds if k != "dilate-depolarize" and not (scheme == DI and k == "dilate")]
+    kind = draw(st.sampled_from(kinds))
+    junk, rotate, seed = draw(st.integers(1, 3)), draw(st.booleans()), draw(st.integers(0, 2**16))
+    eta = draw(st.floats(0.0, 1.0))
+    branch = draw(st.sampled_from((+1, -1)))
+    real = reference_realization(n, gate("random", n, seed=seed), branch=branch, scheme=scheme)
+    new, old = real, real
+    if kind.endswith("depolarize"):
+        new, old = depolarize_sources(real, eta), listed_depolarize_sources(real, eta)
+    if kind.startswith("dilate"):
+        new, old = dilate(new, junk, seed=seed, rotate=rotate), listed_dilate(old, junk, seed=seed, rotate=rotate)
+    if kind.startswith("conjugate"):
+        new, old = conjugate(new), listed_conjugate(old)
+    return new, old
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(adversary_pairs())
+def test_adversaries_match_listed_oracle(pair):
+    """``dilate``, ``conjugate`` and ``depolarize_sources`` read the site map
+    and lift operators through one walk; every source and operator must
+    equal the listed oracle's bit for bit, and so must the assembled state
+    where it has at most 2^18 amplitudes (a dilated, depolarized di state
+    has 4e8)."""
+    new, old = pair
+    assert (new.scheme, new.n, new.branch) == (old.scheme, old.n, old.branch)
+    assert new.layout() == old.layout()
+    assert _parts(new) == _parts(old)
+    if math.prod(new.layout().dims) > 2**18:
+        return
+    state, listed = assemble_state(new), listed_assemble_state(old)
+    assert state.dims == listed.dims
+    assert state.amplitudes.tobytes() == listed.amplitudes.tobytes()
