@@ -36,12 +36,23 @@ record per settings row, in sorted settings order:
 ``{"e": e, "p": [...], "x": [x_1..x_N]}``, plus ``"y"`` (a bit list or
 ``"perp"``) for di.  ``p`` is the row's outcome array flattened in C order
 over (a_1..a_N, (r_1..r_N,) l); float repr makes the round trip exact.
+Tables hold few distinct values (247 among the 2.0e6 floats of di n=3
+toffoli), so the writer formats each distinct value of a row once and the
+reader parses each distinct number text of a line once; the format is
+unchanged: the text is the one ``json.dumps(record, sort_keys=True)``
+gives, and the parsed values are the ones ``json.loads`` gives.
 The reader rejects, with a ValueError naming the line, a record that lacks
 a field, has settings outside the scenario, repeats a row, or whose ``p``
 has the wrong length, a negative or non-finite entry, or a sum more than
 ``SUM_TOL`` from one; a file missing rows is rejected naming the first,
 and a header whose n is not an integer from 2 to ``MAX_TABLE_N`` before
-any row is read.
+any row is read.  A complete table is rejected if it signals: if party
+A_i's marginal depends on more than x_i, or repeater i's on x or y, by
+more than ``SIGNALLING_TOL``; the message names the party and two rows.
+
+``assemble_state`` refuses, before allocating, a joint state of more than
+``MAX_AMPLITUDES`` amplitudes: the Born kernel of a di n=2 realization
+dilated by 3, 1.7e6 amplitudes, already peaks at 0.65 GB.
 """
 
 from __future__ import annotations
@@ -79,6 +90,8 @@ VALIDATE_TOL = 1e-10
 SUM_TOL = 1e-12
 ZERO_WEIGHT_TOL = 1e-14
 MAX_TABLE_N = 8  # an almost_di table at n=9 holds 1e10 probabilities
+SIGNALLING_TOL = 1e-11  # exact tables deviate by at most about 1e-15
+MAX_AMPLITUDES = 2**22  # di n=2 dilated by 3 needs 1.7e6 and 0.65 GB; di n=4 needs 2**16
 
 
 @dataclass(frozen=True)
@@ -357,7 +370,15 @@ def _projector(state: StateVector) -> Operator:
 
 
 def assemble_state(real: Realization) -> StateVector:
-    """Tensor product of all sources, permuted into the canonical site order."""
+    """Tensor product of all sources, permuted into the canonical site order.
+    Raises ValueError, before allocating, if it would hold more than
+    ``MAX_AMPLITUDES`` amplitudes."""
+    size = math.prod(src.amplitudes.size for src in real.sources)
+    if size > MAX_AMPLITUDES:
+        raise ValueError(
+            f"the joint state would hold {size} amplitudes ({size * 16 / 2**30:.1f} GiB), "
+            f"more than MAX_AMPLITUDES = {MAX_AMPLITUDES}"
+        )
     listed = sum(real.layout().source_sites(), ())
     return permute_sites(kron(list(real.sources)), sorted(range(len(listed)), key=listed.__getitem__))
 
@@ -742,15 +763,28 @@ def _sorted_keys(table: ProbabilityTable) -> list[tuple]:
     return sorted(table.entries, key=lambda k: (k[0], k[1], _y_sort_key(k[2])))
 
 
+# json's spelling of the floats whose repr is not JSON
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_list_text(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist())`` without its brackets, formatting each
+    distinct value once: distinct by bit pattern, so -0.0 stays apart from
+    0.0."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [_JSON_NONFINITE.get(t, t) for t in map(repr, distinct.view(np.float64).tolist())]
+    return ", ".join(np.array(texts, dtype=object)[inverse].tolist())
+
+
 def write_table(table: ProbabilityTable, stream: io.TextIOBase) -> None:
-    """A header line, then one record per settings row in sorted order."""
+    """A header line, then one record per settings row in sorted order, as
+    ``json.dumps(record, sort_keys=True)`` writes it."""
     header = {"kind": "probability_table", "scheme": table.scheme, "n": table.n}
     stream.write(json.dumps(header, sort_keys=True) + "\n")
     for key in _sorted_keys(table):
-        rec: dict = {"x": list(key[0]), "e": key[1], "p": table.entries[key].ravel().tolist()}
-        if table.scheme == DI:
-            rec["y"] = PERP if key[2] == PERP else list(key[2])
-        stream.write(json.dumps(rec, sort_keys=True) + "\n")
+        p = _float_list_text(table.entries[key].ravel())
+        y = "" if table.scheme != DI else ', "y": ' + json.dumps(PERP if key[2] == PERP else list(key[2]))
+        stream.write(f'{{"e": {key[1]}, "p": [{p}], "x": {json.dumps(list(key[0]))}{y}}}\n')
 
 
 def save_table(table: ProbabilityTable, path: str) -> None:
@@ -777,10 +811,44 @@ def _record_key(rec: dict, scheme: str, n: int) -> tuple:
     return (tuple(int(v) for v in x), int(e), y if y == PERP else tuple(int(b) for b in y))
 
 
+def _check_no_signalling(table: ProbabilityTable) -> None:
+    """Raise ValueError if a marginal depends on a setting that cannot reach
+    it, by more than ``SIGNALLING_TOL``: party A_i's p(a_i) on anything but
+    x_i, or repeater i's p(r_i) on x or y.  The central party acts before
+    the repeaters, so p(r_i) may depend on e.  L's and the boxes' marginals
+    are not checked.  The message names the party and two settings rows
+    that disagree."""
+    keys = list(table.scenario().settings())
+    n = table.n
+    core = np.stack([table.entries[key].sum(axis=-1) for key in keys])  # (row, a_1..a_N, (r_1..r_N))
+    groups = [(f"party A_{i}", i, [key[0][i - 1] for key in keys]) for i in range(1, n + 1)]
+    if table.scheme == DI:
+        groups += [(f"repeater {i}", n + i, [key[1] for key in keys]) for i in range(1, n + 1)]
+    for who, axis, labels in groups:
+        marginal = core.sum(axis=tuple(a for a in range(1, core.ndim) if a != axis))
+        _, first, group = np.unique(labels, return_index=True, return_inverse=True)
+        ref = first[group]  # each row's first row with the same setting
+        dev = np.abs(marginal - marginal[ref]).max(axis=1)
+        k = int(np.argmax(dev))
+        if dev[k] > SIGNALLING_TOL:
+            raise ValueError(
+                f"signalling: {who}'s marginal differs by {dev[k]:.2e} between settings rows {keys[ref[k]]} and {keys[k]}"
+            )
+
+
+class _FloatMemo(dict):
+    """``float(text)`` per number text, each computed once."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def read_table(stream: io.TextIOBase) -> ProbabilityTable:
     """Parse a table file line by line.  A malformed or unphysical record
     raises ValueError naming its line; a missing settings row raises
-    ValueError naming the first one missing."""
+    ValueError naming the first one missing, and a signalling table one
+    naming the party and two rows (``_check_no_signalling``)."""
     lines = enumerate(stream, start=1)
     for lineno, ln in lines:
         if ln.strip():
@@ -806,7 +874,8 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
         if not ln.strip():
             continue
         try:
-            rec = json.loads(ln)
+            # one memo per line, so it holds at most one row's number texts
+            rec = json.JSONDecoder(parse_float=_FloatMemo().__getitem__).decode(ln)
             key = _record_key(rec, scheme, n)
             if key in arrays:
                 raise ValueError(f"duplicate settings row {key}")
@@ -829,7 +898,9 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
     if missing:
         rows = len(missing) + len(arrays)
         raise ValueError(f"table lacks {len(missing)} of {rows} settings rows, the first is {missing[0]}")
-    return ProbabilityTable._adopt(scheme, n, arrays)
+    table = ProbabilityTable._adopt(scheme, n, arrays)
+    _check_no_signalling(table)
+    return table
 
 
 def load_table(path: str) -> ProbabilityTable:

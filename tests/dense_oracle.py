@@ -9,6 +9,11 @@ This is the kernel the package shipped before it moved to square-root
 factors; it is slow (seconds for di n=3) but shares no code with the
 factored kernel beyond state assembly and ``apply_raw``.
 
+``dumps_write_table`` is the table writer, kept as the oracle of
+``gatecert.network.write_table``: the package's former body, which builds
+each record as a dict and writes ``json.dumps(record, sort_keys=True)``,
+formatting every float of every row on its own.
+
 ``realization_value`` evaluates a Bell functional as <psi|O E|psi> on the
 network state, with E the conditioning element and O the product of the
 parties' observables, and ``steered_state`` is the normalized state left
@@ -45,6 +50,8 @@ and ``_rotate_op`` are the former lifts onto junk.
 
 from __future__ import annotations
 
+import io
+import json
 from itertools import product
 
 import numpy as np
@@ -62,6 +69,7 @@ from gatecert.network import (
     Realization,
     ZeroProbabilityEvent,
     _parse_assignment,
+    _sorted_keys,
     _state_with_eve,
     event_label,
     validate_realization,
@@ -744,3 +752,14 @@ def _embed_first_junk(entries: np.ndarray, dims: tuple[int, ...], j: int) -> np.
     full = np.kron(entries, np.eye(j)).reshape(d0, d1, j, d0, d1, j)
     full = full.transpose(0, 2, 1, 3, 5, 4)
     return full.reshape(d0 * j * d1, d0 * j * d1)
+
+
+def dumps_write_table(table: ProbabilityTable, stream: io.TextIOBase) -> None:
+    """A header line, then one record per settings row in sorted order."""
+    header = {"kind": "probability_table", "scheme": table.scheme, "n": table.n}
+    stream.write(json.dumps(header, sort_keys=True) + "\n")
+    for key in _sorted_keys(table):
+        rec: dict = {"x": list(key[0]), "e": key[1], "p": table.entries[key].ravel().tolist()}
+        if table.scheme == DI:
+            rec["y"] = PERP if key[2] == PERP else list(key[2])
+        stream.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -1,16 +1,21 @@
 """Command line behavior: files written, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from table_files import move_mass, table_lines, with_change
 
 from gatecert import cli
 from gatecert.adversary import AdversarySpec, save_adversary
 from gatecert.cli import main
-from gatecert.network import DI, born_table, load_table, reference_realization, save_table
+from gatecert.network import DI, SCHEMES, born_table, load_table, reference_realization, save_table
 from gatecert.primitives import gate
 
 
@@ -240,7 +245,7 @@ def test_certify_malformed_adversary_exits_two(tmp_path, capsys, record, reason)
     assert f"error: {reason}" in capsys.readouterr().err
 
 
-def test_di_three_subnet_table_roundtrip(tmp_path, monkeypatch):
+def test_di_three_subnet_table_roundtrip(tmp_path, monkeypatch, capsys):
     """The largest table the CLI writes loads back exactly and certifies."""
     loaded = []
 
@@ -252,8 +257,49 @@ def test_di_three_subnet_table_roundtrip(tmp_path, monkeypatch):
     run = tmp_path / "run"
     assert main(["simulate", "--scheme", "di", "--n", "3", "--gate", "toffoli", "--out", str(run)]) == 0
     assert main(["certify", "--gate", "toffoli", "--table", str(run / "table.jsonl")]) == 0
+    assert "verdict: certified" in capsys.readouterr().out
     table = born_table(reference_realization(3, gate("toffoli", 3), scheme=DI))
     assert table.max_difference(loaded[0]) == 0.0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(SCHEMES),
+    st.integers(1, 18),
+    st.integers(1, 2),
+    st.floats(1e-9, 1e-3),
+)
+def test_certify_signalling_table_exits_two(tmp_path_factory, scheme, index, party, amount):
+    """Moving mass between the a_i outcomes of one row keeps the row's sum
+    but makes party A_i signal; certify --table exits 2 and names it."""
+    lines = with_change(table_lines(scheme), index, {"p": move_mass(scheme, party - 1, amount)})
+    bad = tmp_path_factory.mktemp("signalling") / "table.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["certify", "--gate", "cz", "--table", str(bad)])
+    assert code == 2
+    assert f"error: signalling: party A_{party}'s marginal differs by" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "spec, amplitudes",
+    [
+        (AdversarySpec("dilate", junk_dim=3, seed=1), 6**12),
+        (AdversarySpec("depolarize", eta=0.05), 16**6),
+    ],
+    ids=["dilate", "depolarize"],
+)
+def test_simulate_oversized_realization_exits_two(tmp_path, capsys, spec, amplitudes):
+    """di n=3 dilated by junk of dimension 3 has 12 sites of dimension 6,
+    and depolarized its 6 sources of dimension 16: simulate exits 2 naming
+    the joint state's amplitude count, before allocating it."""
+    adv = tmp_path / "adv.json"
+    save_adversary(spec, str(adv))
+    argv = ["simulate", "--scheme", "di", "--n", "3", "--gate", "toffoli", "--adversary", str(adv), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert f"the joint state would hold {amplitudes} amplitudes" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "table.jsonl").exists()
 
 
 def test_gate_file_input(tmp_path):

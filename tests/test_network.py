@@ -5,7 +5,6 @@ projectors densely (numpy.kron plus the tensor primitives already covered
 by test_tensor) and compares every probability entry.
 """
 
-import functools
 import io
 import json
 import re
@@ -14,14 +13,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from dense_oracle import steered_state
+from dense_oracle import dumps_write_table, steered_state
 from hypothesis import strategies as st
 from strategies import realizations
+from table_files import move_mass, read_with_change, table_lines
 
 from gatecert.adversary import depolarize_sources, dilate
 from gatecert.network import (
     ALMOST_DI,
     DI,
+    MAX_AMPLITUDES,
     PERP,
     SCHEMES,
     ProbabilityTable,
@@ -417,28 +418,6 @@ def test_max_difference_sees_every_entry():
     assert np.isclose(table.max_difference(bumped), 3e-7)
 
 
-@functools.cache
-def table_lines(scheme=ALMOST_DI):
-    """Lines of the cz n=2 table file: the header, then one record per row."""
-    buf = io.StringIO()
-    write_table(born_table(reference_realization(2, gate("cz", 2), scheme=scheme)), buf)
-    return tuple(buf.getvalue().splitlines())
-
-
-def read_with_change(lines, index, change):
-    """Read ``lines`` after editing the record at ``index``: each field of
-    ``change`` is deleted (None), mapped (a callable) or replaced."""
-    lines = list(lines)
-    rec = json.loads(lines[index])
-    for field, value in change.items():
-        if value is None:
-            del rec[field]
-        else:
-            rec[field] = value(rec[field]) if callable(value) else value
-    lines[index] = json.dumps(rec)
-    return read_table(io.StringIO("\n".join(lines)))
-
-
 def negate_largest(p):
     k = p.index(max(p))
     return p[:k] + [-p[k]] + p[k + 1 :]
@@ -568,3 +547,101 @@ def test_single_field_corruption_names_its_line(case):
 def test_read_table_names_missing_header_field():
     with pytest.raises(ValueError, match="^line 2: header lacks field 'n'"):
         read_table(io.StringIO('\n{"kind": "probability_table", "scheme": "di"}\n'))
+
+
+def assert_bitwise_equal(table, back):
+    for key in table.keys():
+        assert np.array_equal(back.array(key), table.array(key))
+        assert np.array_equal(back.array(key).view(np.int64), table.array(key).view(np.int64))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(realizations())
+def test_writer_matches_json_dumps_oracle(real):
+    """Each distinct value is formatted once, yet the text is byte for byte
+    what ``json.dumps`` of each record gives, and reads back bit for bit."""
+    table = born_table(real)
+    buf, oracle = io.StringIO(), io.StringIO()
+    write_table(table, buf)
+    dumps_write_table(table, oracle)
+    assert buf.getvalue() == oracle.getvalue()
+    assert_bitwise_equal(table, read_table(io.StringIO(buf.getvalue())))
+
+
+def test_special_floats_round_trip_byte_identical():
+    """-0.0 stays apart from 0.0, and -0.0, the smallest subnormal, a value
+    repr writes in exponent form and 1.0 are written as json.dumps writes
+    them and read back bit for bit."""
+    exact = np.zeros(16)
+    exact[0] = 1.0
+    exact[1] = -0.0
+    spread = np.zeros(16)
+    spread[:4] = 1.0 - 1e-05, 1e-05, 5e-324, -0.0
+    entries = {key: (exact if key[1] == 0 else spread).reshape(2, 2, 4) for key in ScenarioSpec(ALMOST_DI, 2).settings()}
+    table = ProbabilityTable(ALMOST_DI, 2, entries)
+    buf, oracle = io.StringIO(), io.StringIO()
+    write_table(table, buf)
+    dumps_write_table(table, oracle)
+    text = buf.getvalue()
+    assert text == oracle.getvalue()
+    assert '"p": [1.0, -0.0, 0.0,' in text and '"p": [0.99999, 1e-05, 5e-324, -0.0, 0.0,' in text
+    back = read_table(io.StringIO(text))
+    assert_bitwise_equal(table, back)
+    again = io.StringIO()
+    write_table(back, again)
+    assert again.getvalue() == text
+    # the reader refuses non-finite entries, but the writer still spells them as json does
+    spread[4:7] = np.nan, np.inf, -np.inf
+    table = ProbabilityTable(ALMOST_DI, 2, entries)
+    buf, oracle = io.StringIO(), io.StringIO()
+    write_table(table, buf)
+    dumps_write_table(table, oracle)
+    assert buf.getvalue() == oracle.getvalue()
+    assert "-0.0, NaN, Infinity, -Infinity, 0.0" in buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "scheme, axis, who, rows",
+    [
+        (ALMOST_DI, 0, "party A_1", "((0, 0), 0) and ((0, 1), 1)"),
+        (ALMOST_DI, 1, "party A_2", "((0, 1), 0) and ((0, 1), 1)"),
+        (DI, 1, "party A_2", "((0, 0), 0, (0, 0)) and ((0, 0), 0, (1, 1))"),
+        (DI, 2, "repeater 1", "((0, 0), 0, (0, 0)) and ((0, 0), 0, (1, 1))"),
+        (DI, 3, "repeater 2", "((0, 0), 0, (0, 0)) and ((0, 0), 0, (1, 1))"),
+    ],
+)
+def test_read_table_rejects_signalling(scheme, axis, who, rows):
+    """Moving 1e-6 between one row's outcomes of a party or a repeater makes
+    that marginal differ from the first row with the same setting."""
+    reason = f"signalling: {who}'s marginal differs by 1.00e-06 between settings rows {rows}"
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        read_with_change(table_lines(scheme), 4, {"p": move_mass(scheme, axis, 1e-6)})
+
+
+def test_read_table_accepts_repeater_marginal_that_depends_on_e():
+    """The central party acts before the repeaters, so p(r_i) may depend on
+    e: a product source on R_{1,1} that Eve swaps with a maximally mixed
+    wing, read by a computational-basis repeater, gives p(r_1) = (1/2, 1/2,
+    0, 0) at e=0 and uniform at e=1, and the table loads."""
+    real = reference_realization(2, gate("cnot", 2), scheme=DI)
+    basis = tuple(Operator(np.diag(np.eye(4)[k]).astype(complex), (2, 2)) for k in range(4))
+    real = replace(
+        real,
+        sources=(StateVector(np.eye(4, dtype=complex)[0], (2, 2)),) + real.sources[1:],
+        eve=gate("swap", 2),
+        repeaters=(basis,) + real.repeaters[1:],
+    )
+    table = born_table(real)
+    for e, marginal in ((0, [0.5, 0.5, 0, 0]), (1, [0.25] * 4)):
+        assert np.allclose(table.array(((0, 0), e, PERP)).sum(axis=(0, 1, 3, 4)), marginal, atol=1e-15)
+    buf = io.StringIO()
+    write_table(table, buf)
+    assert table.max_difference(read_table(io.StringIO(buf.getvalue()))) == 0.0
+
+
+def test_assemble_state_refuses_oversized_state():
+    """A depolarized, 3-dilated di n=2 realization would need 20736^2
+    amplitudes (6.9 GB); the guard raises before allocating them."""
+    real = dilate(depolarize_sources(reference_realization(2, gate("cnot", 2), scheme=DI), 0.05), 3)
+    with pytest.raises(ValueError, match=f"would hold 429981696 amplitudes .*more than MAX_AMPLITUDES = {MAX_AMPLITUDES}"):
+        assemble_state(real)
