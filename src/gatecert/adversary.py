@@ -19,7 +19,10 @@ correlations and must be caught:
 Each kind is new sources plus one ``Realization.map_operators`` walk, in
 which every operator is lifted onto the junk of its sites (``dilate``,
 ``depolarize``) or conjugated, or is ``dataclasses.replace`` of Eve's
-operation (``gauge_phase``, ``perturb``).
+operation (``gauge_phase``, ``perturb``).  ``dilate`` refuses, before it
+allocates anything, a junk dimension whose largest matrix would exceed
+``network.MAX_AMPLITUDES`` entries.  ``AdversarySpec.from_record`` takes
+JSON numbers only for its integer and float fields.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from math import prod
 import numpy as np
 
 from .extract import teleported_elements
-from .network import ALMOST_DI, Realization
+from .network import ALMOST_DI, Realization, check_size
 from .primitives import haar_unitary, pauli
 from .tensor import Operator, StateVector
 
@@ -83,12 +86,12 @@ class AdversarySpec:
 
         return AdversarySpec(
             kind=kind,
-            junk_dim=field("junk_dim", operator.index, 2),
-            seed=field("seed", operator.index, 0),
+            junk_dim=field("junk_dim", _json_int, 2),
+            seed=field("seed", _json_int, 0),
             rotate=field("rotate", _json_bool, True),
-            thetas=field("thetas", lambda ts: tuple(float(t) for t in ts), None),
-            epsilon=field("epsilon", float, 0.0),
-            eta=field("eta", float, 0.0),
+            thetas=field("thetas", lambda ts: tuple(_json_float(t) for t in ts), None),
+            epsilon=field("epsilon", _json_float, 0.0),
+            eta=field("eta", _json_float, 0.0),
         )
 
 
@@ -96,6 +99,18 @@ def _json_bool(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError("not a boolean")
     return value
+
+
+def _json_int(value) -> int:
+    if isinstance(value, bool):
+        raise TypeError("not an integer")
+    return operator.index(value)
+
+
+def _json_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("not a number")
+    return float(value)
 
 
 def load_adversary(path: str) -> AdversarySpec:
@@ -156,8 +171,13 @@ def dilate(real: Realization, junk_dim: int, seed: int = 0, rotate: bool = True)
     unchanged."""
     if junk_dim < 1:
         raise ValueError(f"junk dimension must be >= 1, got {junk_dim}")
+    j, lay = junk_dim, real.layout()
+    # the largest matrix built below: a source's rotation, or an operator lifted onto its sites' junk
+    groups = list(lay.source_sites())
+    real.map_operators(lambda op, sites: groups.append(sites) or op)
+    widest = max(prod(lay.dims[s] * j for s in sites) for sites in groups)
+    check_size(widest**2, f"a junk_dim={j} dilation's largest matrix")
     rng = np.random.default_rng(seed)
-    j = junk_dim
 
     def junk_state() -> np.ndarray:
         if j == 1:
@@ -170,7 +190,6 @@ def dilate(real: Realization, junk_dim: int, seed: int = 0, rotate: bool = True)
         d0, d1 = src.dims
         amp = np.tensordot(src.amplitudes.reshape(d0, d1), junk_state().reshape(j, j), axes=0)
         junked.append(amp.transpose(0, 2, 1, 3).reshape(d0 * j * d1 * j))
-    lay = real.layout()
     ws = [haar_unitary(d * j, rng) if rotate else np.eye(d * j) for d in lay.dims]
     sources = tuple(
         StateVector(np.kron(ws[s0], ws[s1]) @ amp, (src.dims[0] * j, src.dims[1] * j))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .network import ProbabilityTable, correlator_weights, event_index, event_label, weighted_sum
 from .primitives import EXPANSION, SettingSymbol
-from .tensor import Operator, apply_raw, polar_unitary
+from .tensor import Operator, apply_raw_batch, polar_unitary
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def k_sign_bits(k: int) -> tuple[int, int]:
     return (b1, b1 ^ b2)
 
 
-def functional_K(i: int, signs: tuple[int, int], n: int | None = None) -> BellFunctional:
+def functional_K(i: int, signs: tuple[int, int], n: int) -> BellFunctional:
     """CHSH-type functional between A_i and B_i with sign bits ``signs``.
 
     K = (-1)^{s1} <XX-like> + (-1)^{s2} <ZZ-like>: the rotated pair of
@@ -90,7 +90,6 @@ def functional_K(i: int, signs: tuple[int, int], n: int | None = None) -> BellFu
         raise ValueError(f"sign bits must be 0 or 1, got {signs!r}")
     if i < 1:
         raise ValueError(f"subnet index must be >= 1, got {i}")
-    n = max(i, 2) if n is None else n
     if i > n:
         raise ValueError(f"subnet {i} out of range for n={n}")
     if i == 1:
@@ -302,11 +301,11 @@ def _effective_operators(
         sym = term.assignment.get(label)
         if sym is None or sym is SettingSymbol.ID:
             continue
-        vec = state
+        vec = state[None]
         for olabel, osym in term.assignment.items():
             if olabel == label or osym is SettingSymbol.ID:
                 continue
-            vec = apply_raw(vec, dims, measured[(olabel, osym)], [labels.index(olabel)])
+            vec = apply_raw_batch(vec, dims, measured[(olabel, osym)][None], [labels.index(olabel)])
         chi_m = np.moveaxis(vec.reshape(dims), k, 0).reshape(site_dim, -1)
         contribution = chi_m @ psi_m.conj().T
         for c, code in EXPANSION[sym]:

@@ -47,13 +47,14 @@ import numpy as np
 
 from .bell import functional_I, functional_K, functional_weights, k_sign_bits
 from .decomp import delta_set, f_coeffs
-from .extract import OP_TOL
+from .extract import OP_TOL, Extraction
 from .network import (
     ALMOST_DI,
     DI,
     PERP,
     ProbabilityTable,
     Realization,
+    ScenarioSpec,
     ZeroProbabilityEvent,
     correlator_weights,
     event_index,
@@ -225,12 +226,12 @@ def _fsum_checks(scheme: str, n: int, u: Operator, prefix: str, rhs: float, r=No
     for k in range(n):
         operands += [party_matrix(_A1_SYMBOLS if k == 0 else _AI_SYMBOLS), [1 + k, 1 + n + k, 1 + 2 * n + k]]
     w = np.einsum(*operands, [0, *range(1 + n, 1 + 3 * n)], optimize=True)
-    checks = []
+    scen, checks = ScenarioSpec(scheme, n), []
     for l in range(2**n):
         weights = {}
         for x in product(range(3), repeat=n):
             if w[l][x].any():
-                weights[(x, 1) if scheme == ALMOST_DI else (x, 1, PERP)] = w[l][x]
+                weights[scen.row(x, 1, PERP)] = w[l][x]
         label = _bits_label(ghz_bits(l, n))
         checks.append(_check(f"{prefix}.fsum[{label}]", rhs, scheme, n, weights, l=l, r=r))
     return checks
@@ -349,8 +350,6 @@ def certify(
 
 
 def _realization_rows(real: Realization, u: Operator, op_tol: float) -> tuple[list[CheckRow], str]:
-    from .extract import Extraction
-
     rows: list[CheckRow] = []
     try:
         ext = Extraction(real, u, op_tol=op_tol)

@@ -58,8 +58,7 @@ def _resolve_gate(spec: str, n: int, seed: int):
 
 def _marginals(table: ProbabilityTable) -> dict:
     n = table.n
-    x0 = (0,) * n
-    key = (x0, 0) if table.scheme == ALMOST_DI else (x0, 0, PERP)
+    key = table.scenario().row((0,) * n, 0, PERP)
     p_l = [table.signed_sum(key, l=l) for l in range(2**n)]
     out = {"p_l": p_l}
     if table.scheme == DI:
@@ -108,28 +107,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    n = args.n
+    funcs = [(functional_I(ghz_bits(l, n)), 3.0 * (n - 1)) for l in range(2**n)]
+    funcs += [(functional_K(1, k_sign_bits(k), n), 2.0) for k in range(4)]
     rows = []
-    for l in range(2**args.n):
-        func = functional_I(ghz_bits(l, args.n))
+    for func, reference in funcs:
         res = seesaw_max(func, restarts=args.restarts, seed=args.seed)
         rows.append(
-            {
-                "functional": func.label,
-                "classical": classical_bound(func),
-                "seesaw": res.value,
-                "reference": 3.0 * (args.n - 1),
-            }
-        )
-    for k in range(4):
-        func = functional_K(1, k_sign_bits(k), args.n)
-        res = seesaw_max(func, restarts=args.restarts, seed=args.seed)
-        rows.append(
-            {
-                "functional": func.label,
-                "classical": classical_bound(func),
-                "seesaw": res.value,
-                "reference": 2.0,
-            }
+            {"functional": func.label, "classical": classical_bound(func), "seesaw": res.value, "reference": reference}
         )
     for row in rows:
         print(
@@ -237,11 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, need_n=True, table_mode=False):
+    def common(p, *, table_mode=False):
         p.add_argument("--scheme", choices=sorted(SCHEME_FLAGS), default=None,
                        help="default almost-di; with --table, the table's scheme")
-        if need_n:
-            p.add_argument("--n", type=int, choices=N_CHOICES, required=not table_mode, default=None)
+        p.add_argument("--n", type=int, choices=N_CHOICES, required=not table_mode, default=None)
         p.add_argument("--gate", required=True, help="gate name or JSON file")
         p.add_argument("--branch", choices=("plus", "minus"), default=None if table_mode else "plus",
                        help="default plus; not allowed with --table" if table_mode else None)

@@ -24,7 +24,7 @@ no consistent target and is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -259,11 +259,8 @@ def teleported_elements(real: Realization) -> list[np.ndarray]:
 def _collective_state(real: Realization) -> np.ndarray:
     """Reduced state of the collective Eve acts on: the second wing of each
     of the first N sources (L sites for almost_di, R_{*,1} sites for di)."""
-    rho = np.array([[1.0 + 0j]])
-    for i in range(real.n):
-        m = real.sources[i].amplitudes.reshape(real.sources[i].dims)
-        rho = np.kron(rho, m.T @ m.conj())
-    return rho
+    states = _site_states(real)
+    return reduce(np.kron, [states[s] for s in real.layout().v_sites()], np.array([[1.0 + 0j]]))
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"

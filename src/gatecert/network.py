@@ -30,9 +30,16 @@ are zero-padded to a common rank, so a zero element is a block of zero
 rows.  A probability is then the squared norm ||(K_a (x) K_r (x) K_l) psi||^2,
 real and non-negative by construction.
 
+A settings row is keyed ``(x, e)`` for almost_di and ``(x, e, y)`` for di;
+``ScenarioSpec.row`` is the only code that validates and normalizes such
+a key, and ``ScenarioSpec.settings()`` lists every key in order.  An
+operator reaches its sites only through ``tensor.apply_raw_batch``: Eve's
+layer applies a one-element stack, whose V sites are contiguous and
+ascending, so the flat layout is kept.
+
 Table files (``write_table``/``read_table``) hold a header line
 ``{"kind": "probability_table", "n": N, "scheme": S}``, then one JSON
-record per settings row, in sorted settings order:
+record per settings row, in ``ScenarioSpec.settings()`` order:
 ``{"e": e, "p": [...], "x": [x_1..x_N]}``, plus ``"y"`` (a bit list or
 ``"perp"``) for di.  ``p`` is the row's outcome array flattened in C order
 over (a_1..a_N, (r_1..r_N,) l); float repr makes the round trip exact.
@@ -50,9 +57,11 @@ any row is read.  A complete table is rejected if it signals: if party
 A_i's marginal depends on more than x_i, or repeater i's on x or y, by
 more than ``SIGNALLING_TOL``; the message names the party and two rows.
 
-``assemble_state`` refuses, before allocating, a joint state of more than
-``MAX_AMPLITUDES`` amplitudes: the Born kernel of a di n=2 realization
-dilated by 3, 1.7e6 amplitudes, already peaks at 0.65 GB.
+``check_size`` refuses, before allocating, an array of more than
+``MAX_AMPLITUDES`` complex entries: ``assemble_state`` asks it about the
+joint state, and ``adversary.dilate`` about the largest matrix it builds.
+The Born kernel of a di n=2 realization dilated by 3, 1.7e6 amplitudes,
+already peaks at 0.65 GB.
 """
 
 from __future__ import annotations
@@ -71,14 +80,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .primitives import EXPANSION, SettingSymbol, ghz_bits, ghz_state, phi_plus, ref_b_observable, ref_observable
-from .tensor import (
-    Operator,
-    StateVector,
-    apply_raw,
-    apply_raw_batch,
-    kron,
-    permute_sites,
-)
+from .tensor import Operator, StateVector, apply_raw_batch, kron, permute_sites
 
 ALMOST_DI = "almost_di"
 DI = "di"
@@ -123,6 +125,23 @@ class ScenarioSpec:
                 else:
                     for y in self.y_settings():
                         yield (x, e, y)
+
+    def row(self, x, e, y) -> tuple:
+        """The key of settings row (x, e, y): ``(x, e)`` for almost_di, where
+        ``y`` must be ``PERP``, and ``(x, e, y)`` for di, ``y`` a bit
+        sequence or ``PERP``; x and the bits become int tuples.  The only
+        code that validates and normalizes a settings key: settings outside
+        the scenario raise ValueError naming them as given."""
+        xs, perp = tuple(x), isinstance(y, str) and y == PERP
+        inside = len(xs) == self.n and all(v in (0, 1, 2) for v in xs) and e in (0, 1)
+        if self.scheme == ALMOST_DI:
+            if not (inside and perp):
+                raise ValueError(f"settings x={x!r}, e={e!r}{'' if perp else f', y={y!r}'} lie outside the scenario")
+            return (tuple(int(v) for v in xs), int(e))
+        ys = () if perp else tuple(y)
+        if not (inside and (perp or (len(ys) == self.n and all(b in (0, 1) for b in ys)))):
+            raise ValueError(f"settings x={x!r}, e={e!r}, y={y!r} lie outside the scenario")
+        return (tuple(int(v) for v in xs), int(e), PERP if perp else tuple(int(b) for b in ys))
 
     def outcome_shape(self) -> tuple[int, ...]:
         if self.scheme == ALMOST_DI:
@@ -247,12 +266,12 @@ def validate_realization(real: Realization) -> None:
     """Check structural and operator invariants to ``VALIDATE_TOL``; raises
     ValueError on failure.  Each realization object is checked once."""
     if _VALIDATED.get(id(real)) is not real:
-        _validate(real, VALIDATE_TOL)
+        _validate(real)
         _VALIDATED[id(real)] = real
 
 
-def _validate(real: Realization, tol: float) -> None:
-    n = real.n
+def _validate(real: Realization) -> None:
+    n, tol = real.n, VALIDATE_TOL
     if real.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {real.scheme!r}")
     if real.branch not in (+1, -1):
@@ -274,7 +293,7 @@ def _validate(real: Realization, tol: float) -> None:
         for x, obs in enumerate(triple):
             if obs.dims != (a_dims[i - 1],):
                 raise ValueError(f"observable A[{i},{x}] has dims {obs.dims}, site needs {(a_dims[i-1],)}")
-            if not obs.is_hermitian(tol):
+            if not obs.is_hermitian():
                 raise ValueError(f"observable A[{i},{x}] is not Hermitian")
             dev = np.max(np.abs(obs.entries @ obs.entries - np.eye(obs.dim)))
             if dev > tol:
@@ -283,11 +302,11 @@ def _validate(real: Realization, tol: float) -> None:
     dl = int(np.prod(l_dims))
     if len(real.l_meas) != 2**n:
         raise ValueError(f"joint box needs {2**n} elements, got {len(real.l_meas)}")
-    _check_povm(real.l_meas, dl, "joint box", tol)
+    _check_povm(real.l_meas, dl, "joint box")
     v_dims = real.l_dims() if real.scheme == ALMOST_DI else real.r1_dims()
     if real.eve.dims != v_dims:
         raise ValueError(f"eve operation has dims {real.eve.dims}, expected {v_dims}")
-    if not real.eve.is_unitary(tol):
+    if not real.eve.is_unitary():
         raise ValueError("eve operation is not unitary")
     if real.scheme == ALMOST_DI:
         if real.b_obs is not None or real.repeaters is not None:
@@ -301,7 +320,7 @@ def _validate(real: Realization, tol: float) -> None:
         for y, obs in enumerate(pair):
             if obs.dims != (l_dims[i - 1],):
                 raise ValueError(f"box B[{i},{y}] has dims {obs.dims}, site needs {(l_dims[i-1],)}")
-            if not obs.is_hermitian(tol):
+            if not obs.is_hermitian():
                 raise ValueError(f"box B[{i},{y}] is not Hermitian")
             dev = np.max(np.abs(obs.entries @ obs.entries - np.eye(obs.dim)))
             if dev > tol:
@@ -316,15 +335,16 @@ def _validate(real: Realization, tol: float) -> None:
         for k, el in enumerate(quad):
             if el.dims != pair_dims:
                 raise ValueError(f"repeater element R[{i},{k}] has dims {el.dims}, expected {pair_dims}")
-        _check_povm(quad, int(np.prod(pair_dims)), f"repeater {i}", tol)
+        _check_povm(quad, int(np.prod(pair_dims)), f"repeater {i}")
 
 
-def _check_povm(elements: Sequence[Operator], dim: int, what: str, tol: float) -> None:
+def _check_povm(elements: Sequence[Operator], dim: int, what: str) -> None:
+    tol = VALIDATE_TOL
     total = np.zeros((dim, dim), dtype=complex)
     for k, el in enumerate(elements):
         if el.dim != dim:
             raise ValueError(f"{what} element {k} has dimension {el.dim}, expected {dim}")
-        if not el.is_hermitian(tol):
+        if not el.is_hermitian():
             raise ValueError(f"{what} element {k} is not Hermitian")
         low = np.linalg.eigvalsh(el.entries)[0]
         if low < -tol:
@@ -369,16 +389,21 @@ def _projector(state: StateVector) -> Operator:
     return Operator(np.outer(state.amplitudes, state.amplitudes.conj()), state.dims)
 
 
+def check_size(size: int, what: str) -> None:
+    """Raise ValueError naming ``what`` if an array of ``size`` complex
+    entries would hold more than ``MAX_AMPLITUDES``."""
+    if size > MAX_AMPLITUDES:
+        raise ValueError(
+            f"{what} would hold {size} amplitudes ({size * 16 / 2**30:.1f} GiB), "
+            f"more than MAX_AMPLITUDES = {MAX_AMPLITUDES}"
+        )
+
+
 def assemble_state(real: Realization) -> StateVector:
     """Tensor product of all sources, permuted into the canonical site order.
     Raises ValueError, before allocating, if it would hold more than
-    ``MAX_AMPLITUDES`` amplitudes."""
-    size = math.prod(src.amplitudes.size for src in real.sources)
-    if size > MAX_AMPLITUDES:
-        raise ValueError(
-            f"the joint state would hold {size} amplitudes ({size * 16 / 2**30:.1f} GiB), "
-            f"more than MAX_AMPLITUDES = {MAX_AMPLITUDES}"
-        )
+    ``MAX_AMPLITUDES`` amplitudes (``check_size``)."""
+    check_size(math.prod(src.amplitudes.size for src in real.sources), "the joint state")
     listed = sum(real.layout().source_sites(), ())
     return permute_sites(kron(list(real.sources)), sorted(range(len(listed)), key=listed.__getitem__))
 
@@ -386,14 +411,6 @@ def assemble_state(real: Realization) -> StateVector:
 def _binary_elements(obs: Operator) -> np.ndarray:
     eye = np.eye(obs.dim)
     return np.stack([(eye + obs.entries) / 2, (eye - obs.entries) / 2])
-
-
-def _state_with_eve(real: Realization, e: int) -> np.ndarray:
-    psi = assemble_state(real)
-    if e == 0:
-        return psi.amplitudes
-    lay = real.layout()
-    return apply_raw(psi.amplitudes, psi.dims, real.eve.entries, lay.v_sites())
 
 
 def _factor_stack(elements: Sequence[np.ndarray]) -> np.ndarray:
@@ -421,9 +438,10 @@ def _measure(block: np.ndarray, dims: tuple[int, ...], stack: np.ndarray, sites:
 def born_table(real: Realization) -> "ProbabilityTable":
     """Exact probability table over every setting row of the scenario.
 
-    Layers on disjoint sites commute, so the repeaters are measured once
-    per e, the L boxes once per (e, y), and the A layer last with one
-    stacked factor per party that covers all three settings."""
+    The joint state is assembled once.  Layers on disjoint sites commute,
+    so the repeaters are measured once per e, the L boxes once per (e, y),
+    and the A layer last with one stacked factor per party that covers all
+    three settings."""
     validate_realization(real)
     lay = real.layout()
     n = real.n
@@ -438,13 +456,16 @@ def born_table(real: Realization) -> "ProbabilityTable":
         box_stacks = [[_factor_stack(_binary_elements(obs)) for obs in pair] for pair in real.b_obs]
     # row digits (x_1 a_1 .. x_n a_n, l, r_1..r_n) -> (x_1..x_n, a_1..a_n, r_1..r_n, l)
     order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2), *range(2 * n + 1, 2 * n + 1 + n_rep), 2 * n]
+    psi = assemble_state(real).amplitudes[None, :]
     entries: dict = {}
     for e in (0, 1):
-        block, dims = _state_with_eve(real, e)[None, :], lay.dims
+        # Eve's V sites are contiguous and ascending: collapsing them keeps the flat layout
+        block = apply_raw_batch(psi, lay.dims, real.eve.entries[None], lay.v_sites()) if e else psi
+        dims = lay.dims
         for i in range(n_rep, 0, -1):
             block, dims = _measure(block, dims, rep_stacks[i - 1], [lay.r1_site(i), lay.r2_site(i)])
-        for y in scen.y_settings() or [None]:
-            if y is None or y == PERP:
+        for y in scen.y_settings() or [PERP]:
+            if y == PERP:
                 rows, rdims = _measure(block, dims, joint, lay.l_sites())
             else:
                 rows, rdims = block, dims
@@ -456,8 +477,8 @@ def born_table(real: Realization) -> "ProbabilityTable":
             probs = np.ascontiguousarray(probs.reshape((3, 2) * n + (2**n,) + (4,) * n_rep).transpose(order))
             totals = probs.reshape(3**n, -1).sum(axis=1)
             for x, total in zip(scen.x_settings(), totals):
-                key = (x, e) if y is None else (x, e, y)
-                if abs(total - 1.0) > SUM_TOL:
+                key = scen.row(x, e, y)
+                if not abs(total - 1.0) <= SUM_TOL:  # NaN fails too
                     raise ValueError(f"setting {key}: probabilities sum to {float(total)!r}")
                 entries[key] = probs[x]
     return ProbabilityTable._adopt(real.scheme, n, entries)
@@ -468,19 +489,26 @@ class ProbabilityTable:
 
     ``entries`` maps a settings key to an outcome array.  Keys are
     ``(x, e)`` for ``almost_di`` and ``(x, e, y)`` for ``di`` with
-    ``y`` either a bit tuple or the string ``"perp"``.
+    ``y`` either a bit tuple or the string ``"perp"``, as
+    ``ScenarioSpec.row`` normalizes them.  The constructor copies the
+    arrays and refuses a key outside the scenario, an array of the wrong
+    shape and a NaN or infinite entry; negative entries and rows that do
+    not sum to one are kept (exact tables carry entries of -2e-19, and
+    tests build corrupted rows on purpose), and ``read_table`` refuses them.
     """
 
     def __init__(self, scheme: str, n: int, entries: Mapping[tuple, np.ndarray]):
         self.scheme = scheme
         self.n = n
-        scen = ScenarioSpec(scheme, n)
-        shape = scen.outcome_shape()
+        self._scen = ScenarioSpec(scheme, n)
+        shape = self._scen.outcome_shape()
         norm: dict = {}
         for key, arr in entries.items():
             arr = np.array(arr, dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"outcome array for {key} has shape {arr.shape}, expected {shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"outcome array for {key} has a NaN or infinite entry")
             arr.setflags(write=False)
             norm[self._norm_key(key)] = arr
         self.entries = norm
@@ -490,26 +518,18 @@ class ProbabilityTable:
         """Table over arrays built for it alone, under normalized keys and
         of the outcome shape: stored without a copy, made read-only."""
         table = cls.__new__(cls)
-        table.scheme, table.n = scheme, n
+        table.scheme, table.n, table._scen = scheme, n, ScenarioSpec(scheme, n)
         for arr in entries.values():
             arr.setflags(write=False)
         table.entries = entries
         return table
 
     def _norm_key(self, key: tuple) -> tuple:
-        if self.scheme == ALMOST_DI:
-            x, e = key
-            return (tuple(int(v) for v in x), int(e))
-        x, e, y = key
-        if isinstance(y, str):
-            if y != PERP:
-                raise ValueError(f"unknown box setting {y!r}")
-        else:
-            y = tuple(int(v) for v in y)
-        return (tuple(int(v) for v in x), int(e), y)
+        x, e, y = (*key, PERP) if self.scheme == ALMOST_DI else key
+        return self._scen.row(x, e, y)
 
     def scenario(self) -> ScenarioSpec:
-        return ScenarioSpec(self.scheme, self.n)
+        return self._scen
 
     def keys(self):
         return self.entries.keys()
@@ -521,27 +541,14 @@ class ProbabilityTable:
         except KeyError:
             raise ValueError(f"settings row {nk} is missing from the table") from None
 
-    def signed_sum(
-        self,
-        key: tuple,
-        a_signs: Sequence[int] = (),
-        b_signs: Sequence[int] = (),
-        l: int | None = None,
-        r: Mapping[int, int] | None = None,
-    ) -> float:
-        """Sum of probabilities weighted by (-1)^(a_i) for parties in
-        ``a_signs`` and (-1)^(l_i) for subnets in ``b_signs``, restricted to
-        a fixed joint outcome ``l`` and/or fixed repeater outcomes ``r``
-        (mapping subnet -> outcome).  No renormalization."""
-        if l is not None and b_signs:
-            raise ValueError("cannot fix the joint outcome and sign box bits at once")
-        n = self.n
-        sign, ones = np.array([1.0, -1.0]), np.ones(2)
-        a_vecs = [sign if i in a_signs else ones for i in range(1, n + 1)]
-        b_vecs = [sign if i in b_signs else ones for i in range(1, n + 1)]
+    def signed_sum(self, key: tuple, l: int | None = None, r: Mapping[int, int] | None = None) -> float:
+        """Sum of the row's probabilities restricted to a fixed joint
+        outcome ``l`` and/or fixed repeater outcomes ``r`` (mapping subnet
+        -> outcome).  No renormalization."""
+        ones = [np.ones(2)] * self.n
         arr = self.array(key)
         weight = np.zeros(arr.shape)
-        weight[event_index(self.scheme, n, l=l, r=r)] = _row_weight(self.scheme, n, a_vecs, b_vecs, l=l, r=r)
+        weight[event_index(self.scheme, self.n, l=l, r=r)] = _row_weight(self.scheme, self.n, ones, ones, l=l, r=r)
         # Summing over the whole row keeps the summation order, and so every
         # bit, of the marginals that ``gatecert simulate`` writes.
         return float((arr * weight).sum())
@@ -684,6 +691,7 @@ def correlator_weights(
         m = party_matrix((sym,), settings)[0]
         return [(x, m[x]) for x in range(settings) if m[x].any()]
 
+    scen = ScenarioSpec(scheme, n)
     parties = [spread(a_syms.get(i, ident), 3) for i in range(1, n + 1)]
     boxed = any(sym is not ident for sym in b_syms.values())
     # without box symbols every box reads the perp row with no sign
@@ -691,8 +699,7 @@ def correlator_weights(
     out: dict[tuple, np.ndarray] = {}
     for combo in product(*parties, *boxes):
         x = tuple(s for s, _ in combo[:n])
-        y = tuple(s for s, _ in combo[n:]) if boxed else PERP
-        key = (x, e) if scheme == ALMOST_DI else (x, e, y)
+        key = scen.row(x, e, tuple(s for s, _ in combo[n:]) if boxed else PERP)
         out[key] = _row_weight(scheme, n, [v for _, v in combo[:n]], [v for _, v in combo[n:]], l=l, r=r)
     return out
 
@@ -753,35 +760,24 @@ def expectation(
 # --- serialization ---------------------------------------------------------
 
 
-def _y_sort_key(y) -> tuple:
-    return (1,) if y == PERP else (0,) + tuple(y)
-
-
-def _sorted_keys(table: ProbabilityTable) -> list[tuple]:
-    if table.scheme == ALMOST_DI:
-        return sorted(table.entries, key=lambda k: (k[0], k[1]))
-    return sorted(table.entries, key=lambda k: (k[0], k[1], _y_sort_key(k[2])))
-
-
-# json's spelling of the floats whose repr is not JSON
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _float_list_text(values: np.ndarray) -> str:
     """``json.dumps(values.tolist())`` without its brackets, formatting each
     distinct value once: distinct by bit pattern, so -0.0 stays apart from
-    0.0."""
+    0.0.  Tables hold finite values only, whose repr is their JSON text."""
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = [_JSON_NONFINITE.get(t, t) for t in map(repr, distinct.view(np.float64).tolist())]
+    texts = list(map(repr, distinct.view(np.float64).tolist()))
     return ", ".join(np.array(texts, dtype=object)[inverse].tolist())
 
 
 def write_table(table: ProbabilityTable, stream: io.TextIOBase) -> None:
-    """A header line, then one record per settings row in sorted order, as
-    ``json.dumps(record, sort_keys=True)`` writes it."""
+    """A header line, then one record per settings row the table holds, in
+    ``ScenarioSpec.settings()`` order, as ``json.dumps(record,
+    sort_keys=True)`` writes it."""
     header = {"kind": "probability_table", "scheme": table.scheme, "n": table.n}
     stream.write(json.dumps(header, sort_keys=True) + "\n")
-    for key in _sorted_keys(table):
+    for key in table.scenario().settings():
+        if key not in table.entries:
+            continue
         p = _float_list_text(table.entries[key].ravel())
         y = "" if table.scheme != DI else ', "y": ' + json.dumps(PERP if key[2] == PERP else list(key[2]))
         stream.write(f'{{"e": {key[1]}, "p": [{p}], "x": {json.dumps(list(key[0]))}{y}}}\n')
@@ -792,23 +788,6 @@ def save_table(table: ProbabilityTable, path: str) -> None:
     with open(tmp, "w") as fh:
         write_table(table, fh)
     os.replace(tmp, path)
-
-
-def _record_key(rec: dict, scheme: str, n: int) -> tuple:
-    """Settings key of a record; ValueError if the settings lie outside the scenario."""
-    x, e = tuple(rec["x"]), rec["e"]
-    inside = len(x) == n and all(v in (0, 1, 2) for v in x) and e in (0, 1)
-    if scheme == ALMOST_DI:
-        if not inside:
-            raise ValueError(f"settings x={rec['x']!r}, e={e!r} lie outside the scenario")
-        return (tuple(int(v) for v in x), int(e))
-    y = rec["y"]
-    if y != PERP:
-        y = tuple(y)
-        inside = inside and len(y) == n and all(b in (0, 1) for b in y)
-    if not inside:
-        raise ValueError(f"settings x={rec['x']!r}, e={e!r}, y={rec['y']!r} lie outside the scenario")
-    return (tuple(int(v) for v in x), int(e), y if y == PERP else tuple(int(b) for b in y))
 
 
 def _check_no_signalling(table: ProbabilityTable) -> None:
@@ -867,7 +846,7 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
         raise ValueError(f"line {lineno}: header lacks field {err.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError) as err:
         raise ValueError(f"line {lineno}: {err}") from None
-    scheme, shape = scen.scheme, scen.outcome_shape()
+    shape = scen.outcome_shape()
     size = math.prod(shape)
     arrays: dict[tuple, np.ndarray] = {}
     for lineno, ln in lines:
@@ -876,7 +855,7 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
         try:
             # one memo per line, so it holds at most one row's number texts
             rec = json.JSONDecoder(parse_float=_FloatMemo().__getitem__).decode(ln)
-            key = _record_key(rec, scheme, n)
+            key = scen.row(rec["x"], rec["e"], rec["y"] if scen.scheme == DI else PERP)
             if key in arrays:
                 raise ValueError(f"duplicate settings row {key}")
             p = np.array(rec["p"], dtype=float)
@@ -898,7 +877,7 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
     if missing:
         rows = len(missing) + len(arrays)
         raise ValueError(f"table lacks {len(missing)} of {rows} settings rows, the first is {missing[0]}")
-    table = ProbabilityTable._adopt(scheme, n, arrays)
+    table = ProbabilityTable._adopt(scen.scheme, n, arrays)
     _check_no_signalling(table)
     return table
 

@@ -6,11 +6,14 @@ so ``kron(a, b)`` agrees with ``numpy.kron`` and the basis index of
 ``|b0 b1 ... bk>`` is the mixed-radix integer with ``b0`` leading.
 
 Everything here is pure: inputs are never mutated and stored arrays are
-marked read-only.
+marked read-only.  ``apply_raw_batch`` is the only code that applies an
+operator to sites of a raw state vector; a single operator is a
+one-element stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -82,12 +85,12 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= HERMITIAN_TOL)
 
-    def is_unitary(self, tol: float = HERMITIAN_TOL) -> bool:
+    def is_unitary(self) -> bool:
         d = self.dim
-        return bool(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(d))) <= tol)
+        return bool(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(d))) <= HERMITIAN_TOL)
 
 
 def kron(factors: Iterable[StateVector] | Iterable[Operator]):
@@ -124,20 +127,6 @@ def polar_unitary(op: Operator) -> Operator:
 # --- raw ndarray plumbing used by the simulator ---------------------------
 
 
-def apply_raw(vec: np.ndarray, dims: Sequence[int], mat: np.ndarray, sites: Sequence[int]) -> np.ndarray:
-    """Apply ``mat`` to the listed sites (in the listed order) of a flat vector."""
-    dims = tuple(dims)
-    sites = list(sites)
-    t = vec.reshape(dims)
-    t = np.moveaxis(t, sites, range(len(sites)))
-    d = int(np.prod([dims[s] for s in sites]))
-    rest = t.shape[len(sites):]
-    t = mat @ t.reshape(d, -1)
-    t = t.reshape(tuple(dims[s] for s in sites) + rest)
-    t = np.moveaxis(t, range(len(sites)), sites)
-    return t.reshape(-1)
-
-
 def apply_raw_batch(block: np.ndarray, dims: Sequence[int], mats: np.ndarray, sites: Sequence[int]) -> np.ndarray:
     """Apply a stack of k factors to the listed sites of every row of ``block``.
 
@@ -147,11 +136,13 @@ def apply_raw_batch(block: np.ndarray, dims: Sequence[int], mats: np.ndarray, si
     and the others to dimension 1, so site indices stay valid.  Returns a
     ``(k * rows, dim')`` block whose row index is ``outcome * rows + row``,
     i.e. the new outcome digit is prepended as the most significant digit.
+    When the sites are contiguous and ascending, a square operator leaves
+    the flat layout of each row as it was.
     """
     dims = tuple(dims)
     sites = list(sites)
     rows = block.shape[0]
-    d = int(np.prod([dims[s] for s in sites]))
+    d = math.prod(dims[s] for s in sites)
     mats = np.asarray(mats).reshape(len(mats), -1, d)
     k, rank = mats.shape[:2]
     # one (k*rank, d) x (d, rows*rest) product with the measured sites leading

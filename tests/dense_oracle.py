@@ -7,12 +7,16 @@ projectors are applied to the whole state once per setting x, and the
 L-layer bras are contracted against that block.
 This is the kernel the package shipped before it moved to square-root
 factors; it is slow (seconds for di n=3) but shares no code with the
-factored kernel beyond state assembly and ``apply_raw``.
+factored kernel beyond state assembly.  ``apply_raw`` and
+``_state_with_eve`` are the package's former single-operator applier and
+Eve's layer, kept as the dense reference of ``tensor.apply_raw_batch``, so
+that no oracle here runs the applier it checks.
 
 ``dumps_write_table`` is the table writer, kept as the oracle of
 ``gatecert.network.write_table``: the package's former body, which builds
 each record as a dict and writes ``json.dumps(record, sort_keys=True)``,
-formatting every float of every row on its own.
+formatting every float of every row on its own, in the order of the
+former ``_sorted_keys``.
 
 ``realization_value`` evaluates a Bell functional as <psi|O E|psi> on the
 network state, with E the conditioning element and O the product of the
@@ -53,6 +57,7 @@ from __future__ import annotations
 import io
 import json
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -69,13 +74,12 @@ from gatecert.network import (
     Realization,
     ZeroProbabilityEvent,
     _parse_assignment,
-    _sorted_keys,
-    _state_with_eve,
+    assemble_state,
     event_label,
     validate_realization,
 )
 from gatecert.primitives import SettingSymbol, ghz_basis, ghz_bits, haar_unitary, pauli
-from gatecert.tensor import Operator, StateVector, apply_raw, kron, permute_sites, polar_unitary
+from gatecert.tensor import Operator, StateVector, kron, permute_sites, polar_unitary
 
 S = SettingSymbol
 # setting symbol -> ((weight, base setting), ...), with T0 = (S0 - S1)/sqrt2
@@ -84,6 +88,28 @@ _WEIGHTS = {
     S.S0: ((1.0, 0),), S.S1: ((1.0, 1),), S.S2: ((1.0, 2),), S.T2: ((1.0, 2),),
     S.T0: ((2**-0.5, 0), (-(2**-0.5), 1)), S.T1: ((2**-0.5, 0), (2**-0.5, 1)),
 }
+
+
+def apply_raw(vec: np.ndarray, dims: Sequence[int], mat: np.ndarray, sites: Sequence[int]) -> np.ndarray:
+    """Apply ``mat`` to the listed sites (in the listed order) of a flat vector."""
+    dims = tuple(dims)
+    sites = list(sites)
+    t = vec.reshape(dims)
+    t = np.moveaxis(t, sites, range(len(sites)))
+    d = int(np.prod([dims[s] for s in sites]))
+    rest = t.shape[len(sites):]
+    t = mat @ t.reshape(d, -1)
+    t = t.reshape(tuple(dims[s] for s in sites) + rest)
+    t = np.moveaxis(t, range(len(sites)), sites)
+    return t.reshape(-1)
+
+
+def _state_with_eve(real: Realization, e: int) -> np.ndarray:
+    psi = assemble_state(real)
+    if e == 0:
+        return psi.amplitudes
+    lay = real.layout()
+    return apply_raw(psi.amplitudes, psi.dims, real.eve.entries, lay.v_sites())
 
 
 def _apply_batch(block: np.ndarray, dims, mats: np.ndarray, sites) -> np.ndarray:
@@ -752,6 +778,16 @@ def _embed_first_junk(entries: np.ndarray, dims: tuple[int, ...], j: int) -> np.
     full = np.kron(entries, np.eye(j)).reshape(d0, d1, j, d0, d1, j)
     full = full.transpose(0, 2, 1, 3, 5, 4)
     return full.reshape(d0 * j * d1, d0 * j * d1)
+
+
+def _y_sort_key(y) -> tuple:
+    return (1,) if y == PERP else (0,) + tuple(y)
+
+
+def _sorted_keys(table: ProbabilityTable) -> list[tuple]:
+    if table.scheme == ALMOST_DI:
+        return sorted(table.entries, key=lambda k: (k[0], k[1]))
+    return sorted(table.entries, key=lambda k: (k[0], k[1], _y_sort_key(k[2])))
 
 
 def dumps_write_table(table: ProbabilityTable, stream: io.TextIOBase) -> None:

@@ -68,7 +68,7 @@ def test_functional_K_guards():
     assert f.label == "K[2;01]"
     assert len(f.terms) == 2
     with pytest.raises(ValueError):
-        functional_K(1, (0, 2))
+        functional_K(1, (0, 2), 2)
     with pytest.raises(ValueError):
         functional_K(4, (0, 0), 3)
 
@@ -90,8 +90,8 @@ def test_classical_bounds_protocol_functionals():
         assert np.isclose(classical_bound(functional_I(bits)), 1 + SQ2, atol=1e-9)
     assert np.isclose(classical_bound(functional_I((0, 0, 0))), 2 * (1 + SQ2), atol=1e-9)
     for k in range(4):
-        assert np.isclose(classical_bound(functional_K(1, k_sign_bits(k))), SQ2, atol=1e-9)
-        assert np.isclose(classical_bound(functional_K(2, k_sign_bits(k))), SQ2, atol=1e-9)
+        assert np.isclose(classical_bound(functional_K(1, k_sign_bits(k), 2)), SQ2, atol=1e-9)
+        assert np.isclose(classical_bound(functional_K(2, k_sign_bits(k), 2)), SQ2, atol=1e-9)
 
 
 def test_quantum_value_at_reference():
@@ -146,7 +146,7 @@ def test_seesaw_reaches_quantum_maximum_I():
 
 def test_seesaw_reaches_quantum_maximum_K():
     for k in range(4):
-        res = seesaw_max(functional_K(1, k_sign_bits(k)), restarts=8, seed=1)
+        res = seesaw_max(functional_K(1, k_sign_bits(k), 2), restarts=8, seed=1)
         assert res.value >= 2.0 - 1e-7
         assert res.value <= 2.0 + 1e-9
 

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr
 
 import numpy as np
@@ -300,6 +301,34 @@ def test_simulate_oversized_realization_exits_two(tmp_path, capsys, spec, amplit
     assert main(argv) == 2
     assert f"the joint state would hold {amplitudes} amplitudes" in capsys.readouterr().err
     assert not (tmp_path / "run" / "table.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        ({"kind": "dilate", "junk_dim": 64}, "a junk_dim=64 dilation's largest matrix would hold 268435456 amplitudes"),
+        ({"kind": "dilate", "junk_dim": True}, "adversary field 'junk_dim' has malformed value True"),
+        ({"kind": "depolarize", "eta": "0.1"}, "adversary field 'eta' has malformed value '0.1'"),
+    ],
+    ids=["oversized", "junk-boolean", "eta-string"],
+)
+def test_simulate_adversary_input_errors_exit_two(tmp_path, capsys, record, reason):
+    """An adversary spec that names a boolean or a string for a number, or a
+    dilation whose matrices would need 4 GiB, exits 2 before anything large
+    is allocated."""
+    adv, run = tmp_path / "adv.json", tmp_path / "run"
+    adv.write_text(json.dumps(record))
+    argv = ["simulate", "--scheme", "di", "--n", "2", "--gate", "cz", "--adversary", str(adv), "--out", str(run)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"error: {reason}" in capsys.readouterr().err
+    assert peak < 100 * 2**20
+    assert not run.exists()
 
 
 def test_gate_file_input(tmp_path):

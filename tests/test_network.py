@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from dense_oracle import dumps_write_table, steered_state
+from dense_oracle import apply_raw, dumps_write_table, steered_state
 from hypothesis import strategies as st
 from strategies import realizations
 from table_files import move_mass, read_with_change, table_lines
@@ -38,7 +38,7 @@ from gatecert.network import (
     write_table,
 )
 from gatecert.primitives import SettingSymbol, gate, ghz_bits, ghz_state, ref_b_observable, ref_observable
-from gatecert.tensor import Operator, StateVector, apply_raw
+from gatecert.tensor import Operator, StateVector
 
 I2 = np.eye(2, dtype=complex)
 
@@ -98,9 +98,9 @@ def test_realization_is_validated_once(monkeypatch):
     checked = []
     check_povm = network._check_povm
 
-    def counted(elements, dim, what, tol):
+    def counted(elements, dim, what):
         checked.append(what)
-        check_povm(elements, dim, what, tol)
+        check_povm(elements, dim, what)
 
     monkeypatch.setattr(network, "_check_povm", counted)
     u = gate("cnot", 2)
@@ -381,8 +381,94 @@ def test_missing_settings_row_raises():
 def test_unknown_box_setting_rejected():
     table = born_table(reference_realization(2, gate("cz", 2), scheme=DI))
     assert table.array(((0, 0), 0, "perp")) is table.array(((0, 0), 0, PERP))
-    with pytest.raises(ValueError, match="unknown box setting 'bogus'"):
+    with pytest.raises(ValueError, match=re.escape("settings x=(0, 0), e=0, y='bogus' lie outside the scenario")):
         table.array(((0, 0), 0, "bogus"))
+
+
+def _spellings(key: tuple, scheme: str) -> list[tuple]:
+    """``(x, e, y)`` of a settings key as tuples, as lists, as ``np.int64``
+    and with a ``"perp"`` string built anew."""
+    x, e = key[:2]
+    y = key[2] if scheme == DI else PERP
+    perp = "".join(["pe", "rp"])
+    return [
+        (x, e, y),
+        (list(x), e, y if y == PERP else list(y)),
+        (tuple(np.int64(v) for v in x), np.int64(e), y if y == PERP else tuple(np.int64(b) for b in y)),
+        (x, e, perp if y == PERP else y),
+    ]
+
+
+def _outside(scheme: str, n: int, key: tuple) -> list[tuple[tuple, tuple]]:
+    """Each ``(x, e, y)`` that changes one component of the key to a value
+    outside the scenario, with its table key (None where a table key cannot
+    carry it)."""
+    x, e = key[:2]
+    y = key[2] if scheme == DI else PERP
+    changed = [(x[:k] + (v,) + x[k + 1 :], e, y) for k in range(n) for v in (3, -1)]
+    changed += [(x[:-1], e, y), (x + (0,), e, y), (x, 2, y), (x, -1, y)]
+    if scheme == DI:
+        bits = (0,) * n if y == PERP else y
+        changed += [(x, e, bits[:k] + (2,) + bits[k + 1 :]) for k in range(n)]
+        changed += [(x, e, bits[:-1]), (x, e, bits + (0,)), (x, e, "bogus")]
+        return [(c, c) for c in changed]
+    return [(c, c[:2]) for c in changed] + [((x, e, (0,) * n), None)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SCHEMES), st.integers(2, 4), st.data())
+def test_row_is_the_one_settings_key(scheme, n, data):
+    """Every ``settings()`` key passes through ``ScenarioSpec.row``
+    unchanged, however its components are spelled; one component outside
+    the scenario raises through ``row``, ``table.array`` and the
+    constructor."""
+    scen = ScenarioSpec(scheme, n)
+    key = data.draw(st.sampled_from(list(scen.settings())))
+    for spelled in _spellings(key, scheme):
+        got = scen.row(*spelled)
+        assert got == key
+        bits = got[2] if scheme == DI and got[2] != PERP else ()
+        assert all(type(v) is int for v in (*got[0], got[1], *bits))
+    table = ProbabilityTable(scheme, n, {key: np.zeros(scen.outcome_shape())})
+    assert table.array(key[:2] if scheme == ALMOST_DI else (list(key[0]), np.int64(key[1]), key[2])) is table.array(key)
+    bad, table_key = data.draw(st.sampled_from(_outside(scheme, n, key)))
+    with pytest.raises(ValueError, match="lie outside the scenario"):
+        scen.row(*bad)
+    if table_key is not None:
+        with pytest.raises(ValueError, match="lie outside the scenario"):
+            table.array(table_key)
+        with pytest.raises(ValueError, match="lie outside the scenario"):
+            ProbabilityTable(scheme, n, {table_key: np.zeros(scen.outcome_shape())})
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_partial_table_written_in_settings_order(scheme):
+    """A table holding a third of the rows, inserted in shuffled order,
+    writes them in the sorted order of the former writer."""
+    table = born_table(reference_realization(2, gate("cz", 2), scheme=scheme))
+    keys = list(table.keys())
+    chosen = [keys[k] for k in np.random.default_rng(5).permutation(len(keys))[: len(keys) // 3]]
+    partial = ProbabilityTable(scheme, 2, {key: table.array(key) for key in chosen})
+    assert list(partial.keys()) == chosen != sorted(chosen, key=repr)
+    buf, oracle = io.StringIO(), io.StringIO()
+    write_table(partial, buf)
+    dumps_write_table(partial, oracle)
+    assert buf.getvalue() == oracle.getvalue()
+    assert len(buf.getvalue().splitlines()) == 1 + len(chosen)
+
+
+def test_born_table_assembles_the_state_once(monkeypatch):
+    """Eve's layer works on the one joint state, not a second assembly."""
+    from gatecert import network
+
+    calls = []
+    assemble = network.assemble_state
+    monkeypatch.setattr(network, "assemble_state", lambda real: calls.append(real) or assemble(real))
+    for scheme in SCHEMES:
+        real = reference_realization(2, gate("random", 2, seed=3), scheme=scheme)
+        calls.clear()
+        born_table(real)
+        assert calls == [real]
 
 
 def test_probability_table_shape_guard():
@@ -590,14 +676,11 @@ def test_special_floats_round_trip_byte_identical():
     again = io.StringIO()
     write_table(back, again)
     assert again.getvalue() == text
-    # the reader refuses non-finite entries, but the writer still spells them as json does
-    spread[4:7] = np.nan, np.inf, -np.inf
-    table = ProbabilityTable(ALMOST_DI, 2, entries)
-    buf, oracle = io.StringIO(), io.StringIO()
-    write_table(table, buf)
-    dumps_write_table(table, oracle)
-    assert buf.getvalue() == oracle.getvalue()
-    assert "-0.0, NaN, Infinity, -Infinity, 0.0" in buf.getvalue()
+    # no table holds a float that JSON cannot spell: the constructor refuses them
+    for bad in (np.nan, np.inf, -np.inf):
+        spread[4] = bad
+        with pytest.raises(ValueError, match="has a NaN or infinite entry"):
+            ProbabilityTable(ALMOST_DI, 2, entries)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from dense_oracle import apply_raw
 
 from gatecert.tensor import (
     Operator,
     StateVector,
-    apply_raw,
     apply_raw_batch,
     kron,
     permute_sites,
