@@ -12,22 +12,25 @@ Two families:
 
 ``functional_weights`` gives a functional's weight array on each table row
 it reads, and ``evaluate`` reads those weights against a probability table
-as dot products.  ``seesaw_max`` searches for the quantum maximum over
-qubit strategies by alternating optimization.  Every tool reads a setting
-symbol through its expansion into base settings, ``primitives.EXPANSION``.
+as dot products.  ``classical_bound`` and ``seesaw_max`` (alternating
+optimization over qubit strategies) read a functional as one coefficient
+tensor ``W``, an axis per party over base settings 0..2 and the identity;
+the bound, the Bell operator and the effective operators each contract it
+once.  Every tool reads a setting symbol through ``primitives.EXPANSION``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .network import ProbabilityTable, correlator_weights, event_index, event_label, weighted_sum
 from .primitives import EXPANSION, SettingSymbol
-from .tensor import Operator, apply_raw_batch, polar_unitary
+from .tensor import Operator, polar_unitary
 
 
 @dataclass(frozen=True)
@@ -148,27 +151,29 @@ def evaluate(
     return weighted_sum(rows, event_index(table.scheme, table.n, l=l, r=r), weights, event)
 
 
-# --- deterministic (classical) bound ---------------------------------------
+# --- the coefficient tensor -------------------------------------------------
 
 
-def _symbols(functional: BellFunctional) -> dict[str, list[SettingSymbol]]:
-    """Setting symbols each party's terms measure, parties in label order."""
-    used: dict[str, set[SettingSymbol]] = {}
+def _coefficients(functional: BellFunctional) -> tuple[list[str], np.ndarray]:
+    """The parties a functional measures, in label order, and its tensor
+    ``W`` of shape ``(4,) * m`` (the layout of ``certify``'s f tensor): each
+    term's coefficient times its parties' ``EXPANSION`` vectors, summed."""
+    used = [(label, sym) for term in functional.terms for label, sym in term.assignment.items()]
+    labels = sorted({label for label, sym in used if sym is not SettingSymbol.ID})
+    unit = np.eye(4)
+    w = np.zeros((4,) * len(labels))
     for term in functional.terms:
+        vecs = [unit[3]] * len(labels)
         for label, sym in term.assignment.items():
             if sym is not SettingSymbol.ID:
-                used.setdefault(label, set()).add(sym)
-    return {label: sorted(used[label], key=lambda s: s.name) for label in sorted(used)}
+                vecs[labels.index(label)] = sum(c * unit[k] for c, k in EXPANSION[sym])
+        w = w + term.coeff * reduce(np.multiply.outer, vecs, np.ones(()))
+    return labels, w
 
 
-def _base_settings(symbols: Mapping[str, list[SettingSymbol]]) -> dict[str, list[int]]:
-    """Base settings each party's symbols expand into."""
-    return {label: sorted({k for sym in syms for _, k in EXPANSION[sym]}) for label, syms in symbols.items()}
-
-
-def _combine(values: Mapping[tuple[str, int], Any], label: str, sym: SettingSymbol) -> Any:
-    """Value of a party's setting symbol from the values of its base settings."""
-    return sum(c * values[(label, k)] for c, k in EXPANSION[sym])
+def _reached(w: np.ndarray) -> list[np.ndarray]:
+    """Base settings each party's axis of ``w`` reaches, ascending."""
+    return [np.flatnonzero(np.any(w != 0, axis=tuple(q for q in range(w.ndim) if q != p))[:3]) for p in range(w.ndim)]
 
 
 def classical_bound(functional: BellFunctional) -> float:
@@ -176,19 +181,21 @@ def classical_bound(functional: BellFunctional) -> float:
 
     Rotated combinations (T0, T1) are computed from the assigned values of
     the two base settings, so they range over {0, +-sqrt(2)}, not {+-1}.
-    All assignments are evaluated at once, one array entry each.
+    All 2^S assignments of the S reached base settings at once: one
+    contraction of ``W`` with each party's +-1 values, 1 at the identity.
     """
-    slots = [(label, k) for label, settings in _base_settings(_symbols(functional)).items() for k in settings]
+    _, w = _coefficients(functional)
+    m = w.ndim
+    slots = [(p, k) for p, settings in enumerate(_reached(w)) for k in settings]
     grid = np.array(list(product((1.0, -1.0), repeat=len(slots)))).reshape(2 ** len(slots), len(slots))
-    values = {slot: grid[:, j] for j, slot in enumerate(slots)}
-    total = np.zeros(len(grid))
-    for term in functional.terms:
-        prod_val = np.full(len(grid), term.coeff)
-        for label, sym in term.assignment.items():
-            if sym is not SettingSymbol.ID:
-                prod_val = prod_val * _combine(values, label, sym)
-        total = total + prod_val
-    return float(total.max())
+    values = np.ones((m, len(grid), 4))
+    for j, (p, k) in enumerate(slots):
+        values[p, :, k] = grid[:, j]
+    # subscripts: setting i_p = p, assignment = m (the ones keep it when no party is measured)
+    operands: list = [np.ones(len(grid)), [m], w, list(range(m))]
+    for p in range(m):
+        operands += [values[p], [m, p]]
+    return float(np.einsum(*operands, [m]).max())
 
 
 # --- see-saw search for the quantum maximum --------------------------------
@@ -206,45 +213,52 @@ class SeesawResult:
     history: tuple[float, ...]
 
 
-def _bell_operator(
-    functional: BellFunctional,
-    measured: Mapping[tuple[str, SettingSymbol], np.ndarray],
-    labels: list[str],
-    site_dim: int,
-) -> np.ndarray:
-    dim = site_dim ** len(labels)
-    op = np.zeros((dim, dim), dtype=complex)
-    pos = {label: k for k, label in enumerate(labels)}
-    for term in functional.terms:
-        factors = [np.eye(site_dim, dtype=complex) for _ in labels]
-        for label, sym in term.assignment.items():
-            if sym is not SettingSymbol.ID:
-                factors[pos[label]] = measured[(label, sym)]
-        mat = factors[0]
-        for f in factors[1:]:
-            mat = np.kron(mat, f)
-        op = op + term.coeff * mat
-    return op
+def _bell_matrix(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    """The Bell operator sum_i W[i] (x)_p stacks[p, i_p], one contraction;
+    ``stacks[p]`` holds party p's settings 0..2, then the identity."""
+    m, d = w.ndim, stacks.shape[-1]
+    # subscripts: setting i_p = p, row site p = m + p, column site p = 2m + p
+    operands: list = [w, list(range(m))]
+    for p in range(m):
+        operands += [stacks[p], [p, m + p, 2 * m + p]]
+    return np.einsum(*operands, list(range(m, 3 * m))).reshape(d**m, d**m)
+
+
+def _effective_stack(w: np.ndarray, stacks: np.ndarray, state: np.ndarray, p: int) -> np.ndarray:
+    """Party p's effective operators G[k], k = 0..3, in one contraction: the
+    value at ``state`` is sum_k Tr[stacks[p, k] G[k]], G free of party p."""
+    m, d = w.ndim, stacks.shape[-1]
+    psi = state.reshape((d,) * m)
+    # subscripts: setting i_q = q, bra site q = m + q, ket site q = 2m + q
+    operands: list = [w, list(range(m))]
+    for q in range(m):
+        if q != p:
+            operands += [stacks[q], [q, m + q, 2 * m + q]]
+    operands += [psi.conj(), list(range(m, 2 * m)), psi, list(range(2 * m, 3 * m))]
+    return np.einsum(*operands, [p, 2 * m + p, m + p])
 
 
 def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> SeesawResult:
     """Alternating maximization of a Bell functional over one qubit per party.
 
     State step: top eigenvector of the Bell operator.  Observable step: each
-    binary observable is replaced by the polar unitary part of its Hermitian
-    effective operator, the exact maximizer at fixed state.  The iteration
-    is monotone; several random restarts guard against poor local optima.
+    party in turn replaces every binary observable by the polar unitary part
+    of its Hermitian effective operator, the exact maximizer at fixed state.
+    The iteration is monotone; several random restarts guard against poor
+    local optima.  Both steps contract the coefficient tensor ``W``.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     site_dim = SEESAW_SITE_DIM
-    symbols = _symbols(functional)
-    base = _base_settings(symbols)
-    labels = list(base)
+    _, w = _coefficients(functional)
+    reached = _reached(w)
     rng = np.random.default_rng(seed)
     best = SeesawResult(-np.inf, False, 0, ())
-    for _ in range(max(1, restarts)):
-        obs: dict[tuple[str, int], np.ndarray] = {}
-        for label in labels:
-            for code in base[label]:
+    for _ in range(restarts):
+        stacks = np.zeros((w.ndim, 4, site_dim, site_dim), dtype=complex)
+        stacks[:, 3] = np.eye(site_dim)
+        for p, settings in enumerate(reached):
+            for k in settings:
                 h = rng.normal(size=(site_dim, site_dim)) + 1j * rng.normal(size=(site_dim, site_dim))
                 h = h + h.conj().T
                 vecs = np.linalg.eigh(h)[1]
@@ -252,62 +266,21 @@ def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> 
                 # proportional to the identity would freeze the iteration
                 # at a deterministic point
                 signs = np.array([1.0, -1.0] * ((site_dim + 1) // 2))[:site_dim]
-                obs[(label, code)] = (vecs * rng.permutation(signs)) @ vecs.conj().T
-        # each symbol's operator, refreshed whenever one of its base observables changes
-        measured = {(label, sym): _combine(obs, label, sym) for label in labels for sym in symbols[label]}
+                stacks[p, k] = (vecs * rng.permutation(signs)) @ vecs.conj().T
         history: list[float] = []
-        value = -np.inf
         converged = False
-        it = 0
         for it in range(1, SEESAW_MAX_ITERS + 1):
-            bell = _bell_operator(functional, measured, labels, site_dim)
-            vals, vecs = np.linalg.eigh(bell)
+            vals, vecs = np.linalg.eigh(_bell_matrix(w, stacks))
             state = vecs[:, -1]
             value = float(vals[-1])
             history.append(value)
-            for label in labels:
-                # a party's effective operators involve only the other parties
-                effective = _effective_operators(functional, measured, labels, site_dim, state, label, base[label])
-                for code, g in effective.items():
-                    obs[(label, code)] = polar_unitary(
-                        Operator((g + g.conj().T) / 2, (site_dim,))
-                    ).entries
-                measured.update({(label, sym): _combine(obs, label, sym) for sym in symbols[label]})
+            for p, settings in enumerate(reached):
+                g = _effective_stack(w, stacks, state, p)
+                for k in settings:
+                    stacks[p, k] = polar_unitary(Operator((g[k] + g[k].conj().T) / 2, (site_dim,))).entries
             if len(history) >= 2 and abs(history[-1] - history[-2]) < SEESAW_STALL_TOL:
                 converged = True
                 break
         if value > best.value:
             best = SeesawResult(value, converged, it, tuple(history))
     return best
-
-
-def _effective_operators(
-    functional: BellFunctional,
-    measured: Mapping[tuple[str, SettingSymbol], np.ndarray],
-    labels: list[str],
-    site_dim: int,
-    state: np.ndarray,
-    label: str,
-    codes: list[int],
-) -> dict[int, np.ndarray]:
-    """For each base setting ``code`` of party ``label``, the matrix G such
-    that the functional value equals Tr[A_{label,code} G] plus terms not
-    involving that base observable."""
-    k = labels.index(label)
-    dims = (site_dim,) * len(labels)
-    psi_m = np.moveaxis(state.reshape(dims), k, 0).reshape(site_dim, -1)
-    g = {code: np.zeros((site_dim, site_dim), dtype=complex) for code in codes}
-    for term in functional.terms:
-        sym = term.assignment.get(label)
-        if sym is None or sym is SettingSymbol.ID:
-            continue
-        vec = state[None]
-        for olabel, osym in term.assignment.items():
-            if olabel == label or osym is SettingSymbol.ID:
-                continue
-            vec = apply_raw_batch(vec, dims, measured[(olabel, osym)][None], [labels.index(olabel)])
-        chi_m = np.moveaxis(vec.reshape(dims), k, 0).reshape(site_dim, -1)
-        contribution = chi_m @ psi_m.conj().T
-        for c, code in EXPANSION[sym]:
-            g[code] = g[code] + term.coeff * c * contribution
-    return g

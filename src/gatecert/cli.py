@@ -108,6 +108,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_bounds(args) -> int:
     n = args.n
+    if args.restarts < 1:
+        raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
     funcs = [(functional_I(ghz_bits(l, n)), 3.0 * (n - 1)) for l in range(2**n)]
     funcs += [(functional_K(1, k_sign_bits(k), n), 2.0) for k in range(4)]
     rows = []

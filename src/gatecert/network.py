@@ -271,7 +271,7 @@ def validate_realization(real: Realization) -> None:
 
 
 def _validate(real: Realization) -> None:
-    n, tol = real.n, VALIDATE_TOL
+    n = real.n
     if real.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {real.scheme!r}")
     if real.branch not in (+1, -1):
@@ -282,7 +282,7 @@ def _validate(real: Realization) -> None:
     for k, src in enumerate(real.sources):
         if src.n_sites != 2:
             raise ValueError(f"source {k} must be bipartite, has {src.n_sites} sites")
-        if abs(src.norm() - 1.0) > 1e-12:
+        if not abs(src.norm() - 1.0) <= 1e-12:
             raise ValueError(f"source {k} is not normalized (norm {src.norm():.2e})")
     if len(real.a_obs) != n:
         raise ValueError(f"expected observables for {n} parties, got {len(real.a_obs)}")
@@ -291,13 +291,7 @@ def _validate(real: Realization) -> None:
         if len(triple) != 3:
             raise ValueError(f"party {i} needs 3 observables, got {len(triple)}")
         for x, obs in enumerate(triple):
-            if obs.dims != (a_dims[i - 1],):
-                raise ValueError(f"observable A[{i},{x}] has dims {obs.dims}, site needs {(a_dims[i-1],)}")
-            if not obs.is_hermitian():
-                raise ValueError(f"observable A[{i},{x}] is not Hermitian")
-            dev = np.max(np.abs(obs.entries @ obs.entries - np.eye(obs.dim)))
-            if dev > tol:
-                raise ValueError(f"observable A[{i},{x}] does not square to identity (dev {dev:.2e})")
+            _check_binary(f"observable A[{i},{x}]", obs, a_dims[i - 1])
     l_dims = real.l_dims()
     dl = int(np.prod(l_dims))
     if len(real.l_meas) != 2**n:
@@ -318,13 +312,7 @@ def _validate(real: Realization) -> None:
         if len(pair) != 2:
             raise ValueError(f"subnet {i} needs 2 box observables")
         for y, obs in enumerate(pair):
-            if obs.dims != (l_dims[i - 1],):
-                raise ValueError(f"box B[{i},{y}] has dims {obs.dims}, site needs {(l_dims[i-1],)}")
-            if not obs.is_hermitian():
-                raise ValueError(f"box B[{i},{y}] is not Hermitian")
-            dev = np.max(np.abs(obs.entries @ obs.entries - np.eye(obs.dim)))
-            if dev > tol:
-                raise ValueError(f"box B[{i},{y}] does not square to identity (dev {dev:.2e})")
+            _check_binary(f"box B[{i},{y}]", obs, l_dims[i - 1])
     if real.repeaters is None or len(real.repeaters) != n:
         raise ValueError(f"di realization needs repeaters for {n} subnets")
     r1_dims, r2_dims = real.r1_dims(), real.r2_dims()
@@ -336,6 +324,17 @@ def _validate(real: Realization) -> None:
             if el.dims != pair_dims:
                 raise ValueError(f"repeater element R[{i},{k}] has dims {el.dims}, expected {pair_dims}")
         _check_povm(quad, int(np.prod(pair_dims)), f"repeater {i}")
+
+
+def _check_binary(name: str, obs: Operator, dim: int) -> None:
+    """A binary observable: one site of dimension ``dim``, Hermitian, squaring to 1."""
+    if obs.dims != (dim,):
+        raise ValueError(f"{name} has dims {obs.dims}, site needs {(dim,)}")
+    if not obs.is_hermitian():
+        raise ValueError(f"{name} is not Hermitian")
+    dev = np.max(np.abs(obs.entries @ obs.entries - np.eye(obs.dim)))
+    if not dev <= VALIDATE_TOL:
+        raise ValueError(f"{name} does not square to identity (dev {dev:.2e})")
 
 
 def _check_povm(elements: Sequence[Operator], dim: int, what: str) -> None:

@@ -192,7 +192,7 @@ def gate(spec: str | np.ndarray | Sequence[Sequence[complex]], n: int = 2, seed:
     if m.shape != (dim, dim):
         raise ValueError(f"gate matrix must be {dim}x{dim} for n={n}, got {m.shape}")
     dev = float(np.max(np.abs(m.conj().T @ m - np.eye(dim))))
-    if dev > UNITARY_TOL:
+    if not dev <= UNITARY_TOL:
         raise ValueError(f"gate matrix is not unitary (deviation {dev:.3e})")
     return Operator(m, (2,) * n)
 
@@ -215,5 +215,7 @@ def gate_from_record(record: dict, n: int) -> Operator:
         seed = record.get("seed")
         if seed is None:
             raise ValueError("random gate record requires a seed")
-        return gate("random", n, seed=int(seed))
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"random gate seed must be an integer, got {seed!r}")
+        return gate("random", n, seed=seed)
     raise ValueError("gate record needs one of: name, matrix, random")

@@ -8,7 +8,8 @@ so ``kron(a, b)`` agrees with ``numpy.kron`` and the basis index of
 Everything here is pure: inputs are never mutated and stored arrays are
 marked read-only.  ``apply_raw_batch`` is the only code that applies an
 operator to sites of a raw state vector; a single operator is a
-one-element stack.
+one-element stack.  Its only caller is the Born kernel (``born_table``,
+Eve's layer included); the see-saw contracts a coefficient tensor instead.
 """
 
 from __future__ import annotations

@@ -50,6 +50,15 @@ which write out per scheme which site each source wing and each operator
 sits on instead of reading ``SiteLayout.source_sites`` and
 ``Realization.map_operators``.  Their ``_embed_junk``, ``_embed_first_junk``
 and ``_rotate_op`` are the former lifts onto junk.
+
+``termwise_classical_bound`` and ``termwise_seesaw_max`` are the oracles of
+``classical_bound`` and ``seesaw_max`` in ``gatecert.bell``: the package's
+former bodies, which walk a functional term by term.  The classical bound
+multiplies each term's symbol values per assignment, and the see-saw builds
+its Bell operator (``termwise_bell_operator``) as a sum of Kronecker products
+and each effective operator (``termwise_effective_operators``) by applying
+the other parties' observables of one term at a time, instead of contracting
+the functional's coefficient tensor.
 """
 
 from __future__ import annotations
@@ -57,11 +66,20 @@ from __future__ import annotations
 import io
 import json
 from itertools import product
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from gatecert.bell import functional_I, functional_K, k_sign_bits
+from gatecert.bell import (
+    SEESAW_MAX_ITERS,
+    SEESAW_SITE_DIM,
+    SEESAW_STALL_TOL,
+    BellFunctional,
+    SeesawResult,
+    functional_I,
+    functional_K,
+    k_sign_bits,
+)
 from gatecert.certify import CheckRow
 from gatecert.decomp import delta_set
 from gatecert.extract import _box_elements
@@ -78,8 +96,8 @@ from gatecert.network import (
     event_label,
     validate_realization,
 )
-from gatecert.primitives import SettingSymbol, ghz_basis, ghz_bits, haar_unitary, pauli
-from gatecert.tensor import Operator, StateVector, kron, permute_sites, polar_unitary
+from gatecert.primitives import EXPANSION, SettingSymbol, ghz_basis, ghz_bits, haar_unitary, pauli
+from gatecert.tensor import Operator, StateVector, apply_raw_batch, kron, permute_sites, polar_unitary
 
 S = SettingSymbol
 # setting symbol -> ((weight, base setting), ...), with T0 = (S0 - S1)/sqrt2
@@ -799,3 +817,154 @@ def dumps_write_table(table: ProbabilityTable, stream: io.TextIOBase) -> None:
         if table.scheme == DI:
             rec["y"] = PERP if key[2] == PERP else list(key[2])
         stream.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+# --- term-wise Bell optimizers ----------------------------------------------
+
+def _symbols(functional: BellFunctional) -> dict[str, list[SettingSymbol]]:
+    """Setting symbols each party's terms measure, parties in label order."""
+    used: dict[str, set[SettingSymbol]] = {}
+    for term in functional.terms:
+        for label, sym in term.assignment.items():
+            if sym is not SettingSymbol.ID:
+                used.setdefault(label, set()).add(sym)
+    return {label: sorted(used[label], key=lambda s: s.name) for label in sorted(used)}
+
+
+def _base_settings(symbols: Mapping[str, list[SettingSymbol]]) -> dict[str, list[int]]:
+    """Base settings each party's symbols expand into."""
+    return {label: sorted({k for sym in syms for _, k in EXPANSION[sym]}) for label, syms in symbols.items()}
+
+
+def _combine(values: Mapping[tuple[str, int], Any], label: str, sym: SettingSymbol) -> Any:
+    """Value of a party's setting symbol from the values of its base settings."""
+    return sum(c * values[(label, k)] for c, k in EXPANSION[sym])
+
+
+def termwise_classical_bound(functional: BellFunctional) -> float:
+    """Maximum over deterministic +-1 assignments of the base settings.
+
+    Rotated combinations (T0, T1) are computed from the assigned values of
+    the two base settings, so they range over {0, +-sqrt(2)}, not {+-1}.
+    All assignments are evaluated at once, one array entry each.
+    """
+    slots = [(label, k) for label, settings in _base_settings(_symbols(functional)).items() for k in settings]
+    grid = np.array(list(product((1.0, -1.0), repeat=len(slots)))).reshape(2 ** len(slots), len(slots))
+    values = {slot: grid[:, j] for j, slot in enumerate(slots)}
+    total = np.zeros(len(grid))
+    for term in functional.terms:
+        prod_val = np.full(len(grid), term.coeff)
+        for label, sym in term.assignment.items():
+            if sym is not SettingSymbol.ID:
+                prod_val = prod_val * _combine(values, label, sym)
+        total = total + prod_val
+    return float(total.max())
+
+
+def termwise_bell_operator(
+    functional: BellFunctional,
+    measured: Mapping[tuple[str, SettingSymbol], np.ndarray],
+    labels: list[str],
+    site_dim: int,
+) -> np.ndarray:
+    dim = site_dim ** len(labels)
+    op = np.zeros((dim, dim), dtype=complex)
+    pos = {label: k for k, label in enumerate(labels)}
+    for term in functional.terms:
+        factors = [np.eye(site_dim, dtype=complex) for _ in labels]
+        for label, sym in term.assignment.items():
+            if sym is not SettingSymbol.ID:
+                factors[pos[label]] = measured[(label, sym)]
+        mat = factors[0]
+        for f in factors[1:]:
+            mat = np.kron(mat, f)
+        op = op + term.coeff * mat
+    return op
+
+
+def termwise_seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> SeesawResult:
+    """Alternating maximization of a Bell functional over one qubit per party.
+
+    State step: top eigenvector of the Bell operator.  Observable step: each
+    binary observable is replaced by the polar unitary part of its Hermitian
+    effective operator, the exact maximizer at fixed state.  The iteration
+    is monotone; several random restarts guard against poor local optima.
+    """
+    site_dim = SEESAW_SITE_DIM
+    symbols = _symbols(functional)
+    base = _base_settings(symbols)
+    labels = list(base)
+    rng = np.random.default_rng(seed)
+    best = SeesawResult(-np.inf, False, 0, ())
+    for _ in range(max(1, restarts)):
+        obs: dict[tuple[str, int], np.ndarray] = {}
+        for label in labels:
+            for code in base[label]:
+                h = rng.normal(size=(site_dim, site_dim)) + 1j * rng.normal(size=(site_dim, site_dim))
+                h = h + h.conj().T
+                vecs = np.linalg.eigh(h)[1]
+                # balanced +-1 spectrum in a random basis; an observable
+                # proportional to the identity would freeze the iteration
+                # at a deterministic point
+                signs = np.array([1.0, -1.0] * ((site_dim + 1) // 2))[:site_dim]
+                obs[(label, code)] = (vecs * rng.permutation(signs)) @ vecs.conj().T
+        # each symbol's operator, refreshed whenever one of its base observables changes
+        measured = {(label, sym): _combine(obs, label, sym) for label in labels for sym in symbols[label]}
+        history: list[float] = []
+        value = -np.inf
+        converged = False
+        it = 0
+        for it in range(1, SEESAW_MAX_ITERS + 1):
+            bell = termwise_bell_operator(functional, measured, labels, site_dim)
+            vals, vecs = np.linalg.eigh(bell)
+            state = vecs[:, -1]
+            value = float(vals[-1])
+            history.append(value)
+            for label in labels:
+                # a party's effective operators involve only the other parties
+                effective = termwise_effective_operators(
+                    functional, measured, labels, site_dim, state, label, base[label]
+                )
+                for code, g in effective.items():
+                    obs[(label, code)] = polar_unitary(
+                        Operator((g + g.conj().T) / 2, (site_dim,))
+                    ).entries
+                measured.update({(label, sym): _combine(obs, label, sym) for sym in symbols[label]})
+            if len(history) >= 2 and abs(history[-1] - history[-2]) < SEESAW_STALL_TOL:
+                converged = True
+                break
+        if value > best.value:
+            best = SeesawResult(value, converged, it, tuple(history))
+    return best
+
+
+def termwise_effective_operators(
+    functional: BellFunctional,
+    measured: Mapping[tuple[str, SettingSymbol], np.ndarray],
+    labels: list[str],
+    site_dim: int,
+    state: np.ndarray,
+    label: str,
+    codes: list[int],
+) -> dict[int, np.ndarray]:
+    """For each base setting ``code`` of party ``label``, the matrix G such
+    that the functional value equals Tr[A_{label,code} G] plus terms not
+    involving that base observable."""
+    k = labels.index(label)
+    dims = (site_dim,) * len(labels)
+    psi_m = np.moveaxis(state.reshape(dims), k, 0).reshape(site_dim, -1)
+    g = {code: np.zeros((site_dim, site_dim), dtype=complex) for code in codes}
+    for term in functional.terms:
+        sym = term.assignment.get(label)
+        if sym is None or sym is SettingSymbol.ID:
+            continue
+        vec = state[None]
+        for olabel, osym in term.assignment.items():
+            if olabel == label or osym is SettingSymbol.ID:
+                continue
+            vec = apply_raw_batch(vec, dims, measured[(olabel, osym)][None], [labels.index(olabel)])
+        chi_m = np.moveaxis(vec.reshape(dims), k, 0).reshape(site_dim, -1)
+        contribution = chi_m @ psi_m.conj().T
+        for c, code in EXPANSION[sym]:
+            g[code] = g[code] + term.coeff * c * contribution
+    return g

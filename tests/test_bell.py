@@ -1,10 +1,24 @@
 import numpy as np
 import pytest
-from dense_oracle import realization_value
+from dense_oracle import (
+    _base_settings,
+    _combine,
+    _symbols,
+    realization_value,
+    termwise_bell_operator,
+    termwise_classical_bound,
+    termwise_effective_operators,
+    termwise_seesaw_max,
+)
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gatecert.bell import (
     BellFunctional,
     BellTerm,
+    _bell_matrix,
+    _coefficients,
+    _effective_stack,
     classical_bound,
     evaluate,
     functional_I,
@@ -13,7 +27,7 @@ from gatecert.bell import (
     seesaw_max,
 )
 from gatecert.network import ALMOST_DI, DI, born_table, reference_realization
-from gatecert.primitives import SettingSymbol, gate
+from gatecert.primitives import SettingSymbol, gate, ghz_bits
 
 SQ2 = np.sqrt(2.0)
 
@@ -161,3 +175,78 @@ def test_seesaw_history_is_monotone():
     h = np.array(res.history)
     assert np.all(np.diff(h) >= -1e-9)
     assert res.iterations >= 1
+
+
+def test_seesaw_refuses_no_restarts():
+    for restarts in (0, -3):
+        with pytest.raises(ValueError, match=f"^restarts must be at least 1, got {restarts}$"):
+            seesaw_max(functional_I((0, 0)), restarts=restarts)
+
+
+_BOX_SYMBOLS = (SettingSymbol.S0, SettingSymbol.S1, SettingSymbol.T0, SettingSymbol.T1, SettingSymbol.ID)
+
+
+@st.composite
+def functionals(draw):
+    """2 to 4 parties among A1, A2, B1, B2 and up to five terms with random
+    coefficients; a party missing from a term's assignment is the identity,
+    and boxes measure settings 0 and 1 only."""
+    labels = draw(st.lists(st.sampled_from(("A1", "A2", "B1", "B2")), min_size=2, max_size=4, unique=True))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        assignment = {}
+        for label in labels:
+            symbols = _BOX_SYMBOLS if label.startswith("B") else tuple(SettingSymbol)
+            sym = draw(st.sampled_from(symbols + (None,)))
+            if sym is not None:
+                assignment[label] = sym
+        terms.append(BellTerm(draw(st.floats(-2.0, 2.0)), assignment))
+    functional = BellFunctional(len(labels), "random", tuple(terms))
+    assume(_symbols(functional))
+    return functional
+
+
+def _random_observable(rng):
+    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    vecs = np.linalg.eigh(h + h.conj().T)[1]
+    return (vecs * np.array([1.0, -1.0])) @ vecs.conj().T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(functionals(), st.integers(0, 2**16))
+def test_coefficient_tensor_matches_termwise_oracle(functional, seed):
+    """At random observables and a random state, the coefficient tensor's
+    Bell operator and every party's effective operators equal the term-wise
+    ones, and the classical bounds agree."""
+    rng = np.random.default_rng(seed)
+    labels, w = _coefficients(functional)
+    base = _base_settings(_symbols(functional))
+    assert labels == list(base)
+    stacks = np.zeros((len(labels), 4, 2, 2), dtype=complex)
+    stacks[:, 3] = np.eye(2)
+    obs = {}
+    for p, label in enumerate(labels):
+        for k in range(3):
+            stacks[p, k] = obs[(label, k)] = _random_observable(rng)
+    measured = {(label, sym): _combine(obs, label, sym) for label, syms in _symbols(functional).items() for sym in syms}
+    bell = termwise_bell_operator(functional, measured, labels, 2)
+    assert np.max(np.abs(_bell_matrix(w, stacks) - bell)) <= 1e-14
+    state = rng.normal(size=2 ** len(labels)) + 1j * rng.normal(size=2 ** len(labels))
+    state = state / np.linalg.norm(state)
+    for p, label in enumerate(labels):
+        effective = _effective_stack(w, stacks, state, p)
+        for k, g in termwise_effective_operators(functional, measured, labels, 2, state, label, base[label]).items():
+            assert np.max(np.abs(effective[k] - g)) <= 1e-14
+    assert abs(classical_bound(functional) - termwise_classical_bound(functional)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_seesaw_matches_termwise_oracle(n):
+    """The same random draws give the term-wise see-saw's iteration counts
+    and convergence on every protocol functional, and its values to 1e-12."""
+    funcs = [functional_I(ghz_bits(l, n)) for l in range(2**n)]
+    funcs += [functional_K(i, k_sign_bits(k), n) for i in range(1, n + 1) for k in range(4)]
+    for f in funcs:
+        got, want = seesaw_max(f, restarts=2, seed=0), termwise_seesaw_max(f, restarts=2, seed=0)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged), f.label
+        assert abs(got.value - want.value) <= 1e-12, f.label

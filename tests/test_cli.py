@@ -387,3 +387,29 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (out / "table.jsonl").exists()
+
+
+def test_bounds_refuses_nonpositive_restarts(capsys):
+    assert main(["bounds", "--n", "2", "--restarts", "-3"]) == 2
+    assert "error: --restarts must be at least 1, got -3" in capsys.readouterr().err
+
+
+_NAN_IDENTITY = [[[float("nan") if (r, c) == (0, 0) else float(r == c), 0.0] for c in range(4)] for r in range(4)]
+
+
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        ({"matrix": _NAN_IDENTITY}, "gate matrix is not unitary (deviation nan)"),
+        ({"random": True, "seed": 1.7}, "random gate seed must be an integer, got 1.7"),
+        ({"random": True, "seed": True}, "random gate seed must be an integer, got True"),
+    ],
+    ids=["nan-matrix", "seed-float", "seed-boolean"],
+)
+def test_gate_file_input_errors_exit_two(tmp_path, capsys, record, reason):
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(record))
+    assert main(["decompose", "--n", "2", "--gate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {reason}" in captured.err
+    assert "sum of squares" not in captured.out

@@ -728,3 +728,51 @@ def test_assemble_state_refuses_oversized_state():
     real = dilate(depolarize_sources(reference_realization(2, gate("cnot", 2), scheme=DI), 0.05), 3)
     with pytest.raises(ValueError, match=f"would hold 429981696 amplitudes .*more than MAX_AMPLITUDES = {MAX_AMPLITUDES}"):
         assemble_state(real)
+
+
+def test_nan_source_rejected():
+    """A NaN amplitude fails the normalization check: validation refuses the
+    source, and realization-mode certify reports it on ``extract.frames``."""
+    from gatecert.certify import certify
+
+    u = gate("cnot", 2)
+    real = reference_realization(2, u)
+    nan_source = StateVector(np.array([np.nan, 0, 0, 0.5]), (2, 2))
+    bad = replace(real, sources=(nan_source,) + real.sources[1:])
+    with pytest.raises(ValueError, match=r"^source 0 is not normalized \(norm nan\)$"):
+        validate_realization(bad)
+    rows = {row.id: row for row in certify(born_table(real), u, realization=bad).checks}
+    assert "not normalized" in rows["extract.frames"].detail
+
+
+@pytest.mark.parametrize(
+    "name, fault, message",
+    [
+        ("A", "dims", "observable A[2,1] has dims (4,), site needs (2,)"),
+        ("A", "skew", "observable A[2,1] is not Hermitian"),
+        ("A", "half", "observable A[2,1] does not square to identity (dev 7.50e-01)"),
+        ("A", "nan", "observable A[2,1] is not Hermitian"),
+        ("B", "dims", "box B[2,1] has dims (4,), site needs (2,)"),
+        ("B", "skew", "box B[2,1] is not Hermitian"),
+        ("B", "half", "box B[2,1] does not square to identity (dev 7.50e-01)"),
+        ("B", "nan", "box B[2,1] is not Hermitian"),
+    ],
+)
+def test_binary_observable_messages(name, fault, message):
+    """Party observables and boxes go through one binary-observable check
+    and name the faulty operator the same way."""
+    real = reference_realization(2, gate("cnot", 2), scheme=DI)
+    bad = {
+        "dims": Operator(np.eye(4, dtype=complex), (4,)),
+        "skew": Operator(np.array([[0, 1], [0, 0]], dtype=complex), (2,)),
+        "half": Operator(np.eye(2, dtype=complex) / 2, (2,)),
+        "nan": Operator(np.array([[np.nan, 0], [0, 1]], dtype=complex), (2,)),
+    }[fault]
+    if name == "A":
+        pair = (real.a_obs[1][0], bad, real.a_obs[1][2])
+        broken = replace(real, a_obs=(real.a_obs[0], pair))
+    else:
+        broken = replace(real, b_obs=(real.b_obs[0], (real.b_obs[1][0], bad)))
+    with pytest.raises(ValueError) as err:
+        validate_realization(broken)
+    assert str(err.value) == message
