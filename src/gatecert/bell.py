@@ -30,7 +30,7 @@ import numpy as np
 
 from .network import ProbabilityTable, correlator_weights, event_index, event_label, weighted_sum
 from .primitives import EXPANSION, SettingSymbol
-from .tensor import Operator, polar_unitary
+from .tensor import polar_factor
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,9 @@ def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> 
     party in turn replaces every binary observable by the polar unitary part
     of its Hermitian effective operator, the exact maximizer at fixed state.
     The iteration is monotone; several random restarts guard against poor
-    local optima.  Both steps contract the coefficient tensor ``W``.
+    local optima, and the first restart within ``SEESAW_STALL_TOL`` of the
+    best is returned, so restarts tied up to rounding do not decide it.
+    Both steps contract the coefficient tensor ``W``.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -253,7 +255,7 @@ def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> 
     _, w = _coefficients(functional)
     reached = _reached(w)
     rng = np.random.default_rng(seed)
-    best = SeesawResult(-np.inf, False, 0, ())
+    results = []
     for _ in range(restarts):
         stacks = np.zeros((w.ndim, 4, site_dim, site_dim), dtype=complex)
         stacks[:, 3] = np.eye(site_dim)
@@ -277,10 +279,10 @@ def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> 
             for p, settings in enumerate(reached):
                 g = _effective_stack(w, stacks, state, p)
                 for k in settings:
-                    stacks[p, k] = polar_unitary(Operator((g[k] + g[k].conj().T) / 2, (site_dim,))).entries
+                    stacks[p, k] = polar_factor((g[k] + g[k].conj().T) / 2)
             if len(history) >= 2 and abs(history[-1] - history[-2]) < SEESAW_STALL_TOL:
                 converged = True
                 break
-        if value > best.value:
-            best = SeesawResult(value, converged, it, tuple(history))
-    return best
+        results.append(SeesawResult(value, converged, it, tuple(history)))
+    top = max(res.value for res in results)
+    return next(res for res in results if res.value >= top - SEESAW_STALL_TOL)

@@ -20,10 +20,11 @@ checks: correlators and Bell functionals from the per-party matrices
 as selectors on the outcome axes, and the f-sum rows as one contraction of
 the gate's f tensor with those matrices for all joint outcomes l at once.
 Only the f-sum rows depend on the gate; the others are built once per
-scenario.  ``certify`` reads the rows the weighted sums weigh once.  A
-check that is one product correlator (the rate rows, branch.pair) is read
-through ``network.expectation``, which is ``weighted_sum`` over the same
-weights.
+scenario, and ``protocol_rows`` lists every settings row any gate's checks
+read, the rows realization-mode ``gatecert certify`` computes.  ``certify``
+reads the rows the weighted sums weigh once.  A check that is one product
+correlator (the rate rows, branch.pair) is read through
+``network.expectation``, which is ``weighted_sum`` over the same weights.
 
 Operator-level rows (effective-measurement distances, the unitary
 certificate, extraction fidelity) are appended when the underlying
@@ -289,6 +290,16 @@ def _scenario_checks(scheme: str, n: int) -> tuple[Check, ...]:
         pair_id = f"branch.pair[1,{i}]"
         checks.append(_correlator_check(pair_id, 1.0, scheme, n, assignment, l=0, r=r0, sign=-1.0, conditional=True))
     return tuple(checks)
+
+
+@lru_cache(maxsize=None)
+def protocol_rows(scheme: str, n: int) -> frozenset:
+    """Every settings row that ``check_matrix(scheme, n, u)`` can read, for
+    any gate u: the rows of the gate-independent checks and every f-sum row
+    (x, e=1, perp).  Built once per (scheme, n)."""
+    scen = ScenarioSpec(scheme, n)
+    read = {key for check in _scenario_checks(scheme, n) for key in check.weights}
+    return frozenset(read | {scen.row(x, 1, PERP) for x in scen.x_settings()})
 
 
 def _table_rows(table: ProbabilityTable, checks: list[Check], tol: float) -> list[CheckRow]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .adversary import apply_adversary, load_adversary
 from .bell import classical_bound, functional_I, functional_K, k_sign_bits, seesaw_max
-from .certify import TABLE_TOL, certify, check_matrix, save_report
+from .certify import TABLE_TOL, certify, check_matrix, protocol_rows, save_report
 from .decomp import delta_set, f_coeffs
 from .extract import OP_TOL
 from .network import (
@@ -152,7 +152,7 @@ def cmd_certify(args) -> int:
         return 0
     if not args.table:
         real, _ = _build_realization(args, u)
-        table = born_table(real)
+        table = born_table(real, rows=protocol_rows(scheme, n))
     report = certify(table, u, tol=args.tol, realization=real, op_tol=args.op_tol)
     print(report.summary())
     if real is None:

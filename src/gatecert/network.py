@@ -21,9 +21,13 @@ and every adversary read it.  Probability arrays are indexed by
 for the per-site boxes l is the integer b_1...b_N with b_1 most
 significant.
 
-All probabilities are exact Born values; tables carry every setting row,
-including rows no verification step consumes.  ``born_table`` factors
-every measurement element once as E = K^dagger K, with K the rows
+All probabilities are exact Born values.  ``born_table(real)`` computes
+every settings row, including rows no verification step reads;
+``born_table(real, rows=...)`` runs only the (e, y) blocks that hold a
+listed row, gives each party only the settings that block asks of it, and
+keeps the listed rows, each equal bit for bit to the full table's
+(realization-mode ``certify`` asks for ``certify.protocol_rows``).
+``born_table`` factors every measurement element once as E = K^dagger K, with K the rows
 sqrt(lambda) v^dagger of the eigenpairs of E above an eps-scaled rank
 cutoff (d * machine eps * max(1, |E|)); the factors of one measurement
 are zero-padded to a common rank, so a zero element is a block of zero
@@ -142,6 +146,14 @@ class ScenarioSpec:
         if not (inside and (perp or (len(ys) == self.n and all(b in (0, 1) for b in ys)))):
             raise ValueError(f"settings x={x!r}, e={e!r}, y={y!r} lie outside the scenario")
         return (tuple(int(v) for v in xs), int(e), PERP if perp else tuple(int(b) for b in ys))
+
+    def key(self, key: tuple) -> tuple:
+        """``row`` of a settings key as tables hold it: ``(x, e)`` for
+        almost_di, ``(x, e, y)`` for di."""
+        if len(key) != (2 if self.scheme == ALMOST_DI else 3):
+            raise ValueError(f"settings key {key!r} lies outside the scenario")
+        x, e, y = (*key, PERP) if self.scheme == ALMOST_DI else key
+        return self.row(x, e, y)
 
     def outcome_shape(self) -> tuple[int, ...]:
         if self.scheme == ALMOST_DI:
@@ -434,17 +446,30 @@ def _measure(block: np.ndarray, dims: tuple[int, ...], stack: np.ndarray, sites:
     return apply_raw_batch(block, dims, stack, sites), tuple(new_dims)
 
 
-def born_table(real: Realization) -> "ProbabilityTable":
-    """Exact probability table over every setting row of the scenario.
+def born_table(real: Realization, rows=None) -> "ProbabilityTable":
+    """Exact probability table over the settings rows ``rows`` (every row of
+    the scenario when None).
 
-    The joint state is assembled once.  Layers on disjoint sites commute,
-    so the repeaters are measured once per e, the L boxes once per (e, y),
-    and the A layer last with one stacked factor per party that covers all
-    three settings."""
+    ``rows`` holds settings keys as tables hold them, each normalized by
+    ``ScenarioSpec.key``, so a key outside the scenario raises ValueError
+    naming it.  The joint state is assembled once.  Layers on disjoint
+    sites commute, so the repeaters are measured once per e, the L boxes
+    once per (e, y) block, and the A layer last with one stacked factor per
+    party that covers the settings the block asks of that party; a block
+    that holds no requested row is skipped.  The rows a block computes are
+    every combination of those party settings, each checked to sum to one
+    within ``SUM_TOL``; the table keeps the requested ones, and each equals
+    the full table's row bit for bit."""
     validate_realization(real)
     lay = real.layout()
     n = real.n
     scen = real.scenario()
+    wanted = set(scen.settings()) if rows is None else {scen.key(key) for key in rows}
+    needs: dict = {}  # (e, y) -> the settings of each party that block computes
+    for key in wanted:
+        x, e, y = (*key, PERP) if real.scheme == ALMOST_DI else key
+        for need, xi in zip(needs.setdefault((e, y), [set() for _ in range(n)]), x):
+            need.add(xi)
     a_stacks = [
         _factor_stack([el for obs in triple for el in _binary_elements(obs)]) for triple in real.a_obs
     ]
@@ -458,28 +483,36 @@ def born_table(real: Realization) -> "ProbabilityTable":
     psi = assemble_state(real).amplitudes[None, :]
     entries: dict = {}
     for e in (0, 1):
+        ys = [y for y in scen.y_settings() or [PERP] if (e, y) in needs]
+        if not ys:
+            continue
         # Eve's V sites are contiguous and ascending: collapsing them keeps the flat layout
         block = apply_raw_batch(psi, lay.dims, real.eve.entries[None], lay.v_sites()) if e else psi
         dims = lay.dims
         for i in range(n_rep, 0, -1):
             block, dims = _measure(block, dims, rep_stacks[i - 1], [lay.r1_site(i), lay.r2_site(i)])
-        for y in scen.y_settings() or [PERP]:
+        for y in ys:
+            settings = [sorted(need) for need in needs[(e, y)]]
             if y == PERP:
-                rows, rdims = _measure(block, dims, joint, lay.l_sites())
+                out, rdims = _measure(block, dims, joint, lay.l_sites())
             else:
-                rows, rdims = block, dims
+                out, rdims = block, dims
                 for i in range(n, 0, -1):
-                    rows, rdims = _measure(rows, rdims, box_stacks[i - 1][y[i - 1]], [lay.l_site(i)])
+                    out, rdims = _measure(out, rdims, box_stacks[i - 1][y[i - 1]], [lay.l_site(i)])
             for i in range(n, 0, -1):
-                rows, rdims = _measure(rows, rdims, a_stacks[i - 1], [lay.a_site(i)])
-            probs = (rows.real**2 + rows.imag**2).sum(axis=1)
-            probs = np.ascontiguousarray(probs.reshape((3, 2) * n + (2**n,) + (4,) * n_rep).transpose(order))
-            totals = probs.reshape(3**n, -1).sum(axis=1)
-            for x, total in zip(scen.x_settings(), totals):
-                key = scen.row(x, e, y)
+                # setting x of party i is the stack's elements 2x and 2x + 1
+                stack = a_stacks[i - 1][[2 * x + a for x in settings[i - 1] for a in (0, 1)]]
+                out, rdims = _measure(out, rdims, stack, [lay.a_site(i)])
+            probs = (out.real**2 + out.imag**2).sum(axis=1)
+            shape = tuple(k for xs in settings for k in (len(xs), 2)) + (2**n,) + (4,) * n_rep
+            probs = np.ascontiguousarray(probs.reshape(shape).transpose(order))
+            totals = probs.reshape(math.prod(len(xs) for xs in settings), -1).sum(axis=1)
+            for pos, total in zip(np.ndindex(*(len(xs) for xs in settings)), totals):
+                key = scen.row(tuple(xs[k] for xs, k in zip(settings, pos)), e, y)
                 if not abs(total - 1.0) <= SUM_TOL:  # NaN fails too
                     raise ValueError(f"setting {key}: probabilities sum to {float(total)!r}")
-                entries[key] = probs[x]
+                if key in wanted:
+                    entries[key] = probs[pos]
     return ProbabilityTable._adopt(real.scheme, n, entries)
 
 
@@ -524,8 +557,7 @@ class ProbabilityTable:
         return table
 
     def _norm_key(self, key: tuple) -> tuple:
-        x, e, y = (*key, PERP) if self.scheme == ALMOST_DI else key
-        return self._scen.row(x, e, y)
+        return self._scen.key(key)
 
     def scenario(self) -> ScenarioSpec:
         return self._scen

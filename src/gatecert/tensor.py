@@ -9,7 +9,8 @@ Everything here is pure: inputs are never mutated and stored arrays are
 marked read-only.  ``apply_raw_batch`` is the only code that applies an
 operator to sites of a raw state vector; a single operator is a
 one-element stack.  Its only caller is the Born kernel (``born_table``,
-Eve's layer included); the see-saw contracts a coefficient tensor instead.
+Eve's layer included); the see-saw contracts a coefficient tensor instead
+and takes its observable step on raw arrays through ``polar_factor``.
 """
 
 from __future__ import annotations
@@ -111,18 +112,22 @@ def kron(factors: Iterable[StateVector] | Iterable[Operator]):
 
 
 def polar_unitary(op: Operator) -> Operator:
-    """Unitary factor of the polar decomposition.
+    """Unitary factor of the polar decomposition, as ``polar_factor`` gives it."""
+    return Operator(polar_factor(op.entries), op.dims)
+
+
+def polar_factor(m: np.ndarray) -> np.ndarray:
+    """Unitary factor of the polar decomposition of the square array ``m``.
 
     Hermitian inputs are resolved by eigendecomposition; eigendirections with
     magnitude below ``DEFAULT_ZERO_TOL`` are sent to +1 so the result is total.
     """
-    m = op.entries
     if np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
         vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
         signs = np.where(np.abs(vals) < DEFAULT_ZERO_TOL, 1.0, np.sign(vals))
-        return Operator((vecs * signs) @ vecs.conj().T, op.dims)
+        return (vecs * signs) @ vecs.conj().T
     u, _, vh = np.linalg.svd(m)
-    return Operator(u @ vh, op.dims)
+    return u @ vh
 
 
 # --- raw ndarray plumbing used by the simulator ---------------------------

@@ -888,14 +888,16 @@ def termwise_seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int
     State step: top eigenvector of the Bell operator.  Observable step: each
     binary observable is replaced by the polar unitary part of its Hermitian
     effective operator, the exact maximizer at fixed state.  The iteration
-    is monotone; several random restarts guard against poor local optima.
+    is monotone; several random restarts guard against poor local optima,
+    and the first restart within ``SEESAW_STALL_TOL`` of the best is
+    returned.
     """
     site_dim = SEESAW_SITE_DIM
     symbols = _symbols(functional)
     base = _base_settings(symbols)
     labels = list(base)
     rng = np.random.default_rng(seed)
-    best = SeesawResult(-np.inf, False, 0, ())
+    results = []
     for _ in range(max(1, restarts)):
         obs: dict[tuple[str, int], np.ndarray] = {}
         for label in labels:
@@ -933,9 +935,9 @@ def termwise_seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int
             if len(history) >= 2 and abs(history[-1] - history[-2]) < SEESAW_STALL_TOL:
                 converged = True
                 break
-        if value > best.value:
-            best = SeesawResult(value, converged, it, tuple(history))
-    return best
+        results.append(SeesawResult(value, converged, it, tuple(history)))
+    top = max(res.value for res in results)
+    return next(res for res in results if res.value >= top - SEESAW_STALL_TOL)
 
 
 def termwise_effective_operators(

@@ -240,13 +240,30 @@ def test_coefficient_tensor_matches_termwise_oracle(functional, seed):
     assert abs(classical_bound(functional) - termwise_classical_bound(functional)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_seesaw_matches_termwise_oracle(n):
-    """The same random draws give the term-wise see-saw's iteration counts
-    and convergence on every protocol functional, and its values to 1e-12."""
-    funcs = [functional_I(ghz_bits(l, n)) for l in range(2**n)]
-    funcs += [functional_K(i, k_sign_bits(k), n) for i in range(1, n + 1) for k in range(4)]
+def _protocol_functionals(n):
+    return [functional_I(ghz_bits(l, n)) for l in range(2**n)] + [
+        functional_K(i, k_sign_bits(k), n) for i in range(1, n + 1) for k in range(4)
+    ]
+
+
+# the functionals of ``gatecert bounds --n 3``
+BOUNDS_N3 = [functional_I(ghz_bits(l, 3)) for l in range(8)] + [functional_K(1, k_sign_bits(k), 3) for k in range(4)]
+
+
+@pytest.mark.parametrize(
+    "funcs, restarts, seeds",
+    [(_protocol_functionals(2), 2, (0,)), (_protocol_functionals(3), 2, (0,)), (BOUNDS_N3, 8, (0, 1))],
+    ids=["2", "3", "bounds-n3"],
+)
+def test_seesaw_matches_termwise_oracle(funcs, restarts, seeds):
+    """The same random draws give the term-wise see-saw's returned restart:
+    its iteration count, convergence and, to 1e-12, its value and every
+    value of its history.  Restarts tied to within ``SEESAW_STALL_TOL``
+    return the first of them in both, whatever rounding does."""
     for f in funcs:
-        got, want = seesaw_max(f, restarts=2, seed=0), termwise_seesaw_max(f, restarts=2, seed=0)
-        assert (got.iterations, got.converged) == (want.iterations, want.converged), f.label
-        assert abs(got.value - want.value) <= 1e-12, f.label
+        for seed in seeds:
+            got = seesaw_max(f, restarts=restarts, seed=seed)
+            want = termwise_seesaw_max(f, restarts=restarts, seed=seed)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged), (f.label, seed)
+            assert abs(got.value - want.value) <= 1e-12, (f.label, seed)
+            assert np.max(np.abs(np.subtract(got.history, want.history))) <= 1e-12, (f.label, seed)

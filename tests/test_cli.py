@@ -15,8 +15,9 @@ from table_files import move_mass, table_lines, with_change
 
 from gatecert import cli
 from gatecert.adversary import AdversarySpec, save_adversary
+from gatecert.certify import protocol_rows
 from gatecert.cli import main
-from gatecert.network import DI, SCHEMES, born_table, load_table, reference_realization, save_table
+from gatecert.network import DI, SCHEMES, ScenarioSpec, born_table, load_table, reference_realization, save_table
 from gatecert.primitives import gate
 
 
@@ -226,6 +227,37 @@ def test_certify_adversary_flag(tmp_path):
         "certify", "--n", "2", "--gate", "cz", "--adversary", str(adv), "--tol", "1e-6",
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "flags, spec",
+    [
+        (["--n", "2", "--gate", "cnot"], AdversarySpec("dilate", junk_dim=2, seed=5)),
+        (["--n", "2", "--gate", "random", "--seed", "9"], AdversarySpec("depolarize", eta=0.05)),
+        (["--n", "3", "--gate", "toffoli"], None),
+    ],
+    ids=["n2-cnot-dilate", "n2-random-depolarize", "n3-toffoli"],
+)
+def test_certify_protocol_rows_print_the_full_table_report(tmp_path, monkeypatch, capsys, flags, spec):
+    """Realization-mode certify computes the protocol rows only, and prints
+    and writes the bytes it gives when it certifies the full table."""
+    argv = ["certify", "--scheme", "di", *flags, "--out", str(tmp_path / "out")]
+    if spec is not None:
+        save_adversary(spec, str(tmp_path / "adv.json"))
+        argv += ["--adversary", str(tmp_path / "adv.json")]
+    tables = []
+    outputs = []
+    for full in (False, True):
+        def kernel(real, rows=None):
+            tables.append(born_table(real, rows=None if full else rows))
+            return tables[-1]
+
+        monkeypatch.setattr(cli, "born_table", kernel)
+        code = main(argv)
+        outputs.append((code, capsys.readouterr().out, (tmp_path / "out" / "report.json").read_bytes()))
+    scen = ScenarioSpec(DI, int(flags[1]))
+    assert [len(table.keys()) for table in tables] == [len(protocol_rows(DI, scen.n)), len(list(scen.settings()))]
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from strategies import realizations
 from table_files import move_mass, read_with_change, table_lines
 
-from gatecert.adversary import depolarize_sources, dilate
+from gatecert.adversary import AdversarySpec, apply_adversary, depolarize_sources, dilate
+from gatecert.certify import certify, check_matrix, protocol_rows
 from gatecert.network import (
     ALMOST_DI,
     DI,
@@ -469,6 +470,64 @@ def test_born_table_assembles_the_state_once(monkeypatch):
         calls.clear()
         born_table(real)
         assert calls == [real]
+
+
+RESTRICTED_SCENARIOS = [(DI, 2), (DI, 3), (ALMOST_DI, 2), (ALMOST_DI, 3)]
+# The adversaries of the restricted-kernel test; dilate and depolarize
+# would take di n=3 past MAX_AMPLITUDES.
+RESTRICTED_ADVERSARIES = (
+    None,
+    AdversarySpec("dilate", junk_dim=2, seed=4),
+    AdversarySpec("depolarize", eta=0.05),
+    AdversarySpec("perturb", epsilon=1e-3, seed=4),
+    AdversarySpec("conjugate"),
+)
+
+
+@pytest.mark.parametrize("scheme, n", RESTRICTED_SCENARIOS)
+def test_restricted_born_table_equals_full_table(scheme, n):
+    """``born_table(real, rows=R)`` holds exactly the rows R, each equal to
+    the full table's bit for bit, for the protocol rows and for random row
+    sets; ``certify`` gives the same report on either table (the
+    operator-level rows read the realization only, and the CLI test of
+    realization-mode certify covers them)."""
+    u = gate("random", n, seed=7)
+    rng = np.random.default_rng(n)
+    for spec in RESTRICTED_ADVERSARIES:
+        if spec is not None and (scheme, n) == (DI, 3) and spec.kind in ("dilate", "depolarize"):
+            continue
+        real = reference_realization(n, u, scheme=scheme)
+        real = real if spec is None else apply_adversary(real, spec)
+        full = born_table(real)
+        keys = list(full.keys())
+        for rows in ([keys[k] for k in rng.choice(len(keys), 7, replace=False)], protocol_rows(scheme, n)):
+            part = born_table(real, rows=rows)
+            assert set(part.keys()) == set(rows)
+            assert all(np.array_equal(part.array(key), full.array(key)) for key in rows)
+        # part holds the protocol rows
+        assert certify(part, u).to_record() == certify(full, u).to_record()
+
+
+@pytest.mark.parametrize("scheme, n", RESTRICTED_SCENARIOS)
+def test_protocol_rows_hold_every_row_a_check_reads(scheme, n):
+    for seed in range(3):
+        read = {key for check in check_matrix(scheme, n, gate("random", n, seed=seed)) for key in check.weights}
+        assert read <= protocol_rows(scheme, n)
+
+
+@pytest.mark.parametrize(
+    "scheme, key, named",
+    [
+        (DI, ((0, 3), 0, PERP), "x=(0, 3), e=0, y='perp'"),
+        (DI, ((0, 1), 0, (1, 2)), "x=(0, 1), e=0, y=(1, 2)"),
+        (DI, ((0, 1), 0), "settings key ((0, 1), 0)"),
+        (ALMOST_DI, ((0, 1), 2), "x=(0, 1), e=2"),
+    ],
+)
+def test_born_table_names_a_row_outside_the_scenario(scheme, key, named):
+    real = reference_realization(2, gate("cnot", 2), scheme=scheme)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        born_table(real, rows=[key])
 
 
 def test_probability_table_shape_guard():
