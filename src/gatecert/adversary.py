@@ -81,7 +81,7 @@ class AdversarySpec:
                 return default
             try:
                 return convert(rec[name])
-            except (TypeError, ValueError):
+            except (OverflowError, TypeError, ValueError):
                 raise ValueError(f"adversary field {name!r} has malformed value {rec[name]!r}") from None
 
         return AdversarySpec(

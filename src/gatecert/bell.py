@@ -10,31 +10,30 @@ Two families:
   box B_i, used to certify the repeater's Bell measurement in the di
   scheme.  Deterministic bound sqrt(2), quantum maximum 2.
 
-``functional_weights`` gives a functional's weight array on each table row
-it reads, and ``evaluate`` reads those weights against a probability table
-as dot products.  ``classical_bound`` and ``seesaw_max`` (alternating
-optimization over qubit strategies) read a functional as one coefficient
-tensor ``W``, an axis per party over base settings 0..2 and the identity;
-the bound, the Bell operator and the effective operators each contract it
-once.  Every tool reads a setting symbol through ``primitives.EXPANSION``.
+Every tool reads a functional as one coefficient tensor ``W``
+(``network.coefficients``), an axis per party over base settings 0..2 and
+the identity: ``evaluate`` reads it against a probability table as weights
+on table rows (``network.row_weights``), and ``classical_bound`` and
+``seesaw_max`` (alternating optimization over qubit strategies) contract it
+once for the bound, the Bell operator and the effective operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .network import ProbabilityTable, correlator_weights, event_index, event_label, weighted_sum
-from .primitives import EXPANSION, SettingSymbol
+from .network import ProbabilityTable, coefficients, event_index, event_label, nonzero_slots, row_weights, weighted_sum
+from .primitives import SettingSymbol
 from .tensor import polar_factor
 
 
-@dataclass(frozen=True)
-class BellTerm:
+class BellTerm(NamedTuple):
+    """``coeff`` times the product correlator ``assignment``, label -> symbol."""
+
     coeff: float
     assignment: Mapping[str, SettingSymbol]
 
@@ -108,25 +107,6 @@ def functional_K(i: int, signs: tuple[int, int], n: int) -> BellFunctional:
     return BellFunctional(n, f"K[{i};{s1}{s2}]", terms)
 
 
-def functional_weights(
-    functional: BellFunctional,
-    scheme: str,
-    n: int,
-    *,
-    e: int,
-    l: int | None = None,
-    r: Mapping[int, int] | None = None,
-) -> dict[tuple, np.ndarray]:
-    """Weight array of a Bell functional on each settings row it reads: the
-    coefficient-weighted sum of its terms' ``correlator_weights``, rows in
-    the order the terms first read them."""
-    out: dict[tuple, np.ndarray] = {}
-    for term in functional.terms:
-        for key, w in correlator_weights(scheme, n, term.assignment, e=e, l=l, r=r).items():
-            out[key] = out[key] + term.coeff * w if key in out else term.coeff * w
-    return out
-
-
 def evaluate(
     functional: BellFunctional,
     table: ProbabilityTable,
@@ -145,7 +125,7 @@ def evaluate(
     """
     if not isinstance(table, ProbabilityTable):
         raise TypeError(f"cannot evaluate on {type(table).__name__}; pass a ProbabilityTable")
-    weights = functional_weights(functional, table.scheme, table.n, e=e, l=l, r=r)
+    weights = row_weights(functional.terms, table.scheme, table.n, e=e, l=l, r=r)
     rows = {key: table.array(key) for key in weights}
     event = event_label(table.n, l=l, r=r) if renormalize else None
     return weighted_sum(rows, event_index(table.scheme, table.n, l=l, r=r), weights, event)
@@ -154,26 +134,9 @@ def evaluate(
 # --- the coefficient tensor -------------------------------------------------
 
 
-def _coefficients(functional: BellFunctional) -> tuple[list[str], np.ndarray]:
-    """The parties a functional measures, in label order, and its tensor
-    ``W`` of shape ``(4,) * m`` (the layout of ``certify``'s f tensor): each
-    term's coefficient times its parties' ``EXPANSION`` vectors, summed."""
-    used = [(label, sym) for term in functional.terms for label, sym in term.assignment.items()]
-    labels = sorted({label for label, sym in used if sym is not SettingSymbol.ID})
-    unit = np.eye(4)
-    w = np.zeros((4,) * len(labels))
-    for term in functional.terms:
-        vecs = [unit[3]] * len(labels)
-        for label, sym in term.assignment.items():
-            if sym is not SettingSymbol.ID:
-                vecs[labels.index(label)] = sum(c * unit[k] for c, k in EXPANSION[sym])
-        w = w + term.coeff * reduce(np.multiply.outer, vecs, np.ones(()))
-    return labels, w
-
-
 def _reached(w: np.ndarray) -> list[np.ndarray]:
     """Base settings each party's axis of ``w`` reaches, ascending."""
-    return [np.flatnonzero(np.any(w != 0, axis=tuple(q for q in range(w.ndim) if q != p))[:3]) for p in range(w.ndim)]
+    return [slots[slots < 3] for slots in nonzero_slots(w)]
 
 
 def classical_bound(functional: BellFunctional) -> float:
@@ -184,7 +147,7 @@ def classical_bound(functional: BellFunctional) -> float:
     All 2^S assignments of the S reached base settings at once: one
     contraction of ``W`` with each party's +-1 values, 1 at the identity.
     """
-    _, w = _coefficients(functional)
+    _, w, _ = coefficients(functional.terms, None)
     m = w.ndim
     slots = [(p, k) for p, settings in enumerate(_reached(w)) for k in settings]
     grid = np.array(list(product((1.0, -1.0), repeat=len(slots)))).reshape(2 ** len(slots), len(slots))
@@ -252,7 +215,7 @@ def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> 
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     site_dim = SEESAW_SITE_DIM
-    _, w = _coefficients(functional)
+    _, w, _ = coefficients(functional.terms, None)
     reached = _reached(w)
     rng = np.random.default_rng(seed)
     results = []

@@ -14,17 +14,17 @@ settings row it reads, over the outcomes its conditioning event selects
 (``network.event_index``).  Its value is ``sum over rows of <W_row,
 p_row>``; a conditional check (step1.k, branch.pair) divides each row's
 term by the row's probability of the event, and an event of probability
-zero gives a failing row that names it.  ``check_matrix`` builds the
-checks: correlators and Bell functionals from the per-party matrices
-``network.party_matrix`` (read from ``primitives.EXPANSION``), conditioning
-as selectors on the outcome axes, and the f-sum rows as one contraction of
-the gate's f tensor with those matrices for all joint outcomes l at once.
-Only the f-sum rows depend on the gate; the others are built once per
-scenario, and ``protocol_rows`` lists every settings row any gate's checks
-read, the rows realization-mode ``gatecert certify`` computes.  ``certify``
-reads the rows the weighted sums weigh once.  A check that is one product
-correlator (the rate rows, branch.pair) is read through
-``network.expectation``, which is ``weighted_sum`` over the same weights.
+zero gives a failing row that names it.  ``check_matrix`` builds every
+check's weights with one contraction, ``network.contract``: of a Bell
+functional's coefficient tensor (``network.row_weights``; a correlator is a
+one-term functional) or of the gate's f tensor, for all joint outcomes l at
+once, with the per-party matrices ``network.party_matrix``.  Only the f-sum
+rows depend on the gate; the others are built once per scenario, and
+``protocol_rows`` lists every settings row any gate's checks read, the rows
+realization-mode ``gatecert certify`` computes.  ``certify`` reads the rows
+the weighted sums weigh once.  A check that is one product correlator (the
+rate rows, branch.pair) is read through ``network.expectation``, which is
+``weighted_sum`` over the same weights.
 
 Operator-level rows (effective-measurement distances, the unitary
 certificate, extraction fidelity) are appended when the underlying
@@ -40,28 +40,29 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .bell import functional_I, functional_K, functional_weights, k_sign_bits
+from .bell import functional_I, functional_K, k_sign_bits
 from .decomp import delta_set, f_coeffs
 from .extract import OP_TOL, Extraction
 from .network import (
     ALMOST_DI,
     DI,
     PERP,
+    SLOT_SYMBOLS,
     ProbabilityTable,
     Realization,
     ScenarioSpec,
     ZeroProbabilityEvent,
-    correlator_weights,
+    contract,
     event_index,
     event_label,
     expectation,
     party_matrix,
+    row_weights,
     weighted_sum,
 )
 from .primitives import SettingSymbol, ghz_bits
@@ -154,18 +155,13 @@ def save_report(report: CertificationReport, path: str) -> None:
         fh.write("\n")
 
 
-def load_report(path: str) -> CertificationReport:
-    with open(path) as fh:
-        return CertificationReport.from_record(json.load(fh))
-
-
 def _bits_label(bits) -> str:
     return "".join(str(b) for b in bits)
 
 
-# Party 1's and the other parties' symbols in Pauli order (Z, X, Y, identity).
+# Party 1's symbols in Pauli order (Z, X, Y, identity); the other parties'
+# are ``SLOT_SYMBOLS``.
 _A1_SYMBOLS = (SettingSymbol.T0, SettingSymbol.T1, SettingSymbol.T2, SettingSymbol.ID)
-_AI_SYMBOLS = (SettingSymbol.S0, SettingSymbol.S1, SettingSymbol.S2, SettingSymbol.ID)
 F_ZERO = 1e-15  # Pauli coefficients below this weigh nothing
 
 
@@ -210,8 +206,7 @@ def _check(check_id, rhs, scheme, n, weights, *, l=None, r=None, conditional=Fal
 
 def _correlator_check(check_id, rhs, scheme, n, assignment, *, l=None, r=None, sign=1.0, conditional=False) -> Check:
     corr = Correlator(MappingProxyType(assignment), l, None if r is None else MappingProxyType(r), sign)
-    weights = correlator_weights(scheme, n, assignment, e=0, l=l, r=r)
-    weights = {key: sign * w for key, w in weights.items()}
+    weights = row_weights(((sign, assignment),), scheme, n, e=0, l=l, r=r)
     return _check(check_id, rhs, scheme, n, weights, l=l, r=r, conditional=conditional, correlator=corr)
 
 
@@ -222,19 +217,11 @@ def _fsum_checks(scheme: str, n: int, u: Operator, prefix: str, rhs: float, r=No
     outcomes a at joint outcome l."""
     f = np.stack([f_coeffs(delta) for delta in delta_set(u)])
     f = np.where(np.abs(f) < F_ZERO, 0.0, f)
-    operands: list = [f, list(range(n + 1))]
-    # subscripts: l = 0, symbol i_k = 1 + k, setting x_k = 1 + n + k, outcome a_k = 1 + 2n + k
-    for k in range(n):
-        operands += [party_matrix(_A1_SYMBOLS if k == 0 else _AI_SYMBOLS), [1 + k, 1 + n + k, 1 + 2 * n + k]]
-    w = np.einsum(*operands, [0, *range(1 + n, 1 + 3 * n)], optimize=True)
+    w = contract(f, [party_matrix(_A1_SYMBOLS)] + [party_matrix(SLOT_SYMBOLS)] * (n - 1), optimize=True)
     scen, checks = ScenarioSpec(scheme, n), []
     for l in range(2**n):
-        weights = {}
-        for x in product(range(3), repeat=n):
-            if w[l][x].any():
-                weights[scen.row(x, 1, PERP)] = w[l][x]
-        label = _bits_label(ghz_bits(l, n))
-        checks.append(_check(f"{prefix}.fsum[{label}]", rhs, scheme, n, weights, l=l, r=r))
+        weights = {scen.row(x, 1, PERP): w[l][x] for x in scen.x_settings() if w[l][x].any()}
+        checks.append(_check(f"{prefix}.fsum[{_bits_label(ghz_bits(l, n))}]", rhs, scheme, n, weights, l=l, r=r))
     return checks
 
 
@@ -264,19 +251,19 @@ def _scenario_checks(scheme: str, n: int) -> tuple[Check, ...]:
     if scheme == ALMOST_DI:
         for l in range(2**n):
             label = _bits_label(ghz_bits(l, n))
-            joint = functional_weights(functional_I(ghz_bits(l, n)), scheme, n, e=0, l=l)
+            joint = row_weights(functional_I(ghz_bits(l, n)).terms, scheme, n, e=0, l=l)
             checks.append(_check(f"step1.joint[{label}]", 3 * (n - 1) / 2**n, scheme, n, joint, l=l))
             checks.append(_correlator_check(f"step1.rate[{label}]", 1 / 2**n, scheme, n, {}, l=l))
     else:
         for i in range(1, n + 1):
             for k in range(4):
                 r = {i: k}
-                func = functional_weights(functional_K(i, k_sign_bits(k), n), scheme, n, e=0, r=r)
+                func = row_weights(functional_K(i, k_sign_bits(k), n).terms, scheme, n, e=0, r=r)
                 checks.append(_check(f"step1.k[{i};{k}]", 2.0, scheme, n, func, r=r, conditional=True))
                 checks.append(_correlator_check(f"step1.rate[{i};{k}]", 0.25, scheme, n, {}, r=r))
         for l in range(2**n):
             label = _bits_label(ghz_bits(l, n))
-            joint = functional_weights(functional_I(ghz_bits(l, n)), scheme, n, e=0, l=l, r=r0)
+            joint = row_weights(functional_I(ghz_bits(l, n)).terms, scheme, n, e=0, l=l, r=r0)
             rhs = 3 * (n - 1) / (2**n * 4**n)
             checks.append(_check(f"step2.joint[{label}]", rhs, scheme, n, joint, l=l, r=r0))
             rhs = 1 / (2**n * 4**n)

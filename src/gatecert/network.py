@@ -57,9 +57,17 @@ a field, has settings outside the scenario, repeats a row, or whose ``p``
 has the wrong length, a negative or non-finite entry, or a sum more than
 ``SUM_TOL`` from one; a file missing rows is rejected naming the first,
 and a header whose n is not an integer from 2 to ``MAX_TABLE_N`` before
-any row is read.  A complete table is rejected if it signals: if party
-A_i's marginal depends on more than x_i, or repeater i's on x or y, by
-more than ``SIGNALLING_TOL``; the message names the party and two rows.
+any row is read.  A complete table is rejected if it signals, by more than
+``SIGNALLING_TOL``: if party A_i's marginal depends on more than x_i,
+repeater i's on x or y, L's on more than e (almost_di) or y (di), or, on
+the rows y != perp, box i's on more than y_i; the message names the party
+and two rows.
+
+Every table-level check is weights on rows.  ``coefficients`` reads a Bell
+functional into one coefficient tensor W, the only reader of ``EXPANSION``
+and of the label rules; ``contract`` gives its row weights, ``sum_i W[i]
+prod_p M_p[i_p, x_p, a_p]`` with ``party_matrix`` M_p, and ``row_weights``
+lays them onto the outcomes ``event_index`` selects.
 
 ``check_size`` refuses, before allocating, an array of more than
 ``MAX_AMPLITUDES`` complex entries: ``assemble_state`` asks it about the
@@ -576,10 +584,9 @@ class ProbabilityTable:
         """Sum of the row's probabilities restricted to a fixed joint
         outcome ``l`` and/or fixed repeater outcomes ``r`` (mapping subnet
         -> outcome).  No renormalization."""
-        ones = [np.ones(2)] * self.n
         arr = self.array(key)
         weight = np.zeros(arr.shape)
-        weight[event_index(self.scheme, self.n, l=l, r=r)] = _row_weight(self.scheme, self.n, ones, ones, l=l, r=r)
+        weight[event_index(self.scheme, self.n, l=l, r=r)] = 1.0
         # Summing over the whole row keeps the summation order, and so every
         # bit, of the marginals that ``gatecert simulate`` writes.
         return float((arr * weight).sum())
@@ -600,29 +607,24 @@ class ProbabilityTable:
 _PARTY_RE = re.compile(r"^([AB])([0-9]+)$")
 
 
-def _parse_assignment(assignment: Mapping[str, SettingSymbol], n: int, scheme: str):
-    a_syms: dict[int, SettingSymbol] = {}
-    b_syms: dict[int, SettingSymbol] = {}
-    for label, sym in assignment.items():
-        m = _PARTY_RE.match(label)
-        if not m:
-            raise ValueError(f"unknown party label {label!r}")
-        kind, num = m.group(1), int(m.group(2))
-        if not 1 <= num <= n:
-            raise ValueError(f"party {label!r} out of range for n={n}")
-        if not isinstance(sym, SettingSymbol):
-            raise ValueError(f"setting for {label!r} must be a SettingSymbol")
-        if kind == "A":
-            if sym in (SettingSymbol.T0, SettingSymbol.T1) and num != 1:
-                raise ValueError("rotated combinations are defined for party A1 only")
-            a_syms[num] = sym
-        else:
-            if scheme != DI:
-                raise ValueError("box parties exist only in the di scheme")
-            if sym is SettingSymbol.S2 or sym is SettingSymbol.T2:
-                raise ValueError("boxes have two settings; S2/T2 are not available")
-            b_syms[num] = sym
-    return a_syms, b_syms
+def _check_label(label: str, sym, n: int, scheme: str) -> None:
+    """Refuse a label and symbol a (scheme, n) table cannot read: labels "A1".."AN"
+    and, for di, "B1".."BN"; rotated combinations on A1 only; two box settings."""
+    m = _PARTY_RE.match(label)
+    if not m:
+        raise ValueError(f"unknown party label {label!r}")
+    kind, num = m.group(1), int(m.group(2))
+    if not 1 <= num <= n:
+        raise ValueError(f"party {label!r} out of range for n={n}")
+    if not isinstance(sym, SettingSymbol):
+        raise ValueError(f"setting for {label!r} must be a SettingSymbol")
+    if kind == "A":
+        if sym in (SettingSymbol.T0, SettingSymbol.T1) and num != 1:
+            raise ValueError("rotated combinations are defined for party A1 only")
+    elif scheme != DI:
+        raise ValueError("box parties exist only in the di scheme")
+    elif sym is SettingSymbol.S2 or sym is SettingSymbol.T2:
+        raise ValueError("boxes have two settings; S2/T2 are not available")
 
 
 class ZeroProbabilityEvent(ValueError):
@@ -643,16 +645,16 @@ def event_label(n: int, *, l: int | None = None, r: Mapping[int, int] | None = N
 
 
 @lru_cache(maxsize=None)
-def party_matrix(symbols: tuple[SettingSymbol, ...], settings: int = 3) -> np.ndarray:
+def party_matrix(symbols: tuple[SettingSymbol, ...]) -> np.ndarray:
     """``M[s, x, o]``: the weight a party measuring ``symbols[s]`` puts on
-    outcome ``o`` of its base setting ``x`` (3 settings for a party, 2 for a
-    box, whose outcome is its bit of ``l``).
+    outcome ``o`` of its base setting ``x`` in 0..2 (a box's matrix is the
+    first two settings, its outcome its bit of ``l``).
 
     A symbol spreads over its base settings as ``EXPANSION`` says, each
     term carrying the outcome sign (-1)^o; ``ID`` reads setting 0 with no
     sign.  The array is read-only and cached per argument.
     """
-    m = np.zeros((len(symbols), settings, 2))
+    m = np.zeros((len(symbols), 3, 2))
     for s, sym in enumerate(symbols):
         if sym is SettingSymbol.ID:
             m[s, 0] = 1.0
@@ -661,6 +663,10 @@ def party_matrix(symbols: tuple[SettingSymbol, ...], settings: int = 3) -> np.nd
             m[s, x] += (coeff, -coeff)
     m.setflags(write=False)
     return m
+
+
+# The slots of a coefficient tensor's axis: base settings 0..2, then the identity.
+SLOT_SYMBOLS = (SettingSymbol.S0, SettingSymbol.S1, SettingSymbol.S2, SettingSymbol.ID)
 
 
 def event_index(scheme: str, n: int, *, l: int | None = None, r: Mapping[int, int] | None = None) -> tuple:
@@ -679,60 +685,93 @@ def event_index(scheme: str, n: int, *, l: int | None = None, r: Mapping[int, in
     return tuple(index)
 
 
-def _outer(vecs) -> np.ndarray:
-    return reduce(np.multiply.outer, vecs, np.array(1.0))
+def coefficients(terms, scen: ScenarioSpec | None) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The parties a Bell functional's ``(coeff, assignment)`` terms measure,
+    in label order; its tensor ``W``, an axis per party over ``SLOT_SYMBOLS``:
+    each term's coefficient times its parties' ``EXPANSION`` vectors (the
+    identity slot where it omits one), summed in term order; and
+    ``support[t]``, 1 where term t's product is nonzero.  With a scenario
+    every label must be one its tables read (``_check_label``)."""
+    used = [(label, sym) for _, assignment in terms for label, sym in assignment.items()]
+    if scen is not None:
+        for label, sym in used:
+            _check_label(label, sym, scen.n, scen.scheme)
+    labels = sorted({label for label, sym in used if sym is not SettingSymbol.ID})
+    unit = np.eye(4)
+    w = np.zeros((4,) * len(labels))
+    support = np.zeros((len(terms),) + w.shape)
+    for t, (coeff, assignment) in enumerate(terms):
+        vecs = [unit[3]] * len(labels)
+        for label, sym in assignment.items():
+            if sym is not SettingSymbol.ID:
+                vecs[labels.index(label)] = sum(c * unit[k] for c, k in EXPANSION[sym])
+        outer = reduce(np.multiply.outer, vecs, np.ones(()))
+        w = w + coeff * outer
+        support[t] = outer != 0
+    return labels, w, support
 
 
-def _row_weight(scheme: str, n: int, a_vecs, b_vecs, *, l=None, r=None) -> np.ndarray:
-    """Weight of a product correlator over the outcomes ``event_index``
-    selects: the outer product of one vector per party over its outcome,
-    ones on every free repeater axis, and, unless ``l`` is fixed, the outer
-    product of one vector per box over its bit of ``l``."""
-    vecs = list(a_vecs)
-    if scheme == DI:
-        vecs += [np.ones(4)] * (n - len(r or {}))
-    if l is None:
-        vecs.append(_outer(b_vecs).ravel())
-    return _outer(vecs)
+def contract(w: np.ndarray, matrices: Sequence[np.ndarray], *, optimize: bool) -> np.ndarray:
+    """``sum_i W[..., i] prod_p M_p[i_p, x_p, a_p]`` over (..., x_1..x_m,
+    a_1..a_m), W's leading axes kept.  ``optimize`` (pairwise contraction)
+    pays on a gate's f tensor; on a functional's few slots its path search
+    costs several times the contraction."""
+    lead, m = w.ndim - len(matrices), len(matrices)
+    # subscripts: leading axes first, then slot i_p = lead + p, setting x_p = w.ndim + p, outcome a_p = w.ndim + m + p
+    operands: list = [w, list(range(w.ndim))]
+    for p, mat in enumerate(matrices):
+        operands += [mat, [lead + p, w.ndim + p, w.ndim + m + p]]
+    return np.einsum(*operands, [*range(lead), *range(w.ndim, w.ndim + 2 * m)], optimize=optimize)
 
 
-def correlator_weights(
-    scheme: str,
-    n: int,
-    assignment: Mapping[str, SettingSymbol],
-    *,
-    e: int,
-    l: int | None = None,
-    r: Mapping[int, int] | None = None,
-) -> dict[tuple, np.ndarray]:
-    """Weight array of a product correlator on each settings row it reads,
-    over the outcomes ``event_index(scheme, n, l=l, r=r)`` selects.
+def nonzero_slots(t: np.ndarray) -> list[np.ndarray]:
+    """For each axis of ``t``, ascending, the indices at which ``t`` is nonzero somewhere."""
+    return [np.flatnonzero(np.any(t != 0, axis=tuple(q for q in range(t.ndim) if q != p))) for p in range(t.ndim)]
 
-    ``assignment`` maps party labels ("A1".."AN", and "B1".."BN" for di)
-    to setting symbols; omitted parties act as identity.  A row's weight is
-    the outer product of the parties' rows of ``party_matrix``; rows are
-    listed with the first party's setting varying slowest.
+
+def row_weights(terms, scheme: str, n: int, *, e: int, l=None, r=None) -> dict[tuple, np.ndarray]:
+    """Weight array of a Bell functional's ``(coeff, assignment)`` terms on
+    each settings row they read, over the outcomes ``event_index(scheme, n,
+    l=l, r=r)`` selects: ``contract`` of ``coefficients`` with each measured
+    party's ``party_matrix``, constant on every other axis.  A party a term
+    omits reads setting 0; a term whose boxes all do reads the ``perp``
+    rows.  Rows are listed by the first term that reads them, then with the
+    first party's setting varying slowest.
     """
-    a_syms, b_syms = _parse_assignment(assignment, n, scheme)
-    if l is not None and b_syms:
-        raise ValueError("cannot combine box observables with a joint-outcome condition")
-    ident = SettingSymbol.ID
-
-    def spread(sym, settings):
-        m = party_matrix((sym,), settings)[0]
-        return [(x, m[x]) for x in range(settings) if m[x].any()]
-
     scen = ScenarioSpec(scheme, n)
-    parties = [spread(a_syms.get(i, ident), 3) for i in range(1, n + 1)]
-    boxed = any(sym is not ident for sym in b_syms.values())
-    # without box symbols every box reads the perp row with no sign
-    boxes = [spread(b_syms.get(i, ident), 2) for i in range(1, n + 1)] if boxed else [[(None, np.ones(2))]] * n
-    out: dict[tuple, np.ndarray] = {}
-    for combo in product(*parties, *boxes):
-        x = tuple(s for s, _ in combo[:n])
-        key = scen.row(x, e, tuple(s for s, _ in combo[n:]) if boxed else PERP)
-        out[key] = _row_weight(scheme, n, [v for _, v in combo[:n]], [v for _, v in combo[n:]], l=l, r=r)
-    return out
+    labels, w, support = coefficients(terms, scen)
+    if l is not None and any(label.startswith("B") for _, assignment in terms for label in assignment):
+        raise ValueError("cannot combine box observables with a joint-outcome condition")
+    boxes = [label for label in labels if label.startswith("B")]
+    perp = (..., *(3,) * len(boxes))  # every box at the identity
+    parts = [(w[perp], support[perp], labels[: len(labels) - len(boxes)], False)]
+    if boxes:
+        w, support = w.copy(), support.copy()
+        w[perp] = support[perp] = 0.0
+        parts.append((w, support, labels, True))
+    free = n - len(r or {}) if scheme == DI else 0
+    full = (2,) * n + (4,) * free + ((2,) * n if l is None else ())
+    shape = full[: n + free] + ((2**n,) if l is None else ())  # the box bits as one l axis
+    rows = []
+    for w, support, who, boxed in parts:
+        ix = np.ix_(*nonzero_slots(support.any(axis=0)))  # the sums skip nothing but zeros
+        mats = [party_matrix(SLOT_SYMBOLS)[k.ravel(), : 3 if label[0] == "A" else 2] for k, label in zip(ix, who)]
+        # each term's support rides along: a slot weighs outcome 0 of every setting it reaches by 1
+        both = contract(np.concatenate([w[None], support])[(slice(None), *ix)], mats, optimize=False)
+        # a settings axis per party, and for rows y per box, 1 long where no term measures it
+        axes = [3 if f"A{i}" in who else 1 for i in range(1, n + 1)]
+        axes += [2 if f"B{i}" in who else 1 for i in range(1, n + 1)] * boxed
+        value = both[0].reshape(*axes, -1)
+        read = both[(slice(1, None), ..., *(0,) * len(who))].reshape(len(support), *axes) != 0  # read[t]: term t's rows
+        # the outcome axes of the measured parties, then of their boxes' bits of l
+        dims = [2 if f"A{i}" in who else 1 for i in range(1, n + 1)] + [1] * free
+        dims += [2 if f"B{i}" in who else 1 for i in range(1, n + 1)] if l is None else []
+        for pos in map(tuple, np.argwhere(read.any(axis=0))):
+            weight = (value[pos].reshape(dims) * np.ones(full)).reshape(shape)
+            key = scen.row(pos[:n], e, pos[n:] if boxed else PERP)
+            rows.append((int(np.argmax(read[(slice(None), *pos)])), pos, key, weight))
+    rows.sort(key=lambda row: row[:2])
+    return {key: weight for _, _, key, weight in rows}
 
 
 def weighted_sum(
@@ -780,9 +819,9 @@ def expectation(
     conditional expectation, and a restriction of probability at most
     ``ZERO_WEIGHT_TOL`` raises ``ZeroProbabilityEvent``; without it the
     joint (unnormalized) value is returned.  The value is
-    ``weighted_sum`` over ``correlator_weights``.
+    ``weighted_sum`` over the one-term ``row_weights``.
     """
-    weights = correlator_weights(table.scheme, table.n, assignment, e=e, l=l, r=r)
+    weights = row_weights(((1.0, assignment),), table.scheme, table.n, e=e, l=l, r=r)
     rows = {key: table.array(key) for key in weights}
     event = event_label(table.n, l=l, r=r) if renormalize else None
     return weighted_sum(rows, event_index(table.scheme, table.n, l=l, r=r), weights, event)
@@ -822,27 +861,35 @@ def save_table(table: ProbabilityTable, path: str) -> None:
 
 
 def _check_no_signalling(table: ProbabilityTable) -> None:
-    """Raise ValueError if a marginal depends on a setting that cannot reach
-    it, by more than ``SIGNALLING_TOL``: party A_i's p(a_i) on anything but
-    x_i, or repeater i's p(r_i) on x or y.  The central party acts before
-    the repeaters, so p(r_i) may depend on e.  L's and the boxes' marginals
-    are not checked.  The message names the party and two settings rows
-    that disagree."""
+    """Raise ValueError if a marginal depends, by more than ``SIGNALLING_TOL``,
+    on a setting that cannot reach it: A_i's p(a_i) on more than x_i,
+    repeater i's p(r_i) on x or y (the central party acts before it), L's
+    p(l) on more than e (almost_di) or y (di), or box i's bit on more than
+    y_i on the rows y != perp.  The message names the party and two rows."""
     keys = list(table.scenario().settings())
     n = table.n
     core = np.stack([table.entries[key].sum(axis=-1) for key in keys])  # (row, a_1..a_N, (r_1..r_N))
-    groups = [(f"party A_{i}", i, [key[0][i - 1] for key in keys]) for i in range(1, n + 1)]
+    joint = np.stack([table.entries[key].reshape(-1, 2**n).sum(axis=0) for key in keys])  # (row, l)
+
+    def marginal(arr, axis):
+        return arr.sum(axis=tuple(a for a in range(1, arr.ndim) if a != axis))
+
+    groups = [(f"party A_{i}", keys, marginal(core, i), [key[0][i - 1] for key in keys]) for i in range(1, n + 1)]
     if table.scheme == DI:
-        groups += [(f"repeater {i}", n + i, [key[1] for key in keys]) for i in range(1, n + 1)]
-    for who, axis, labels in groups:
-        marginal = core.sum(axis=tuple(a for a in range(1, core.ndim) if a != axis))
-        _, first, group = np.unique(labels, return_index=True, return_inverse=True)
-        ref = first[group]  # each row's first row with the same setting
-        dev = np.abs(marginal - marginal[ref]).max(axis=1)
+        groups += [(f"repeater {i}", keys, marginal(core, n + i), [key[1] for key in keys]) for i in range(1, n + 1)]
+        boxed = [k for k, key in enumerate(keys) if key[2] != PERP]
+        bits, ys = joint[boxed].reshape(len(boxed), *(2,) * n), [keys[k] for k in boxed]
+        groups += [(f"box {i}", ys, marginal(bits, i), [key[2][i - 1] for key in ys]) for i in range(1, n + 1)]
+    groups.append(("party L", keys, joint, [key[-1] for key in keys]))  # by e in almost_di, y in di
+    for who, rows, values, labels in groups:
+        first: dict = {}
+        # each row's first row with the same setting
+        ref = np.array([first.setdefault(label, k) for k, label in enumerate(labels)])
+        dev = np.abs(values - values[ref]).max(axis=1)
         k = int(np.argmax(dev))
         if dev[k] > SIGNALLING_TOL:
             raise ValueError(
-                f"signalling: {who}'s marginal differs by {dev[k]:.2e} between settings rows {keys[ref[k]]} and {keys[k]}"
+                f"signalling: {who}'s marginal differs by {dev[k]:.2e} between settings rows {rows[ref[k]]} and {rows[k]}"
             )
 
 
@@ -902,7 +949,7 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
             arrays[key] = p.reshape(shape)
         except KeyError as err:
             raise ValueError(f"line {lineno}: record lacks field {err.args[0]!r}") from None
-        except (TypeError, ValueError) as err:
+        except (OverflowError, TypeError, ValueError) as err:
             raise ValueError(f"line {lineno}: {err}") from None
     missing = [key for key in scen.settings() if key not in arrays]
     if missing:

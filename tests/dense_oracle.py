@@ -34,6 +34,16 @@ package's former ``ProbabilityTable.signed_sum``, ``expectation``,
 ``evaluate`` and ``f_coeffs``, with ``primitives.EXPANSION`` replaced by the
 weights written out below.
 
+``termwise_functional_weights`` and ``termwise_correlator_weights`` are the
+oracles of ``gatecert.network.row_weights``: the package's former
+``bell.functional_weights``, which adds up its terms' correlator weights,
+and ``network.correlator_weights``, which takes a product over each party's
+spread settings, with ``_parse_assignment``, the label checks they (and
+``loop_expectation``) run.  ``einsum_fsum_weights`` is the former body of
+``certify._fsum_checks``, one einsum of the gate's f tensor with
+``party_matrix`` written out operand by operand, the oracle of its
+``network.contract``.
+
 ``kron_extract_rows`` is the lifted extractor, kept as the oracle of the
 operator-level rows of ``gatecert.extract.Extraction``: the effective
 measurement distances, the unitary certificate, the GHZ block deviation and
@@ -65,6 +75,8 @@ from __future__ import annotations
 
 import io
 import json
+import re
+from functools import reduce
 from itertools import product
 from typing import Any, Mapping, Sequence
 
@@ -80,8 +92,8 @@ from gatecert.bell import (
     functional_K,
     k_sign_bits,
 )
-from gatecert.certify import CheckRow
-from gatecert.decomp import delta_set
+from gatecert.certify import F_ZERO, CheckRow
+from gatecert.decomp import delta_set, f_coeffs
 from gatecert.extract import _box_elements
 from gatecert.network import (
     ALMOST_DI,
@@ -90,10 +102,11 @@ from gatecert.network import (
     ZERO_WEIGHT_TOL,
     ProbabilityTable,
     Realization,
+    ScenarioSpec,
     ZeroProbabilityEvent,
-    _parse_assignment,
     assemble_state,
     event_label,
+    party_matrix,
     validate_realization,
 )
 from gatecert.primitives import EXPANSION, SettingSymbol, ghz_basis, ghz_bits, haar_unitary, pauli
@@ -336,6 +349,121 @@ def loop_evaluate(functional, table, *, e=0, l=None, r=None, renormalize=True) -
         t.coeff * loop_expectation(table, t.assignment, e=e, l=l, r=r, renormalize=renormalize)
         for t in functional.terms
     )
+
+
+_PARTY_RE = re.compile(r"^([AB])([0-9]+)$")
+
+
+def _parse_assignment(assignment: Mapping[str, SettingSymbol], n: int, scheme: str):
+    a_syms: dict[int, SettingSymbol] = {}
+    b_syms: dict[int, SettingSymbol] = {}
+    for label, sym in assignment.items():
+        m = _PARTY_RE.match(label)
+        if not m:
+            raise ValueError(f"unknown party label {label!r}")
+        kind, num = m.group(1), int(m.group(2))
+        if not 1 <= num <= n:
+            raise ValueError(f"party {label!r} out of range for n={n}")
+        if not isinstance(sym, SettingSymbol):
+            raise ValueError(f"setting for {label!r} must be a SettingSymbol")
+        if kind == "A":
+            if sym in (SettingSymbol.T0, SettingSymbol.T1) and num != 1:
+                raise ValueError("rotated combinations are defined for party A1 only")
+            a_syms[num] = sym
+        else:
+            if scheme != DI:
+                raise ValueError("box parties exist only in the di scheme")
+            if sym is SettingSymbol.S2 or sym is SettingSymbol.T2:
+                raise ValueError("boxes have two settings; S2/T2 are not available")
+            b_syms[num] = sym
+    return a_syms, b_syms
+
+
+def _outer(vecs) -> np.ndarray:
+    return reduce(np.multiply.outer, vecs, np.array(1.0))
+
+
+def _row_weight(scheme: str, n: int, a_vecs, b_vecs, *, l=None, r=None) -> np.ndarray:
+    """Weight of a product correlator over the outcomes ``event_index``
+    selects: the outer product of one vector per party over its outcome,
+    ones on every free repeater axis, and, unless ``l`` is fixed, the outer
+    product of one vector per box over its bit of ``l``."""
+    vecs = list(a_vecs)
+    if scheme == DI:
+        vecs += [np.ones(4)] * (n - len(r or {}))
+    if l is None:
+        vecs.append(_outer(b_vecs).ravel())
+    return _outer(vecs)
+
+
+def termwise_correlator_weights(
+    scheme: str,
+    n: int,
+    assignment: Mapping[str, SettingSymbol],
+    *,
+    e: int,
+    l: int | None = None,
+    r: Mapping[int, int] | None = None,
+) -> dict[tuple, np.ndarray]:
+    """Weight array of a product correlator on each settings row it reads,
+    over the outcomes ``event_index(scheme, n, l=l, r=r)`` selects.
+
+    ``assignment`` maps party labels ("A1".."AN", and "B1".."BN" for di)
+    to setting symbols; omitted parties act as identity.  A row's weight is
+    the outer product of the parties' rows of ``party_matrix``; rows are
+    listed with the first party's setting varying slowest.
+    """
+    a_syms, b_syms = _parse_assignment(assignment, n, scheme)
+    if l is not None and b_syms:
+        raise ValueError("cannot combine box observables with a joint-outcome condition")
+    ident = SettingSymbol.ID
+
+    def spread(sym, settings):
+        m = party_matrix((sym,))[0, :settings]
+        return [(x, m[x]) for x in range(settings) if m[x].any()]
+
+    scen = ScenarioSpec(scheme, n)
+    parties = [spread(a_syms.get(i, ident), 3) for i in range(1, n + 1)]
+    boxed = any(sym is not ident for sym in b_syms.values())
+    # without box symbols every box reads the perp row with no sign
+    boxes = [spread(b_syms.get(i, ident), 2) for i in range(1, n + 1)] if boxed else [[(None, np.ones(2))]] * n
+    out: dict[tuple, np.ndarray] = {}
+    for combo in product(*parties, *boxes):
+        x = tuple(s for s, _ in combo[:n])
+        key = scen.row(x, e, tuple(s for s, _ in combo[n:]) if boxed else PERP)
+        out[key] = _row_weight(scheme, n, [v for _, v in combo[:n]], [v for _, v in combo[n:]], l=l, r=r)
+    return out
+
+
+def termwise_functional_weights(
+    functional: BellFunctional,
+    scheme: str,
+    n: int,
+    *,
+    e: int,
+    l: int | None = None,
+    r: Mapping[int, int] | None = None,
+) -> dict[tuple, np.ndarray]:
+    """Weight array of a Bell functional on each settings row it reads: the
+    coefficient-weighted sum of its terms' ``correlator_weights``, rows in
+    the order the terms first read them."""
+    out: dict[tuple, np.ndarray] = {}
+    for term in functional.terms:
+        for key, w in termwise_correlator_weights(scheme, n, term.assignment, e=e, l=l, r=r).items():
+            out[key] = out[key] + term.coeff * w if key in out else term.coeff * w
+    return out
+
+
+def einsum_fsum_weights(u: Operator, n: int) -> np.ndarray:
+    """``w[l, x_1..x_N, a_1..a_N]``: the f tensor of the gate contracted
+    with each party's ``party_matrix`` in Pauli order."""
+    f = np.stack([f_coeffs(delta) for delta in delta_set(u)])
+    f = np.where(np.abs(f) < F_ZERO, 0.0, f)
+    operands: list = [f, list(range(n + 1))]
+    # subscripts: l = 0, symbol i_k = 1 + k, setting x_k = 1 + n + k, outcome a_k = 1 + 2n + k
+    for k in range(n):
+        operands += [party_matrix(_A1_SYMBOLS if k == 0 else _AI_SYMBOLS), [1 + k, 1 + n + k, 1 + 2 * n + k]]
+    return np.einsum(*operands, [0, *range(1 + n, 1 + 3 * n)], optimize=True)
 
 
 def _bits_label(bits) -> str:

@@ -37,17 +37,18 @@ def read_with_change(lines, index, change):
     return read_table(io.StringIO("\n".join(with_change(lines, index, change))))
 
 
-def move_mass(scheme, axis, amount):
+def move_mass(scheme, axis, amount, flip=None):
     """A ``p`` edit of an n=2 record: move ``amount`` of the mass of its
-    largest entry to the entry one step along outcome axis ``axis``; the
-    row still sums to one."""
+    largest entry to the entry one step along outcome axis ``axis``, or,
+    with ``flip``, to the entry whose index on that axis is xored with
+    ``flip``; the row still sums to one."""
     shape = ScenarioSpec(scheme, 2).outcome_shape()
 
     def move(p):
         arr = np.array(p).reshape(shape)
         src = np.unravel_index(int(np.argmax(arr)), shape)
         dst = list(src)
-        dst[axis] = (dst[axis] + 1) % shape[axis]
+        dst[axis] = (dst[axis] + 1) % shape[axis] if flip is None else dst[axis] ^ flip
         arr[src] -= amount
         arr[tuple(dst)] += amount
         return arr.ravel().tolist()

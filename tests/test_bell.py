@@ -1,13 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from dense_oracle import (
     _base_settings,
     _combine,
+    _parse_assignment,
     _symbols,
     realization_value,
     termwise_bell_operator,
     termwise_classical_bound,
     termwise_effective_operators,
+    termwise_functional_weights,
     termwise_seesaw_max,
 )
 from hypothesis import assume, given, settings
@@ -17,7 +21,6 @@ from gatecert.bell import (
     BellFunctional,
     BellTerm,
     _bell_matrix,
-    _coefficients,
     _effective_stack,
     classical_bound,
     evaluate,
@@ -26,7 +29,7 @@ from gatecert.bell import (
     k_sign_bits,
     seesaw_max,
 )
-from gatecert.network import ALMOST_DI, DI, born_table, reference_realization
+from gatecert.network import ALMOST_DI, DI, SCHEMES, born_table, coefficients, reference_realization, row_weights
 from gatecert.primitives import SettingSymbol, gate, ghz_bits
 
 SQ2 = np.sqrt(2.0)
@@ -212,14 +215,69 @@ def _random_observable(rng):
     return (vecs * np.array([1.0, -1.0])) @ vecs.conj().T
 
 
+def _conditions(scheme, n):
+    """Every input e with no condition, then each joint outcome l and, for
+    di, each repeater outcome r_i and all repeaters at 0 with each l."""
+    conds = [{"e": e} for e in (0, 1)] + [{"e": 0, "l": l} for l in range(2**n)]
+    if scheme == DI:
+        conds += [{"e": 1, "r": {i: k}} for i in range(1, n + 1) for k in range(4)]
+        conds += [{"e": 0, "l": l, "r": {i: 0 for i in range(1, n + 1)}} for l in range(2**n)]
+    return conds
+
+
+def assert_weights_match_termwise(functional, scheme, n, exact):
+    """The contraction lists the term-wise oracle's rows in its order, and
+    every weight equals the oracle's bit for bit (``exact``) or within one
+    rounding per term after the first: the contraction sums the terms that
+    reach an outcome grouped by coefficient slot, the oracle in term order,
+    and a zero starts its sums, so a one-term functional matches up to the
+    sign of zero.  A joint-outcome condition on a functional with boxes
+    raises the oracle's message."""
+    for cond in _conditions(scheme, n):
+        try:
+            want = termwise_functional_weights(functional, scheme, n, **cond)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                row_weights(functional.terms, scheme, n, **cond)
+            continue
+        got = row_weights(functional.terms, scheme, n, **cond)
+        assert list(got) == list(want), cond
+        bound = (len(functional.terms) - 1) * np.finfo(float).eps * sum(abs(t.coeff) for t in functional.terms)
+        for key, w in want.items():
+            assert got[key].shape == w.shape, (cond, key)
+            if exact:
+                assert got[key].tobytes() == w.tobytes(), (cond, key)
+            else:
+                assert np.max(np.abs(got[key] - w), initial=0.0) <= bound, (cond, key)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_protocol_weights_equal_termwise_oracle_bit_for_bit(scheme, n):
+    """The functionals ``certify`` reads, under every condition, in both
+    schemes: the weights of every check row, and so every report digit, are
+    those of the term-wise builder."""
+    for functional in _protocol_functionals(n) if scheme == DI else _protocol_functionals(n)[: 2**n]:
+        assert_weights_match_termwise(functional, scheme, n, exact=True)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(functionals(), st.integers(0, 2**16))
 def test_coefficient_tensor_matches_termwise_oracle(functional, seed):
     """At random observables and a random state, the coefficient tensor's
     Bell operator and every party's effective operators equal the term-wise
-    ones, and the classical bounds agree."""
+    ones, and the classical bounds agree.  On a table, in each scheme whose
+    label checks accept the functional, its row weights match the
+    term-wise builder's (``assert_weights_match_termwise``)."""
+    for scheme in SCHEMES:
+        try:
+            for term in functional.terms:
+                _parse_assignment(term.assignment, 2, scheme)
+        except ValueError:
+            continue
+        assert_weights_match_termwise(functional, scheme, 2, exact=False)
     rng = np.random.default_rng(seed)
-    labels, w = _coefficients(functional)
+    labels, w, _ = coefficients(functional.terms, None)
     base = _base_settings(_symbols(functional))
     assert labels == list(base)
     stacks = np.zeros((len(labels), 4, 2, 2), dtype=complex)

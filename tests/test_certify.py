@@ -1,5 +1,6 @@
 """End-to-end protocol checks on probability tables and realizations."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from strategies import hidden_side_pairs
 
 from gatecert.adversary import conjugate, dilate, perturb
-from gatecert.certify import CertificationReport, CheckRow, certify, load_report, save_report
+from gatecert.certify import CertificationReport, CheckRow, certify, save_report
 from gatecert.network import ALMOST_DI, DI, ProbabilityTable, born_table, reference_realization
 from gatecert.primitives import gate
 from gatecert.tensor import Operator
@@ -168,7 +169,7 @@ def test_report_roundtrip(tmp_path):
     report = certify(born_table(real), u, realization=real)
     path = tmp_path / "report.json"
     save_report(report, str(path))
-    back = load_report(str(path))
+    back = CertificationReport.from_record(json.loads(path.read_text()))
     assert back.to_record() == report.to_record()
     assert back.verdict == "certified"
     with pytest.raises(ValueError):

@@ -9,9 +9,11 @@ lhs within ``LHS_TOL``: the check matrix sums the same products in another
 order.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
-from dense_oracle import loop_f_coeffs, loop_table_rows
+from dense_oracle import einsum_fsum_weights, loop_f_coeffs, loop_table_rows
 from hypothesis import given, settings
 from strategies import hidden_side_pairs, realizations
 
@@ -75,6 +77,23 @@ def test_check_matrix_reads_only_weighted_rows():
     assert len(weighted) < len(table.entries) // 10
     assert all(np.any(w != 0) for check in checks for w in check.weights.values())
     assert all(not w.flags.writeable for check in checks for w in check.weights.values())
+
+
+@pytest.mark.parametrize("scheme", [ALMOST_DI, DI])
+@pytest.mark.parametrize("n", [2, 3])
+def test_fsum_weights_equal_single_einsum_bit_for_bit(scheme, n):
+    """Each f-sum check reads the rows x, ascending, on which the former
+    single einsum of the f tensor (``einsum_fsum_weights``) is not all zero
+    at its joint outcome l, with that einsum's weights bit for bit."""
+    for seed in range(3):
+        u = gate("random", n, seed=seed)
+        want = einsum_fsum_weights(u, n)
+        fsums = [check for check in check_matrix(scheme, n, u) if ".fsum[" in check.id]
+        assert len(fsums) == 2**n
+        for l, check in enumerate(fsums):
+            assert [key[0] for key in check.weights] == [x for x in product(range(3), repeat=n) if want[l][x].any()]
+            for key, w in check.weights.items():
+                assert w.tobytes() == want[l][key[0]].tobytes(), (check.id, key)
 
 
 def test_f_coeffs_match_loop_oracle_three_qubits():

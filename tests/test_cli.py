@@ -9,7 +9,7 @@ from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from table_files import move_mass, table_lines, with_change
 
@@ -90,8 +90,10 @@ def test_certify_corrupted_table_exits_one(tmp_path, capsys):
     assert main(["simulate", "--n", "2", "--gate", "cz", "--out", str(run)]) == 0
     lines = (run / "table.jsonl").read_text().splitlines()
     rec = json.loads(lines[3])
-    rec["p"][0] -= 0.004  # the row still sums to one
-    rec["p"][1] += 0.004
+    # a checkerboard over (a_1, l) at a_2 = 0: the row still sums to one and
+    # no marginal moves, so the table loads, but its correlations are wrong
+    for k, step in ((0, -0.004), (1, 0.004), (8, 0.004), (9, -0.004)):
+        rec["p"][k] += step
     lines[3] = json.dumps(rec, sort_keys=True)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
@@ -299,20 +301,31 @@ def test_di_three_subnet_table_roundtrip(tmp_path, monkeypatch, capsys):
 @given(
     st.sampled_from(SCHEMES),
     st.integers(1, 18),
-    st.integers(1, 2),
+    st.sampled_from(["party A_1", "party A_2", "party L", "box 1", "box 2"]),
     st.floats(1e-9, 1e-3),
 )
-def test_certify_signalling_table_exits_two(tmp_path_factory, scheme, index, party, amount):
-    """Moving mass between the a_i outcomes of one row keeps the row's sum
-    but makes party A_i signal; certify --table exits 2 and names it."""
-    lines = with_change(table_lines(scheme), index, {"p": move_mass(scheme, party - 1, amount)})
+def test_certify_signalling_table_exits_two(tmp_path_factory, scheme, index, who, amount):
+    """Moving mass between the outcomes of one row keeps the row's sum but
+    makes a party signal; certify --table exits 2 and names it.  Mass moves
+    between the a_i outcomes for party A_i, between joint outcomes l of an
+    almost_di or a di perp row for L, and between outcomes l that differ in
+    box i's bit of a di row y != perp for box i."""
+    assume(scheme == DI or not who.startswith("box"))
+    lines = table_lines(scheme)
+    if who.startswith("party A"):
+        rows, edit = range(1, len(lines)), move_mass(scheme, int(who[-1]) - 1, amount)
+    else:
+        perp = who == "party L"
+        rows = [k for k in range(1, len(lines)) if scheme != DI or (json.loads(lines[k])["y"] == "perp") == perp]
+        edit = move_mass(scheme, -1, amount, flip=1 if perp else 2 ** (2 - int(who[-1])))
+    lines = with_change(lines, rows[index % len(rows)], {"p": edit})
     bad = tmp_path_factory.mktemp("signalling") / "table.jsonl"
     bad.write_text("\n".join(lines) + "\n")
     err = io.StringIO()
     with redirect_stderr(err):
         code = main(["certify", "--gate", "cz", "--table", str(bad)])
     assert code == 2
-    assert f"error: signalling: party A_{party}'s marginal differs by" in err.getvalue()
+    assert f"error: signalling: {who}'s marginal differs by" in err.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -341,8 +354,9 @@ def test_simulate_oversized_realization_exits_two(tmp_path, capsys, spec, amplit
         ({"kind": "dilate", "junk_dim": 64}, "a junk_dim=64 dilation's largest matrix would hold 268435456 amplitudes"),
         ({"kind": "dilate", "junk_dim": True}, "adversary field 'junk_dim' has malformed value True"),
         ({"kind": "depolarize", "eta": "0.1"}, "adversary field 'eta' has malformed value '0.1'"),
+        ({"kind": "perturb", "epsilon": 10**400}, f"adversary field 'epsilon' has malformed value {10**400!r}"),
     ],
-    ids=["oversized", "junk-boolean", "eta-string"],
+    ids=["oversized", "junk-boolean", "eta-string", "epsilon-huge"],
 )
 def test_simulate_adversary_input_errors_exit_two(tmp_path, capsys, record, reason):
     """An adversary spec that names a boolean or a string for a number, or a

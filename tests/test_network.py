@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from dense_oracle import apply_raw, dumps_write_table, steered_state
+from dense_oracle import apply_raw, dumps_write_table, steered_state, termwise_correlator_weights
 from hypothesis import strategies as st
 from strategies import realizations
 from table_files import move_mass, read_with_change, table_lines
@@ -34,6 +34,7 @@ from gatecert.network import (
     load_table,
     read_table,
     reference_realization,
+    row_weights,
     save_table,
     validate_realization,
     write_table,
@@ -307,6 +308,28 @@ def test_expectation_rejects_symbols_a_party_lacks():
         expectation(almost, {"B1": SettingSymbol.S0}, e=0)
 
 
+@pytest.mark.parametrize(
+    "scheme, assignment, l, reason",
+    [
+        (DI, {"C1": SettingSymbol.S0}, None, "unknown party label 'C1'"),
+        (DI, {"A3": SettingSymbol.S0}, None, "party 'A3' out of range for n=2"),
+        (DI, {"A1": "S0"}, None, "setting for 'A1' must be a SettingSymbol"),
+        (DI, {"A1": SettingSymbol.S0, "A2": SettingSymbol.T1}, None, "rotated combinations are defined for party A1 only"),
+        (ALMOST_DI, {"B1": SettingSymbol.S0}, None, "box parties exist only in the di scheme"),
+        (DI, {"B2": SettingSymbol.T2}, None, "boxes have two settings; S2/T2 are not available"),
+        (DI, {"A1": SettingSymbol.S0, "B1": SettingSymbol.ID}, 0, "cannot combine box observables with a joint-outcome condition"),
+    ],
+    ids=["label", "range", "symbol", "rotated", "box-scheme", "box-setting", "box-with-l"],
+)
+def test_row_weights_refuse_labels_with_the_termwise_message(scheme, assignment, l, reason):
+    """The label checks of the coefficient tensor raise the term-wise
+    builder's messages, byte for byte."""
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        row_weights(((1.0, assignment),), scheme, 2, e=0, l=l)
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        termwise_correlator_weights(scheme, 2, assignment, e=0, l=l)
+
+
 def test_expectation_rejects_zero_weight_condition():
     real = reference_realization(2, gate("identity", 2), scheme=DI)
     table = born_table(real)
@@ -576,6 +599,7 @@ def negate_largest(p):
         ({"p": negate_largest}, "is negative"),
         ({"x": [7, 0]}, "outside the scenario"),
         ({"x": 7}, "not iterable"),
+        ({"p": lambda p: [10**400] + p[1:]}, "int too large to convert to float"),
     ],
 )
 def test_read_table_names_line_of_malformed_record(change, reason):
