@@ -8,16 +8,7 @@
 
 import numpy as np
 
-from gatecert import (
-    dilate,
-    extract_all,
-    extracted_gate,
-    extraction_fidelity,
-    gate,
-    phi_plus,
-    reference_realization,
-    verify_effective_measurements,
-)
+from gatecert import Extraction, dilate, gate, phi_plus, reference_realization
 
 
 def main():
@@ -25,7 +16,8 @@ def main():
     real = dilate(reference_realization(2, u), junk_dim=3, seed=42)
     print("site dimensions after dilation:", real.layout().dims)
 
-    frames = extract_all(real)
+    ext = Extraction(real, u)
+    frames = ext.frames
     phi = phi_plus().amplitudes
     for i, (fa, fl) in enumerate(zip(frames.a, frames.l), start=1):
         ka, kb = fa.isometry(), fl.isometry()
@@ -35,12 +27,11 @@ def main():
         fid = float(np.real(phi.conj() @ (m @ m.conj().T) @ phi))
         print(f"source {i}: extracted pair overlaps phi+ with fidelity {fid:.12f}")
 
-    dists, branch = verify_effective_measurements(real, u, frames)
-    print(f"effective measurements match the {branch}-branch targets "
+    dists = ext.measurement_distances()
+    print(f"effective measurements match the {ext.branch}-branch targets "
           f"to {dists.max():.2e}")
 
-    g, _ = extracted_gate(real, frames)
-    fid, _ = extraction_fidelity(real, u, frames)
+    g, fid = ext.gate(), ext.fidelity()
     # align global phase before printing the recovered matrix
     k = np.argmax(np.abs(g))
     g = g * (u.entries.flat[k] / g.flat[k])

@@ -38,24 +38,7 @@ from .certify import (
     save_report,
 )
 from .decomp import delta_set, f_coeffs
-from .extract import (
-    LocalFrames,
-    SiteFrame,
-    branch_of,
-    detect_branch_signs,
-    extract_all,
-    extracted_gate,
-    extraction_fidelity,
-    f_block_structure,
-    grouped_isometry,
-    mirror_frame,
-    regularize,
-    support_projector,
-    swap_isometry,
-    teleported_elements,
-    verify_effective_measurements,
-    verify_unitary_certificate,
-)
+from .extract import Extraction, extract_all
 from .network import (
     ALMOST_DI,
     DI,
@@ -106,7 +89,7 @@ __all__ = [
     "CertificationReport",
     "CheckRow",
     "DI",
-    "LocalFrames",
+    "Extraction",
     "Operator",
     "PERP",
     "ProbabilityTable",
@@ -114,25 +97,19 @@ __all__ = [
     "ScenarioSpec",
     "SeesawResult",
     "SettingSymbol",
-    "SiteFrame",
     "StateVector",
     "apply_adversary",
     "assemble_state",
     "born_table",
-    "branch_of",
     "certify",
     "classical_bound",
     "conjugate",
     "delta_set",
     "depolarize_sources",
-    "detect_branch_signs",
     "dilate",
     "evaluate",
     "expectation",
     "extract_all",
-    "extracted_gate",
-    "extraction_fidelity",
-    "f_block_structure",
     "f_coeffs",
     "functional_I",
     "functional_K",
@@ -143,13 +120,11 @@ __all__ = [
     "ghz_bits",
     "ghz_int",
     "ghz_state",
-    "grouped_isometry",
     "haar_unitary",
     "k_sign_bits",
     "kron",
     "load_adversary",
     "load_table",
-    "mirror_frame",
     "pauli",
     "permute_sites",
     "perturb",
@@ -159,16 +134,10 @@ __all__ = [
     "ref_b_observable",
     "ref_observable",
     "reference_realization",
-    "regularize",
     "save_adversary",
     "save_report",
     "save_table",
     "seesaw_max",
-    "support_projector",
-    "swap_isometry",
-    "teleported_elements",
     "validate_realization",
-    "verify_effective_measurements",
-    "verify_unitary_certificate",
     "write_table",
 ]

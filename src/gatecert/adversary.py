@@ -22,13 +22,13 @@ which every operator is lifted onto the junk of its sites (``dilate``,
 operation (``gauge_phase``, ``perturb``).  ``dilate`` refuses, before it
 allocates anything, a junk dimension whose largest matrix would exceed
 ``network.MAX_AMPLITUDES`` entries.  ``AdversarySpec.from_record`` takes
-JSON numbers only for its integer and float fields.
+JSON numbers only for its integer and float fields, and refuses a field that
+its kind does not write.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, replace
 from math import prod
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .extract import teleported_elements
 from .network import ALMOST_DI, Realization, check_size
-from .primitives import haar_unitary, pauli
+from .primitives import haar_unitary, json_bool, json_float, json_int, json_object, pauli
 from .tensor import Operator, StateVector
 
 ADVERSARY_KINDS = ("dilate", "conjugate", "gauge_phase", "perturb", "depolarize")
@@ -75,42 +75,18 @@ class AdversarySpec:
         kind = rec.get("kind")
         if kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind {kind!r}")
-
-        def field(name, convert, default):
-            if name not in rec:
-                return default
+        values = {}
+        for name in json_object(rec, AdversarySpec(kind).to_record(), f"{kind} adversary record"):
             try:
-                return convert(rec[name])
+                values[name] = _FIELD_READERS[name](rec[name])
             except (OverflowError, TypeError, ValueError):
                 raise ValueError(f"adversary field {name!r} has malformed value {rec[name]!r}") from None
-
-        return AdversarySpec(
-            kind=kind,
-            junk_dim=field("junk_dim", _json_int, 2),
-            seed=field("seed", _json_int, 0),
-            rotate=field("rotate", _json_bool, True),
-            thetas=field("thetas", lambda ts: tuple(_json_float(t) for t in ts), None),
-            epsilon=field("epsilon", _json_float, 0.0),
-            eta=field("eta", _json_float, 0.0),
-        )
+        return AdversarySpec(**values)
 
 
-def _json_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError("not a boolean")
-    return value
-
-
-def _json_int(value) -> int:
-    if isinstance(value, bool):
-        raise TypeError("not an integer")
-    return operator.index(value)
-
-
-def _json_float(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("not a number")
-    return float(value)
+# JSON reader of each record field; the kind is checked before the others are read.
+_FIELD_READERS = {"kind": str, "junk_dim": json_int, "seed": json_int, "rotate": json_bool, "epsilon": json_float,
+                  "eta": json_float, "thetas": lambda ts: tuple(map(json_float, ts))}
 
 
 def load_adversary(path: str) -> AdversarySpec:

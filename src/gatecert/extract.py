@@ -6,6 +6,10 @@ frame defines a swap isometry K mapping the site into qubit (x) junk; the
 grouped isometries turn the network's effective measurements into explicit
 qubit operators that can be compared entrywise against the ideal ones.
 
+``Extraction(real, u)`` is the entry point: it vets the frames once and
+gives the branch, the measurement distances, the unitary certificate, the
+block deviation, the extracted gate and its fidelity to ``u``.
+
 The grouped isometry W of a collection is held as (2^N, dj, D): qubit
 index, junk index, input.  Every operator-level check is a contraction on
 its first axis: for a qubit state s, B = (<s| (x) 1) W is a (dj, D) matrix
@@ -200,12 +204,11 @@ def extract_all(real: Realization, op_tol: float = OP_TOL) -> LocalFrames:
     return LocalFrames(DI, n, a, l, r1, r2)
 
 
-def detect_branch_signs(real: Realization, frames: LocalFrames | None = None) -> list[int]:
-    """Per-party sign of the third observable relative to the frame's
-    y-direction: s_i = sign Re Tr[(Y (x) 1) K A_{i,2} K^dagger]."""
-    if frames is None:
-        frames = extract_all(real)
-    signs = []
+def branch_of(real: Realization, frames: LocalFrames) -> str:
+    """The branch: "plus" or "minus" when every party's third observable
+    has that sign s_i = sign Re Tr[(Y (x) 1) K A_{i,2} K^dagger] relative to
+    the frame's y-direction, "mixed" otherwise."""
+    signs = set()
     y = np.array([[0, -1j], [1j, 0]])
     for i in range(1, real.n + 1):
         k = frames.a[i - 1].isometry()
@@ -214,17 +217,8 @@ def detect_branch_signs(real: Realization, frames: LocalFrames | None = None) ->
         val = float(np.real(np.einsum("ab,bjaj->", y, lifted)))
         if abs(val) < 1e-10:
             raise ValueError(f"party {i}: third observable has no overlap with the frame's y-direction")
-        signs.append(1 if val > 0 else -1)
-    return signs
-
-
-def branch_of(real: Realization, frames: LocalFrames | None = None) -> str:
-    signs = detect_branch_signs(real, frames)
-    if all(s == +1 for s in signs):
-        return "plus"
-    if all(s == -1 for s in signs):
-        return "minus"
-    return "mixed"
+        signs.add("plus" if val > 0 else "minus")
+    return signs.pop() if len(signs) == 1 else "mixed"
 
 
 def _targets(u: Operator, branch: str) -> list[np.ndarray]:
@@ -319,12 +313,10 @@ class Extraction:
     extracted gate is wanted.
     """
 
-    def __init__(
-        self, real: Realization, u: Operator | None, frames: LocalFrames | None = None, op_tol: float = OP_TOL
-    ):
+    def __init__(self, real: Realization, u: Operator | None, op_tol: float = OP_TOL):
         self.real = real
         self.u = u
-        self.frames = extract_all(real, op_tol) if frames is None else frames
+        self.frames = extract_all(real, op_tol)
         self.collection = "l" if real.scheme == ALMOST_DI else "r1"
 
     @cached_property
@@ -475,55 +467,3 @@ def _restricted_eve(real: Realization, support: np.ndarray) -> np.ndarray:
     if np.max(np.abs(support - eye)) < 1e-12:
         return real.eve.entries
     return support @ real.eve.entries @ support
-
-
-# Each check on its own, with the detected branch.
-
-
-def verify_effective_measurements(
-    real: Realization,
-    u: Operator,
-    frames: LocalFrames | None = None,
-    op_tol: float = OP_TOL,
-) -> tuple[np.ndarray, str]:
-    """``Extraction.measurement_distances`` and the detected branch."""
-    ext = Extraction(real, u, frames, op_tol)
-    return ext.measurement_distances(), ext.branch
-
-
-def verify_unitary_certificate(
-    real: Realization,
-    u: Operator,
-    frames: LocalFrames | None = None,
-    op_tol: float = OP_TOL,
-) -> tuple[float, str]:
-    """``Extraction.unitary_certificate`` and the detected branch."""
-    ext = Extraction(real, u, frames, op_tol)
-    return ext.unitary_certificate(), ext.branch
-
-
-def f_block_structure(
-    real: Realization,
-    u: Operator,
-    frames: LocalFrames | None = None,
-    op_tol: float = OP_TOL,
-) -> tuple[float, str]:
-    """``Extraction.block_deviation`` and the detected branch."""
-    ext = Extraction(real, u, frames, op_tol)
-    return ext.block_deviation(), ext.branch
-
-
-def extracted_gate(
-    real: Realization,
-    frames: LocalFrames | None = None,
-    op_tol: float = OP_TOL,
-) -> tuple[np.ndarray, str]:
-    """``Extraction.gate`` and the detected branch."""
-    ext = Extraction(real, None, frames, op_tol)
-    return ext.gate(), ext.branch
-
-
-def extraction_fidelity(real: Realization, u: Operator, frames: LocalFrames | None = None) -> tuple[float, str]:
-    """``Extraction.fidelity`` and the detected branch."""
-    ext = Extraction(real, u, frames)
-    return ext.fidelity(), ext.branch

@@ -91,7 +91,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .primitives import EXPANSION, SettingSymbol, ghz_bits, ghz_state, phi_plus, ref_b_observable, ref_observable
+from .primitives import EXPANSION, SettingSymbol, ghz_bits, ghz_state, json_object, phi_plus
+from .primitives import ref_b_observable, ref_observable
 from .tensor import Operator, StateVector, apply_raw_batch, kron, permute_sites
 
 ALMOST_DI = "almost_di"
@@ -145,13 +146,13 @@ class ScenarioSpec:
         code that validates and normalizes a settings key: settings outside
         the scenario raise ValueError naming them as given."""
         xs, perp = tuple(x), isinstance(y, str) and y == PERP
-        inside = len(xs) == self.n and all(v in (0, 1, 2) for v in xs) and e in (0, 1)
+        inside = len(xs) == self.n and all(_setting(v, 3) for v in xs) and _setting(e, 2)
         if self.scheme == ALMOST_DI:
             if not (inside and perp):
                 raise ValueError(f"settings x={x!r}, e={e!r}{'' if perp else f', y={y!r}'} lie outside the scenario")
             return (tuple(int(v) for v in xs), int(e))
         ys = () if perp else tuple(y)
-        if not (inside and (perp or (len(ys) == self.n and all(b in (0, 1) for b in ys)))):
+        if not (inside and (perp or (len(ys) == self.n and all(_setting(b, 2) for b in ys)))):
             raise ValueError(f"settings x={x!r}, e={e!r}, y={y!r} lie outside the scenario")
         return (tuple(int(v) for v in xs), int(e), PERP if perp else tuple(int(b) for b in ys))
 
@@ -167,6 +168,11 @@ class ScenarioSpec:
         if self.scheme == ALMOST_DI:
             return (2,) * self.n + (2**self.n,)
         return (2,) * self.n + (4,) * self.n + (2**self.n,)
+
+
+def _setting(v, count: int) -> bool:
+    """Whether ``v`` is a Python or numpy integer, not a bool, in range(count)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < count
 
 
 @dataclass(frozen=True)
@@ -412,8 +418,9 @@ def check_size(size: int, what: str) -> None:
     """Raise ValueError naming ``what`` if an array of ``size`` complex
     entries would hold more than ``MAX_AMPLITUDES``."""
     if size > MAX_AMPLITUDES:
+        gib = size * 16 / 2**30 if size < 2**1000 else math.inf  # beyond, the division overflows a float
         raise ValueError(
-            f"{what} would hold {size} amplitudes ({size * 16 / 2**30:.1f} GiB), "
+            f"{what} would hold {size} amplitudes ({gib:.1f} GiB), "
             f"more than MAX_AMPLITUDES = {MAX_AMPLITUDES}"
         )
 
@@ -919,6 +926,7 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
         n = header["n"]
         if type(n) is not int or not 2 <= n <= MAX_TABLE_N:
             raise ValueError(f"header n={n!r} is not an integer from 2 to {MAX_TABLE_N}")
+        json_object(header, ("kind", "n", "scheme"), "header")
         scen = ScenarioSpec(header["scheme"], n)
     except KeyError as err:
         raise ValueError(f"line {lineno}: header lacks field {err.args[0]!r}") from None
@@ -926,6 +934,7 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
         raise ValueError(f"line {lineno}: {err}") from None
     shape = scen.outcome_shape()
     size = math.prod(shape)
+    fields = ("e", "p", "x", "y") if scen.scheme == DI else ("e", "p", "x")
     arrays: dict[tuple, np.ndarray] = {}
     for lineno, ln in lines:
         if not ln.strip():
@@ -939,6 +948,9 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
             p = np.array(rec["p"], dtype=float)
             if p.shape != (size,):
                 raise ValueError(f"p has shape {p.shape}, expected a list of {size} probabilities")
+            if not set(map(type, rec["p"])) <= {float, int}:
+                raise ValueError("p holds an entry that is not a JSON number")
+            json_object(rec, fields, "record")
             ok = np.isfinite(p) & (p >= 0)
             if not ok.all():
                 k = int(np.argmin(ok))

@@ -11,6 +11,7 @@ Index conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from typing import Sequence
 
@@ -197,25 +198,52 @@ def gate(spec: str | np.ndarray | Sequence[Sequence[complex]], n: int = 2, seed:
     return Operator(m, (2,) * n)
 
 
+def json_object(value, fields, what: str) -> dict:
+    """``value`` if it is a JSON object whose keys all lie in ``fields``;
+    otherwise ValueError naming the unknown keys."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a mapping")
+    unknown = sorted(value.keys() - set(fields))
+    if unknown:
+        raise ValueError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}")
+    return value
+
+
+def json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("not a boolean")
+    return value
+
+
+def json_int(value) -> int:
+    if isinstance(value, bool):
+        raise TypeError("not an integer")
+    return operator.index(value)
+
+
+def json_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("not a number")
+    return float(value)
+
+
 def gate_from_record(record: dict, n: int) -> Operator:
-    """Gate from a parsed file record: {'name': ...}, {'matrix': ...} or {'random': ..., 'seed': ...}."""
-    if not isinstance(record, dict):
-        raise ValueError("gate record must be a mapping")
-    keys = {"name", "matrix", "random", "seed"} & set(record)
-    if "name" in keys:
+    """Gate from a parsed file record: {'name': ...}, {'matrix': ...} or
+    {'random': true, 'seed': ...}, with no other field."""
+    forms = {"name", "matrix", "random"} & set(json_object(record, ("name", "matrix", "random", "seed"), "gate record"))
+    if len(forms) != 1 or ("seed" in record and forms != {"random"}):
+        raise ValueError("gate record needs exactly one of: name, matrix, random (a seed goes with random only)")
+    if "name" in forms:
         return gate(str(record["name"]), n)
-    if "matrix" in keys:
-        rows = record["matrix"]
+    if "matrix" in forms:
         try:
-            m = np.array([[complex(re, im) for re, im in row] for row in rows])
-        except (TypeError, ValueError) as exc:
-            raise ValueError("matrix entries must be [re, im] pairs") from exc
+            m = np.array([[complex(json_float(re), json_float(im)) for re, im in row] for row in record["matrix"]])
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ValueError("matrix entries must be [re, im] pairs of numbers") from exc
         return gate(m, n)
-    if "random" in keys:
-        seed = record.get("seed")
-        if seed is None:
-            raise ValueError("random gate record requires a seed")
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError(f"random gate seed must be an integer, got {seed!r}")
-        return gate("random", n, seed=seed)
-    raise ValueError("gate record needs one of: name, matrix, random")
+    seed = record.get("seed")
+    if record["random"] is not True or seed is None:
+        raise ValueError('random gate record needs "random": true and a seed')
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"random gate seed must be an integer, got {seed!r}")
+    return gate("random", n, seed=seed)

@@ -1,16 +1,22 @@
-"""Shared fixtures, and a replay of the acceptance-criterion verdict lines
-after the test run."""
+"""Shared fixtures, the Hypothesis profile of every property test, and a
+replay of the acceptance-criterion verdict lines after the test run."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gatecert.network import DI, reference_realization
 from gatecert.primitives import gate
 from gatecert.tensor import Operator
 
 _CRITERION_LINES = []
+
+# Property tests run the same examples on every run, with no time limit per
+# example and no example database; each test sets only its max_examples.
+settings.register_profile("gatecert", deadline=None, derandomize=True, database=None)
+settings.load_profile("gatecert")
 
 
 @pytest.fixture

@@ -20,14 +20,7 @@ from gatecert.bell import (
     seesaw_max,
 )
 from gatecert.certify import certify
-from gatecert.extract import (
-    branch_of,
-    extract_all,
-    extraction_fidelity,
-    f_block_structure,
-    verify_effective_measurements,
-    verify_unitary_certificate,
-)
+from gatecert.extract import Extraction
 from gatecert.network import ALMOST_DI, DI, PERP, born_table, reference_realization
 from gatecert.primitives import gate, ghz_bits, phi_plus
 
@@ -159,7 +152,7 @@ def test_criterion_6_adversarial_invariance():
         tab = born_table(conj)
         moved = max(moved, base_tab.max_difference(tab))
         ok = ok and certify(tab, u).verdict == base_rep.verdict
-        ok = ok and branch_of(base) == "plus" and branch_of(conj) == "minus"
+        ok = ok and Extraction(base, u).branch == "plus" and Extraction(conj, u).branch == "minus"
 
         rng = np.random.default_rng(20)
         for _ in range(5):
@@ -203,16 +196,12 @@ def test_criterion_7_extraction_on_dilations():
     worst_op = 0.0
     for base, u in cases:
         real = dilate(base, junk_dim=2, seed=7)
-        frames = extract_all(real)
-        for f in _source_fidelities(real, frames):
+        ext = Extraction(real, u)
+        for f in _source_fidelities(real, ext.frames):
             worst_fid = max(worst_fid, 1.0 - f)
-        dists, _ = verify_effective_measurements(real, u, frames)
-        worst_op = max(worst_op, float(dists.max()))
-        wu, _ = verify_unitary_certificate(real, u, frames)
-        wb, _ = f_block_structure(real, u, frames)
-        worst_op = max(worst_op, wu, wb)
-        fid, _ = extraction_fidelity(real, u, frames)
-        worst_fid = max(worst_fid, 1.0 - fid)
+        worst_op = max(worst_op, float(ext.measurement_distances().max()))
+        worst_op = max(worst_op, ext.unitary_certificate(), ext.block_deviation())
+        worst_fid = max(worst_fid, 1.0 - ext.fidelity())
     ok = worst_fid <= 1e-9 and worst_op <= 1e-8
     _finish(
         7,

@@ -20,7 +20,7 @@ from gatecert.adversary import (
     perturb,
     save_adversary,
 )
-from gatecert.extract import branch_of
+from gatecert.extract import Extraction
 from gatecert.network import (
     ALMOST_DI,
     DI,
@@ -41,6 +41,10 @@ def test_spec_record_roundtrip(tmp_path):
     path = tmp_path / "adv.json"
     save_adversary(spec, str(path))
     assert load_adversary(str(path)) == spec
+    for spec in (AdversarySpec("conjugate"), AdversarySpec("gauge_phase", thetas=(0.5, -1.0, 2.0, 0.0)),
+                 AdversarySpec("perturb", epsilon=0.05, seed=3), AdversarySpec("depolarize", eta=0.1)):
+        save_adversary(spec, str(path))
+        assert load_adversary(str(path)) == spec
     with pytest.raises(ValueError):
         AdversarySpec.from_record({"kind": "unheard_of"})
     assert "dilate" in ADVERSARY_KINDS
@@ -97,11 +101,11 @@ def test_conjugate_fixes_statistics_flips_branch():
         conj = conjugate(real)
         validate_realization(conj)
         assert born_table(real).max_difference(born_table(conj)) <= 1e-14
-        assert branch_of(real) == "plus"
-        assert branch_of(conj) == "minus"
+        assert Extraction(real, u).branch == "plus"
+        assert Extraction(conj, u).branch == "minus"
         twice = conjugate(conj)
         assert born_table(real).max_difference(born_table(twice)) == 0.0
-        assert branch_of(twice) == "plus"
+        assert Extraction(twice, u).branch == "plus"
 
 
 def test_gauge_phase_invisible_almost_di():
@@ -208,7 +212,7 @@ def adversary_pairs(draw):
     return new, old
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(adversary_pairs())
 def test_adversaries_match_listed_oracle(pair):
     """``dilate``, ``conjugate`` and ``depolarize_sources`` read the site map

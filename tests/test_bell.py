@@ -261,7 +261,7 @@ def test_protocol_weights_equal_termwise_oracle_bit_for_bit(scheme, n):
         assert_weights_match_termwise(functional, scheme, n, exact=True)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(functionals(), st.integers(0, 2**16))
 def test_coefficient_tensor_matches_termwise_oracle(functional, seed):
     """At random observables and a random state, the coefficient tensor's

@@ -198,7 +198,7 @@ def test_zero_probability_event_fails_named_row(zero_element_repeater):
         assert row.detail == "r_1=1 has probability 0"
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(hidden_side_pairs())
 def test_statistics_only_report_invariant_under_hidden_side_changes(case):
     """Dilation, conjugation and GHZ-basis phases behind the central node

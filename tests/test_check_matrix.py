@@ -36,7 +36,7 @@ def assert_matches_loop_certifier(table, u, tol=1e-9):
         assert abs(got.lhs - want.lhs) <= LHS_TOL, got.id
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(realizations())
 def test_check_matrix_matches_loop_certifier(real):
     u = gate("random", 2, seed=11)
@@ -45,7 +45,7 @@ def test_check_matrix_matches_loop_certifier(real):
         assert_matches_loop_certifier(table, target)
 
 
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@settings(max_examples=15)
 @given(hidden_side_pairs())
 def test_check_matrix_matches_loop_certifier_on_the_true_gate(case):
     u, real, moved = case

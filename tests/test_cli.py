@@ -5,7 +5,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -270,8 +270,11 @@ def test_certify_protocol_rows_print_the_full_table_report(tmp_path, monkeypatch
         ({"kind": "dilate", "junk_dim": None}, "adversary field 'junk_dim' has malformed value None"),
         ({"kind": "dilate", "seed": 1.5}, "adversary field 'seed' has malformed value 1.5"),
         ({"kind": "dilate", "rotate": "false"}, "adversary field 'rotate' has malformed value 'false'"),
+        ({"kind": "perturb", "eps": 0.05}, "perturb adversary record has unknown field(s) 'eps'"),
+        ({"kind": "perturb", "eta": 0.1}, "perturb adversary record has unknown field(s) 'eta'"),
+        ({"kind": "conjugate", "seed": 1, "tag": 0}, "conjugate adversary record has unknown field(s) 'seed', 'tag'"),
     ],
-    ids=["list", "thetas-number", "junk-null", "seed-float", "rotate-string"],
+    ids=["list", "thetas-number", "junk-null", "seed-float", "rotate-string", "misspelled", "other-kind", "two-unknown"],
 )
 def test_certify_malformed_adversary_exits_two(tmp_path, capsys, record, reason):
     adv = tmp_path / "adv.json"
@@ -297,7 +300,7 @@ def test_di_three_subnet_table_roundtrip(tmp_path, monkeypatch, capsys):
     assert table.max_difference(loaded[0]) == 0.0
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(
     st.sampled_from(SCHEMES),
     st.integers(1, 18),
@@ -449,8 +452,18 @@ _NAN_IDENTITY = [[[float("nan") if (r, c) == (0, 0) else float(r == c), 0.0] for
         ({"matrix": _NAN_IDENTITY}, "gate matrix is not unitary (deviation nan)"),
         ({"random": True, "seed": 1.7}, "random gate seed must be an integer, got 1.7"),
         ({"random": True, "seed": True}, "random gate seed must be an integer, got True"),
+        ({"name": "cnot", "colour": "red"}, "gate record has unknown field(s) 'colour'"),
+        ({"name": "cnot", "random": True, "seed": 1}, "gate record needs exactly one of: name, matrix, random"),
+        ({"name": "cnot", "seed": 1}, "gate record needs exactly one of: name, matrix, random (a seed goes"),
+        ({"random": 1, "seed": 1}, 'random gate record needs "random": true and a seed'),
+        ({"random": True}, 'random gate record needs "random": true and a seed'),
+        ({"matrix": [[[10**400, 0]]]}, "matrix entries must be [re, im] pairs of numbers"),
+        ({"matrix": [[[True, 0]]]}, "matrix entries must be [re, im] pairs of numbers"),
     ],
-    ids=["nan-matrix", "seed-float", "seed-boolean"],
+    ids=[
+        "nan-matrix", "seed-float", "seed-boolean", "extra-field", "two-forms", "seed-with-name", "random-number",
+        "random-no-seed", "matrix-huge", "matrix-boolean",
+    ],
 )
 def test_gate_file_input_errors_exit_two(tmp_path, capsys, record, reason):
     path = tmp_path / "gate.json"
@@ -459,3 +472,110 @@ def test_gate_file_input_errors_exit_two(tmp_path, capsys, record, reason):
     captured = capsys.readouterr()
     assert f"error: {reason}" in captured.err
     assert "sum of squares" not in captured.out
+
+
+# The mutation property's inputs: each file's text and the command that reads it.
+_CNOT_MATRIX = [[[float(v.real), 0.0] for v in row] for row in gate("cnot", 2).entries]
+_DECOMPOSE = ["decompose", "--n", "2", "--gate"]
+_ORIGINALS = {
+    "table": ("\n".join(table_lines(DI)) + "\n", ["certify", "--gate", "cz", "--table"]),
+    "adversary": (
+        json.dumps(AdversarySpec("dilate", seed=7).to_record(), indent=2),
+        ["certify", "--n", "2", "--gate", "cz", "--adversary"],
+    ),
+    "gate-matrix": (json.dumps({"matrix": _CNOT_MATRIX}, indent=2), _DECOMPOSE),
+    "gate-name": (json.dumps({"name": "cnot"}, indent=2), _DECOMPOSE),
+    "gate-random": (json.dumps({"random": True, "seed": 5}, indent=2), _DECOMPOSE),
+}
+
+
+def _values(kind, text):
+    """The JSON values a file holds (a table's one per nonblank line), in a
+    form that tells true from 1 and 1 from 1.0; None if it does not decode."""
+    try:
+        if kind == "table":
+            return [json.dumps(json.loads(ln), sort_keys=True) for ln in text.splitlines() if ln.strip()]
+        return json.dumps(json.loads(text), sort_keys=True)
+    except ValueError:
+        return None
+
+
+def _nodes(value, path=()):
+    """Every (path, value) in a JSON value, the value itself first."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _json_type(value):
+    return "bool" if isinstance(value, bool) else "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+_PICKS = {
+    "type": lambda path, value: True,
+    "huge": lambda path, value: _json_type(value) == "number",
+    "drop": lambda path, value: bool(path) and isinstance(path[-1], str),
+    "extra": lambda path, value: isinstance(value, dict),
+}
+
+
+@st.composite
+def mutated_inputs(draw):
+    """(kind, original text, mutated text, whether exit 0 is allowed though
+    the values changed): a dropped adversary field other than the kind falls
+    back to its documented default, and any integer is a seed."""
+    kind = draw(st.sampled_from(["table", "adversary", "gate"]))
+    if kind == "gate":
+        kind = draw(st.sampled_from(["gate-matrix", "gate-name", "gate-random"]))
+    text = _ORIGINALS[kind][0]
+    lines = text.splitlines(keepends=True)
+    how = draw(st.sampled_from(["type", "huge", "drop", "extra", "truncate", "bom", "duplicate"]))
+    k = draw(st.integers(0, len(lines) - 1))
+    if how == "duplicate":
+        return kind, text, "".join(lines[: k + 1] + lines[k:]), False
+    if how == "truncate":
+        cut = sum(map(len, lines[:k])) + draw(st.integers(1, max(1, len(lines[k].rstrip("\n")) - 1)))
+        return kind, text, text[:cut], False
+    if how == "bom":
+        return kind, text, "\ufeff" + text, False
+    doc = json.loads(lines[k] if kind == "table" else text)
+    nodes = [node for node in _nodes(doc) if _PICKS[how](*node)]
+    assume(nodes)
+    path, value = draw(st.sampled_from(nodes))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "extra":
+        value["extra"] = 1
+    elif how == "drop":
+        del parent[path[-1]]
+    else:
+        swaps = [v for v in (1, "1", True, None) if _json_type(v) != _json_type(value)]
+        new = 10**400 if how == "huge" else draw(st.sampled_from(swaps))
+        if path:
+            parent[path[-1]] = new
+        else:
+            doc = new
+    valid = (kind == "adversary" and how == "drop" and path != ("kind",)) or (how == "huge" and path[-1:] == ("seed",))
+    if kind != "table":
+        return kind, text, json.dumps(doc, indent=2), valid
+    lines[k] = json.dumps(doc) + "\n"
+    return kind, text, "".join(lines), valid
+
+
+@settings(max_examples=45)
+@given(mutated_inputs())
+def test_mutated_inputs_never_traceback(tmp_path_factory, mutation):
+    """A di n=2 table, an adversary spec or a gate file, after one mutation
+    (a value of another JSON type, a huge integer, a field dropped or added,
+    the file cut inside a line, a UTF-8 BOM, a line repeated): the command
+    that reads it exits 0, 1 or 2 and raises nothing, and exits 0 only when
+    the file still holds the original values or a documented valid variant."""
+    kind, text, mutated, valid = mutation
+    path = tmp_path_factory.mktemp("mutated") / "input"
+    path.write_text(mutated, encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(_ORIGINALS[kind][1] + [str(path)])
+    assert code in (0, 1, 2)
+    assert code != 0 or valid or _values(kind, mutated) == _values(kind, text)

@@ -9,20 +9,15 @@ import pytest
 from gatecert import extract
 from gatecert.adversary import conjugate, dilate
 from gatecert.extract import (
+    Extraction,
     branch_of,
-    detect_branch_signs,
     extract_all,
-    extracted_gate,
-    extraction_fidelity,
-    f_block_structure,
     grouped_isometry,
     mirror_frame,
     regularize,
     support_projector,
     swap_isometry,
     teleported_elements,
-    verify_effective_measurements,
-    verify_unitary_certificate,
 )
 from gatecert.certify import certify
 from gatecert.network import ALMOST_DI, DI, born_table, reference_realization
@@ -146,14 +141,13 @@ def test_extract_all_rejects_degenerate_observables():
 def test_branch_detection():
     plus = reference_realization(2, gate("cnot", 2))
     minus = reference_realization(2, gate("cnot", 2), branch=-1)
-    assert detect_branch_signs(plus) == [1, 1]
-    assert detect_branch_signs(minus) == [-1, -1]
-    assert branch_of(plus) == "plus"
-    assert branch_of(minus) == "minus"
-    assert branch_of(conjugate(plus)) == "minus"
+    assert branch_of(plus, extract_all(plus)) == "plus"
+    assert branch_of(minus, extract_all(minus)) == "minus"
+    conj = conjugate(plus)
+    assert branch_of(conj, extract_all(conj)) == "minus"
     third = Operator(-plus.a_obs[1][2].entries, (2,))
     mixed = replace(plus, a_obs=(plus.a_obs[0], (plus.a_obs[1][0], plus.a_obs[1][1], third)))
-    assert branch_of(mixed) == "mixed"
+    assert branch_of(mixed, extract_all(mixed)) == "mixed"
 
 
 def test_effective_elements_reference_almost():
@@ -182,47 +176,41 @@ def test_certification_identities_at_reference():
         for branch in (+1, -1):
             u = gate("cnot", 2)
             real = reference_realization(2, u, branch=branch, scheme=scheme)
-            dists, br = verify_effective_measurements(real, u)
-            assert br == ("plus" if branch == 1 else "minus")
-            assert dists.max() <= 1e-10
-            cert, _ = verify_unitary_certificate(real, u)
-            assert cert <= 1e-10
-            fdev, _ = f_block_structure(real, u)
-            assert fdev <= 1e-10
+            ext = Extraction(real, u)
+            assert ext.branch == ("plus" if branch == 1 else "minus")
+            assert ext.measurement_distances().max() <= 1e-10
+            assert ext.unitary_certificate() <= 1e-10
+            assert ext.block_deviation() <= 1e-10
 
 
 def test_certification_identities_on_dilations():
     u = gate("random", 2, seed=6)
     for scheme in (ALMOST_DI, DI):
         real = dilate(reference_realization(2, u, scheme=scheme), junk_dim=2, seed=3)
-        dists, _ = verify_effective_measurements(real, u)
-        assert dists.max() <= 1e-8
-        cert, _ = verify_unitary_certificate(real, u)
-        assert cert <= 1e-8
-        fdev, _ = f_block_structure(real, u)
-        assert fdev <= 1e-8
-        fid, _ = extraction_fidelity(real, u)
-        assert fid >= 1.0 - 1e-9
+        ext = Extraction(real, u)
+        assert ext.measurement_distances().max() <= 1e-8
+        assert ext.unitary_certificate() <= 1e-8
+        assert ext.block_deviation() <= 1e-8
+        assert ext.fidelity() >= 1.0 - 1e-9
 
 
-def test_extracted_gate_equals_target_up_to_phase():
+def test_extraction_gate_equals_target_up_to_phase():
     u = gate("random", 2, seed=8)
     for branch in (+1, -1):
         real = dilate(reference_realization(2, u, branch=branch), junk_dim=2, seed=5)
-        g, br = extracted_gate(real)
+        ext = Extraction(real, u)
+        g = ext.gate()
         phase = np.trace(u.entries.conj().T @ g)
         phase /= abs(phase)
         assert np.allclose(g, phase * u.entries, atol=1e-8)
-        fid, _ = extraction_fidelity(real, u)
-        assert fid >= 1.0 - 1e-12
+        assert ext.fidelity() >= 1.0 - 1e-12
 
 
 def test_wrong_gate_shows_up_in_identities():
     real = reference_realization(2, gate("cnot", 2))
-    dists, _ = verify_effective_measurements(real, gate("swap", 2))
-    assert dists.max() > 0.1
-    fid, _ = extraction_fidelity(real, gate("swap", 2))
-    assert fid < 0.9
+    ext = Extraction(real, gate("swap", 2))
+    assert ext.measurement_distances().max() > 0.1
+    assert ext.fidelity() < 0.9
 
 
 def test_mixed_branch_has_no_comparison_target():
@@ -230,7 +218,7 @@ def test_mixed_branch_has_no_comparison_target():
     third = Operator(-real.a_obs[1][2].entries, (2,))
     mixed = replace(real, a_obs=(real.a_obs[0], (real.a_obs[1][0], real.a_obs[1][1], third)))
     with pytest.raises(ValueError):
-        verify_unitary_certificate(mixed, gate("cz", 2))
+        Extraction(mixed, gate("cz", 2)).unitary_certificate()
 
 
 def test_certify_computes_shared_extraction_pieces_once(monkeypatch):
@@ -272,9 +260,9 @@ def test_certify_computes_shared_extraction_pieces_once(monkeypatch):
         site_supports = calls.pop("support_projector") - calls["collective support"]
         assert site_supports == (2 if scheme == ALMOST_DI else 4) * real.n  # one per frame in extract_all
         assert calls == Counter(once)
-        dists, _ = verify_effective_measurements(real, u)
+        dists = Extraction(real, u).measurement_distances()
         alone = {f"extract.meas[{l:02b}]": dists[l] for l in range(4)}
-        alone["extract.unitary"] = verify_unitary_certificate(real, u)[0]
-        alone["extract.blocks"] = f_block_structure(real, u)[0]
-        alone["extract.fidelity"] = extraction_fidelity(real, u)[0]
+        alone["extract.unitary"] = Extraction(real, u).unitary_certificate()
+        alone["extract.blocks"] = Extraction(real, u).block_deviation()
+        alone["extract.fidelity"] = Extraction(real, u).fidelity()
         assert all(abs(rows[key] - value) <= 1e-13 for key, value in alone.items())

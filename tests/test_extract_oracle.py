@@ -44,7 +44,7 @@ def own_gate(real):
     return Operator(Extraction(real, None).gate(), (2,) * real.n)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(realizations(kinds=("dilate", "depolarize"), junk_dims=st.integers(1, 3)))
 def test_extract_rows_match_kron_oracle(real):
     assert_matches_kron_oracle(real, (gate("random", 2, seed=11), gate("cnot", 2), own_gate(real)))

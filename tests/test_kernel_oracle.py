@@ -18,7 +18,7 @@ from gatecert.primitives import gate
 ORACLE_TOL = 1e-15
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(realizations())
 def test_factored_kernel_matches_dense_oracle(real):
     assert born_table(real).max_difference(dense_born_table(real)) <= ORACLE_TOL

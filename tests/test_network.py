@@ -439,7 +439,7 @@ def _outside(scheme: str, n: int, key: tuple) -> list[tuple[tuple, tuple]]:
     return [(c, c[:2]) for c in changed] + [((x, e, (0,) * n), None)]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(st.sampled_from(SCHEMES), st.integers(2, 4), st.data())
 def test_row_is_the_one_settings_key(scheme, n, data):
     """Every ``settings()`` key passes through ``ScenarioSpec.row``
@@ -620,8 +620,19 @@ def test_read_table_names_line_of_malformed_record(change, reason):
         ({"p": lambda p: [float("nan")] + p[1:]}, "p[0] = nan is negative or not finite"),
         ({"p": lambda p: [float("inf")] + p[1:]}, "p[0] = inf is negative or not finite"),
         ({"p": lambda p: [p[0] + 1e-11] + p[1:]}, "p sums to"),
+        ({"p": lambda p: [repr(v) for v in p]}, "p holds an entry that is not a JSON number"),
+        ({"p": lambda p: [bool(v) for v in p]}, "p holds an entry that is not a JSON number"),
+        ({"x": [False, False]}, "settings x=[False, False], e=0, y=[1, 1] lie outside the scenario"),
+        ({"x": [0.0, 0.0]}, "settings x=[0.0, 0.0], e=0, y=[1, 1] lie outside the scenario"),
+        ({"e": 0.0}, "settings x=[0, 0], e=0.0, y=[1, 1] lie outside the scenario"),
+        ({"e": False}, "settings x=[0, 0], e=False, y=[1, 1] lie outside the scenario"),
+        ({"y": [True, True]}, "settings x=[0, 0], e=0, y=[True, True] lie outside the scenario"),
+        ({"eps": 0.05}, "record has unknown field(s) 'eps'"),
     ],
-    ids=["e", "y-bits", "y-name", "x-length", "duplicate", "long-p", "nested-p", "nan", "inf", "sum"],
+    ids=[
+        "e", "y-bits", "y-name", "x-length", "duplicate", "long-p", "nested-p", "nan", "inf", "sum",
+        "p-strings", "p-booleans", "x-booleans", "x-floats", "e-float", "e-boolean", "y-booleans", "extra-field",
+    ],
 )
 def test_read_table_rejects_unphysical_di_record(change, reason):
     with pytest.raises(ValueError, match=f"^line 5: {re.escape(reason)}"):
@@ -648,6 +659,22 @@ def test_read_table_rejects_header_n(n):
         read_table(io.StringIO('{"kind": "probability_table", "n": %s, "scheme": "di"}' % n))
 
 
+def test_read_table_rejects_unknown_header_field():
+    header = '{"colour": "red", "kind": "probability_table", "n": 2, "scheme": "di"}'
+    with pytest.raises(ValueError, match=re.escape("line 1: header has unknown field(s) 'colour'")):
+        read_table(io.StringIO(header))
+
+
+def test_row_takes_integer_settings_only():
+    """Python and numpy integers are settings; booleans and floats of the
+    same value are not."""
+    scen = ScenarioSpec(DI, 2)
+    assert scen.row(np.array([2, 0]), np.int64(1), (np.uint8(1), 0)) == ((2, 0), 1, (1, 0))
+    for x, e, y in (((True, 0), 0, PERP), ((0, 0), 1.0, PERP), ((0, 0), 0, (0, False)), ((0, 0), np.float64(0), PERP)):
+        with pytest.raises(ValueError, match="lie outside the scenario"):
+            scen.row(x, e, y)
+
+
 def test_table_record_layout():
     """One record per settings row in sorted order, p flattened in C order
     over (a_1, a_2, r_1, r_2, l)."""
@@ -669,7 +696,7 @@ def test_table_record_layout():
     assert rec["p"][(((1 * 2 + 0) * 4 + 3) * 4 + 2) * 4 + 1] == arr[1, 0, 3, 2, 1]
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(realizations())
 def test_load_after_save_is_identity(real):
     table = born_table(real)
@@ -705,7 +732,7 @@ def corruptions(draw):
     return lines, index, {"x": lambda x: x[:i] + [v] + x[i + 1 :]}, "lie outside the scenario"
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(corruptions())
 def test_single_field_corruption_names_its_line(case):
     lines, index, change, reason = case
@@ -724,7 +751,7 @@ def assert_bitwise_equal(table, back):
         assert np.array_equal(back.array(key).view(np.int64), table.array(key).view(np.int64))
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(realizations())
 def test_writer_matches_json_dumps_oracle(real):
     """Each distinct value is formatted once, yet the text is byte for byte
