@@ -35,7 +35,6 @@ from .certify import (
     CertificationReport,
     CheckRow,
     certify,
-    save_report,
 )
 from .decomp import delta_set, f_coeffs
 from .extract import Extraction, extract_all
@@ -135,7 +134,6 @@ __all__ = [
     "ref_observable",
     "reference_realization",
     "save_adversary",
-    "save_report",
     "save_table",
     "seesaw_max",
     "validate_realization",

@@ -16,19 +16,23 @@ correlations and must be caught:
 * ``depolarize``: pass one wing of each source through a depolarizing
   channel of strength eta, simulated exactly through a purification.
 
+Each kind is declared once, in ``_KINDS``: its transformation and the spec
+fields it takes by keyword.  The table drives ``AdversarySpec.to_record``
+(``thetas`` as a list, empty when unset), the fields ``from_record`` accepts
+(JSON numbers only for the numeric ones) and the call ``apply_adversary``
+makes, e.g. ``dilate(real, junk_dim=..., seed=..., rotate=...)``.  Spec files
+go through the file layer of ``primitives``.
+
 Each kind is new sources plus one ``Realization.map_operators`` walk, in
 which every operator is lifted onto the junk of its sites (``dilate``,
 ``depolarize``) or conjugated, or is ``dataclasses.replace`` of Eve's
 operation (``gauge_phase``, ``perturb``).  ``dilate`` refuses, before it
 allocates anything, a junk dimension whose largest matrix would exceed
-``network.MAX_AMPLITUDES`` entries.  ``AdversarySpec.from_record`` takes
-JSON numbers only for its integer and float fields, and refuses a field that
-its kind does not write.
+``network.MAX_AMPLITUDES`` entries.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from math import prod
 
@@ -36,10 +40,8 @@ import numpy as np
 
 from .extract import teleported_elements
 from .network import ALMOST_DI, Realization, check_size
-from .primitives import haar_unitary, json_bool, json_float, json_int, json_object, pauli
+from .primitives import haar_unitary, json_bool, json_float, json_int, json_object, pauli, read_json, write_json
 from .tensor import Operator, StateVector
-
-ADVERSARY_KINDS = ("dilate", "conjugate", "gauge_phase", "perturb", "depolarize")
 
 
 @dataclass(frozen=True)
@@ -57,15 +59,9 @@ class AdversarySpec:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
 
     def to_record(self) -> dict:
-        rec: dict = {"kind": self.kind}
-        if self.kind == "dilate":
-            rec.update(junk_dim=self.junk_dim, seed=self.seed, rotate=self.rotate)
-        elif self.kind == "gauge_phase":
+        rec = {name: getattr(self, name) for name in ("kind", *_KINDS[self.kind][1])}
+        if "thetas" in rec:
             rec["thetas"] = list(self.thetas or ())
-        elif self.kind == "perturb":
-            rec.update(epsilon=self.epsilon, seed=self.seed)
-        elif self.kind == "depolarize":
-            rec["eta"] = self.eta
         return rec
 
     @staticmethod
@@ -76,7 +72,7 @@ class AdversarySpec:
         if kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind {kind!r}")
         values = {}
-        for name in json_object(rec, AdversarySpec(kind).to_record(), f"{kind} adversary record"):
+        for name in json_object(rec, ("kind", *_KINDS[kind][1]), f"{kind} adversary record"):
             try:
                 values[name] = _FIELD_READERS[name](rec[name])
             except (OverflowError, TypeError, ValueError):
@@ -90,31 +86,16 @@ _FIELD_READERS = {"kind": str, "junk_dim": json_int, "seed": json_int, "rotate":
 
 
 def load_adversary(path: str) -> AdversarySpec:
-    with open(path) as fh:
-        return AdversarySpec.from_record(json.load(fh))
+    return read_json(path, "adversary spec", AdversarySpec.from_record)
 
 
 def save_adversary(spec: AdversarySpec, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec.to_record(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, spec.to_record())
 
 
 def apply_adversary(real: Realization, spec: AdversarySpec) -> Realization:
-    if spec.kind == "dilate":
-        return dilate(real, spec.junk_dim, seed=spec.seed, rotate=spec.rotate)
-    if spec.kind == "conjugate":
-        return conjugate(real)
-    if spec.kind == "gauge_phase":
-        thetas = spec.thetas
-        if thetas is None:
-            raise ValueError("gauge_phase adversary needs per-outcome phases")
-        return gauge_phase(real, thetas)
-    if spec.kind == "perturb":
-        return perturb(real, spec.epsilon, seed=spec.seed)
-    if spec.kind == "depolarize":
-        return depolarize_sources(real, spec.eta)
-    raise ValueError(f"unknown adversary kind {spec.kind!r}")
+    transform, fields = _KINDS[spec.kind]
+    return transform(real, **{name: getattr(spec, name) for name in fields})
 
 
 def _lift(op: Operator, junk_per_site, rotations) -> Operator:
@@ -188,6 +169,8 @@ def gauge_phase(real: Realization, thetas) -> Realization:
     the phase gauge of the joint box (di: of the teleported box, extended
     by the identity off its support).  Every probability row the protocol
     consumes is invariant."""
+    if thetas is None:
+        raise ValueError("gauge_phase adversary needs per-outcome phases")
     thetas = tuple(float(t) for t in thetas)
     if len(thetas) != 2**real.n:
         raise ValueError(f"need {2**real.n} phases, got {len(thetas)}")
@@ -250,3 +233,14 @@ def depolarize_sources(real: Realization, eta: float) -> Realization:
     for _, s1 in lay.source_sites():
         junk[s1] = 4
     return real.map_operators(lambda op, sites: _lift(op, [junk[s] for s in sites], None), sources=tuple(sources))
+
+
+# Each kind's transformation and the spec fields it takes, in record order.
+_KINDS = {
+    "dilate": (dilate, ("junk_dim", "seed", "rotate")),
+    "conjugate": (conjugate, ()),
+    "gauge_phase": (gauge_phase, ("thetas",)),
+    "perturb": (perturb, ("epsilon", "seed")),
+    "depolarize": (depolarize_sources, ("eta",)),
+}
+ADVERSARY_KINDS = tuple(_KINDS)

@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .network import ProbabilityTable, coefficients, event_index, event_label, nonzero_slots, row_weights, weighted_sum
+from .network import ProbabilityTable, coefficients, contract, nonzero_slots, terms_value
 from .primitives import SettingSymbol
 from .tensor import polar_factor
 
@@ -125,10 +125,7 @@ def evaluate(
     """
     if not isinstance(table, ProbabilityTable):
         raise TypeError(f"cannot evaluate on {type(table).__name__}; pass a ProbabilityTable")
-    weights = row_weights(functional.terms, table.scheme, table.n, e=e, l=l, r=r)
-    rows = {key: table.array(key) for key in weights}
-    event = event_label(table.n, l=l, r=r) if renormalize else None
-    return weighted_sum(rows, event_index(table.scheme, table.n, l=l, r=r), weights, event)
+    return terms_value(table, functional.terms, e=e, l=l, r=r, renormalize=renormalize)
 
 
 # --- the coefficient tensor -------------------------------------------------
@@ -174,17 +171,6 @@ class SeesawResult:
     converged: bool
     iterations: int
     history: tuple[float, ...]
-
-
-def _bell_matrix(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
-    """The Bell operator sum_i W[i] (x)_p stacks[p, i_p], one contraction;
-    ``stacks[p]`` holds party p's settings 0..2, then the identity."""
-    m, d = w.ndim, stacks.shape[-1]
-    # subscripts: setting i_p = p, row site p = m + p, column site p = 2m + p
-    operands: list = [w, list(range(m))]
-    for p in range(m):
-        operands += [stacks[p], [p, m + p, 2 * m + p]]
-    return np.einsum(*operands, list(range(m, 3 * m))).reshape(d**m, d**m)
 
 
 def _effective_stack(w: np.ndarray, stacks: np.ndarray, state: np.ndarray, p: int) -> np.ndarray:
@@ -235,7 +221,9 @@ def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> 
         history: list[float] = []
         converged = False
         for it in range(1, SEESAW_MAX_ITERS + 1):
-            vals, vecs = np.linalg.eigh(_bell_matrix(w, stacks))
+            # the Bell operator sum_i W[i] (x)_p stacks[p, i_p]: contract's x_p is row site p, its a_p column site p
+            bell = contract(w, list(stacks), optimize=False).reshape(site_dim**w.ndim, -1)
+            vals, vecs = np.linalg.eigh(bell)
             state = vecs[:, -1]
             value = float(vals[-1])
             history.append(value)

@@ -37,7 +37,6 @@ available and both uniform signs explain it equally well.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -147,12 +146,6 @@ class CertificationReport:
             for r in rec["checks"]
         )
         return CertificationReport(rec["scheme"], int(rec["n"]), rec["branch"], checks)
-
-
-def save_report(report: CertificationReport, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_record(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _bits_label(bits) -> str:

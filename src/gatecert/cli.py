@@ -2,7 +2,11 @@
 
 Every command is file-in/file-out and deterministic for a fixed config:
 output JSON is written with sorted keys, tables in the line-oriented
-format of :mod:`gatecert.network`, and all files are replaced atomically.
+format of :mod:`gatecert.network`.  Every file is written and read through
+the file layer of :mod:`gatecert.primitives`: each output file is replaced
+atomically, so a failed write leaves the previous one, and a malformed gate
+file, adversary spec or table file is reported with its path, e.g.
+``error: <reason> (in gate file g.json)``.
 
 Exit codes: 0 success (certify: certified), 1 not certified, 2 malformed
 input or configuration.
@@ -11,7 +15,6 @@ input or configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -20,7 +23,7 @@ import numpy as np
 
 from .adversary import apply_adversary, load_adversary
 from .bell import classical_bound, functional_I, functional_K, k_sign_bits, seesaw_max
-from .certify import TABLE_TOL, certify, check_matrix, protocol_rows, save_report
+from .certify import F_ZERO, TABLE_TOL, certify, check_matrix, protocol_rows
 from .decomp import delta_set, f_coeffs
 from .extract import OP_TOL
 from .network import (
@@ -33,26 +36,16 @@ from .network import (
     reference_realization,
     save_table,
 )
-from .primitives import gate, gate_from_record, ghz_bits
+from .primitives import gate, gate_from_record, ghz_bits, read_json, write_json
 
 SCHEME_FLAGS = {"almost-di": ALMOST_DI, "di": DI}
 N_CHOICES = (2, 3)
 _PAULI_LETTERS = "ZXYI"
 
 
-def _write_json(path: str, payload: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
 def _resolve_gate(spec: str, n: int, seed: int):
     if os.path.isfile(spec):
-        with open(spec) as fh:
-            record = json.load(fh)
-        return gate_from_record(record, n)
+        return read_json(spec, "gate file", lambda record: gate_from_record(record, n))
     return gate(spec, n, seed=seed)
 
 
@@ -97,7 +90,7 @@ def cmd_simulate(args) -> int:
         "adversary": adversary,
     }
     summary.update(_marginals(table))
-    _write_json(os.path.join(args.out, "summary.json"), summary)
+    write_json(os.path.join(args.out, "summary.json"), summary)
     print(f"wrote {args.out}/table.jsonl ({summary['settings_rows']} settings rows)")
     print("p(l):", " ".join(f"{p:.6f}" for p in summary["p_l"]))
     if "p_r" in summary:
@@ -125,7 +118,7 @@ def cmd_bounds(args) -> int:
         )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "bounds.json"), {"n": args.n, "rows": rows})
+        write_json(os.path.join(args.out, "bounds.json"), {"n": args.n, "rows": rows})
         print(f"wrote {args.out}/bounds.json")
     return 0
 
@@ -159,7 +152,7 @@ def cmd_certify(args) -> int:
         print("operator-level checks unavailable (statistics-only mode)")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        save_report(report, os.path.join(args.out, "report.json"))
+        write_json(os.path.join(args.out, "report.json"), report.to_record())
         print(f"wrote {args.out}/report.json")
     return 0 if report.verdict == "certified" else 1
 
@@ -196,7 +189,7 @@ def cmd_decompose(args) -> int:
         terms = {}
         for idx in np.ndindex(coeffs.shape):
             c = float(coeffs[idx])
-            if abs(c) > 1e-15:
+            if abs(c) > F_ZERO:
                 terms["".join(_PAULI_LETTERS[v] for v in idx)] = c
         rows.append(
             {
@@ -212,7 +205,7 @@ def cmd_decompose(args) -> int:
             print(f"  {word}: {row['coefficients'][word]:+.9f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "decomp.json"), {"gate": args.gate, "n": args.n, "rows": rows})
+        write_json(os.path.join(args.out, "decomp.json"), {"gate": args.gate, "n": args.n, "rows": rows})
         print(f"wrote {args.out}/decomp.json")
     return 0
 

@@ -257,9 +257,6 @@ def _collective_state(real: Realization) -> np.ndarray:
     return reduce(np.kron, [states[s] for s in real.layout().v_sites()], np.array([[1.0 + 0j]]))
 
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
 def _teleported_element(real: Realization, l: int) -> np.ndarray:
     """Partial sandwich E_l = <chi| ((x)_i R_{i,0}) (x) M_l |chi> over the
     L-side sources chi, leaving both R1 legs open (an operator on the R1
@@ -268,32 +265,21 @@ def _teleported_element(real: Realization, l: int) -> np.ndarray:
     r1_dims = real.r1_dims()
     r2_dims = real.r2_dims()
     l_dims = real.l_dims()
-    it = iter(_LETTERS)
-    a_out = [next(it) for _ in range(n)]
-    a_in = [next(it) for _ in range(n)]
-    b_out = [next(it) for _ in range(n)]
-    b_in = [next(it) for _ in range(n)]
-    c_out = [next(it) for _ in range(n)]
-    c_in = [next(it) for _ in range(n)]
-    operands = []
-    subs = []
+    # subscripts of leg i: R1 out i and in n + i (a), R2 2n + i and 3n + i (b), L 4n + i and 5n + i (c)
+    a_out, a_in, b_out, b_in, c_out, c_in = (list(range(k * n, (k + 1) * n)) for k in range(6))
+    operands: list = []
     for i in range(n):
         el = real.repeaters[i][0].entries
-        operands.append(el.reshape(r1_dims[i], r2_dims[i], r1_dims[i], r2_dims[i]))
-        subs.append(a_out[i] + b_out[i] + a_in[i] + b_in[i])
-    operands.append(real.l_meas[l].entries.reshape(tuple(l_dims) + tuple(l_dims)))
-    subs.append("".join(c_out) + "".join(c_in))
+        operands += [el.reshape(r1_dims[i], r2_dims[i], r1_dims[i], r2_dims[i]), [a_out[i], b_out[i], a_in[i], b_in[i]]]
+    operands += [real.l_meas[l].entries.reshape(tuple(l_dims) + tuple(l_dims)), c_out + c_in]
     chi_full = None
     for i in range(n):
         m = real.sources[n + i].amplitudes.reshape(r2_dims[i], l_dims[i])
         chi_full = m if chi_full is None else np.tensordot(chi_full, m, axes=0)
     # chi_full legs: (b_1, c_1, b_2, c_2, ...)
-    operands.append(chi_full.conj())
-    subs.append("".join(b_out[i] + c_out[i] for i in range(n)))
-    operands.append(chi_full)
-    subs.append("".join(b_in[i] + c_in[i] for i in range(n)))
-    spec = ",".join(subs) + "->" + "".join(a_out) + "".join(a_in)
-    out = np.einsum(spec, *operands, optimize=True)
+    operands += [chi_full.conj(), [k for i in range(n) for k in (b_out[i], c_out[i])]]
+    operands += [chi_full, [k for i in range(n) for k in (b_in[i], c_in[i])]]
+    out = np.einsum(*operands, a_out + a_in, optimize=True)
     d1 = int(np.prod(r1_dims))
     return out.reshape(d1, d1)
 

@@ -50,8 +50,10 @@ over (a_1..a_N, (r_1..r_N,) l); float repr makes the round trip exact.
 Tables hold few distinct values (247 among the 2.0e6 floats of di n=3
 toffoli), so the writer formats each distinct value of a row once and the
 reader parses each distinct number text of a line once; the format is
-unchanged: the text is the one ``json.dumps(record, sort_keys=True)``
-gives, and the parsed values are the ones ``json.loads`` gives.
+unchanged: the text is the record's JSON with sorted keys, and the parsed
+values are the ones ``json.loads`` gives.  ``save_table`` and
+``load_table`` go through the file layer of ``primitives``: the file is
+replaced atomically, and a load error names the file.
 The reader rejects, with a ValueError naming the line, a record that lacks
 a field, has settings outside the scenario, repeats a row, or whose ``p``
 has the wrong length, a negative or non-finite entry, or a sum more than
@@ -81,7 +83,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
 import re
 import weakref
 from dataclasses import dataclass, replace
@@ -91,9 +92,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .primitives import EXPANSION, SettingSymbol, ghz_bits, ghz_state, json_object, phi_plus
-from .primitives import ref_b_observable, ref_observable
-from .tensor import Operator, StateVector, apply_raw_batch, kron, permute_sites
+from .primitives import EXPANSION, SettingSymbol, ghz_bits, ghz_state, json_object, phi_plus, read_file
+from .primitives import ref_b_observable, ref_observable, write_file
+from .tensor import IDENTITY_TOL, Operator, StateVector, apply_raw_batch, kron, permute_sites
 
 ALMOST_DI = "almost_di"
 DI = "di"
@@ -101,7 +102,6 @@ PERP = "perp"
 
 SCHEMES = (ALMOST_DI, DI)
 
-VALIDATE_TOL = 1e-10
 SUM_TOL = 1e-12
 ZERO_WEIGHT_TOL = 1e-14
 MAX_TABLE_N = 8  # an almost_di table at n=9 holds 1e10 probabilities
@@ -289,7 +289,7 @@ _VALIDATED: weakref.WeakValueDictionary[int, Realization] = weakref.WeakValueDic
 
 
 def validate_realization(real: Realization) -> None:
-    """Check structural and operator invariants to ``VALIDATE_TOL``; raises
+    """Check structural and operator invariants to ``tensor.IDENTITY_TOL``; raises
     ValueError on failure.  Each realization object is checked once."""
     if _VALIDATED.get(id(real)) is not real:
         _validate(real)
@@ -359,12 +359,12 @@ def _check_binary(name: str, obs: Operator, dim: int) -> None:
     if not obs.is_hermitian():
         raise ValueError(f"{name} is not Hermitian")
     dev = np.max(np.abs(obs.entries @ obs.entries - np.eye(obs.dim)))
-    if not dev <= VALIDATE_TOL:
+    if not dev <= IDENTITY_TOL:
         raise ValueError(f"{name} does not square to identity (dev {dev:.2e})")
 
 
 def _check_povm(elements: Sequence[Operator], dim: int, what: str) -> None:
-    tol = VALIDATE_TOL
+    tol = IDENTITY_TOL
     total = np.zeros((dim, dim), dtype=complex)
     for k, el in enumerate(elements):
         if el.dim != dim:
@@ -825,10 +825,17 @@ def expectation(
     sum is divided by the probability of the restriction, yielding a
     conditional expectation, and a restriction of probability at most
     ``ZERO_WEIGHT_TOL`` raises ``ZeroProbabilityEvent``; without it the
-    joint (unnormalized) value is returned.  The value is
-    ``weighted_sum`` over the one-term ``row_weights``.
+    joint (unnormalized) value is returned.  The value is ``terms_value``
+    of the one term.
     """
-    weights = row_weights(((1.0, assignment),), table.scheme, table.n, e=e, l=l, r=r)
+    return terms_value(table, ((1.0, assignment),), e=e, l=l, r=r, renormalize=renormalize)
+
+
+def terms_value(table: ProbabilityTable, terms, *, e: int, l, r, renormalize: bool) -> float:
+    """Value of a Bell functional's ``(coeff, assignment)`` terms on a table:
+    ``weighted_sum`` over their ``row_weights``, conditioned on the event
+    (``l``, ``r``) with ``renormalize``."""
+    weights = row_weights(terms, table.scheme, table.n, e=e, l=l, r=r)
     rows = {key: table.array(key) for key in weights}
     event = event_label(table.n, l=l, r=r) if renormalize else None
     return weighted_sum(rows, event_index(table.scheme, table.n, l=l, r=r), weights, event)
@@ -838,7 +845,7 @@ def expectation(
 
 
 def _float_list_text(values: np.ndarray) -> str:
-    """``json.dumps(values.tolist())`` without its brackets, formatting each
+    """The JSON list text of ``values.tolist()`` without its brackets, formatting each
     distinct value once: distinct by bit pattern, so -0.0 stays apart from
     0.0.  Tables hold finite values only, whose repr is their JSON text."""
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
@@ -848,23 +855,19 @@ def _float_list_text(values: np.ndarray) -> str:
 
 def write_table(table: ProbabilityTable, stream: io.TextIOBase) -> None:
     """A header line, then one record per settings row the table holds, in
-    ``ScenarioSpec.settings()`` order, as ``json.dumps(record,
-    sort_keys=True)`` writes it."""
-    header = {"kind": "probability_table", "scheme": table.scheme, "n": table.n}
-    stream.write(json.dumps(header, sort_keys=True) + "\n")
+    ``ScenarioSpec.settings()`` order, each the JSON text of the record with
+    sorted keys.  Settings are Python ints, whose list text is their JSON."""
+    stream.write(f'{{"kind": "probability_table", "n": {table.n}, "scheme": "{table.scheme}"}}\n')
     for key in table.scenario().settings():
         if key not in table.entries:
             continue
         p = _float_list_text(table.entries[key].ravel())
-        y = "" if table.scheme != DI else ', "y": ' + json.dumps(PERP if key[2] == PERP else list(key[2]))
-        stream.write(f'{{"e": {key[1]}, "p": [{p}], "x": {json.dumps(list(key[0]))}{y}}}\n')
+        y = "" if table.scheme != DI else ', "y": ' + (f'"{PERP}"' if key[2] == PERP else str(list(key[2])))
+        stream.write(f'{{"e": {key[1]}, "p": [{p}], "x": {list(key[0])}{y}}}\n')
 
 
 def save_table(table: ProbabilityTable, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        write_table(table, fh)
-    os.replace(tmp, path)
+    write_file(path, lambda fh: write_table(table, fh))
 
 
 def _check_no_signalling(table: ProbabilityTable) -> None:
@@ -973,5 +976,4 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
 
 
 def load_table(path: str) -> ProbabilityTable:
-    with open(path) as fh:
-        return read_table(fh)
+    return read_file(path, "table file", read_table)

@@ -7,17 +7,25 @@ Index conventions used throughout the package:
   the bits big-endian, so ``l1`` is the most significant bit.
 * ``|phi_l> = (|l1...lN> + (-1)^l1 |~l1...~lN>) / sqrt(2)``; all amplitudes
   are real and the ``2^N`` vectors form an orthonormal basis.
+
+The module also holds the file layer, the one code that opens or replaces a
+file: ``write_file`` fills ``<path>.tmp`` and ``os.replace``s it over
+``path``, so a write that raises partway leaves the previous file, and
+``read_file`` adds the file to a ValueError, ``<reason> (in gate file g.json)``.
+``write_json``/``read_json`` do the same for one JSON record.
 """
 
 from __future__ import annotations
 
+import json
 import operator
+import os
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .tensor import Operator, StateVector
+from .tensor import IDENTITY_TOL, Operator, StateVector
 
 SQ2 = np.sqrt(2.0)
 
@@ -147,8 +155,6 @@ _NAMED_GATES = {
 }
 _GATE_QUBITS = {"cz": 2, "cnot": 2, "swap": 2, "toffoli": 3}
 
-UNITARY_TOL = 1e-10
-
 
 def _toffoli() -> np.ndarray:
     m = np.eye(8, dtype=complex)
@@ -193,7 +199,7 @@ def gate(spec: str | np.ndarray | Sequence[Sequence[complex]], n: int = 2, seed:
     if m.shape != (dim, dim):
         raise ValueError(f"gate matrix must be {dim}x{dim} for n={n}, got {m.shape}")
     dev = float(np.max(np.abs(m.conj().T @ m - np.eye(dim))))
-    if not dev <= UNITARY_TOL:
+    if not dev <= IDENTITY_TOL:
         raise ValueError(f"gate matrix is not unitary (deviation {dev:.3e})")
     return Operator(m, (2,) * n)
 
@@ -247,3 +253,32 @@ def gate_from_record(record: dict, n: int) -> Operator:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError(f"random gate seed must be an integer, got {seed!r}")
     return gate("random", n, seed=seed)
+
+
+def write_file(path: str, write: Callable[[TextIO], object]) -> None:
+    """Replace ``path`` by what ``write(stream)`` writes, atomically."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_json(path: str, record) -> None:
+    write_file(path, lambda fh: (json.dump(record, fh, sort_keys=True, indent=2), fh.write("\n")))
+
+
+def read_file(path: str, what: str, read: Callable[[TextIO], object]):
+    """``read(stream)`` of the file ``path``, its ValueError naming the file as ``what``."""
+    with open(path) as fh:
+        try:
+            return read(fh)
+        except ValueError as err:
+            raise ValueError(f"{err} (in {what} {path})") from None
+
+
+def read_json(path: str, what: str, parse: Callable[[object], object]):
+    return read_file(path, what, lambda fh: parse(json.load(fh)))

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_ZERO_TOL = 1e-8
-HERMITIAN_TOL = 1e-10
+IDENTITY_TOL = 1e-10  # entrywise deviation with which an operator satisfies its identity (Hermitian, unitary, POVM)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -88,11 +88,11 @@ class Operator:
         return self.entries.shape[0]
 
     def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= HERMITIAN_TOL)
+        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= IDENTITY_TOL)
 
     def is_unitary(self) -> bool:
         d = self.dim
-        return bool(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(d))) <= HERMITIAN_TOL)
+        return bool(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(d))) <= IDENTITY_TOL)
 
 
 def kron(factors: Iterable[StateVector] | Iterable[Operator]):
@@ -122,7 +122,7 @@ def polar_factor(m: np.ndarray) -> np.ndarray:
     Hermitian inputs are resolved by eigendecomposition; eigendirections with
     magnitude below ``DEFAULT_ZERO_TOL`` are sent to +1 so the result is total.
     """
-    if np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
+    if np.max(np.abs(m - m.conj().T)) <= IDENTITY_TOL:
         vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
         signs = np.where(np.abs(vals) < DEFAULT_ZERO_TOL, 1.0, np.sign(vals))
         return (vecs * signs) @ vecs.conj().T

@@ -35,19 +35,35 @@ from gatecert.primitives import gate
 
 
 def test_spec_record_roundtrip(tmp_path):
-    spec = AdversarySpec("dilate", junk_dim=3, seed=9, rotate=False)
-    back = AdversarySpec.from_record(spec.to_record())
-    assert back == spec
+    """Each kind writes its record, loads back equal from its file, and the
+    loaded spec applies bit for bit as the direct call does."""
+    real = reference_realization(2, gate("cz", 2))
+    thetas = (0.5, -1.0, 2.0, 0.0)
+    cases = [
+        (AdversarySpec("dilate", junk_dim=3, seed=9, rotate=False),
+         {"kind": "dilate", "junk_dim": 3, "seed": 9, "rotate": False}, dilate(real, 3, seed=9, rotate=False)),
+        (AdversarySpec("conjugate"), {"kind": "conjugate"}, conjugate(real)),
+        (AdversarySpec("gauge_phase", thetas=thetas), {"kind": "gauge_phase", "thetas": list(thetas)},
+         gauge_phase(real, thetas)),
+        (AdversarySpec("perturb", epsilon=0.05, seed=3), {"kind": "perturb", "epsilon": 0.05, "seed": 3},
+         perturb(real, 0.05, seed=3)),
+        (AdversarySpec("depolarize", eta=0.1), {"kind": "depolarize", "eta": 0.1}, depolarize_sources(real, 0.1)),
+    ]
+    assert [spec.kind for spec, _, _ in cases] == list(ADVERSARY_KINDS)
     path = tmp_path / "adv.json"
-    save_adversary(spec, str(path))
-    assert load_adversary(str(path)) == spec
-    for spec in (AdversarySpec("conjugate"), AdversarySpec("gauge_phase", thetas=(0.5, -1.0, 2.0, 0.0)),
-                 AdversarySpec("perturb", epsilon=0.05, seed=3), AdversarySpec("depolarize", eta=0.1)):
+    for spec, record, direct in cases:
+        assert spec.to_record() == record
+        assert AdversarySpec.from_record(record) == spec
         save_adversary(spec, str(path))
-        assert load_adversary(str(path)) == spec
+        loaded = load_adversary(str(path))
+        assert loaded == spec
+        via_spec, expected = born_table(apply_adversary(real, loaded)), born_table(direct)
+        assert all(np.array_equal(via_spec.array(key), expected.array(key)) for key in expected.keys())
+    assert AdversarySpec("gauge_phase").to_record() == {"kind": "gauge_phase", "thetas": []}
+    with pytest.raises(ValueError, match="gauge_phase adversary needs per-outcome phases"):
+        apply_adversary(real, AdversarySpec("gauge_phase"))
     with pytest.raises(ValueError):
         AdversarySpec.from_record({"kind": "unheard_of"})
-    assert "dilate" in ADVERSARY_KINDS
 
 
 def test_apply_adversary_dispatch():

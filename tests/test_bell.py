@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from gatecert.bell import (
     BellFunctional,
     BellTerm,
-    _bell_matrix,
     _effective_stack,
     classical_bound,
     evaluate,
@@ -29,7 +28,7 @@ from gatecert.bell import (
     k_sign_bits,
     seesaw_max,
 )
-from gatecert.network import ALMOST_DI, DI, SCHEMES, born_table, coefficients, reference_realization, row_weights
+from gatecert.network import ALMOST_DI, DI, SCHEMES, born_table, coefficients, contract, reference_realization, row_weights
 from gatecert.primitives import SettingSymbol, gate, ghz_bits
 
 SQ2 = np.sqrt(2.0)
@@ -288,7 +287,7 @@ def test_coefficient_tensor_matches_termwise_oracle(functional, seed):
             stacks[p, k] = obs[(label, k)] = _random_observable(rng)
     measured = {(label, sym): _combine(obs, label, sym) for label, syms in _symbols(functional).items() for sym in syms}
     bell = termwise_bell_operator(functional, measured, labels, 2)
-    assert np.max(np.abs(_bell_matrix(w, stacks) - bell)) <= 1e-14
+    assert np.max(np.abs(contract(w, list(stacks), optimize=False).reshape(bell.shape) - bell)) <= 1e-14
     state = rng.normal(size=2 ** len(labels)) + 1j * rng.normal(size=2 ** len(labels))
     state = state / np.linalg.norm(state)
     for p, label in enumerate(labels):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from strategies import hidden_side_pairs
 
 from gatecert.adversary import conjugate, dilate, perturb
-from gatecert.certify import CertificationReport, CheckRow, certify, save_report
+from gatecert.certify import CertificationReport, CheckRow, certify
 from gatecert.network import ALMOST_DI, DI, ProbabilityTable, born_table, reference_realization
-from gatecert.primitives import gate
+from gatecert.primitives import gate, write_json
 from gatecert.tensor import Operator
 
 
@@ -168,7 +168,7 @@ def test_report_roundtrip(tmp_path):
     real = reference_realization(2, u)
     report = certify(born_table(real), u, realization=real)
     path = tmp_path / "report.json"
-    save_report(report, str(path))
+    write_json(str(path), report.to_record())
     back = CertificationReport.from_record(json.loads(path.read_text()))
     assert back.to_record() == report.to_record()
     assert back.verdict == "certified"
