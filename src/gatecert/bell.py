@@ -13,9 +13,10 @@ Two families:
 Every tool reads a functional as one coefficient tensor ``W``
 (``network.coefficients``), an axis per party over base settings 0..2 and
 the identity: ``evaluate`` reads it against a probability table as weights
-on table rows (``network.row_weights``), and ``classical_bound`` and
-``seesaw_max`` (alternating optimization over qubit strategies) contract it
-once for the bound, the Bell operator and the effective operators.
+on table rows (``network.row_weights``).  ``classical_bound`` and
+``seesaw_max`` (alternating optimization over qubit strategies) contract
+it one party at a time, for the bound, the Bell operator and the effective
+operators, and the see-saw runs all its restarts as one batch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .network import ProbabilityTable, coefficients, contract, nonzero_slots, terms_value
+from .network import ProbabilityTable, coefficients, nonzero_slots, terms_value
 from .primitives import SettingSymbol
 from .tensor import polar_factor
 
@@ -141,21 +142,18 @@ def classical_bound(functional: BellFunctional) -> float:
 
     Rotated combinations (T0, T1) are computed from the assigned values of
     the two base settings, so they range over {0, +-sqrt(2)}, not {+-1}.
-    All 2^S assignments of the S reached base settings at once: one
-    contraction of ``W`` with each party's +-1 values, 1 at the identity.
+    All 2^S assignments of the S reached base settings at once: each axis of
+    ``W`` is contracted with its own party's +-1 values, 1 at the identity,
+    which leaves the assignments in order, the first party's slowest.
     """
-    _, w, _ = coefficients(functional.terms, None)
-    m = w.ndim
-    slots = [(p, k) for p, settings in enumerate(_reached(w)) for k in settings]
-    grid = np.array(list(product((1.0, -1.0), repeat=len(slots)))).reshape(2 ** len(slots), len(slots))
-    values = np.ones((m, len(grid), 4))
-    for j, (p, k) in enumerate(slots):
-        values[p, :, k] = grid[:, j]
-    # subscripts: setting i_p = p, assignment = m (the ones keep it when no party is measured)
-    operands: list = [np.ones(len(grid)), [m], w, list(range(m))]
-    for p in range(m):
-        operands += [values[p], [m, p]]
-    return float(np.einsum(*operands, [m]).max())
+    _, t, _ = coefficients(functional.terms, None)
+    for settings in _reached(t):
+        grid = np.array(list(product((1.0, -1.0), repeat=len(settings)))).reshape(2 ** len(settings), len(settings))
+        values = np.ones((len(grid), 4))
+        values[:, settings] = grid
+        # the leading axis is the next party's: its assignments go last
+        t = np.tensordot(t, values, axes=(0, 1))
+    return float(t.max())
 
 
 # --- see-saw search for the quantum maximum --------------------------------
@@ -173,18 +171,35 @@ class SeesawResult:
     history: tuple[float, ...]
 
 
-def _effective_stack(w: np.ndarray, stacks: np.ndarray, state: np.ndarray, p: int) -> np.ndarray:
-    """Party p's effective operators G[k], k = 0..3, in one contraction: the
-    value at ``state`` is sum_k Tr[stacks[p, k] G[k]], G free of party p."""
-    m, d = w.ndim, stacks.shape[-1]
-    psi = state.reshape((d,) * m)
-    # subscripts: setting i_q = q, bra site q = m + q, ket site q = 2m + q
-    operands: list = [w, list(range(m))]
+def _bell_operators(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    """Bell operators sum_i W[i] (x)_p stacks[:, p, i_p] of a batch of
+    restarts, ``(R, D, D)``, one party at a time from the last: each step
+    sums one axis of W into that party's stacks and prepends its site."""
+    r, m, _, d, _ = stacks.shape
+    t = np.broadcast_to(w[..., None, None, None], w.shape + (r, 1, 1))
+    for p in reversed(range(m)):
+        t = np.einsum("...iryc,rixa->...rxyac", t, stacks[:, p])
+        t = t.reshape(t.shape[:-4] + (d * t.shape[-3], d * t.shape[-1]))
+    return t
+
+
+def _effective_stacks(w: np.ndarray, stacks: np.ndarray, states: np.ndarray, p: int) -> np.ndarray:
+    """Party p's effective operators G[:, k], k = 0..3, of each restart: the
+    value at ``states`` is sum_k Tr[stacks[:, p, k] G[:, k]], G free of
+    party p.  |psi><psi| is folded against each other party's stack in
+    turn, then against W."""
+    r, m, _, d, _ = stacks.shape
+    # subscripts: restart 0, slot i_q = 1 + q, bra site q = 1 + m + q, ket site q = 1 + 2m + q
+    bra, ket = list(range(1 + m, 1 + 2 * m)), list(range(1 + 2 * m, 1 + 3 * m))
+    psi = states.reshape((r,) + (d,) * m)
+    sub = [0, *bra, *ket]
+    t = np.einsum(psi.conj(), [0, *bra], psi, [0, *ket], sub)
     for q in range(m):
         if q != p:
-            operands += [stacks[q], [q, m + q, 2 * m + q]]
-    operands += [psi.conj(), list(range(m, 2 * m)), psi, list(range(2 * m, 3 * m))]
-    return np.einsum(*operands, [p, 2 * m + p, m + p])
+            out = [0, 1 + q] + [s for s in sub[1:] if s not in (bra[q], ket[q])]
+            t = np.einsum(t, sub, stacks[:, q], [0, 1 + q, bra[q], ket[q]], out)
+            sub = out
+    return np.einsum(w, list(range(1, 1 + m)), t, sub, [0, 1 + p, ket[p], bra[p]])
 
 
 def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> SeesawResult:
@@ -196,7 +211,13 @@ def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> 
     The iteration is monotone; several random restarts guard against poor
     local optima, and the first restart within ``SEESAW_STALL_TOL`` of the
     best is returned, so restarts tied up to rounding do not decide it.
-    Both steps contract the coefficient tensor ``W``.
+
+    Every restart's initial observables are drawn up front, and the
+    restarts iterate as one batch: each step builds all their Bell
+    operators, takes one stacked ``eigh`` and one stacked polar step per
+    party.  A restart leaves the batch when its own history stalls.  The
+    Bell operator and the effective operators contract the coefficient
+    tensor ``W`` one party at a time.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -204,36 +225,39 @@ def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> 
     _, w, _ = coefficients(functional.terms, None)
     reached = _reached(w)
     rng = np.random.default_rng(seed)
-    results = []
-    for _ in range(restarts):
-        stacks = np.zeros((w.ndim, 4, site_dim, site_dim), dtype=complex)
-        stacks[:, 3] = np.eye(site_dim)
+    # every restart's draws, in the order of restart, party and base setting
+    slots = [(p, k) for p, settings in enumerate(reached) for k in settings]
+    signs = np.array([1.0, -1.0] * ((site_dim + 1) // 2))[:site_dim]
+    h = np.empty((restarts, len(slots), site_dim, site_dim), dtype=complex)
+    perm = np.empty((restarts, len(slots), site_dim))
+    for j in np.ndindex(restarts, len(slots)):
+        h[j] = rng.normal(size=(site_dim, site_dim)) + 1j * rng.normal(size=(site_dim, site_dim))
+        perm[j] = rng.permutation(signs)
+    vecs = np.linalg.eigh(h + np.swapaxes(h, -1, -2).conj())[1]
+    stacks = np.zeros((restarts, w.ndim, 4, site_dim, site_dim), dtype=complex)
+    stacks[:, :, 3] = np.eye(site_dim)
+    # balanced +-1 spectrum in a random basis; an observable proportional
+    # to the identity would freeze the iteration at a deterministic point
+    obs = (vecs * perm[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()
+    stacks[:, [p for p, _ in slots], [k for _, k in slots]] = obs
+    histories: list[list[float]] = [[] for _ in range(restarts)]
+    done: dict[int, SeesawResult] = {}
+    live = np.arange(restarts)  # the restarts still iterating, in the order of ``stacks``
+    for it in range(1, SEESAW_MAX_ITERS + 1):
+        vals, vecs = np.linalg.eigh(_bell_operators(w, stacks))
+        for r, value in zip(live, vals[:, -1].tolist()):
+            histories[r].append(value)
+            if it >= 2 and abs(value - histories[r][-2]) < SEESAW_STALL_TOL:
+                done[r] = SeesawResult(value, True, it, tuple(histories[r]))
+        going = np.array([r not in done for r in live], dtype=bool)
+        live, stacks, states = live[going], stacks[going], vecs[going, :, -1]
+        if not live.size:
+            break
         for p, settings in enumerate(reached):
-            for k in settings:
-                h = rng.normal(size=(site_dim, site_dim)) + 1j * rng.normal(size=(site_dim, site_dim))
-                h = h + h.conj().T
-                vecs = np.linalg.eigh(h)[1]
-                # balanced +-1 spectrum in a random basis; an observable
-                # proportional to the identity would freeze the iteration
-                # at a deterministic point
-                signs = np.array([1.0, -1.0] * ((site_dim + 1) // 2))[:site_dim]
-                stacks[p, k] = (vecs * rng.permutation(signs)) @ vecs.conj().T
-        history: list[float] = []
-        converged = False
-        for it in range(1, SEESAW_MAX_ITERS + 1):
-            # the Bell operator sum_i W[i] (x)_p stacks[p, i_p]: contract's x_p is row site p, its a_p column site p
-            bell = contract(w, list(stacks), optimize=False).reshape(site_dim**w.ndim, -1)
-            vals, vecs = np.linalg.eigh(bell)
-            state = vecs[:, -1]
-            value = float(vals[-1])
-            history.append(value)
-            for p, settings in enumerate(reached):
-                g = _effective_stack(w, stacks, state, p)
-                for k in settings:
-                    stacks[p, k] = polar_factor((g[k] + g[k].conj().T) / 2)
-            if len(history) >= 2 and abs(history[-1] - history[-2]) < SEESAW_STALL_TOL:
-                converged = True
-                break
-        results.append(SeesawResult(value, converged, it, tuple(history)))
+            g = _effective_stacks(w, stacks, states, p)[:, settings]
+            stacks[:, p, settings] = polar_factor((g + np.swapaxes(g, -1, -2).conj()) / 2)
+    for r in live:
+        done[r] = SeesawResult(histories[r][-1], False, SEESAW_MAX_ITERS, tuple(histories[r]))
+    results = [done[r] for r in range(restarts)]
     top = max(res.value for res in results)
     return next(res for res in results if res.value >= top - SEESAW_STALL_TOL)

@@ -913,9 +913,10 @@ class _FloatMemo(dict):
 
 def read_table(stream: io.TextIOBase) -> ProbabilityTable:
     """Parse a table file line by line.  A malformed or unphysical record
-    raises ValueError naming its line; a missing settings row raises
-    ValueError naming the first one missing, and a signalling table one
-    naming the party and two rows (``_check_no_signalling``)."""
+    raises ValueError naming its line, and a JSON error its column within
+    that line; a missing settings row raises ValueError naming the first
+    one missing, and a signalling table one naming the party and two rows
+    (``_check_no_signalling``)."""
     lines = enumerate(stream, start=1)
     for lineno, ln in lines:
         if ln.strip():
@@ -923,7 +924,7 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
     else:
         raise ValueError("empty table file")
     try:
-        header = json.loads(ln)
+        header = json.loads(ln.rstrip("\n"))
         if header.get("kind") != "probability_table":
             raise ValueError("not a probability table file")
         n = header["n"]
@@ -933,6 +934,8 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
         scen = ScenarioSpec(header["scheme"], n)
     except KeyError as err:
         raise ValueError(f"line {lineno}: header lacks field {err.args[0]!r}") from None
+    except json.JSONDecodeError as err:
+        raise ValueError(f"line {lineno}, column {err.colno}: {err.msg}") from None
     except (AttributeError, TypeError, ValueError) as err:
         raise ValueError(f"line {lineno}: {err}") from None
     shape = scen.outcome_shape()
@@ -944,7 +947,7 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
             continue
         try:
             # one memo per line, so it holds at most one row's number texts
-            rec = json.JSONDecoder(parse_float=_FloatMemo().__getitem__).decode(ln)
+            rec = json.JSONDecoder(parse_float=_FloatMemo().__getitem__).decode(ln.rstrip("\n"))
             key = scen.row(rec["x"], rec["e"], rec["y"] if scen.scheme == DI else PERP)
             if key in arrays:
                 raise ValueError(f"duplicate settings row {key}")
@@ -964,6 +967,8 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
             arrays[key] = p.reshape(shape)
         except KeyError as err:
             raise ValueError(f"line {lineno}: record lacks field {err.args[0]!r}") from None
+        except json.JSONDecodeError as err:
+            raise ValueError(f"line {lineno}, column {err.colno}: {err.msg}") from None
         except (OverflowError, TypeError, ValueError) as err:
             raise ValueError(f"line {lineno}: {err}") from None
     missing = [key for key in scen.settings() if key not in arrays]

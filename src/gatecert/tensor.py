@@ -10,7 +10,7 @@ marked read-only.  ``apply_raw_batch`` is the only code that applies an
 operator to sites of a raw state vector; a single operator is a
 one-element stack.  Its only caller is the Born kernel (``born_table``,
 Eve's layer included); the see-saw contracts a coefficient tensor instead
-and takes its observable step on raw arrays through ``polar_factor``.
+and takes its observable step on raw stacks through ``polar_factor``.
 """
 
 from __future__ import annotations
@@ -117,15 +117,19 @@ def polar_unitary(op: Operator) -> Operator:
 
 
 def polar_factor(m: np.ndarray) -> np.ndarray:
-    """Unitary factor of the polar decomposition of the square array ``m``.
+    """Unitary factor of the polar decomposition of each square matrix of
+    the ``(..., d, d)`` array ``m``.
 
-    Hermitian inputs are resolved by eigendecomposition; eigendirections with
-    magnitude below ``DEFAULT_ZERO_TOL`` are sent to +1 so the result is total.
+    When every matrix is Hermitian they are resolved by eigendecomposition;
+    eigendirections with magnitude below ``DEFAULT_ZERO_TOL`` are sent to +1
+    so the result is total.  Otherwise every matrix goes through the SVD.
+    An empty stack gives an empty stack.
     """
-    if np.max(np.abs(m - m.conj().T)) <= IDENTITY_TOL:
-        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    mh = np.swapaxes(m, -1, -2).conj()
+    if np.max(np.abs(m - mh), initial=0.0) <= IDENTITY_TOL:
+        vals, vecs = np.linalg.eigh((m + mh) / 2)
         signs = np.where(np.abs(vals) < DEFAULT_ZERO_TOL, 1.0, np.sign(vals))
-        return (vecs * signs) @ vecs.conj().T
+        return (vecs * signs[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()
     u, _, vh = np.linalg.svd(m)
     return u @ vh
 

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from gatecert.bell import (
     BellFunctional,
     BellTerm,
-    _effective_stack,
+    _bell_operators,
+    _effective_stacks,
     classical_bound,
     evaluate,
     functional_I,
@@ -28,7 +29,7 @@ from gatecert.bell import (
     k_sign_bits,
     seesaw_max,
 )
-from gatecert.network import ALMOST_DI, DI, SCHEMES, born_table, coefficients, contract, reference_realization, row_weights
+from gatecert.network import ALMOST_DI, DI, SCHEMES, born_table, coefficients, reference_realization, row_weights
 from gatecert.primitives import SettingSymbol, gate, ghz_bits
 
 SQ2 = np.sqrt(2.0)
@@ -179,6 +180,19 @@ def test_seesaw_history_is_monotone():
     assert res.iterations >= 1
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_bounds_of_I_beyond_three_parties(n):
+    """Both contract one party at a time, so they reach n=5: the classical
+    bound (sqrt(2)+1)(n-1), equal to the term-wise enumeration, and the
+    quantum maximum 3(n-1)."""
+    f = functional_I((0,) * n)
+    assert abs(classical_bound(f) - termwise_classical_bound(f)) <= 1e-12
+    assert abs(classical_bound(f) - (SQ2 + 1) * (n - 1)) <= 1e-12
+    res = seesaw_max(f, restarts=2)
+    assert res.converged
+    assert abs(res.value - 3 * (n - 1)) <= 1e-9
+
+
 def test_seesaw_refuses_no_restarts():
     for restarts in (0, -3):
         with pytest.raises(ValueError, match=f"^restarts must be at least 1, got {restarts}$"):
@@ -287,11 +301,11 @@ def test_coefficient_tensor_matches_termwise_oracle(functional, seed):
             stacks[p, k] = obs[(label, k)] = _random_observable(rng)
     measured = {(label, sym): _combine(obs, label, sym) for label, syms in _symbols(functional).items() for sym in syms}
     bell = termwise_bell_operator(functional, measured, labels, 2)
-    assert np.max(np.abs(contract(w, list(stacks), optimize=False).reshape(bell.shape) - bell)) <= 1e-14
+    assert np.max(np.abs(_bell_operators(w, stacks[None])[0] - bell)) <= 1e-14
     state = rng.normal(size=2 ** len(labels)) + 1j * rng.normal(size=2 ** len(labels))
     state = state / np.linalg.norm(state)
     for p, label in enumerate(labels):
-        effective = _effective_stack(w, stacks, state, p)
+        effective = _effective_stacks(w, stacks[None], state[None], p)[0]
         for k, g in termwise_effective_operators(functional, measured, labels, 2, state, label, base[label]).items():
             assert np.max(np.abs(effective[k] - g)) <= 1e-14
     assert abs(classical_bound(functional) - termwise_classical_bound(functional)) <= 1e-12

@@ -409,6 +409,26 @@ def test_bounds_command(tmp_path, capsys):
     assert "classical" in capsys.readouterr().out
 
 
+_BOUNDS_ROW = "{:>12}: classical {}  seesaw {}  reference {}\n"
+
+
+def _bounds_rows(n, classical, seesaw):
+    """``gatecert bounds --n n``'s rows: the I functionals, then the K ones."""
+    rows = [(f"I[{l:0{n}b}]", classical, seesaw) for l in range(2**n)]
+    rows += [(f"K[1;{signs}]", "1.414213562", "2.000000000") for signs in ("00", "01", "11", "10")]
+    return "".join(_BOUNDS_ROW.format(label, c, s, s) for label, c, s in rows)
+
+
+BOUNDS_STDOUT = {2: _bounds_rows(2, "2.414213562", "3.000000000"), 3: _bounds_rows(3, "4.828427125", "6.000000000")}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bounds_stdout_is_frozen(capsys, n):
+    """``gatecert bounds`` prints these bytes with eight restarts and seed 0."""
+    assert main(["bounds", "--n", str(n), "--restarts", "8", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == BOUNDS_STDOUT[n]
+
+
 def test_decompose_command(tmp_path, capsys):
     out = tmp_path / "dec"
     code = main(["decompose", "--n", "2", "--gate", "cnot", "--out", str(out)])

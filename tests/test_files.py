@@ -9,6 +9,7 @@ import json
 from pathlib import Path
 
 import pytest
+from table_files import table_lines
 
 import gatecert
 from gatecert import network
@@ -96,10 +97,15 @@ HEADER = '{"kind": "probability_table", "n": 2, "scheme": "almost_di"}\n'
         (["--n", "2", "--gate", "cz", "--adversary"], "adversary spec", '{"kind": "dilate", "junk_dim": true}',
          "adversary field 'junk_dim' has malformed value True"),
         (["--gate", "cz", "--table"], "table file", HEADER + '{"e": 0, "p": [0.5, 0.5\n',
-         "line 2: Expecting ',' delimiter: line 2 column 1 (char 24)"),
+         "line 2, column 24: Expecting ',' delimiter"),
+        (["--gate", "cz", "--table"], "table file", "\n".join([*table_lines()[:4], table_lines()[4][:30]]) + "\n",
+         "line 5, column 31: Expecting ',' delimiter"),
+        (["--gate", "cz", "--table"], "table file", '{"kind": "probability_table", "n": 2\n',
+         "line 1, column 37: Expecting ',' delimiter"),
         (["--gate", "cz", "--table"], "table file", HEADER, "table lacks 18 of 18 settings rows, the first is ((0, 0), 0)"),
     ],
-    ids=["gate-json", "gate-record", "adversary", "table-json", "table-rows"],
+    ids=["gate-json", "gate-record", "adversary", "table-json", "table-json-line5", "table-header-json",
+         "table-rows"],
 )
 def test_malformed_input_file_exits_two_naming_it(tmp_path, capsys, flags, what, text, reason):
     path = tmp_path / "input.json"

@@ -8,6 +8,7 @@ from gatecert.tensor import (
     apply_raw_batch,
     kron,
     permute_sites,
+    polar_factor,
     polar_unitary,
 )
 
@@ -136,6 +137,22 @@ def test_polar_unitary_fills_null_directions():
     # Hermitian input with a null eigendirection still yields a full unitary
     u = polar_unitary(Operator(np.diag([1.0, 0.0, -2.0]).astype(complex), (3,)))
     assert np.allclose(u.entries, np.diag([1.0, 1.0, -1.0]))
+
+
+def test_polar_factor_of_a_stack_is_per_matrix_bit_for_bit():
+    """A stack of Hermitian matrices, the null-direction case among them,
+    and a stack of general matrices each give every matrix's own factor;
+    an empty stack gives an empty one."""
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    hermitian = np.concatenate([(g + np.swapaxes(g, -1, -2).conj()) / 2, [np.diag([1.0, 0.0, -2.0]).astype(complex)]])
+    for stack in (hermitian, g, hermitian.reshape(5, 1, 3, 3)):
+        got = polar_factor(stack)
+        assert got.shape == stack.shape
+        for index in np.ndindex(stack.shape[:-2]):
+            assert got[index].tobytes() == polar_factor(stack[index]).tobytes()
+    assert np.allclose(polar_factor(hermitian)[-1], np.diag([1.0, 1.0, -1.0]))
+    assert polar_factor(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2, 2)
 
 
 def test_dims_must_multiply_out():
