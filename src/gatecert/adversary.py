@@ -26,9 +26,9 @@ go through the file layer of ``primitives``.
 Each kind is new sources plus one ``Realization.map_operators`` walk, in
 which every operator is lifted onto the junk of its sites (``dilate``,
 ``depolarize``) or conjugated, or is ``dataclasses.replace`` of Eve's
-operation (``gauge_phase``, ``perturb``).  ``dilate`` refuses, before it
-allocates anything, a junk dimension whose largest matrix would exceed
-``network.MAX_AMPLITUDES`` entries.
+operation (``gauge_phase``, ``perturb``).  ``dilate`` and
+``depolarize_sources`` refuse, before they allocate anything, a lift whose
+largest matrix would exceed ``network.MAX_AMPLITUDES`` entries.
 """
 
 from __future__ import annotations
@@ -118,6 +118,15 @@ def _lift(op: Operator, junk_per_site, rotations) -> Operator:
     return Operator(entries, tuple(big))
 
 
+def _check_lift(real: Realization, junk_per_site, what: str) -> None:
+    """``check_size`` of the largest matrix on an operator's or a source's sites lifted by ``junk_per_site``."""
+    lay = real.layout()
+    groups = list(lay.source_sites())
+    real.map_operators(lambda op, sites: groups.append(sites) or op)
+    widest = max(prod(lay.dims[s] * junk_per_site[s] for s in sites) for sites in groups)
+    check_size(widest**2, what)
+
+
 def dilate(real: Realization, junk_dim: int, seed: int = 0, rotate: bool = True) -> Realization:
     """Equivalent realization with junk tensored on and sites scrambled.
 
@@ -129,11 +138,7 @@ def dilate(real: Realization, junk_dim: int, seed: int = 0, rotate: bool = True)
     if junk_dim < 1:
         raise ValueError(f"junk dimension must be >= 1, got {junk_dim}")
     j, lay = junk_dim, real.layout()
-    # the largest matrix built below: a source's rotation, or an operator lifted onto its sites' junk
-    groups = list(lay.source_sites())
-    real.map_operators(lambda op, sites: groups.append(sites) or op)
-    widest = max(prod(lay.dims[s] * j for s in sites) for sites in groups)
-    check_size(widest**2, f"a junk_dim={j} dilation's largest matrix")
+    _check_lift(real, [j] * len(lay.dims), f"a junk_dim={j} dilation's largest matrix")
     rng = np.random.default_rng(seed)
 
     def junk_state() -> np.ndarray:
@@ -216,6 +221,11 @@ def depolarize_sources(real: Realization, eta: float) -> Realization:
     environment attached to that wing's site."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"depolarizing strength must be in [0, 1], got {eta}")
+    lay = real.layout()
+    junk = [1] * len(lay.dims)
+    for _, s1 in lay.source_sites():
+        junk[s1] = 4
+    _check_lift(real, junk, f"an eta={eta} depolarization's largest matrix")
     weights = np.sqrt([1 - 3 * eta / 4, eta / 4, eta / 4, eta / 4])
     kraus = [w * pauli(idx).entries for w, idx in zip(weights, (3, 1, 2, 0))]
     sources = []
@@ -228,10 +238,6 @@ def depolarize_sources(real: Realization, eta: float) -> Realization:
         for k, op in enumerate(kraus):
             amp[:, :, k] = m @ op.T
         sources.append(StateVector(amp.reshape(d0 * d1 * 4), (d0, d1 * 4)))
-    lay = real.layout()
-    junk = [1] * len(lay.dims)
-    for _, s1 in lay.source_sites():
-        junk[s1] = 4
     return real.map_operators(lambda op, sites: _lift(op, [junk[s] for s in sites], None), sources=tuple(sources))
 
 

@@ -1,6 +1,7 @@
 """Families of alternative realizations and what they do to the statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,23 @@ def test_depolarize_sources_di_widens_and_validates():
     noisy = depolarize_sources(real, 0.1)
     validate_realization(noisy)
     assert noisy.sources[0].dims != real.sources[0].dims
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_depolarize_sources_refuses_oversized_lift(scheme):
+    """At n=4 each lifted L element would be a 4096x4096 matrix of 256 MiB:
+    the guard raises, naming the depolarization, before lifting anything.
+    At n=3 the largest lift is 512x512 and is admitted."""
+    real = reference_realization(4, gate("random", 4, seed=1), scheme=scheme)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^an eta=0.05 depolarization's largest matrix would hold 16777216 "):
+            depolarize_sources(real, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    validate_realization(depolarize_sources(reference_realization(3, gate("toffoli", 3), scheme=scheme), 0.05))
 
 
 def _parts(real):

@@ -37,6 +37,15 @@ def test_simulate_writes_table_and_summary(tmp_path, capsys):
     assert "table.jsonl" in capsys.readouterr().out
 
 
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch, capsys):
+    """``build_parser`` is cached; ``main`` finds each command on the module
+    at call time, so a command rebound after the first parse still runs."""
+    assert main(["decompose", "--n", "2", "--gate", "cz"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_decompose", lambda args: 7)
+    assert main(["decompose", "--n", "2", "--gate", "cz"]) == 7
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     outs = []
     for name in ("a", "b"):
