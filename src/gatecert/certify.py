@@ -17,14 +17,20 @@ term by the row's probability of the event, and an event of probability
 zero gives a failing row that names it.  ``check_matrix`` builds every
 check's weights with one contraction, ``network.contract``: of a Bell
 functional's coefficient tensor (``network.row_weights``; a correlator is a
-one-term functional) or of the gate's f tensor, for all joint outcomes l at
-once, with the per-party matrices ``network.party_matrix``.  Only the f-sum
-rows depend on the gate; the others are built once per scenario, and
-``protocol_rows`` lists every settings row any gate's checks read, the rows
-realization-mode ``gatecert certify`` computes.  ``certify`` reads the rows
-the weighted sums weigh once.  A check that is one product correlator (the
-rate rows, branch.pair) is read through ``network.expectation``, which is
-``weighted_sum`` over the same weights.
+one-term functional) or of the gate's f tensor (``decomp.f_tensor``), for
+all joint outcomes l at once, with the per-party matrices
+``network.party_matrix``.  Only the f-sum rows depend on the gate.  The
+other checks are built once per (scheme, n), and so is the f-sum frame:
+the check ids, event indices, party matrices and the e=1 ``perp`` row keys
+in ``x_settings`` order.  Per gate, ``check_matrix`` computes only f, one
+contraction and the weight dicts.  ``protocol_rows`` lists every settings
+row any gate's checks read, the rows realization-mode ``gatecert certify``
+computes.  ``certify`` reads the rows the weighted sums weigh once.  A
+check that is one product correlator (the rate rows, branch.pair) is read
+through ``network.expectation``, which is ``weighted_sum`` over the same
+weights: ``row_weights`` is memoized, so that read builds nothing after the
+first, and the correlator path is kept until a change to the benchmark,
+which traces ``expectation`` calls, lets it go.
 
 Operator-level rows (effective-measurement distances, the unitary
 certificate, extraction fidelity) are appended when the underlying
@@ -40,12 +46,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .bell import functional_I, functional_K, k_sign_bits
-from .decomp import delta_set, f_coeffs
+from .decomp import f_tensor
 from .extract import OP_TOL, Extraction
 from .network import (
     ALMOST_DI,
@@ -189,12 +195,10 @@ class Check:
 
 
 def _check(check_id, rhs, scheme, n, weights, *, l=None, r=None, conditional=False, correlator=None) -> Check:
-    """Check over read-only weights; ``conditional`` renormalizes each row
-    on the event (l, r)."""
-    for w in weights.values():
-        w.setflags(write=False)
+    """Check over ``row_weights``' read-only weights; ``conditional``
+    renormalizes each row on the event (l, r)."""
     event = event_label(n, l=l, r=r) if conditional else None
-    return Check(check_id, rhs, event_index(scheme, n, l=l, r=r), MappingProxyType(weights), event, correlator)
+    return Check(check_id, rhs, event_index(scheme, n, l=l, r=r), weights, event, correlator)
 
 
 def _correlator_check(check_id, rhs, scheme, n, assignment, *, l=None, r=None, sign=1.0, conditional=False) -> Check:
@@ -203,19 +207,49 @@ def _correlator_check(check_id, rhs, scheme, n, assignment, *, l=None, r=None, s
     return _check(check_id, rhs, scheme, n, weights, l=l, r=r, conditional=conditional, correlator=corr)
 
 
-def _fsum_checks(scheme: str, n: int, u: Operator, prefix: str, rhs: float, r=None) -> list[Check]:
-    """``{prefix}.fsum[l]`` for every l at once: the f tensor of the gate
+class _FsumFrame(NamedTuple):
+    """What the f-sum checks of every gate share: their ids, rhs and event
+    indices per l, the e=1 ``perp`` row keys in ``x_settings`` order, and
+    the party matrices in Pauli order."""
+
+    ids: tuple[str, ...]
+    rhs: float
+    indices: tuple[tuple, ...]
+    keys: tuple[tuple, ...]
+    mats: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=None)
+def _fsum_frame(scheme: str, n: int) -> _FsumFrame:
+    """The f-sum frame of (scheme, n): almost_di checks step2.fsum[l], di
+    checks step3.fsum[l] on the repeater outcomes all 0."""
+    scen = ScenarioSpec(scheme, n)
+    if scheme == ALMOST_DI:
+        prefix, rhs, r = "step2", 1 / 2**n, None
+    else:
+        prefix, rhs, r = "step3", 1 / 2 ** (3 * n), {i: 0 for i in range(1, n + 1)}
+    ids = tuple(f"{prefix}.fsum[{_bits_label(ghz_bits(l, n))}]" for l in range(2**n))
+    indices = tuple(event_index(scheme, n, l=l, r=r) for l in range(2**n))
+    keys = tuple(scen.row(x, 1, PERP) for x in scen.x_settings())
+    mats = (party_matrix(_A1_SYMBOLS),) + (party_matrix(SLOT_SYMBOLS),) * (n - 1)
+    return _FsumFrame(ids, rhs, indices, keys, mats)
+
+
+def _fsum_checks(scheme: str, n: int, u: Operator) -> list[Check]:
+    """The f-sum check of every l at once: the f tensor of the gate
     contracted with each party's ``party_matrix`` in Pauli order gives
-    ``w[l, x_1..x_N, a_1..a_N]``, the weight of row x (input e=1) on the
-    outcomes a at joint outcome l."""
-    f = np.stack([f_coeffs(delta) for delta in delta_set(u)])
+    ``w[l, x, a_1..a_N]``, the weight of row x (input e=1, ``x_settings``
+    order) on the outcomes a at joint outcome l.  The rest is the frame."""
+    frame = _fsum_frame(scheme, n)
+    f = f_tensor(u)
     f = np.where(np.abs(f) < F_ZERO, 0.0, f)
-    w = contract(f, [party_matrix(_A1_SYMBOLS)] + [party_matrix(SLOT_SYMBOLS)] * (n - 1), optimize=True)
-    scen, checks = ScenarioSpec(scheme, n), []
-    for l in range(2**n):
-        weights = {scen.row(x, 1, PERP): w[l][x] for x in scen.x_settings() if w[l][x].any()}
-        checks.append(_check(f"{prefix}.fsum[{_bits_label(ghz_bits(l, n))}]", rhs, scheme, n, weights, l=l, r=r))
-    return checks
+    w = contract(f, frame.mats, optimize=True).reshape(2**n, len(frame.keys), *(2,) * n)
+    w.setflags(write=False)
+    read = w.reshape(2**n, len(frame.keys), -1).any(axis=2)
+    return [
+        Check(id_, frame.rhs, index, MappingProxyType({frame.keys[x]: w[l, x] for x in np.flatnonzero(read[l])}))
+        for l, (id_, index) in enumerate(zip(frame.ids, frame.indices))
+    ]
 
 
 def check_matrix(scheme: str, n: int, u: Operator) -> list[Check]:
@@ -225,13 +259,10 @@ def check_matrix(scheme: str, n: int, u: Operator) -> list[Check]:
     almost_di: step1.joint[l], step1.rate[l], step2.fsum[l];
     di: step1.k[i;k], step1.rate[i;k], step2.joint[l], step2.rate[l],
     step3.fsum[l]; both: branch.pair[1,i].  Only the f-sum checks depend
-    on the gate; the others are built once per scenario.
+    on the gate; the others and the f-sum frame are built once per
+    (scheme, n).
     """
-    if scheme == ALMOST_DI:
-        fsums = _fsum_checks(scheme, n, u, "step2", 1 / 2**n)
-    else:
-        fsums = _fsum_checks(scheme, n, u, "step3", 1 / 2 ** (3 * n), r={i: 0 for i in range(1, n + 1)})
-    return [*_scenario_checks(scheme, n), *fsums]
+    return [*_scenario_checks(scheme, n), *_fsum_checks(scheme, n, u)]
 
 
 @lru_cache(maxsize=None)
@@ -277,9 +308,8 @@ def protocol_rows(scheme: str, n: int) -> frozenset:
     """Every settings row that ``check_matrix(scheme, n, u)`` can read, for
     any gate u: the rows of the gate-independent checks and every f-sum row
     (x, e=1, perp).  Built once per (scheme, n)."""
-    scen = ScenarioSpec(scheme, n)
     read = {key for check in _scenario_checks(scheme, n) for key in check.weights}
-    return frozenset(read | {scen.row(x, 1, PERP) for x in scen.x_settings()})
+    return frozenset(read | set(_fsum_frame(scheme, n).keys))
 
 
 def _table_rows(table: ProbabilityTable, checks: list[Check], tol: float) -> list[CheckRow]:

@@ -25,7 +25,7 @@ import numpy as np
 from .adversary import apply_adversary, load_adversary
 from .bell import classical_bound, functional_I, functional_K, k_sign_bits, seesaw_max
 from .certify import F_ZERO, TABLE_TOL, certify, check_matrix, protocol_rows
-from .decomp import delta_set, f_coeffs
+from .decomp import f_tensor
 from .extract import OP_TOL
 from .network import (
     ALMOST_DI,
@@ -183,10 +183,8 @@ def _explain(checks, check_id: str, scheme: str, n: int) -> str:
 
 def cmd_decompose(args) -> int:
     u = _resolve_gate(args.gate, args.n, args.seed)
-    deltas = delta_set(u)
     rows = []
-    for l, delta in enumerate(deltas):
-        coeffs = f_coeffs(delta)
+    for l, coeffs in enumerate(f_tensor(u)):
         terms = {}
         for idx in np.ndindex(coeffs.shape):
             c = float(coeffs[idx])

@@ -27,7 +27,8 @@ every settings row, including rows no verification step reads;
 listed row, gives each party only the settings that block asks of it, and
 keeps the listed rows, each equal bit for bit to the full table's
 (realization-mode ``certify`` asks for ``certify.protocol_rows``).
-``born_table`` factors every measurement element once as E = K^dagger K, with K the rows
+``born_table`` factors every measurement element once (one ``eigh`` of each
+measurement's stack) as E = K^dagger K, with K the rows
 sqrt(lambda) v^dagger of the eigenpairs of E above an eps-scaled rank
 cutoff (d * machine eps * max(1, |E|)); the factors of one measurement
 are zero-padded to a common rank, so a zero element is a block of zero
@@ -72,7 +73,10 @@ Every table-level check is weights on rows.  ``coefficients`` reads a Bell
 functional into one coefficient tensor W, the only reader of ``EXPANSION``
 and of the label rules; ``contract`` gives its row weights, ``sum_i W[i]
 prod_p M_p[i_p, x_p, a_p]`` with ``party_matrix`` M_p, and ``row_weights``
-lays them onto the outcomes ``event_index`` selects.
+lays them onto the outcomes ``event_index`` selects.  ``row_weights`` is
+memoized on its arguments, so ``expectation``, ``terms_value`` (and through
+it ``bell.evaluate``) and the check matrix of ``certify`` build each
+functional's weights once per condition and share one read-only mapping.
 
 ``check_size`` refuses, before allocating, an array of more than
 ``MAX_AMPLITUDES`` complex entries: ``assemble_state`` asks it about the
@@ -89,9 +93,11 @@ import json
 import math
 import re
 import weakref
+from collections import abc
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import product
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -368,16 +374,22 @@ def _check_binary(name: str, obs: Operator, dim: int) -> None:
 
 
 def _check_povm(elements: Sequence[Operator], dim: int, what: str) -> None:
+    """Each element, in order, of dimension ``dim``, Hermitian and positive,
+    the first fault named; then the sum the identity.  The elements before
+    the first dimension or Hermitian fault are diagonalized as one stack."""
     tol = IDENTITY_TOL
+    k = next((k for k, el in enumerate(elements) if el.dim != dim or not el.is_hermitian()), len(elements))
+    if k:
+        lows = np.linalg.eigvalsh(np.stack([el.entries for el in elements[:k]]))[:, 0]
+        j = int(np.argmax(lows < -tol))
+        if lows[j] < -tol:
+            raise ValueError(f"{what} element {j} is not positive (min eig {lows[j]:.2e})")
+    if k < len(elements):
+        if elements[k].dim != dim:
+            raise ValueError(f"{what} element {k} has dimension {elements[k].dim}, expected {dim}")
+        raise ValueError(f"{what} element {k} is not Hermitian")
     total = np.zeros((dim, dim), dtype=complex)
-    for k, el in enumerate(elements):
-        if el.dim != dim:
-            raise ValueError(f"{what} element {k} has dimension {el.dim}, expected {dim}")
-        if not el.is_hermitian():
-            raise ValueError(f"{what} element {k} is not Hermitian")
-        low = np.linalg.eigvalsh(el.entries)[0]
-        if low < -tol:
-            raise ValueError(f"{what} element {k} is not positive (min eig {low:.2e})")
+    for el in elements:
         total += el.entries
     if np.max(np.abs(total - np.eye(dim))) > tol:
         raise ValueError(f"{what} elements do not sum to identity")
@@ -447,8 +459,7 @@ def _factor_stack(elements: Sequence[np.ndarray]) -> np.ndarray:
     """Square-root factors K with K^dagger K = E, one per element, as a
     ``(k, rank, d)`` stack padded with zero rows to the largest rank."""
     factors = []
-    for el in elements:
-        vals, vecs = np.linalg.eigh(el)
+    for vals, vecs in zip(*np.linalg.eigh(np.stack(elements))):
         keep = vals > len(vals) * np.finfo(float).eps * max(1.0, float(np.abs(vals).max()))
         factors.append(np.sqrt(vals[keep])[:, None] * vecs[:, keep].conj().T)
     rank = max(f.shape[0] for f in factors)
@@ -747,7 +758,7 @@ def nonzero_slots(t: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(np.any(t != 0, axis=tuple(q for q in range(t.ndim) if q != p))) for p in range(t.ndim)]
 
 
-def row_weights(terms, scheme: str, n: int, *, e: int, l=None, r=None) -> dict[tuple, np.ndarray]:
+def row_weights(terms, scheme: str, n: int, *, e: int, l=None, r=None) -> Mapping[tuple, np.ndarray]:
     """Weight array of a Bell functional's ``(coeff, assignment)`` terms on
     each settings row they read, over the outcomes ``event_index(scheme, n,
     l=l, r=r)`` selects: ``contract`` of ``coefficients`` with each measured
@@ -755,7 +766,42 @@ def row_weights(terms, scheme: str, n: int, *, e: int, l=None, r=None) -> dict[t
     omits reads setting 0; a term whose boxes all do reads the ``perp``
     rows.  Rows are listed by the first term that reads them, then with the
     first party's setting varying slowest.
+
+    Memoized: equal arguments, compared with their types and in their
+    order, give the same read-only mapping of read-only arrays.  A refused
+    argument raises on every call.
     """
+    return _memo_row_weights(_frozen((terms, scheme, n, e, l, r)))
+
+
+def _frozen(value):
+    """A hashable copy of nested tuples, lists and mappings: each scalar as
+    (type, value), so that 1, 1.0 and True stay apart; ``_thawed`` inverts it."""
+    if isinstance(value, (tuple, list)):
+        return (tuple, tuple(_frozen(v) for v in value))
+    if isinstance(value, abc.Mapping):
+        return (abc.Mapping, tuple((_frozen(k), _frozen(v)) for k, v in value.items()))
+    return (type(value), value)
+
+
+def _thawed(value):
+    kind, inner = value
+    if kind is abc.Mapping:
+        return {_thawed(k): _thawed(v) for k, v in inner}
+    return tuple(_thawed(v) for v in inner) if kind is tuple else inner
+
+
+@lru_cache(maxsize=1024)
+def _memo_row_weights(args) -> Mapping[tuple, np.ndarray]:
+    terms, scheme, n, e, l, r = _thawed(args)
+    weights = _build_row_weights(terms, scheme, n, e, l, r)
+    for w in weights.values():
+        w.setflags(write=False)
+    return MappingProxyType(weights)
+
+
+def _build_row_weights(terms, scheme: str, n: int, e: int, l, r) -> dict[tuple, np.ndarray]:
+    """``row_weights`` without the memo."""
     scen = ScenarioSpec(scheme, n)
     labels, w, support = coefficients(terms, scen)
     if l is not None and any(label.startswith("B") for _, assignment in terms for label in assignment):

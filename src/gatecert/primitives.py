@@ -12,11 +12,13 @@ The module also holds the file layer, the one code that opens or replaces a
 file: ``write_file`` fills ``<path>.tmp`` and ``os.replace``s it over
 ``path``, so a write that raises partway leaves the previous file, and
 ``read_file`` adds the file to a ValueError, ``<reason> (in gate file g.json)``.
-``write_json``/``read_json`` do the same for one JSON record.
+``write_json``/``read_json`` do the same for one JSON record.  Files are
+UTF-8; a file that starts with a byte-order mark is refused by name.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import operator
 import os
@@ -259,7 +261,7 @@ def write_file(path: str, write: Callable[[TextIO], object]) -> None:
     """Replace ``path`` by what ``write(stream)`` writes, atomically."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             write(fh)
         os.replace(tmp, path)
     finally:
@@ -273,8 +275,11 @@ def write_json(path: str, record) -> None:
 
 def read_file(path: str, what: str, read: Callable[[TextIO], object]):
     """``read(stream)`` of the file ``path``, its ValueError naming the file as ``what``."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
+            # peeked, not read: a pipe or FIFO cannot seek back
+            if fh.buffer.peek(3)[:3] == codecs.BOM_UTF8:
+                raise ValueError("file starts with a UTF-8 byte-order mark")
             return read(fh)
         except ValueError as err:
             raise ValueError(f"{err} (in {what} {path})") from None

@@ -96,6 +96,46 @@ def test_fsum_weights_equal_single_einsum_bit_for_bit(scheme, n):
                 assert w.tobytes() == want[l][key[0]].tobytes(), (check.id, key)
 
 
+@pytest.mark.parametrize("scheme, n, first, second", [(ALMOST_DI, 3, "toffoli", "random"), (DI, 2, "cnot", "cz")])
+def test_second_gate_builds_no_row_weights(monkeypatch, scheme, n, first, second):
+    """After one ``certify`` of a (scheme, n), certifying another gate builds
+    no row weights: the gate-independent checks, the f-sum frame and every
+    correlator read come from the memos."""
+    from gatecert import network
+
+    table = born_table(reference_realization(n, gate(first, n), scheme=scheme))
+    certify(table, gate(first, n))
+    built = []
+    build = network._build_row_weights
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_build_row_weights", counted)
+    assert certify(table, gate(second, n, seed=3)).verdict == "not-certified"
+    assert built == []
+
+
+def test_f_tensor_is_one_stacked_call(monkeypatch):
+    """``check_matrix`` computes the f tensor of all 2^n states in one
+    stacked contraction."""
+    from gatecert import decomp
+
+    stacks = []
+    contract_stack = decomp._pauli_coefficients
+
+    def counted(amps, n):
+        stacks.append(amps.shape)
+        return contract_stack(amps, n)
+
+    monkeypatch.setattr(decomp, "_pauli_coefficients", counted)
+    for scheme, n in ((ALMOST_DI, 2), (DI, 3)):
+        stacks.clear()
+        check_matrix(scheme, n, gate("random", n, seed=n))
+        assert stacks == [(2**n, 2**n)]
+
+
 def test_f_coeffs_match_loop_oracle_three_qubits():
     rng = np.random.default_rng(5)
     for _ in range(6):

@@ -1,5 +1,6 @@
 """Command line behavior: files written, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -436,6 +437,50 @@ def test_bounds_stdout_is_frozen(capsys, n):
     """``gatecert bounds`` prints these bytes with eight restarts and seed 0."""
     assert main(["bounds", "--n", str(n), "--restarts", "8", "--seed", "0"]) == 0
     assert capsys.readouterr().out == BOUNDS_STDOUT[n]
+
+
+FROZEN_FLAGS = {
+    "di-n2-cnot": ["--scheme", "di", "--n", "2", "--gate", "cnot"],
+    "almost_di-n3-toffoli": ["--n", "3", "--gate", "toffoli"],
+    "di-n3-random": ["--scheme", "di", "--n", "3", "--gate", "random", "--seed", "5"],
+}
+# sha256 of the exit code and stdout (the output directory written as OUT),
+# then of report.json where the command writes one
+FROZEN_DIGESTS = {
+    "di-n2-cnot": "cc5be4dec9c832101ef493e925d7a91c41b40fe7851f202aac61cd1fe9a34086",
+    "di-n2-cnot --table": "f1148e987296cdea81403f2b13a3093f47fa79709ac0074478e91407cfa29494",
+    "almost_di-n3-toffoli": "b862120b518456e0cf30ecee9c1590e377f1d2a1fbd778a9d583e7e896303c87",
+    "almost_di-n3-toffoli --table": "0f6b8da5d98adf14a559d03125d02f2ca5bbe665f6d20c0bbaba8a862dfcf2be",
+    "di-n3-random": "a744bf16be92fbbb98511d2ea8d81a70d547685bf41d52813c6ca94575df99d6",
+    "di-n3-random --table": "8d8c5f2a462a8f68eeb459d0ae9f4dd88ebe3629c900471a7c34120f3f3b309b",
+    "decompose": "70d7583a7a56472aecb586aa5a0738ee0644a1ba5f848e866f27b04232c5dc73",
+    "explain": "2f47219c062ec29acf71f09c83779b07b1303cc06797951f6388cf99ba61fc74",
+}
+
+
+def _output_digest(argv, out) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    digest = hashlib.sha256(f"{code}\n{buf.getvalue().replace(str(out), 'OUT')}".encode())
+    if argv[0] == "certify" and "--out" in argv:
+        digest.update((out / "report.json").read_bytes())
+    return digest.hexdigest()
+
+
+def test_certify_outputs_are_frozen(tmp_path):
+    """``certify`` in realization mode and on its ``simulate`` table, the
+    ``decompose`` listing and an f-sum ``--explain`` give these bytes."""
+    got = {}
+    for name, flags in FROZEN_FLAGS.items():
+        got[name] = _output_digest(["certify", *flags, "--out", str(tmp_path)], tmp_path)
+        assert main(["simulate", *flags, "--out", str(tmp_path)]) == 0
+        table = str(tmp_path / "table.jsonl")
+        got[name + " --table"] = _output_digest(["certify", *flags, "--table", table, "--out", str(tmp_path)], tmp_path)
+    got["decompose"] = _output_digest(["decompose", "--n", "3", "--gate", "toffoli"], tmp_path)
+    explain = ["certify", "--scheme", "di", "--n", "3", "--gate", "toffoli", "--explain", "step3.fsum[000]"]
+    got["explain"] = _output_digest(explain, tmp_path)
+    assert got == FROZEN_DIGESTS
 
 
 def test_decompose_command(tmp_path, capsys):

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from gatecert.decomp import delta_set, f_coeffs
+from gatecert.decomp import delta_set, f_coeffs, f_tensor
 from gatecert.primitives import gate, ghz_bits, ghz_state
 from gatecert.tensor import Operator, StateVector
 
@@ -94,6 +94,17 @@ def test_reconstruct_roundtrip():
     coeffs = f_coeffs(d)
     rho = sum(coeffs[idx] * dense_word(idx) for idx in product(range(4), repeat=2))
     assert np.allclose(rho, np.outer(d.amplitudes, d.amplitudes.conj()), atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_f_tensor_is_the_stack_of_f_coeffs_bit_for_bit(n):
+    """One stacked contraction over l gives each state's ``f_coeffs`` bits."""
+    for u in [gate("identity", n)] + [gate("random", n, seed=seed) for seed in range(6)]:
+        got = f_tensor(u)
+        want = np.stack([f_coeffs(d) for d in delta_set(u)])
+        assert got.shape == (2**n,) + (4,) * n
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
 
 
 def test_f_coeffs_requires_qubits():

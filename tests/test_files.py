@@ -6,6 +6,8 @@ import ast
 import errno
 import io
 import json
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,7 @@ def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, capsys, name, 
 
 
 HEADER = '{"kind": "probability_table", "n": 2, "scheme": "almost_di"}\n'
+BOM = "file starts with a UTF-8 byte-order mark"
 
 
 @pytest.mark.parametrize(
@@ -103,16 +106,40 @@ HEADER = '{"kind": "probability_table", "n": 2, "scheme": "almost_di"}\n'
         (["--gate", "cz", "--table"], "table file", '{"kind": "probability_table", "n": 2\n',
          "line 1, column 37: Expecting ',' delimiter"),
         (["--gate", "cz", "--table"], "table file", HEADER, "table lacks 18 of 18 settings rows, the first is ((0, 0), 0)"),
+        (["--n", "2", "--gate"], "gate file", '\ufeff{"name": "cz"}', BOM),
+        (["--n", "2", "--gate", "cz", "--adversary"], "adversary spec", '\ufeff{"kind": "conjugate"}', BOM),
+        (["--gate", "cz", "--table"], "table file", "\ufeff" + "\n".join(table_lines()) + "\n", BOM),
     ],
     ids=["gate-json", "gate-record", "adversary", "table-json", "table-json-line5", "table-header-json",
-         "table-rows"],
+         "table-rows", "gate-bom", "adversary-bom", "table-bom"],
 )
 def test_malformed_input_file_exits_two_naming_it(tmp_path, capsys, flags, what, text, reason):
     path = tmp_path / "input.json"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(["certify", *flags, str(path)]) == 2
     assert capsys.readouterr().err == f"error: {reason} (in {what} {path})\n"
 
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+def test_table_read_through_a_fifo(tmp_path, capsys, bom):
+    """A table piped in, as by ``--table <(zcat t.jsonl.gz)``, cannot seek
+    back: it is read as the same table in a file is, and its BOM refused."""
+    data = (("\ufeff" if bom else "") + "\n".join(table_lines()) + "\n").encode("utf-8")
+    path = tmp_path / "table.jsonl"
+    path.write_bytes(data)
+    code = main(["certify", "--gate", "cz", "--table", str(path)])
+    expected = capsys.readouterr()
+    assert code == (2 if bom else 0)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    assert main(["certify", "--gate", "cz", "--table", str(fifo)]) == code
+    writer.join(timeout=10)
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (expected.out, expected.err.replace(str(path), str(fifo)))
 
 # the (module, function) calls only the file layer makes
 _FILE_CALLS = {("json", "dump"), ("json", "load"), ("os", "replace")}

@@ -330,6 +330,44 @@ def test_row_weights_refuse_labels_with_the_termwise_message(scheme, assignment,
         termwise_correlator_weights(scheme, 2, assignment, e=0, l=l)
 
 
+def _one_term():
+    return ((1.0, {"A1": SettingSymbol.S1, "A2": SettingSymbol.S2}),)
+
+
+def test_row_weights_memo_returns_one_read_only_mapping():
+    """Equal terms built from fresh dicts give the identical mapping, whose
+    arrays are read-only; a key compares types, so e=True is still refused
+    after e=1 was built."""
+    first = row_weights(_one_term(), DI, 2, e=0, r={1: 0})
+    assert row_weights(list(_one_term()), DI, 2, e=0, r={1: 0}) is first
+    assert row_weights(_one_term(), DI, 2, e=0, r={1: 1}) is not first
+    assert first and all(not w.flags.writeable for w in first.values())
+    with pytest.raises(TypeError):
+        first[next(iter(first))] = None
+    row_weights(_one_term(), DI, 2, e=1)
+    with pytest.raises(ValueError, match="lie outside the scenario"):
+        row_weights(_one_term(), DI, 2, e=True)
+
+
+def test_row_weights_refusal_is_not_memoized(monkeypatch):
+    """A refused label raises on the first call and again on the second,
+    each time from the builder."""
+    from gatecert import network
+
+    built = []
+    build = network._build_row_weights
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_build_row_weights", counted)
+    for calls in (1, 2):
+        with pytest.raises(ValueError, match="^party 'A3' out of range for n=2$"):
+            row_weights(((1.0, {"A3": SettingSymbol.S0}),), DI, 2, e=0)
+        assert len(built) == calls
+
+
 def test_expectation_rejects_zero_weight_condition():
     real = reference_realization(2, gate("identity", 2), scheme=DI)
     table = born_table(real)
@@ -885,4 +923,61 @@ def test_binary_observable_messages(name, fault, message):
         broken = replace(real, b_obs=(real.b_obs[0], (real.b_obs[1][0], bad)))
     with pytest.raises(ValueError) as err:
         validate_realization(broken)
+    assert str(err.value) == message
+
+
+def _povm_fault(elements, fault, k=2):
+    """``elements`` with element ``k`` made of the wrong dimension, skew, not
+    positive, or scaled so that the sum is not the identity."""
+    el = elements[k]
+    bad = {
+        "dims": Operator(np.eye(2 * el.dim, dtype=complex), (2 * el.dim,)),
+        "skew": Operator(el.entries + np.triu(np.ones((el.dim, el.dim)), 1), el.dims),
+        "negative": Operator(el.entries - np.eye(el.dim) / 2, el.dims),
+        "sum": Operator(el.entries * 0.5, el.dims),
+    }[fault]
+    return elements[:k] + (bad,) + elements[k + 1:]
+
+
+@pytest.mark.parametrize(
+    "part, fault, message",
+    [
+        ("joint box", "dims", "joint box element 2 has dimension 8, expected 4"),
+        ("joint box", "skew", "joint box element 2 is not Hermitian"),
+        ("joint box", "negative", "joint box element 2 is not positive (min eig -5.00e-01)"),
+        ("joint box", "sum", "joint box elements do not sum to identity"),
+        ("repeater 2", "dims", "repeater element R[2,2] has dims (8,), expected (2, 2)"),
+        ("repeater 2", "skew", "repeater 2 element 2 is not Hermitian"),
+        ("repeater 2", "negative", "repeater 2 element 2 is not positive (min eig -5.00e-01)"),
+        ("repeater 2", "sum", "repeater 2 elements do not sum to identity"),
+    ],
+)
+def test_povm_messages(part, fault, message):
+    """Each POVM fault is named as before the elements were diagonalized as
+    one stack."""
+    real = reference_realization(2, gate("cnot", 2), scheme=DI)
+    if part == "joint box":
+        broken = replace(real, l_meas=_povm_fault(real.l_meas, fault))
+    else:
+        broken = replace(real, repeaters=(real.repeaters[0], _povm_fault(real.repeaters[1], fault)))
+    with pytest.raises(ValueError) as err:
+        validate_realization(broken)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        ("negative", "skew", "joint box element 0 is not positive (min eig -5.00e-01)"),
+        ("negative", "dims", "joint box element 0 is not positive (min eig -5.00e-01)"),
+        ("skew", "negative", "joint box element 0 is not Hermitian"),
+        ("dims", "negative", "joint box element 0 has dimension 8, expected 4"),
+    ],
+)
+def test_povm_first_fault_in_element_order(first, second, message):
+    """With elements 0 and 2 bad, element 0 is named, whatever its fault."""
+    real = reference_realization(2, gate("cnot", 2), scheme=DI)
+    broken = _povm_fault(_povm_fault(real.l_meas, second), first, 0)
+    with pytest.raises(ValueError) as err:
+        validate_realization(replace(real, l_meas=broken))
     assert str(err.value) == message
