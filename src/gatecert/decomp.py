@@ -11,30 +11,22 @@ of a normalized vector satisfy sum_i f^2 = 2^(-N).  ``f_tensor`` computes
 the whole f tensor of a gate, all 2^N states at once, as one chain of
 contractions over a leading l axis; ``f_coeffs`` is the one-state case of
 the same chain.  The deltas stay one matrix-vector product each, with the
-GHZ basis built once per N, as one product with the whole basis would round
-differently.  The f tensor is the weights the check matrix of
+columns of ``primitives.ghz_basis``, as one product with the whole basis
+would round differently.  The f tensor is the weights the check matrix of
 :mod:`gatecert.certify` puts on the tomographic (f-sum) rows, contracted
 with each party's setting matrix.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .primitives import ghz_bits, ghz_state, pauli
+from .primitives import ghz_basis, pauli
 from .tensor import Operator, StateVector
 
 IMAG_TOL = 1e-12
 # q[i, (a b)] = S_i[a, b]: the Pauli matrices in legend order, each flattened
 _PAULI_Q = np.stack([pauli(i).entries for i in range(4)]).reshape(4, 4)
-
-
-@lru_cache(maxsize=None)
-def _ghz_basis(n: int) -> tuple[np.ndarray, ...]:
-    """The read-only amplitudes of |phi_l> for l = 0 .. 2^N - 1."""
-    return tuple(ghz_state(ghz_bits(l, n)).amplitudes for l in range(2**n))
 
 
 def _deltas(u: Operator) -> list[np.ndarray]:
@@ -43,7 +35,7 @@ def _deltas(u: Operator) -> list[np.ndarray]:
     if u.dims != (2,) * n:
         raise ValueError(f"gate must act on qubits, got site dims {u.dims}")
     udag = u.entries.conj().T
-    return [udag @ phi for phi in _ghz_basis(n)]
+    return [udag @ phi for phi in ghz_basis(n).T]
 
 
 def delta_set(u: Operator) -> list[StateVector]:

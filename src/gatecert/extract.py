@@ -16,7 +16,11 @@ its first axis: for a qubit state s, B = (<s| (x) 1) W is a (dj, D) matrix
 and the pull-back W^dagger (|s><s| (x) 1) W is B^dagger B, so no operator
 lifted by the junk identity, of size (2^N dj)^2, is ever formed.  The GHZ
 blocks of W Vbar^dagger W^dagger, which hold (2^N dj)^2 entries, are walked
-a few rows at a time with W^dagger applied site by site.
+in passes of rows with W^dagger applied site by site, and the per-outcome
+pull-backs in passes of outcomes; one entry budget, ``PASS_ENTRIES``,
+bounds the largest array of every pass, so the stacks stay in cache and
+memory stays at one pass whatever N and the site dimensions are.  Frames
+are built and vetted one collection at a time, as stacks over its sites.
 
 Branch convention: a realization built with V = conj(U) ("plus") steers the
 joint box toward the complex-conjugated images of the rotated basis states,
@@ -28,53 +32,64 @@ no consistent target and is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
 from .decomp import delta_set
 from .network import ALMOST_DI, DI, Realization, validate_realization
 from .primitives import ghz_basis
-from .tensor import Operator, StateVector, polar_unitary
+from .tensor import Operator, StateVector, polar_factor, polar_unitary
 
 OP_TOL = 1e-8
 SUPPORT_TOL = 1e-10
+# Complex entries of the largest array one stacked pass holds: a pass over
+# the GHZ blocks takes as many rows of C_i Vbar^dagger as fit, a pass over
+# the outcomes as many outcomes (always at least one).  At almost_di n=3
+# without junk (D = 8) one pass holds every outcome and every row; with
+# junk of dimension 2 (D = 64) a pass holds 4 outcomes or 32 rows.  2^14
+# entries (256 KiB): passes of 2^13 to 2^16 entries run about equally
+# fast, while 2^18 slows the D = 64 residuals and blocks by 40-50%.
+PASS_ENTRIES = 2**14
 
 
-def regularize(a0: Operator, a1: Operator, tilde: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Frame pair (z-like, x-like) from a site's two observables.
+def regularize(a0: Operator | np.ndarray, a1: Operator | np.ndarray, tilde: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Frame pair (z-like, x-like) from a site's two observables, given as
+    Operators or as the entries of a stack of sites, (..., d, d).
 
     With ``tilde`` the observables enter through their rotated combinations
     (a0 -+ a1)/sqrt(2), made into exact involutions by taking the unitary
     part of the polar decomposition; otherwise they are used as they are.
     """
+    a0, a1 = (a.entries if isinstance(a, Operator) else a for a in (a0, a1))
     if not tilde:
-        return a0.entries.copy(), a1.entries.copy()
-    z = polar_unitary(Operator((a0.entries - a1.entries) / np.sqrt(2), a0.dims))
-    x = polar_unitary(Operator((a0.entries + a1.entries) / np.sqrt(2), a0.dims))
-    return z.entries, x.entries
+        return a0.copy(), a1.copy()
+    pair = polar_factor(np.stack([a0 - a1, a0 + a1]) / np.sqrt(2))
+    return pair[0], pair[1]
 
 
-def mirror_frame(z: np.ndarray, x: np.ndarray, source: StateVector, framed_wing: int) -> tuple[np.ndarray, np.ndarray]:
+def mirror_frame(
+    z: np.ndarray, x: np.ndarray, source: StateVector | np.ndarray, framed_wing: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Frame on the opposite wing of a bipartite source.
 
     For a frame operator O on wing ``framed_wing``, the partner operator is
     the unitary part of Tr_framed[(O (x) 1) |psi><psi|]; on a maximally
     entangled source this is the transpose of O carried to the other wing.
+    For a stack of frames (..., d, d), ``source`` is the stack of the
+    sources' amplitude matrices, (..., d0, d1).
     """
-    d0, d1 = source.dims
-    psi = source.amplitudes.reshape(d0, d1)
-    out = []
-    for op in (z, x):
-        if framed_wing == 0:
-            # m[b,d] = sum_{a,a'} op[a,a'] psi[a',b] conj(psi)[a,d]
-            m = np.einsum("aA,Ab,ad->bd", op, psi, psi.conj())
-        else:
-            # m[a,c] = sum_{b,b'} op[b,b'] psi[a,b'] conj(psi)[c,b]
-            m = np.einsum("bB,aB,cb->ac", op, psi, psi.conj())
-        # m is Hermitian because op acts on the traced wing only
-        out.append(polar_unitary(Operator((m + m.conj().T) / 2, (m.shape[0],))).entries)
-    return out[0], out[1]
+    psi = source.amplitudes.reshape(source.dims) if isinstance(source, StateVector) else source
+    ops, psi = np.stack([z, x], axis=-3), psi[..., None, :, :]
+    if framed_wing == 0:
+        # m[b,d] = sum_{a,a'} op[a,a'] psi[a',b] conj(psi)[a,d]
+        m = np.einsum("...aA,...Ab,...ad->...bd", ops, psi, psi.conj())
+    else:
+        # m[a,c] = sum_{b,b'} op[b,b'] psi[a,b'] conj(psi)[c,b]
+        m = np.einsum("...bB,...aB,...cb->...ac", ops, psi, psi.conj())
+    # m is Hermitian because op acts on the traced wing only
+    pair = polar_factor((m + np.swapaxes(m, -1, -2).conj()) / 2)
+    return pair[..., 0, :, :], pair[..., 1, :, :]
 
 
 def swap_isometry(z: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -110,9 +125,19 @@ def grouped_isometry(ks: list[np.ndarray]) -> np.ndarray:
 
 
 def support_projector(rho: np.ndarray) -> np.ndarray:
+    """Projector onto the support of each density matrix of ``rho``,
+    (..., d, d): the span of the eigenvectors whose eigenvalues exceed
+    ``SUPPORT_TOL``.  One eigendecomposition of the stack; the projectors
+    are formed rank by rank from the leading eigenvectors, so each equals
+    the one its matrix gives alone."""
     vals, vecs = np.linalg.eigh(rho)
-    keep = vecs[:, vals > SUPPORT_TOL]
-    return keep @ keep.conj().T
+    ranks = np.count_nonzero(vals > SUPPORT_TOL, axis=-1)
+    out = np.empty_like(vecs)
+    for rank in set(ranks.ravel().tolist()):
+        # eigh sorts the eigenvalues in ascending order: the kept ones come last
+        keep = vecs[ranks == rank][..., vecs.shape[-1] - rank :]
+        out[ranks == rank] = keep @ np.swapaxes(keep, -1, -2).conj()
+    return out
 
 
 @dataclass(frozen=True)
@@ -165,43 +190,91 @@ def extract_all(real: Realization, op_tol: float = OP_TOL) -> LocalFrames:
 
     Party 1 and, in the di scheme, the boxes of subnets >= 2 use rotated
     combinations; all partner wings are mirrored through their sources.
-    Raises ValueError when a frame fails the involution or anticommutation
-    conditions on its local support.
+    Each collection (A, L, R1, R2, in this order) is built and vetted as
+    stacks.  Raises ValueError for the first site, in site order, whose
+    frame fails the Hermitian, involution or anticommutation conditions on
+    its local support, naming the first failing condition in that order.
     """
     validate_realization(real)
     n, lay, states = real.n, real.layout(), _site_states(real)
     subnets = range(1, n + 1)
 
-    def frame(label: str, site: int, pair: tuple[np.ndarray, np.ndarray]) -> SiteFrame:
-        (z, x), support = pair, support_projector(states[site])
-        eye = np.eye(z.shape[0])
-        for name, op in (("z", z), ("x", x)):
-            if np.max(np.abs(op - op.conj().T)) > op_tol:
-                raise ValueError(f"site {label}: {name} frame operator is not Hermitian")
-            if np.max(np.abs(op @ op - eye)) > op_tol:
-                raise ValueError(f"site {label}: {name} frame operator is not an involution")
-        worst = float(np.max(np.abs(support @ (z @ x + x @ z) @ support)))
-        if worst > op_tol:
+    def vetted(name: str, site, pairs: list[tuple]) -> tuple[SiteFrame, ...]:
+        return _vetted([name.format(i) for i in subnets], pairs, [states[site(i)] for i in subnets], op_tol)
+
+    def own(name: str, site, observables, rotated: set[int]) -> tuple[SiteFrame, ...]:
+        pairs = [(obs[0].entries, obs[1].entries) for obs in observables]
+        turned = [i - 1 for i in subnets if i in rotated]
+        a0s, a1s = [pairs[k][0] for k in turned], [pairs[k][1] for k in turned]
+        for k, pair in zip(turned, _stacked(partial(regularize, tilde=True), a0s, a1s)):
+            pairs[k] = pair
+        return vetted(name, site, pairs)
+
+    def mirrored(name: str, site, partners: tuple[SiteFrame, ...], sources, framed_wing: int) -> tuple[SiteFrame, ...]:
+        psis = [src.amplitudes.reshape(src.dims) for src in sources]
+        zs, xs = [f.z for f in partners], [f.x for f in partners]
+        pairs = _stacked(partial(mirror_frame, framed_wing=framed_wing), zs, xs, psis)
+        return vetted(name, site, pairs)
+
+    # sources 1..N pair A_i with L_i (almost_di) or R_{i,1} (di); sources N+1..2N pair R_{i,2} with L_i
+    first, second = real.sources[:n], real.sources[n:]
+    a = own("A{}", lay.a_site, real.a_obs, {1})
+    if real.scheme == ALMOST_DI:
+        return LocalFrames(ALMOST_DI, n, a, mirrored("L{}", lay.l_site, a, first, 0))
+    l = own("L{}", lay.l_site, real.b_obs, set(subnets) - {1})
+    r1 = mirrored("R{},1", lay.r1_site, a, first, 0)
+    r2 = mirrored("R{},2", lay.r2_site, l, second, 1)
+    return LocalFrames(DI, n, a, l, r1, r2)
+
+
+def _stacked(fn, *per_site: list) -> list[tuple]:
+    """``fn`` on the per-site arrays of ``per_site`` (lists in site order)
+    stacked, one call per combination of shapes, so one call when the sites
+    share their dimensions; returns fn's outputs per site, in site order."""
+    groups: dict[tuple, list[int]] = {}
+    for k, arrays in enumerate(zip(*per_site)):
+        groups.setdefault(tuple(a.shape for a in arrays), []).append(k)
+    out: list = [None] * len(per_site[0])
+    for idx in groups.values():
+        stacks = fn(*(np.stack([arrays[k] for k in idx]) for arrays in per_site))
+        for j, k in enumerate(idx):
+            out[k] = tuple(stack[j] for stack in stacks)
+    return out
+
+
+def _vetted(labels: list[str], pairs: list[tuple], states: list[np.ndarray], op_tol: float) -> tuple[SiteFrame, ...]:
+    """The frames of one collection, vetted as stacks: raises for the first
+    site, in order, that fails a condition, naming the first it fails of z
+    Hermitian, z an involution, x Hermitian, x an involution, and z and x
+    anticommuting on the site's support."""
+    checked = _stacked(_frame_deviations, [z for z, _ in pairs], [x for _, x in pairs], states)
+    for label, (*_, devs) in zip(labels, checked):
+        fault = next((c for c, dev in enumerate(devs.tolist()) if dev > op_tol), None)
+        if fault == 4:
             raise ValueError(
                 f"site {label}: frame operators do not anticommute on the local support "
-                f"(deviation {worst:.2e}); the realization does not meet the extraction conditions"
+                f"(deviation {devs[4]:.2e}); the realization does not meet the extraction conditions"
             )
-        return SiteFrame(label, z, x, support)
+        if fault is not None:
+            name, condition = "zx"[fault // 2], ("Hermitian", "an involution")[fault % 2]
+            raise ValueError(f"site {label}: {name} frame operator is not {condition}")
+    return tuple(SiteFrame(label, z, x, support) for label, (z, x, support, _) in zip(labels, checked))
 
-    owner = {s: (k, wing) for k, pair in enumerate(lay.source_sites()) for wing, s in enumerate(pair)}
 
-    def mirrored(label: str, site: int, partner: SiteFrame) -> SiteFrame:
-        k, wing = owner[site]
-        return frame(label, site, mirror_frame(partner.z, partner.x, real.sources[k], 1 - wing))
+def _frame_deviations(z: np.ndarray, x: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For a stack of frames and site states: the frames, the supports and
+    each site's worst entrywise deviations from the conditions in
+    ``_vetted``'s order."""
+    support, eye = support_projector(rho), np.eye(z.shape[-1])
 
-    a = tuple(frame(f"A{i}", lay.a_site(i), regularize(*real.a_obs[i - 1][:2], tilde=(i == 1))) for i in subnets)
-    if real.scheme == ALMOST_DI:
-        l = tuple(mirrored(f"L{i}", lay.l_site(i), a[i - 1]) for i in subnets)
-        return LocalFrames(ALMOST_DI, n, a, l)
-    l = tuple(frame(f"L{i}", lay.l_site(i), regularize(*real.b_obs[i - 1], tilde=(i != 1))) for i in subnets)
-    r1 = tuple(mirrored(f"R{i},1", lay.r1_site(i), a[i - 1]) for i in subnets)
-    r2 = tuple(mirrored(f"R{i},2", lay.r2_site(i), l[i - 1]) for i in subnets)
-    return LocalFrames(DI, n, a, l, r1, r2)
+    def worst(m: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(m), axis=(-2, -1), initial=0.0)
+
+    devs = []
+    for op in (z, x):
+        devs += [worst(op - np.swapaxes(op, -1, -2).conj()), worst(op @ op - eye)]
+    devs.append(worst(support @ (z @ x + x @ z) @ support))
+    return z, x, support, np.stack(devs, axis=-1)
 
 
 def branch_of(real: Realization, frames: LocalFrames) -> str:
@@ -232,22 +305,54 @@ def _targets(u: Operator, branch: str) -> list[np.ndarray]:
 
 
 def _box_elements(real: Realization) -> list[np.ndarray]:
+    """The effective box elements V^dagger E_l V, one per outcome l, formed
+    as stacks of as many outcomes as ``PASS_ENTRIES`` allows."""
     raw = [m.entries for m in real.l_meas] if real.scheme == ALMOST_DI else teleported_elements(real)
     v = real.eve.entries
-    return [v.conj().T @ el @ v for el in raw]
+    step = max(1, PASS_ENTRIES // v.size)
+    return [el for start in range(0, len(raw), step) for el in v.conj().T @ np.stack(raw[start : start + step]) @ v]
 
 
-def teleported_elements(real: Realization) -> list[np.ndarray]:
+def teleported_elements(real: Realization) -> np.ndarray:
     """Joint-box elements carried onto the R_{*,1} collective (before Eve's
     operation) by projecting every repeater on outcome 0, rescaled by the
-    largest eigenvalue across outcomes."""
+    largest eigenvalue across outcomes: the stack (2^N, d, d) of the
+    partial sandwiches E_l = <chi| ((x)_i R_{i,0}) (x) M_l |chi> over the
+    L-side sources chi, every outcome l in one contraction, which leaves
+    both R1 legs open."""
     if real.scheme != DI:
         raise ValueError("teleported elements exist only in the di scheme")
-    elements = [_teleported_element(real, l) for l in range(2**real.n)]
-    scale = max(float(np.linalg.eigvalsh(el)[-1]) for el in elements)
+    n, r1_dims, r2_dims, l_dims = real.n, real.r1_dims(), real.r2_dims(), real.l_dims()
+    # subscripts of leg i: R1 out i and in n + i (a), R2 2n + i and 3n + i (b), L 4n + i and 5n + i (c); 6n is l
+    a_out, a_in, b_out, b_in, c_out, c_in = (list(range(k * n, (k + 1) * n)) for k in range(6))
+    operands: list = []
+    for i in range(n):
+        el = real.repeaters[i][0].entries.reshape(r1_dims[i], r2_dims[i], r1_dims[i], r2_dims[i])
+        chi = real.sources[n + i].amplitudes.reshape(r2_dims[i], l_dims[i])
+        operands += [el, [a_out[i], b_out[i], a_in[i], b_in[i]]]
+        operands += [chi.conj(), [b_out[i], c_out[i]], chi, [b_in[i], c_in[i]]]
+    meas = np.stack([m.entries for m in real.l_meas]).reshape((2**n,) + tuple(l_dims) * 2)
+    operands += [meas, [6 * n] + c_out + c_in, [6 * n] + a_out + a_in]
+    d1 = int(np.prod(r1_dims))
+    elements = np.einsum(*operands, optimize=_path(operands)).reshape(2**n, d1, d1)
+    scale = float(np.max(np.linalg.eigvalsh(elements)[:, -1]))
     if scale <= SUPPORT_TOL:
         raise ValueError("teleported box elements vanish; repeater outcome 0 has no weight")
-    return [el / scale for el in elements]
+    return elements / scale
+
+
+@lru_cache(maxsize=None)
+def _shape_path(subscripts: tuple, shapes: tuple) -> list:
+    operands = [x for sub, shape in zip(subscripts, shapes) for x in (np.broadcast_to(0j, shape), list(sub))]
+    return np.einsum_path(*operands, list(subscripts[-1]), optimize="greedy")[0]
+
+
+def _path(operands: list) -> list:
+    """numpy's greedy contraction path for the interleaved einsum
+    ``operands`` (arrays and subscript lists, then the output's), searched
+    once per subscripts and shapes."""
+    subscripts = tuple(tuple(sub) for sub in operands[1::2]) + (tuple(operands[-1]),)
+    return _shape_path(subscripts, tuple(op.shape for op in operands[:-1:2]))
 
 
 def _collective_state(real: Realization) -> np.ndarray:
@@ -255,33 +360,6 @@ def _collective_state(real: Realization) -> np.ndarray:
     of the first N sources (L sites for almost_di, R_{*,1} sites for di)."""
     states = _site_states(real)
     return reduce(np.kron, [states[s] for s in real.layout().v_sites()], np.array([[1.0 + 0j]]))
-
-
-def _teleported_element(real: Realization, l: int) -> np.ndarray:
-    """Partial sandwich E_l = <chi| ((x)_i R_{i,0}) (x) M_l |chi> over the
-    L-side sources chi, leaving both R1 legs open (an operator on the R1
-    collective, before Eve's operation)."""
-    n = real.n
-    r1_dims = real.r1_dims()
-    r2_dims = real.r2_dims()
-    l_dims = real.l_dims()
-    # subscripts of leg i: R1 out i and in n + i (a), R2 2n + i and 3n + i (b), L 4n + i and 5n + i (c)
-    a_out, a_in, b_out, b_in, c_out, c_in = (list(range(k * n, (k + 1) * n)) for k in range(6))
-    operands: list = []
-    for i in range(n):
-        el = real.repeaters[i][0].entries
-        operands += [el.reshape(r1_dims[i], r2_dims[i], r1_dims[i], r2_dims[i]), [a_out[i], b_out[i], a_in[i], b_in[i]]]
-    operands += [real.l_meas[l].entries.reshape(tuple(l_dims) + tuple(l_dims)), c_out + c_in]
-    chi_full = None
-    for i in range(n):
-        m = real.sources[n + i].amplitudes.reshape(r2_dims[i], l_dims[i])
-        chi_full = m if chi_full is None else np.tensordot(chi_full, m, axes=0)
-    # chi_full legs: (b_1, c_1, b_2, c_2, ...)
-    operands += [chi_full.conj(), [k for i in range(n) for k in (b_out[i], c_out[i])]]
-    operands += [chi_full, [k for i in range(n) for k in (b_in[i], c_in[i])]]
-    out = np.einsum(*operands, a_out + a_in, optimize=True)
-    d1 = int(np.prod(r1_dims))
-    return out.reshape(d1, d1)
 
 
 class Extraction:
@@ -294,9 +372,9 @@ class Extraction:
     restricted to that support, the rows C_i = (<phi_i| (x) 1) W of the
     ideal basis, C_i Vbar^dagger and the junk floor.  W is not kept: a
     target's row (<target_l| (x) 1) W is a combination of the C_i.  Target
-    pull-backs, box elements and GHZ blocks are formed one outcome, or a few
-    rows, at a time and not kept.  ``u`` may be None when only the
-    extracted gate is wanted.
+    pull-backs and GHZ blocks are formed as stacks in passes of at most
+    about ``PASS_ENTRIES`` entries and not kept.  ``u`` may be None when
+    only the extracted gate is wanted.
     """
 
     def __init__(self, real: Realization, u: Operator | None, op_tol: float = OP_TOL):
@@ -342,18 +420,23 @@ class Extraction:
 
     @cached_property
     def _residuals(self) -> tuple[np.ndarray, float]:
-        """The measurement distances and the unitary certificate, in one pass
-        over the outcomes l.  Each pass forms the pull-back
-        W^dagger (|target_l><target_l| (x) 1) W as B_l^dagger B_l, with
-        B_l = (<target_l| (x) 1) W = sum_i conj(coeffs[i, l]) C_i, uses it
-        for both residuals and drops it."""
+        """The measurement distances and the unitary certificate, in passes
+        over the outcomes l, as many per pass as ``PASS_ENTRIES`` allows.
+        A pass stacks the pull-backs W^dagger (|target_l><target_l| (x) 1) W
+        as B_l^dagger B_l, with B_l = (<target_l| (x) 1) W = sum_i
+        conj(coeffs[i, l]) C_i, uses them for both residuals and drops them."""
+        elements, rows = _box_elements(self.real), self.basis_rows
+        flat = rows.reshape(len(rows), -1)
+        step = max(1, PASS_ENTRIES // rows[0].size)
         dists, worst = [], 0.0
-        for el, c, coeffs in zip(_box_elements(self.real), self.basis_rows, self.coeffs.T):
-            b = np.tensordot(coeffs.conj(), self.basis_rows, axes=(0, 0))
-            g = self._on_support(b.conj().T @ b)
-            dists.append(float(np.max(np.abs(self._on_support(el) - g))))
-            cv = c @ self.vbar
-            worst = max(worst, float(np.max(np.abs(cv.conj().T @ cv - g))))
+        for start in range(0, len(elements), step):
+            ls = slice(start, start + step)
+            # one vector-matrix product per outcome, as each B_l is formed alone
+            b = (self.coeffs[:, ls].T.conj()[:, None, :] @ flat).reshape((-1,) + rows.shape[1:])
+            g = self._on_support(_adjoint(b) @ b)
+            dists += np.max(np.abs(self._on_support(np.stack(elements[ls])) - g), axis=(1, 2)).tolist()
+            cv = rows[ls] @ self.vbar
+            worst = max(worst, float(np.max(np.abs(_adjoint(cv) @ cv - g))))
         return np.array(dists), worst
 
     @cached_property
@@ -387,16 +470,17 @@ class Extraction:
         junk-sized blocks indexed by ideal basis states, block (i, l) of a
         faithful realization equals <phi_i|target_l> times one fixed
         positive junk operator (x)_j K_{j,0} K_{j,0}^dagger."""
-        basis, q = ghz_basis(self.real.n), self.junk_floor
+        basis, q, coeffs = ghz_basis(self.real.n), self.junk_floor, self.coeffs
         ks = [f.isometry() for f in getattr(self.frames, self.collection)]
-        step = -(-q.shape[0] // 2**self.real.n)  # rows per pass: about one dj x dj block's worth of entries
+        dj, rows = q.shape[0], self.adjoint_rows.reshape(-1, self.adjoint_rows.shape[-1])
+        step = max(1, PASS_ENTRIES // (2**self.real.n * dj))  # rows per pass, each a 2^N x dj slice of blocks
         worst = 0.0
-        for r, row_coeffs in zip(self.adjoint_rows, self.coeffs):
-            for a in range(0, q.shape[0], step):
-                # blocks[:, l] = rows a.. of C_i Vbar^dagger C_l^dagger
-                blocks = basis.T @ _times_w_adjoint(r[a : a + step], ks)
-                blocks -= row_coeffs[:, None] * q[a : a + step, None, :]
-                worst = max(worst, float(np.max(np.abs(blocks))))
+        for start in range(0, rows.shape[0], step):
+            # row (i, a) is row a of C_i Vbar^dagger; blocks[:, l] = those rows of C_i Vbar^dagger C_l^dagger
+            i, a = np.divmod(np.arange(start, min(start + step, rows.shape[0])), dj)
+            blocks = basis.T @ _times_w_adjoint(rows[start : start + step], ks)
+            blocks -= coeffs[i][:, :, None] * q[a][:, None, :]
+            worst = max(worst, float(np.max(np.abs(blocks))))
         return worst
 
     def gate(self) -> np.ndarray:
@@ -410,7 +494,7 @@ class Extraction:
         n = self.real.n
         basis = ghz_basis(n)
         qn = float(np.real(np.trace(self.junk_floor)))
-        m = np.einsum("iad,lad->il", self.adjoint_rows, self.basis_rows.conj(), optimize=True) / qn
+        m = np.tensordot(self.adjoint_rows, self.basis_rows.conj(), axes=([1, 2], [1, 2])) / qn
         # m[i, l] = <phi_i| target_l>: columns are the rotated basis images
         images = basis @ m  # column l = target_l in the computational basis
         # target_l = W_branch(U)^dagger phi_l with W_plus = conj, W_minus = id
@@ -428,6 +512,10 @@ class Extraction:
         extracted gate G and the target."""
         overlap = abs(np.trace(self.gate().conj().T @ self.u.entries) / 2**self.real.n) ** 2
         return float(overlap)
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2).conj()
 
 
 def _times_w_adjoint(r: np.ndarray, ks: list[np.ndarray]) -> np.ndarray:

@@ -98,11 +98,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import product
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .primitives import EXPANSION, SettingSymbol, ghz_bits, ghz_state, json_object, phi_plus, read_file
+from .primitives import EXPANSION, SettingSymbol, ghz_basis, ghz_bits, json_object, phi_plus, read_file
 from .primitives import ref_b_observable, ref_observable, write_file
 from .tensor import IDENTITY_TOL, Operator, StateVector, apply_raw_batch, kron, permute_sites
 
@@ -408,9 +408,7 @@ def reference_realization(n: int, u: Operator, branch: int = +1, scheme: str = A
     a_obs = tuple(
         tuple(ref_observable(i, x, branch) for x in range(3)) for i in range(1, n + 1)
     )
-    l_meas = tuple(
-        _projector(ghz_state(ghz_bits(l, n))) for l in range(2**n)
-    )
+    l_meas = tuple(_projector(phi, (2,) * n) for phi in ghz_basis(n).T)
     v = Operator(u.entries.conj() if branch == +1 else u.entries, (2,) * n)
     if scheme == ALMOST_DI:
         sources = tuple(phi_plus() for _ in range(n))
@@ -421,13 +419,13 @@ def reference_realization(n: int, u: Operator, branch: int = +1, scheme: str = A
     b_obs = tuple(
         tuple(ref_b_observable(i, y) for y in range(2)) for i in range(1, n + 1)
     )
-    bell = tuple(_projector(ghz_state(ghz_bits(r, 2))) for r in range(4))
+    bell = tuple(_projector(phi, (2, 2)) for phi in ghz_basis(2).T)
     repeaters = tuple(bell for _ in range(n))
     return Realization(DI, n, sources, a_obs, l_meas, v, branch, b_obs, repeaters)
 
 
-def _projector(state: StateVector) -> Operator:
-    return Operator(np.outer(state.amplitudes, state.amplitudes.conj()), state.dims)
+def _projector(amplitudes: np.ndarray, dims: tuple[int, ...]) -> Operator:
+    return Operator(np.outer(amplitudes, amplitudes.conj()), dims)
 
 
 def check_size(size: int, what: str) -> None:
@@ -603,11 +601,16 @@ class ProbabilityTable:
         return self.entries.keys()
 
     def array(self, key: tuple) -> np.ndarray:
-        nk = self._norm_key(key)
+        return self.rows((self._norm_key(key),))[0]
+
+    def rows(self, keys: Iterable[tuple]) -> list[np.ndarray]:
+        """The arrays of settings keys already in the normalized form
+        ``ScenarioSpec.row`` builds, read without validating the keys
+        again; a missing row raises ValueError naming it."""
         try:
-            return self.entries[nk]
-        except KeyError:
-            raise ValueError(f"settings row {nk} is missing from the table") from None
+            return [self.entries[key] for key in keys]
+        except KeyError as err:
+            raise ValueError(f"settings row {err.args[0]} is missing from the table") from None
 
     def signed_sum(self, key: tuple, l: int | None = None, r: Mapping[int, int] | None = None) -> float:
         """Sum of the row's probabilities restricted to a fixed joint
@@ -740,17 +743,28 @@ def coefficients(terms, scen: ScenarioSpec | None) -> tuple[list[str], np.ndarra
     return labels, w, support
 
 
-def contract(w: np.ndarray, matrices: Sequence[np.ndarray], *, optimize: bool) -> np.ndarray:
+def contract(w: np.ndarray, matrices: Sequence[np.ndarray], *, optimize: bool | list) -> np.ndarray:
     """``sum_i W[..., i] prod_p M_p[i_p, x_p, a_p]`` over (..., x_1..x_m,
     a_1..a_m), W's leading axes kept.  ``optimize`` (pairwise contraction)
     pays on a gate's f tensor; on a functional's few slots its path search
-    costs several times the contraction."""
+    costs several times the contraction.  A path from ``contract_path``
+    gives the contraction ``optimize=True`` does, without the search."""
+    return np.einsum(*_contract_operands(w, matrices), optimize=optimize)
+
+
+def contract_path(shape: tuple[int, ...], matrices: Sequence[np.ndarray]) -> list:
+    """The pairwise path ``contract(w, matrices, optimize=True)`` searches
+    for a ``w`` of ``shape``, to pass as its ``optimize``."""
+    return np.einsum_path(*_contract_operands(np.broadcast_to(0.0, shape), matrices), optimize="greedy")[0]
+
+
+def _contract_operands(w: np.ndarray, matrices: Sequence[np.ndarray]) -> list:
     lead, m = w.ndim - len(matrices), len(matrices)
     # subscripts: leading axes first, then slot i_p = lead + p, setting x_p = w.ndim + p, outcome a_p = w.ndim + m + p
     operands: list = [w, list(range(w.ndim))]
     for p, mat in enumerate(matrices):
         operands += [mat, [lead + p, w.ndim + p, w.ndim + m + p]]
-    return np.einsum(*operands, [*range(lead), *range(w.ndim, w.ndim + 2 * m)], optimize=optimize)
+    return operands + [[*range(lead), *range(w.ndim, w.ndim + 2 * m)]]
 
 
 def nonzero_slots(t: np.ndarray) -> list[np.ndarray]:
@@ -893,7 +907,7 @@ def terms_value(table: ProbabilityTable, terms, *, e: int, l, r, renormalize: bo
     ``weighted_sum`` over their ``row_weights``, conditioned on the event
     (``l``, ``r``) with ``renormalize``."""
     weights = row_weights(terms, table.scheme, table.n, e=e, l=l, r=r)
-    rows = {key: table.array(key) for key in weights}
+    rows = dict(zip(weights, table.rows(weights)))
     event = event_label(table.n, l=l, r=r) if renormalize else None
     return weighted_sum(rows, event_index(table.scheme, table.n, l=l, r=r), weights, event)
 

@@ -23,6 +23,7 @@ import json
 import operator
 import os
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -99,9 +100,13 @@ def ghz_state(bits: Sequence[int]) -> StateVector:
     return StateVector(v / SQ2, (2,) * n)
 
 
+@lru_cache(maxsize=None)
 def ghz_basis(n: int) -> np.ndarray:
-    """Matrix whose columns are |phi_l> for l = 0 .. 2^n - 1."""
-    return np.column_stack([ghz_state(ghz_bits(l, n)).amplitudes for l in range(2**n)])
+    """Matrix whose columns are |phi_l> for l = 0 .. 2^n - 1, built once
+    per n and shared: the array is read-only."""
+    basis = np.column_stack([ghz_state(ghz_bits(l, n)).amplitudes for l in range(2**n)])
+    basis.setflags(write=False)
+    return basis
 
 
 def phi_plus() -> StateVector:

@@ -118,20 +118,25 @@ def polar_unitary(op: Operator) -> Operator:
 
 def polar_factor(m: np.ndarray) -> np.ndarray:
     """Unitary factor of the polar decomposition of each square matrix of
-    the ``(..., d, d)`` array ``m``.
+    the ``(..., d, d)`` array ``m``, each resolved as it would be alone.
 
-    When every matrix is Hermitian they are resolved by eigendecomposition;
-    eigendirections with magnitude below ``DEFAULT_ZERO_TOL`` are sent to +1
-    so the result is total.  Otherwise every matrix goes through the SVD.
-    An empty stack gives an empty stack.
+    A Hermitian matrix is resolved by eigendecomposition; eigendirections
+    with magnitude below ``DEFAULT_ZERO_TOL`` are sent to +1 so the result
+    is total.  Any other matrix goes through the SVD.  Each kind is one
+    stacked call.  An empty stack gives an empty stack.
     """
     mh = np.swapaxes(m, -1, -2).conj()
-    if np.max(np.abs(m - mh), initial=0.0) <= IDENTITY_TOL:
+    hermitian = np.max(np.abs(m - mh), axis=(-2, -1), initial=0.0) <= IDENTITY_TOL
+    if np.all(hermitian):
         vals, vecs = np.linalg.eigh((m + mh) / 2)
         signs = np.where(np.abs(vals) < DEFAULT_ZERO_TOL, 1.0, np.sign(vals))
         return (vecs * signs[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
+    if not np.any(hermitian):
+        u, _, vh = np.linalg.svd(m)
+        return u @ vh
+    out = np.empty(m.shape, dtype=np.result_type(m, 1.0))
+    out[hermitian], out[~hermitian] = polar_factor(m[hermitian]), polar_factor(m[~hermitian])
+    return out
 
 
 # --- raw ndarray plumbing used by the simulator ---------------------------

@@ -10,7 +10,7 @@ from strategies import hidden_side_pairs
 
 from gatecert.adversary import conjugate, dilate, perturb
 from gatecert.certify import CertificationReport, CheckRow, certify
-from gatecert.network import ALMOST_DI, DI, ProbabilityTable, born_table, reference_realization
+from gatecert.network import ALMOST_DI, DI, ProbabilityTable, ScenarioSpec, born_table, reference_realization
 from gatecert.primitives import gate, write_json
 from gatecert.tensor import Operator
 
@@ -137,6 +137,28 @@ def test_corrupted_entry_fails_named_row():
     assert report.verdict == "not-certified"
     failing = {c.id for c in report.failed()}
     assert "step1.rate[00]" in failing
+
+
+@pytest.mark.parametrize("key", [((0, 0), 0), ((2, 2), 1)])
+def test_missing_row_is_named_without_revalidating_keys(monkeypatch, key):
+    """A row the checks read and the table lacks raises the error
+    ``ProbabilityTable.array`` gives for it; the rows are read by the keys
+    the check weights hold, with no second call to ``ScenarioSpec.row``."""
+    u = gate("cz", 2)
+    table = reference_table(2, u)
+    certify(table, u)  # builds the memoized checks
+    lacking = ProbabilityTable(ALMOST_DI, 2, {k: v for k, v in table.entries.items() if k != key})
+    message = f"settings row {key} is missing from the table"
+    with pytest.raises(ValueError, match=r"^settings row ") as err:
+        lacking.array(key)
+    assert str(err.value) == message
+    calls = []
+    row = ScenarioSpec.row
+    monkeypatch.setattr(ScenarioSpec, "row", lambda self, *args: calls.append(args) or row(self, *args))
+    with pytest.raises(ValueError) as err:
+        certify(lacking, u)
+    assert str(err.value) == message
+    assert calls == []
 
 
 def test_mixed_branch_detected_from_table():

@@ -96,6 +96,20 @@ def test_fsum_weights_equal_single_einsum_bit_for_bit(scheme, n):
                 assert w.tobytes() == want[l][key[0]].tobytes(), (check.id, key)
 
 
+@pytest.mark.parametrize("scheme, n", [(ALMOST_DI, 2), (ALMOST_DI, 3), (DI, 3)])
+def test_fsum_frame_keeps_the_searched_path(scheme, n):
+    """The f-sum frame holds the pairwise path ``optimize=True`` searches
+    for on a gate's f tensor, so each gate's contraction skips the search
+    and runs the same steps."""
+    from gatecert.certify import _fsum_frame
+    from gatecert.decomp import f_tensor
+    from gatecert.network import _contract_operands
+
+    frame = _fsum_frame(scheme, n)
+    f = f_tensor(gate("random", n, seed=1))
+    assert frame.path == np.einsum_path(*_contract_operands(f, frame.mats), optimize=True)[0]
+
+
 @pytest.mark.parametrize("scheme, n, first, second", [(ALMOST_DI, 3, "toffoli", "random"), (DI, 2, "cnot", "cz")])
 def test_second_gate_builds_no_row_weights(monkeypatch, scheme, n, first, second):
     """After one ``certify`` of a (scheme, n), certifying another gate builds

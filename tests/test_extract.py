@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from dense_oracle import kron_extract_rows
 
 from gatecert import extract
-from gatecert.adversary import conjugate, dilate
+from gatecert.adversary import _lift, conjugate, dilate
 from gatecert.extract import (
+    OP_TOL,
     Extraction,
     branch_of,
     extract_all,
@@ -22,7 +24,7 @@ from gatecert.extract import (
 from gatecert.certify import certify
 from gatecert.network import ALMOST_DI, DI, born_table, reference_realization
 from gatecert.primitives import gate, haar_unitary, ref_observable
-from gatecert.tensor import Operator, StateVector
+from gatecert.tensor import Operator, StateVector, polar_factor
 
 SQ2 = np.sqrt(2.0)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -258,7 +260,7 @@ def test_certify_computes_shared_extraction_pieces_once(monkeypatch):
         else:
             once["collective support"] = 1
         site_supports = calls.pop("support_projector") - calls["collective support"]
-        assert site_supports == (2 if scheme == ALMOST_DI else 4) * real.n  # one per frame in extract_all
+        assert site_supports == (2 if scheme == ALMOST_DI else 4)  # one stacked call per collection in extract_all
         assert calls == Counter(once)
         dists = Extraction(real, u).measurement_distances()
         alone = {f"extract.meas[{l:02b}]": dists[l] for l in range(4)}
@@ -266,3 +268,126 @@ def test_certify_computes_shared_extraction_pieces_once(monkeypatch):
         alone["extract.blocks"] = Extraction(real, u).block_deviation()
         alone["extract.fidelity"] = Extraction(real, u).fidelity()
         assert all(abs(rows[key] - value) <= 1e-13 for key, value in alone.items())
+
+
+def _with_degenerate_pairs(real, parties=(), subnets=()):
+    """``real`` with the first two observables of the listed parties, and
+    the box observables of the listed subnets, both set to Z: their frame
+    pairs commute."""
+    z = Operator(Z, (2,))
+    a_obs = tuple((z, z, obs[2]) if i in parties else obs for i, obs in enumerate(real.a_obs, start=1))
+    if not subnets:
+        return replace(real, a_obs=a_obs)
+    b_obs = tuple((z, z) if i in subnets else obs for i, obs in enumerate(real.b_obs, start=1))
+    return replace(real, a_obs=a_obs, b_obs=b_obs)
+
+
+ANTICOMMUTE = (
+    "site {}: frame operators do not anticommute on the local support (deviation 2.00e+00); "
+    "the realization does not meet the extraction conditions"
+)
+
+
+TOFFOLI_ALMOST = reference_realization(3, gate("toffoli", 3))
+TOFFOLI_DI = reference_realization(3, gate("toffoli", 3), scheme=DI)
+CNOT_ALMOST = reference_realization(2, gate("cnot", 2))
+
+
+@pytest.mark.parametrize(
+    "real, op_tol, message",
+    [
+        (_with_degenerate_pairs(TOFFOLI_ALMOST, parties=(2, 3)), OP_TOL, ANTICOMMUTE.format("A2")),
+        (_with_degenerate_pairs(TOFFOLI_DI, subnets=(1, 3)), OP_TOL, ANTICOMMUTE.format("L1")),
+        (_with_degenerate_pairs(TOFFOLI_DI, parties=(3,), subnets=(2,)), OP_TOL, ANTICOMMUTE.format("A3")),
+        (dilate(CNOT_ALMOST, junk_dim=2, seed=3), 1e-15, "site A2: z frame operator is not an involution"),
+        (dilate(TOFFOLI_DI, junk_dim=2, seed=3), 1e-15, "site L2: x frame operator is not an involution"),
+    ],
+    ids=["almost-A2-A3", "di-L1-L3", "di-A3-L2", "involution-A2", "involution-L2"],
+)
+def test_extract_all_names_the_first_faulty_site(real, op_tol, message):
+    """With two or more faulty sites the error names the first in site
+    order (A, L, R1, R2, each by subnet) and its first failing condition."""
+    with pytest.raises(ValueError) as err:
+        extract_all(real, op_tol)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("scheme, junk", [(ALMOST_DI, 2), (DI, 2)])
+def test_block_deviation_does_not_depend_on_the_pass_size(monkeypatch, scheme, junk):
+    """One row per pass and the whole matrix in one pass give the same bits
+    as the default entry budget."""
+    u = gate("random", 3, seed=2)
+    real = dilate(reference_realization(3, u, scheme=scheme), junk_dim=junk, seed=7)
+    values = []
+    for budget in (extract.PASS_ENTRIES, 1, 2**40):
+        monkeypatch.setattr(extract, "PASS_ENTRIES", budget)
+        values.append(Extraction(real, u).block_deviation())
+    assert values[0] > 0.0
+    assert values[1] == values[0] and values[2] == values[0]
+
+
+def test_stacked_frame_helpers_give_each_site_its_own_bits():
+    """On 2-D input the helpers give the bits of the single-site formulas;
+    on a stack each site's result equals its own 2-D result bit for bit."""
+    rng = np.random.default_rng(9)
+    ws = np.stack([haar_unitary(4, rng) for _ in range(3)])
+    z = ws @ np.diag([1.0, 1.0, -1.0, -1.0]) @ np.swapaxes(ws, -1, -2).conj()
+    x = ws @ np.kron(X, np.eye(2)) @ np.swapaxes(ws, -1, -2).conj()
+    psi = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    psi /= np.linalg.norm(psi, axis=(1, 2), keepdims=True)
+    rho = psi @ np.swapaxes(psi, -1, -2).conj()
+    rho[1] = psi[1][:, :2] @ psi[1][:, :2].conj().T  # rank 2
+
+    def alone(k):
+        vals, vecs = np.linalg.eigh(rho[k])
+        keep = vecs[:, vals > extract.SUPPORT_TOL]
+        ops = [(z[k] - x[k]) / SQ2, (z[k] + x[k]) / SQ2]
+        m = [np.einsum("aA,Ab,ad->bd", op, psi[k], psi[k].conj()) for op in (z[k], x[k])]
+        m += [np.einsum("bB,aB,cb->ac", op, psi[k], psi[k].conj()) for op in (z[k], x[k])]
+        mirrored = [polar_factor((e + e.conj().T) / 2) for e in m]
+        return [keep @ keep.conj().T] + [polar_factor(op) for op in ops] + mirrored
+
+    def helpers(k):
+        source = StateVector(psi[k].reshape(-1), (4, 4))
+        return [
+            support_projector(rho[k]),
+            *regularize(z[k], x[k], tilde=True),
+            *mirror_frame(z[k], x[k], source, framed_wing=0),
+            *mirror_frame(z[k], x[k], source, framed_wing=1),
+        ]
+
+    stacked = [support_projector(rho), *regularize(z, x, tilde=True)]
+    stacked += [*mirror_frame(z, x, psi, framed_wing=0), *mirror_frame(z, x, psi, framed_wing=1)]
+    for k in range(3):
+        for want, got_2d, got_stack in zip(alone(k), helpers(k), stacked):
+            assert got_2d.tobytes() == want.tobytes()
+            assert got_stack[k].tobytes() == want.tobytes()
+    assert np.linalg.matrix_rank(stacked[0][1]) == 2
+
+
+@pytest.mark.parametrize("scheme", [ALMOST_DI, DI])
+def test_sites_of_different_dimensions_match_the_lifted_extractor(scheme):
+    """Junk on the sites of subnet 2 only gives collections whose sites
+    differ in dimension; they are stacked one dimension at a time, and
+    every operator-level row still matches the lifted extractor."""
+    u = gate("random", 2, seed=4)
+    real = reference_realization(2, u, scheme=scheme)
+    lay, rng = real.layout(), np.random.default_rng(12)
+    second = {lay.a_site(2), lay.l_site(2)} | ({lay.r1_site(2), lay.r2_site(2)} if scheme == DI else set())
+    junk = [2 if s in second else 1 for s in range(len(lay.dims))]
+    sources = []
+    for src, (s0, s1) in zip(real.sources, lay.source_sites()):
+        j0, j1 = junk[s0], junk[s1]
+        chi = rng.normal(size=(j0, j1)) + 1j * rng.normal(size=(j0, j1))
+        amp = np.tensordot(src.amplitudes.reshape(src.dims), chi / np.linalg.norm(chi), axes=0)
+        sources.append(StateVector(amp.transpose(0, 2, 1, 3).reshape(-1), (src.dims[0] * j0, src.dims[1] * j1)))
+    real = real.map_operators(lambda op, sites: _lift(op, [junk[s] for s in sites], None), sources=tuple(sources))
+    ext = Extraction(real, u)
+    assert [f.z.shape[0] for f in ext.frames.a] == [2, 4]
+    rows = kron_extract_rows(ext)
+    assert max(v for k, v in rows.items() if k != "extract.fidelity") <= 1e-10
+    assert rows["extract.fidelity"] >= 1.0 - 1e-10
+    assert rows["extract.unitary"] == pytest.approx(ext.unitary_certificate(), abs=1e-13)
+    assert rows["extract.blocks"] == pytest.approx(ext.block_deviation(), abs=1e-13)
+    dists = ext.measurement_distances()
+    assert all(abs(rows[f"extract.meas[{l:02b}]"] - dists[l]) <= 1e-13 for l in range(4))

@@ -50,7 +50,7 @@ def test_extract_rows_match_kron_oracle(real):
     assert_matches_kron_oracle(real, (gate("random", 2, seed=11), gate("cnot", 2), own_gate(real)))
 
 
-@pytest.mark.parametrize("scheme, junk", [(ALMOST_DI, 2), (DI, None)])
+@pytest.mark.parametrize("scheme, junk", [(ALMOST_DI, 2), (DI, None), (DI, 2)])
 def test_extract_rows_match_kron_oracle_three_subnets(scheme, junk):
     u = gate("toffoli", 3)
     real = reference_realization(3, u, scheme=scheme)

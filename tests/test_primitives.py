@@ -70,6 +70,14 @@ def test_ghz_sign_rides_on_first_bit():
     assert np.isclose(np.sum(np.abs(v) > 1e-12), 2)
 
 
+def test_ghz_basis_is_built_once_and_read_only():
+    basis = ghz_basis(3)
+    assert ghz_basis(3) is basis
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.0
+
+
 def test_ghz_basis_is_orthonormal():
     for n in (2, 3):
         b = ghz_basis(n)

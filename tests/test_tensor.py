@@ -155,6 +155,20 @@ def test_polar_factor_of_a_stack_is_per_matrix_bit_for_bit():
     assert polar_factor(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2, 2)
 
 
+def test_polar_factor_resolves_each_matrix_of_a_mixed_stack_alone():
+    """A stack mixing Hermitian and general matrices sends each through the
+    decomposition it would take alone: the null direction of a Hermitian
+    matrix still goes to +1."""
+    rng = np.random.default_rng(6)
+    g = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    null = np.diag([1.0, 0.0, -2.0]).astype(complex)
+    stack = np.stack([g[0], (g[1] + g[1].conj().T) / 2, null, g[2]])
+    got = polar_factor(stack)
+    for k in range(4):
+        assert got[k].tobytes() == polar_factor(stack[k]).tobytes()
+    assert np.allclose(got[2], np.diag([1.0, 1.0, -1.0]))
+
+
 def test_dims_must_multiply_out():
     with pytest.raises(ValueError):
         Operator(np.eye(6), (2, 2))
