@@ -17,7 +17,7 @@ and the pull-back W^dagger (|s><s| (x) 1) W is B^dagger B, so no operator
 lifted by the junk identity, of size (2^N dj)^2, is ever formed.  The GHZ
 blocks of W Vbar^dagger W^dagger, which hold (2^N dj)^2 entries, are walked
 in passes of rows with W^dagger applied site by site, and the per-outcome
-pull-backs in passes of outcomes; one entry budget, ``PASS_ENTRIES``,
+pull-backs in passes of outcomes; one entry budget, ``network.PASS_ENTRIES``,
 bounds the largest array of every pass, so the stacks stay in cache and
 memory stays at one pass whatever N and the site dimensions are.  Frames
 are built and vetted one collection at a time, as stacks over its sites.
@@ -36,6 +36,7 @@ from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
+from . import network
 from .decomp import delta_set
 from .network import ALMOST_DI, DI, Realization, validate_realization
 from .primitives import ghz_basis
@@ -43,14 +44,6 @@ from .tensor import Operator, StateVector, polar_factor, polar_unitary
 
 OP_TOL = 1e-8
 SUPPORT_TOL = 1e-10
-# Complex entries of the largest array one stacked pass holds: a pass over
-# the GHZ blocks takes as many rows of C_i Vbar^dagger as fit, a pass over
-# the outcomes as many outcomes (always at least one).  At almost_di n=3
-# without junk (D = 8) one pass holds every outcome and every row; with
-# junk of dimension 2 (D = 64) a pass holds 4 outcomes or 32 rows.  2^14
-# entries (256 KiB): passes of 2^13 to 2^16 entries run about equally
-# fast, while 2^18 slows the D = 64 residuals and blocks by 40-50%.
-PASS_ENTRIES = 2**14
 
 
 def regularize(a0: Operator | np.ndarray, a1: Operator | np.ndarray, tilde: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -306,10 +299,10 @@ def _targets(u: Operator, branch: str) -> list[np.ndarray]:
 
 def _box_elements(real: Realization) -> list[np.ndarray]:
     """The effective box elements V^dagger E_l V, one per outcome l, formed
-    as stacks of as many outcomes as ``PASS_ENTRIES`` allows."""
+    as stacks of as many outcomes as ``network.PASS_ENTRIES`` allows."""
     raw = [m.entries for m in real.l_meas] if real.scheme == ALMOST_DI else teleported_elements(real)
     v = real.eve.entries
-    step = max(1, PASS_ENTRIES // v.size)
+    step = max(1, network.PASS_ENTRIES // v.size)
     return [el for start in range(0, len(raw), step) for el in v.conj().T @ np.stack(raw[start : start + step]) @ v]
 
 
@@ -373,7 +366,7 @@ class Extraction:
     ideal basis, C_i Vbar^dagger and the junk floor.  W is not kept: a
     target's row (<target_l| (x) 1) W is a combination of the C_i.  Target
     pull-backs and GHZ blocks are formed as stacks in passes of at most
-    about ``PASS_ENTRIES`` entries and not kept.  ``u`` may be None when
+    about ``network.PASS_ENTRIES`` entries and not kept.  ``u`` may be None when
     only the extracted gate is wanted.
     """
 
@@ -421,13 +414,13 @@ class Extraction:
     @cached_property
     def _residuals(self) -> tuple[np.ndarray, float]:
         """The measurement distances and the unitary certificate, in passes
-        over the outcomes l, as many per pass as ``PASS_ENTRIES`` allows.
+        over the outcomes l, as many per pass as ``network.PASS_ENTRIES`` allows.
         A pass stacks the pull-backs W^dagger (|target_l><target_l| (x) 1) W
         as B_l^dagger B_l, with B_l = (<target_l| (x) 1) W = sum_i
         conj(coeffs[i, l]) C_i, uses them for both residuals and drops them."""
         elements, rows = _box_elements(self.real), self.basis_rows
         flat = rows.reshape(len(rows), -1)
-        step = max(1, PASS_ENTRIES // rows[0].size)
+        step = max(1, network.PASS_ENTRIES // rows[0].size)
         dists, worst = [], 0.0
         for start in range(0, len(elements), step):
             ls = slice(start, start + step)
@@ -473,7 +466,7 @@ class Extraction:
         basis, q, coeffs = ghz_basis(self.real.n), self.junk_floor, self.coeffs
         ks = [f.isometry() for f in getattr(self.frames, self.collection)]
         dj, rows = q.shape[0], self.adjoint_rows.reshape(-1, self.adjoint_rows.shape[-1])
-        step = max(1, PASS_ENTRIES // (2**self.real.n * dj))  # rows per pass, each a 2^N x dj slice of blocks
+        step = max(1, network.PASS_ENTRIES // (2**self.real.n * dj))  # rows per pass, each a 2^N x dj slice of blocks
         worst = 0.0
         for start in range(0, rows.shape[0], step):
             # row (i, a) is row a of C_i Vbar^dagger; blocks[:, l] = those rows of C_i Vbar^dagger C_l^dagger

@@ -36,7 +36,24 @@ rows.  A probability is then the squared norm ||(K_a (x) K_r (x) K_l) psi||^2,
 real and non-negative by construction.  The A layer comes last; before it,
 a row M (A sites by collapsed rank sites) with more rank than A amplitudes
 is replaced by R^T, R the triangular factor of M^T = QR.  As M M^dagger =
-R^T conj(R), every squared norm the A layer takes is kept.
+R^T conj(R), every squared norm the A layer takes is kept.  A realization
+``born_table`` validates itself is diagonalized once: validation's ``eigh``
+of the joint box and of each repeater also gives their factors.
+
+Every layer after Eve's block runs in passes bounded by ``PASS_ENTRIES``,
+the entry budget ``extract`` uses too: the first repeater's outcomes are
+taken in groups, and the rows entering the compression and the A layer in
+passes, each as many as keep the largest array built within the budget.
+A pass writes its probabilities straight into the arrays of the rows the
+call returns, and the joint state is dropped once Eve's block exists, so
+the kernel holds the joint state and Eve's block, one pass and the
+returned rows: 3.3 MiB traced for di n=2 dilated by 2 or depolarized
+(joint state 1 MiB), and 54 MiB for the 50.5 MiB of the 101 di n=4
+protocol rows.  A pass has a multiple of the rows that give every matrix
+product of the A layer a multiple of four columns, which OpenBLAS's
+complex product takes four at a time (any last few another way); so each
+row's arithmetic, and every bit of the table, is the same whatever the
+budget.
 
 A settings row is keyed ``(x, e)`` for almost_di and ``(x, e, y)`` for di;
 ``ScenarioSpec.row`` is the only code that validates and normalizes such
@@ -82,8 +99,8 @@ functional's weights once per condition and share one read-only mapping.
 ``MAX_AMPLITUDES`` complex entries: ``assemble_state`` asks it about the
 joint state, and ``adversary.dilate`` and ``adversary.depolarize_sources``
 about the largest matrix they build.  A full table of a di n=2 realization
-dilated by 3, 1.7e6 amplitudes, takes 1.0 s and 170 MB peak RSS in a fresh
-process (2-vCPU VM, one BLAS thread).
+dilated by 3, 1.7e6 amplitudes, takes 0.8-1.1 s and 124 MB peak RSS in a
+fresh process (2-vCPU VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -116,7 +133,16 @@ SUM_TOL = 1e-12
 ZERO_WEIGHT_TOL = 1e-14
 MAX_TABLE_N = 8  # an almost_di table at n=9 holds 1e10 probabilities
 SIGNALLING_TOL = 1e-11  # exact tables deviate by at most about 1e-15
-MAX_AMPLITUDES = 2**22  # di n=2 dilated by 3 needs 1.7e6 and 170 MB; di n=4 needs 2**16
+MAX_AMPLITUDES = 2**22  # di n=2 dilated by 3 needs 1.7e6 and 124 MB; di n=4 needs 2**16
+# Complex entries of the largest array one stacked pass holds, in the Born
+# kernel after Eve's block and in ``extract``: a pass takes as many
+# first-repeater outcomes, rows or outcomes as fit (always at least one).
+# In ``extract``, at almost_di n=3 without junk (D = 8) one pass holds
+# every outcome and every GHZ-block row; with junk of dimension 2 (D = 64)
+# a pass holds 4 outcomes or 32 rows.  2^14 entries (256 KiB): extraction
+# passes of 2^13 to 2^16 entries run about equally fast, while 2^18 slows
+# the D = 64 residuals and blocks by 40-50%.
+PASS_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -301,12 +327,17 @@ _VALIDATED: weakref.WeakValueDictionary[int, Realization] = weakref.WeakValueDic
 def validate_realization(real: Realization) -> None:
     """Check structural and operator invariants to ``tensor.IDENTITY_TOL``; raises
     ValueError on failure.  Each realization object is checked once."""
+    _validate_once(real, None)
+
+
+def _validate_once(real: Realization, spectra: dict | None) -> None:
+    """``validate_realization``; a check that runs fills ``spectra`` as ``_check_povm`` does."""
     if _VALIDATED.get(id(real)) is not real:
-        _validate(real)
+        _validate(real, spectra)
         _VALIDATED[id(real)] = real
 
 
-def _validate(real: Realization) -> None:
+def _validate(real: Realization, spectra: dict | None) -> None:
     n = real.n
     if real.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {real.scheme!r}")
@@ -332,7 +363,7 @@ def _validate(real: Realization) -> None:
     dl = int(np.prod(l_dims))
     if len(real.l_meas) != 2**n:
         raise ValueError(f"joint box needs {2**n} elements, got {len(real.l_meas)}")
-    _check_povm(real.l_meas, dl, "joint box")
+    _check_povm(real.l_meas, dl, "joint box", spectra)
     v_dims = real.l_dims() if real.scheme == ALMOST_DI else real.r1_dims()
     if real.eve.dims != v_dims:
         raise ValueError(f"eve operation has dims {real.eve.dims}, expected {v_dims}")
@@ -359,7 +390,7 @@ def _validate(real: Realization) -> None:
         for k, el in enumerate(quad):
             if el.dims != pair_dims:
                 raise ValueError(f"repeater element R[{i},{k}] has dims {el.dims}, expected {pair_dims}")
-        _check_povm(quad, int(np.prod(pair_dims)), f"repeater {i}")
+        _check_povm(quad, int(np.prod(pair_dims)), f"repeater {i}", spectra)
 
 
 def _check_binary(name: str, obs: Operator, dim: int) -> None:
@@ -373,14 +404,18 @@ def _check_binary(name: str, obs: Operator, dim: int) -> None:
         raise ValueError(f"{name} does not square to identity (dev {dev:.2e})")
 
 
-def _check_povm(elements: Sequence[Operator], dim: int, what: str) -> None:
+def _check_povm(elements: Sequence[Operator], dim: int, what: str, spectra: dict | None) -> None:
     """Each element, in order, of dimension ``dim``, Hermitian and positive,
     the first fault named; then the sum the identity.  The elements before
-    the first dimension or Hermitian fault are diagonalized as one stack."""
+    the first dimension or Hermitian fault are diagonalized as one stack:
+    by ``eigvalsh``, or, with ``spectra``, by ``eigh``, whose eigenpairs
+    ``spectra[what]`` holds once every check has passed."""
     tol = IDENTITY_TOL
     k = next((k for k, el in enumerate(elements) if el.dim != dim or not el.is_hermitian()), len(elements))
     if k:
-        lows = np.linalg.eigvalsh(np.stack([el.entries for el in elements[:k]]))[:, 0]
+        stack = np.stack([el.entries for el in elements[:k]])
+        eig = (np.linalg.eigvalsh(stack), None) if spectra is None else np.linalg.eigh(stack)
+        lows = eig[0][:, 0]
         j = int(np.argmax(lows < -tol))
         if lows[j] < -tol:
             raise ValueError(f"{what} element {j} is not positive (min eig {lows[j]:.2e})")
@@ -393,6 +428,8 @@ def _check_povm(elements: Sequence[Operator], dim: int, what: str) -> None:
         total += el.entries
     if np.max(np.abs(total - np.eye(dim))) > tol:
         raise ValueError(f"{what} elements do not sum to identity")
+    if spectra is not None:
+        spectra[what] = eig
 
 
 def reference_realization(n: int, u: Operator, branch: int = +1, scheme: str = ALMOST_DI) -> Realization:
@@ -453,13 +490,19 @@ def _binary_elements(obs: Operator) -> np.ndarray:
     return np.stack([(eye + obs.entries) / 2, (eye - obs.entries) / 2])
 
 
-def _factor_stack(elements: Sequence[np.ndarray]) -> np.ndarray:
-    """Square-root factors K with K^dagger K = E, one per element, as a
-    ``(k, rank, d)`` stack padded with zero rows to the largest rank."""
+def _eigh(elements: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    return np.linalg.eigh(np.stack(elements))
+
+
+def _factor_stack(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Square-root factors K with K^dagger K = E of each element of a stack,
+    from its eigenpairs (``vals``, ``vecs``) as ``np.linalg.eigh`` gives
+    them, as a ``(k, rank, d)`` stack padded with zero rows to the largest
+    rank."""
     factors = []
-    for vals, vecs in zip(*np.linalg.eigh(np.stack(elements))):
-        keep = vals > len(vals) * np.finfo(float).eps * max(1.0, float(np.abs(vals).max()))
-        factors.append(np.sqrt(vals[keep])[:, None] * vecs[:, keep].conj().T)
+    for val, vec in zip(vals, vecs):
+        keep = val > len(val) * np.finfo(float).eps * max(1.0, float(np.abs(val).max()))
+        factors.append(np.sqrt(val[keep])[:, None] * vec[:, keep].conj().T)
     rank = max(f.shape[0] for f in factors)
     stack = np.zeros((len(factors), rank, factors[0].shape[1]), dtype=complex)
     for k, f in enumerate(factors):
@@ -467,11 +510,27 @@ def _factor_stack(elements: Sequence[np.ndarray]) -> np.ndarray:
     return stack
 
 
-def _measure(block: np.ndarray, dims: tuple[int, ...], stack: np.ndarray, sites: Sequence[int]):
-    """Apply a factor stack; returns the new block and its site dimensions."""
-    new_dims = [1 if s in sites else d for s, d in enumerate(dims)]
-    new_dims[sites[0]] = stack.shape[1]
-    return apply_raw_batch(block, dims, stack, sites), tuple(new_dims)
+def _measure(block: np.ndarray, dims: tuple[int, ...], layers) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Apply each ``(stack, sites)`` of ``layers`` in turn; returns the new
+    block and its site dimensions."""
+    for stack, sites in layers:
+        new_dims = [1 if s in sites else d for s, d in enumerate(dims)]
+        new_dims[sites[0]] = stack.shape[1]
+        block, dims = apply_raw_batch(block, dims, stack, sites), tuple(new_dims)
+    return block, dims
+
+
+def _layer_sizes(size: int, dims: tuple[int, ...], layers) -> list[tuple[int, int]]:
+    """For one row of ``size`` entries to which ``layers`` are applied in
+    turn, ``dims`` the dimensions of their sites: the columns each layer's
+    matrix product takes and the entries of the rows it yields."""
+    sizes, rows = [], 1
+    for stack, sites in layers:
+        rest = size // math.prod(dims[s] for s in sites)
+        size = rest * stack.shape[1]
+        sizes.append((rows * rest, rows * len(stack) * size))
+        rows *= len(stack)
+    return sizes
 
 
 def born_table(real: Realization, rows=None) -> "ProbabilityTable":
@@ -485,11 +544,14 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
     once per (e, y) block, and, after each row is compressed onto the A
     sites where that shrinks it, the A layer with one stacked factor per
     party that covers the settings the block asks of that party; a block
-    that holds no requested row is skipped.  The rows a block computes are
-    every combination of those party settings, each checked to sum to one
-    within ``SUM_TOL``; the table keeps the requested ones, and each equals
-    the full table's row bit for bit."""
-    validate_realization(real)
+    that holds no requested row is skipped.  Every layer after Eve's runs
+    in passes of about ``PASS_ENTRIES`` entries (``_fill_rows``).  The rows
+    a block computes are every combination of those party settings, each
+    checked to sum to one within ``SUM_TOL``; the table keeps the requested
+    ones, each its own array and equal to the full table's row bit for
+    bit."""
+    spectra: dict = {}  # eigenpairs of the joint box and the repeaters, if this call validates
+    _validate_once(real, spectra)
     lay = real.layout()
     n = real.n
     scen = real.scenario()
@@ -499,56 +561,122 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
         x, e, y = (*key, PERP) if real.scheme == ALMOST_DI else key
         for need, xi in zip(needs.setdefault((e, y), [set() for _ in range(n)]), x):
             need.add(xi)
-    a_stacks = [
-        _factor_stack([el for obs in triple for el in _binary_elements(obs)]) for triple in real.a_obs
-    ]
-    joint = _factor_stack([m.entries for m in real.l_meas])
-    n_rep = n if real.scheme == DI else 0
+    a_stacks = [_factor_stack(*_eigh([el for obs in triple for el in _binary_elements(obs)])) for triple in real.a_obs]
+    joint = _factor_stack(*(spectra.pop("joint box", None) or _eigh([m.entries for m in real.l_meas])))
+    l_layers = {PERP: [(joint, lay.l_sites())]}
+    rep_layers = []  # repeater n first
     if real.scheme == DI:
-        rep_stacks = [_factor_stack([el.entries for el in quad]) for quad in real.repeaters]
-        box_stacks = [[_factor_stack(_binary_elements(obs)) for obs in pair] for pair in real.b_obs]
-    # row digits (x_1 a_1 .. x_n a_n, l, r_1..r_n) -> (x_1..x_n, a_1..a_n, r_1..r_n, l)
-    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2), *range(2 * n + 1, 2 * n + 1 + n_rep), 2 * n]
-    psi = assemble_state(real).amplitudes[None, :]
+        for i in range(n, 0, -1):
+            quad = [el.entries for el in real.repeaters[i - 1]]
+            stack = _factor_stack(*(spectra.pop(f"repeater {i}", None) or _eigh(quad)))
+            rep_layers.append((stack, [lay.r1_site(i), lay.r2_site(i)]))
+        boxes = [[_factor_stack(*_eigh(_binary_elements(obs))) for obs in pair] for pair in real.b_obs]
+        for y in scen.y_settings()[:-1]:
+            l_layers[y] = [(boxes[i - 1][y[i - 1]], [lay.l_site(i)]) for i in range(n, 0, -1)]
     entries: dict = {}
+    psi = assemble_state(real).amplitudes[None, :]
     for e in (0, 1):
-        ys = [y for y in scen.y_settings() or [PERP] if (e, y) in needs]
-        if not ys:
-            continue
-        # Eve's V sites are contiguous and ascending: collapsing them keeps the flat layout
-        block = apply_raw_batch(psi, lay.dims, real.eve.entries[None], lay.v_sites()) if e else psi
-        dims = lay.dims
-        for i in range(n_rep, 0, -1):
-            block, dims = _measure(block, dims, rep_stacks[i - 1], [lay.r1_site(i), lay.r2_site(i)])
-        for y in ys:
+        blocks = []
+        for y in [y for y in scen.y_settings() or [PERP] if (e, y) in needs]:
             settings = [sorted(need) for need in needs[(e, y)]]
-            if y == PERP:
-                out, rdims = _measure(block, dims, joint, lay.l_sites())
-            else:
-                out, rdims = block, dims
-                for i in range(n, 0, -1):
-                    out, rdims = _measure(out, rdims, box_stacks[i - 1][y[i - 1]], [lay.l_site(i)])
-            d_a, rest = math.prod(rdims[:n]), math.prod(rdims[n:])
-            if rest > d_a:
-                # M = R^T Q^T, Q with orthonormal columns: R^T keeps every norm the A layer takes
-                r = np.linalg.qr(out.reshape(-1, d_a, rest).transpose(0, 2, 1), mode="r")
-                out = r.transpose(0, 2, 1).reshape(len(out), -1)
-                rdims = rdims[:n] + (d_a,) + (1,) * (len(rdims) - n - 1)
-            for i in range(n, 0, -1):
-                # setting x of party i is the stack's elements 2x and 2x + 1
-                stack = a_stacks[i - 1][[2 * x + a for x in settings[i - 1] for a in (0, 1)]]
-                out, rdims = _measure(out, rdims, stack, [lay.a_site(i)])
-            probs = (out.real**2 + out.imag**2).sum(axis=1)
-            shape = tuple(k for xs in settings for k in (len(xs), 2)) + (2**n,) + (4,) * n_rep
-            probs = np.ascontiguousarray(probs.reshape(shape).transpose(order))
-            totals = probs.reshape(math.prod(len(xs) for xs in settings), -1).sum(axis=1)
-            for pos, total in zip(np.ndindex(*(len(xs) for xs in settings)), totals):
-                key = scen.row(tuple(xs[k] for xs, k in zip(settings, pos)), e, y)
+            # settings come from normalized keys, so each key is built as ``ScenarioSpec.row`` would
+            keys = [(x, e) if real.scheme == ALMOST_DI else (x, e, y) for x in product(*settings)]
+            for key in keys:
+                if key in wanted:
+                    entries[key] = np.empty(scen.outcome_shape())
+            # setting x of party i is the stack's elements 2x and 2x + 1
+            a_layers = [
+                (a_stacks[i - 1][[2 * x + a for x in settings[i - 1] for a in (0, 1)]], [lay.a_site(i)])
+                for i in range(n, 0, -1)
+            ]
+            blocks.append((l_layers[y], a_layers, keys, np.zeros(len(keys))))
+        if not blocks:
+            continue
+        if e:
+            # Eve's block replaces the joint state; her V sites are contiguous
+            # and ascending, so collapsing them keeps the flat layout
+            psi = apply_raw_batch(psi, lay.dims, real.eve.entries[None], lay.v_sites())
+        _fill_rows(psi, lay, rep_layers, blocks, entries)
+        for _, _, keys, totals in blocks:
+            for key, total in zip(keys, totals):
                 if not abs(total - 1.0) <= SUM_TOL:  # NaN fails too
                     raise ValueError(f"setting {key}: probabilities sum to {float(total)!r}")
-                if key in wanted:
-                    entries[key] = probs[pos]
     return ProbabilityTable._adopt(real.scheme, n, entries)
+
+
+def _fill_rows(psi: np.ndarray, lay: SiteLayout, rep_layers: list, blocks: list, entries: dict) -> None:
+    """Measure the one-row block ``psi`` for every (e, y) block of
+    ``blocks``, each ``(l_layers, a_layers, keys, totals)``: write each
+    row's probabilities into ``entries[key]``, where ``entries`` holds the
+    key, and add them up into ``totals``.
+
+    The first repeater's outcomes are taken in groups and the rows that
+    enter the compression and the A layer in passes, each as large as
+    ``PASS_ENTRIES`` allows, so no array holds much more than one pass;
+    every row's arithmetic is the one of a single pass over all of them."""
+    n, d_l = lay.n, 2**lay.n
+    # outcome arrays are (a_1..a_n, r_1..r_n, l) in di, with `others` values of
+    # (r_1..r_{n-1}) and `width` of r_n, and (a_1..a_n, l) in almost_di
+    others, width = (4 ** (n - 1), 4) if rep_layers else (1, 1)
+    for lo, m, group, dims in _groups(psi, lay, rep_layers, [l_layers for l_layers, *_ in blocks]):
+        # group rows are (r_1..r_{n-1}, r_n - lo) with m values of r_n; within a row's
+        # array, one value of (r_1..r_{n-1}) spans a run of m * d_l entries (r_n - lo, l)
+        run = m * d_l
+        for l_layers, a_layers, keys, totals in blocks:
+            out, rdims = _measure(group, dims, l_layers)
+            # rows (l, r_1..r_{n-1}, r_n - lo) -> (r_1..r_{n-1}, r_n - lo, l), the order of a row's array
+            out = out.reshape(d_l, -1, out.shape[1]).swapaxes(0, 1).reshape(len(out), -1)
+            d_a, rest = math.prod(rdims[:n]), math.prod(rdims[n:])
+            sizes = _layer_sizes(d_a * min(d_a, rest), lay.dims, a_layers)
+            # a matrix product takes its columns four at a time and the last few otherwise: passes
+            # of a multiple of `unit` rows give every product a multiple of four columns, so each
+            # row keeps the bits of one pass over all rows
+            unit = 4 // math.gcd(4, *(cols for cols, _ in sizes))
+            fit = unit * max(1, PASS_ENTRIES // (unit * max(out.shape[1], *(size for _, size in sizes))))
+            counts = [len(stack) // 2 for stack, _ in reversed(a_layers)]  # settings of parties 1..n
+            views = {
+                c: entries[key].reshape(2**n, others, width * d_l)[:, :, lo * d_l : lo * d_l + run]
+                for c, key in enumerate(keys)
+                if key in entries
+            }
+            # a pass is whole runs or, where one run is more than fits, a part of one
+            runs, piece = max(1, fit // run), min(fit, run)
+            for r0, a in product(range(0, others, runs), range(0, run, piece)):
+                r1, b = min(r0 + runs, others), min(a + piece, run)
+                part, pdims = out[r0 * run + a : (r1 - 1) * run + b], rdims
+                if rest > d_a:
+                    # M = R^T Q^T, Q with orthonormal columns: R^T keeps every norm the A layer takes
+                    r = np.linalg.qr(part.reshape(-1, d_a, rest).transpose(0, 2, 1), mode="r")
+                    part = r.transpose(0, 2, 1).reshape(len(part), -1)
+                    pdims = rdims[:n] + (d_a,) + (1,) * (len(rdims) - n - 1)
+                part, _ = _measure(part, pdims, a_layers)
+                probs = (part.real**2 + part.imag**2).sum(axis=1)
+                # rows (x_1 a_1 .. x_n a_n, pass row) -> (settings, a_1..a_n, r_1..r_{n-1}, r_n - lo and l)
+                probs = probs.reshape(*(k for count in counts for k in (count, 2)), r1 - r0, b - a)
+                probs = probs.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n, 2 * n + 1)
+                probs = probs.reshape(len(keys), 2**n, r1 - r0, b - a)
+                totals += probs.sum(axis=(1, 2, 3))
+                for c, view in views.items():
+                    view[:, r0:r1, a:b] = probs[c]
+
+
+def _groups(psi: np.ndarray, lay: SiteLayout, rep_layers: list, l_layer_sets: list) -> Iterator[tuple]:
+    """``(lo, m, block, dims)``: ``psi`` measured by every repeater, the
+    first (repeater n) on its outcomes lo..lo+m-1 only, as many as keep the
+    largest block any of ``l_layer_sets`` then builds within
+    ``PASS_ENTRIES``; ``psi`` itself, once, when there are no repeaters."""
+    if not rep_layers:
+        yield 0, 1, psi, lay.dims
+        return
+    (first, sites), later = rep_layers[0], rep_layers[1:]
+    rank = first.shape[1]
+    one = psi.size // math.prod(lay.dims[s] for s in sites) * rank  # entries of one outcome's block
+    most = max(one, *(size for layers in l_layer_sets for _, size in _layer_sizes(one, lay.dims, later + layers)))
+    # at least two factor rows: numpy takes a one-row factor as a vector, whose products round otherwise
+    step = max(1 if rank > 1 else 2, PASS_ENTRIES // most)
+    for lo in range(0, len(first), step):
+        block, dims = _measure(psi, lay.dims, [(first[lo : lo + step], sites)] + later)
+        yield lo, len(first[lo : lo + step]), block, dims
 
 
 class ProbabilityTable:
@@ -560,8 +688,9 @@ class ProbabilityTable:
     ``ScenarioSpec.row`` normalizes them.  The constructor copies the
     arrays and refuses a key outside the scenario, an array of the wrong
     shape and a NaN or infinite entry; negative entries and rows that do
-    not sum to one are kept (exact tables carry entries of -2e-19, and
-    tests build corrupted rows on purpose), and ``read_table`` refuses them.
+    not sum to one are kept (tests build corrupted rows on purpose; the
+    squared norms of ``born_table`` are never negative), and ``read_table``
+    refuses them.
     """
 
     def __init__(self, scheme: str, n: int, entries: Mapping[tuple, np.ndarray]):

@@ -161,12 +161,14 @@ def apply_raw_batch(block: np.ndarray, dims: Sequence[int], mats: np.ndarray, si
     mats = np.asarray(mats).reshape(len(mats), -1, d)
     k, rank = mats.shape[:2]
     # one (k*rank, d) x (d, rows*rest) product with the measured sites leading
-    t = np.moveaxis(block.reshape((rows,) + dims), [s + 1 for s in sites], range(len(sites)))
-    rest = t.shape[1 + len(sites):]
+    others = [s for s in range(len(dims)) if s not in sites]
+    t = block.reshape((rows,) + dims).transpose([s + 1 for s in sites] + [0] + [s + 1 for s in others])
+    rest = tuple(dims[s] for s in others)
     out = (mats.reshape(k * rank, d) @ t.reshape(d, -1)).reshape((k, rank, rows) + rest)
-    before = sum(1 for s in range(sites[0]) if s not in sites)
-    out = np.moveaxis(out, 1, 2 + before)
-    return out.reshape(k * rows, -1)
+    # the rank axis goes where sites[0] was: after the rows and the other sites before it
+    before = sum(1 for s in others if s < sites[0])
+    order = [0, *range(2, 2 + before + 1), 1, *range(3 + before, out.ndim)]
+    return out.transpose(order).reshape(k * rows, -1)
 
 
 def permute_sites(state: StateVector, order: Sequence[int]) -> StateVector:

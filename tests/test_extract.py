@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from dense_oracle import kron_extract_rows
 
-from gatecert import extract
+from gatecert import extract, network
 from gatecert.adversary import _lift, conjugate, dilate
 from gatecert.extract import (
     OP_TOL,
@@ -319,8 +319,8 @@ def test_block_deviation_does_not_depend_on_the_pass_size(monkeypatch, scheme, j
     u = gate("random", 3, seed=2)
     real = dilate(reference_realization(3, u, scheme=scheme), junk_dim=junk, seed=7)
     values = []
-    for budget in (extract.PASS_ENTRIES, 1, 2**40):
-        monkeypatch.setattr(extract, "PASS_ENTRIES", budget)
+    for budget in (network.PASS_ENTRIES, 1, 2**40):
+        monkeypatch.setattr(network, "PASS_ENTRIES", budget)
         values.append(Extraction(real, u).block_deviation())
     assert values[0] > 0.0
     assert values[1] == values[0] and values[2] == values[0]

@@ -7,7 +7,9 @@ rotation-only dilations, ``junk_dim=1``) and di under ``depolarize`` (drawn
 for almost_di only).  They are the cases in which ``born_table`` compresses
 each row to its factor on the A sites before the A layer, so one fixed case
 of each is checked against the oracle, for non-negative entries, for an
-exact file round trip and for the kernel's traced peak memory.
+exact file round trip and for the kernel's traced peak memory.  The
+kernel's peak is also bounded on protocol rows, and the memory a returned
+table holds by the bytes of its rows.
 """
 
 import tracemalloc
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from strategies import realizations
 
 from gatecert.adversary import AdversarySpec, apply_adversary
+from gatecert.certify import protocol_rows
 from gatecert.network import ALMOST_DI, DI, born_table, load_table, reference_realization, save_table
 from gatecert.primitives import gate
 
@@ -47,11 +50,13 @@ def test_matches_dense_oracle_zero_element_repeater(zero_element_repeater):
 
 
 # di n=2 cases whose rows hold more amplitudes on the rank sites than on the
-# A sites, with the kernel's traced peak bound in MiB (the kernel without
-# the compression step peaks at 23.2 and 20.3 MiB).
+# A sites, with the kernel's traced peak bound in MiB: the kernel peaks at
+# 3.3 MiB on both, around a joint state of 1 MiB (without passes after
+# Eve's block it peaked at 7.7 and 5.3 MiB, without the compression step
+# at 23.2 and 20.3 MiB).
 COMPRESSED = {
-    "dilate": (AdversarySpec("dilate", junk_dim=2, seed=4), 12),
-    "depolarize": (AdversarySpec("depolarize", eta=0.05), 10),
+    "dilate": (AdversarySpec("dilate", junk_dim=2, seed=4), 5),
+    "depolarize": (AdversarySpec("depolarize", eta=0.05), 5),
 }
 
 
@@ -73,13 +78,37 @@ def test_compressed_rows_match_dense_oracle(kind, tmp_path):
     assert all(np.array_equal(loaded.array(key), table.array(key)) for key in table.keys())
 
 
-@pytest.mark.parametrize("kind", sorted(COMPRESSED))
-def test_compressed_kernel_peak_memory(kind):
-    real = _compressed(kind)
+def _traced(real, rows=None):
+    """The table ``born_table(real, rows=rows)`` and the traced memory still
+    held after the call and at its peak, in bytes."""
     tracemalloc.start()
     try:
-        born_table(real)
-        peak = tracemalloc.get_traced_memory()[1]
+        table = born_table(real, rows=rows)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < COMPRESSED[kind][1] * 2**20
+    return table, held, peak
+
+
+@pytest.mark.parametrize("kind", sorted(COMPRESSED))
+def test_compressed_kernel_peak_memory(kind):
+    assert _traced(_compressed(kind))[2] < COMPRESSED[kind][1] * 2**20
+
+
+def test_protocol_rows_kernel_peak_memory():
+    """di n=3 toffoli: the 43 protocol rows hold 1.3 MiB and the kernel
+    peaks at 2.3 MiB (4.8 MiB when every block's probabilities were held
+    at once)."""
+    real = reference_realization(3, gate("toffoli", 3), scheme=DI)
+    assert _traced(real, protocol_rows(DI, 3))[2] < 3.5 * 2**20
+
+
+def test_returned_rows_hold_only_themselves():
+    """The 101 protocol rows of di n=4 (50.5 MiB) are arrays of their own:
+    the table keeps no block's probabilities alive (when each row was a
+    view into its block, 93 MiB stayed held), and the kernel peaks at
+    the rows plus a few MiB."""
+    real = reference_realization(4, gate("random", 4, seed=5), scheme=DI)
+    table, held, peak = _traced(real, protocol_rows(DI, 4))
+    rows = sum(table.array(key).nbytes for key in table.keys())
+    assert len(table.keys()) == 101 and held <= 1.1 * rows and peak <= rows + 8 * 2**20

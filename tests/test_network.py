@@ -100,9 +100,9 @@ def test_realization_is_validated_once(monkeypatch):
     checked = []
     check_povm = network._check_povm
 
-    def counted(elements, dim, what):
+    def counted(elements, dim, what, spectra):
         checked.append(what)
-        check_povm(elements, dim, what)
+        check_povm(elements, dim, what, spectra)
 
     monkeypatch.setattr(network, "_check_povm", counted)
     u = gate("cnot", 2)
@@ -569,6 +569,84 @@ def test_restricted_born_table_equals_full_table(scheme, n):
         assert certify(part, u).to_record() == certify(full, u).to_record()
 
 
+# (scheme, n, adversary) of the pass-size test: at the default budget the
+# dilated and depolarized di n=2 blocks run one first-repeater outcome per
+# group and a few rows per pass; at budget 1 every case runs its smallest
+# groups and passes.
+PASS_CASES = [
+    (scheme, 2, spec) for scheme in SCHEMES for spec in (None, RESTRICTED_ADVERSARIES[1], RESTRICTED_ADVERSARIES[2])
+] + [(DI, 3, None), (ALMOST_DI, 3, RESTRICTED_ADVERSARIES[1])]
+
+
+@pytest.mark.parametrize("scheme, n, spec", PASS_CASES, ids=lambda v: getattr(v, "kind", v))
+def test_born_table_does_not_depend_on_the_pass_size(monkeypatch, scheme, n, spec):
+    """The smallest passes (budget 1) and one pass over everything (2**40)
+    give the default budget's tables bit for bit, on full tables and on the
+    protocol rows, and the protocol rows equal the full table's."""
+    from gatecert import network
+
+    real = reference_realization(n, gate("random", n, seed=7), scheme=scheme)
+    real = real if spec is None else apply_adversary(real, spec)
+    rows = protocol_rows(scheme, n)
+    tables = []
+    for budget in (network.PASS_ENTRIES, 1, 2**40):
+        monkeypatch.setattr(network, "PASS_ENTRIES", budget)
+        tables.append((born_table(real), born_table(real, rows=rows)))
+    full = tables[0][0]
+    assert len(full.keys()) == len(list(ScenarioSpec(scheme, n).settings()))
+    for whole, part in tables:
+        assert list(whole.keys()) == list(full.keys()) and set(part.keys()) == set(rows)
+        assert all(whole.array(key).tobytes() == full.array(key).tobytes() for key in full.keys())
+        assert all(part.array(key).tobytes() == full.array(key).tobytes() for key in rows)
+
+
+def test_born_table_checks_every_row_it_computes():
+    """A joint box that sums to the identity only within ``IDENTITY_TOL``
+    passes validation, but its rows miss one by more than ``SUM_TOL``; a row
+    the block computes and does not return is named too."""
+    real = reference_realization(2, gate("cnot", 2))
+    scaled = Operator(real.l_meas[0].entries * (1 + 8e-11), real.l_meas[0].dims)
+    real = replace(real, l_meas=(scaled,) + real.l_meas[1:])
+    validate_realization(real)
+    # the block of these rows computes ((0, 0), 0) and ((1, 1), 0) as well
+    for rows in (None, [((0, 1), 0), ((1, 0), 0)]):
+        with pytest.raises(ValueError, match=re.escape("setting ((0, 0), 0): probabilities sum to 1.0000000000")):
+            born_table(real, rows=rows)
+
+
+def test_born_table_builds_row_keys_without_revalidating(monkeypatch):
+    """Only the keys a caller passes go through ``ScenarioSpec.row``; the
+    rows ``born_table`` computes are keyed directly."""
+    calls = []
+    row = ScenarioSpec.row
+    monkeypatch.setattr(ScenarioSpec, "row", lambda self, *args: calls.append(args) or row(self, *args))
+    real = reference_realization(2, gate("cz", 2), scheme=DI)
+    assert len(born_table(real).keys()) == 90 and calls == []
+    rows = sorted(protocol_rows(DI, 2), key=repr)
+    assert set(born_table(real, rows=rows).keys()) == set(rows) and len(calls) == len(rows)
+
+
+def test_born_table_diagonalizes_each_measurement_once(monkeypatch):
+    """A realization ``born_table`` validates is diagonalized once per
+    measurement stack: validation's ``eigh`` of the joint box and the
+    repeaters also gives their factors.  A realization validated before
+    has each stack diagonalized once by factoring."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, fn=fn, name=name: calls.append((name, a.shape)) or fn(a))
+    # 2 A stacks of 6 elements, the joint box, 2 repeaters and 4 boxes
+    stacks = sorted([(6, 2, 2)] * 2 + [(4, 4, 4)] * 3 + [(2, 2, 2)] * 4)
+    real = reference_realization(2, gate("cnot", 2), scheme=DI)
+    for _ in range(2):  # the first call validates
+        calls.clear()
+        born_table(real)
+        assert sorted(shape for _, shape in calls) == stacks and {name for name, _ in calls} == {"eigh"}
+    calls.clear()
+    validate_realization(replace(real, branch=real.branch))
+    assert calls == [("eigvalsh", (4, 4, 4))] * 3
+
+
 @pytest.mark.parametrize("scheme, n", RESTRICTED_SCENARIOS)
 def test_protocol_rows_hold_every_row_a_check_reads(scheme, n):
     for seed in range(3):
@@ -960,9 +1038,10 @@ def test_povm_messages(part, fault, message):
         broken = replace(real, l_meas=_povm_fault(real.l_meas, fault))
     else:
         broken = replace(real, repeaters=(real.repeaters[0], _povm_fault(real.repeaters[1], fault)))
-    with pytest.raises(ValueError) as err:
-        validate_realization(broken)
-    assert str(err.value) == message
+    for check in (validate_realization, born_table):  # born_table validates with eigh
+        with pytest.raises(ValueError) as err:
+            check(broken)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -977,7 +1056,8 @@ def test_povm_messages(part, fault, message):
 def test_povm_first_fault_in_element_order(first, second, message):
     """With elements 0 and 2 bad, element 0 is named, whatever its fault."""
     real = reference_realization(2, gate("cnot", 2), scheme=DI)
-    broken = _povm_fault(_povm_fault(real.l_meas, second), first, 0)
-    with pytest.raises(ValueError) as err:
-        validate_realization(replace(real, l_meas=broken))
-    assert str(err.value) == message
+    broken = replace(real, l_meas=_povm_fault(_povm_fault(real.l_meas, second), first, 0))
+    for check in (validate_realization, born_table):
+        with pytest.raises(ValueError) as err:
+            check(broken)
+        assert str(err.value) == message
