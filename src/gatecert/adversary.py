@@ -19,7 +19,8 @@ correlations and must be caught:
 Each kind is declared once, in ``_KINDS``: its transformation and the spec
 fields it takes by keyword.  The table drives ``AdversarySpec.to_record``
 (``thetas`` as a list, empty when unset), the fields ``from_record`` accepts
-(JSON numbers only for the numeric ones) and the call ``apply_adversary``
+(JSON numbers only for the numeric ones; a perturb record must give
+``epsilon`` and a depolarize record ``eta``) and the call ``apply_adversary``
 makes, e.g. ``dilate(real, junk_dim=..., seed=..., rotate=...)``.  Spec files
 go through the file layer of ``primitives``.
 
@@ -77,6 +78,9 @@ class AdversarySpec:
                 values[name] = _FIELD_READERS[name](rec[name])
             except (OverflowError, TypeError, ValueError):
                 raise ValueError(f"adversary field {name!r} has malformed value {rec[name]!r}") from None
+        missing = [name for name in _REQUIRED.get(kind, ()) if name not in rec]
+        if missing:
+            raise ValueError(f"{kind} adversary record is missing field(s) {', '.join(map(repr, missing))}")
         return AdversarySpec(**values)
 
 
@@ -250,3 +254,5 @@ _KINDS = {
     "depolarize": (depolarize_sources, ("eta",)),
 }
 ADVERSARY_KINDS = tuple(_KINDS)
+# Fields a record must give: at its default strength the kind would leave the realization unchanged.
+_REQUIRED = {"perturb": ("epsilon",), "depolarize": ("eta",)}

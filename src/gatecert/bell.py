@@ -16,7 +16,9 @@ the identity: ``evaluate`` reads it against a probability table as weights
 on table rows (``network.row_weights``).  ``classical_bound`` and
 ``seesaw_max`` (alternating optimization over qubit strategies) contract
 it one party at a time, for the bound, the Bell operator and the effective
-operators, and the see-saw runs all its restarts as one batch.
+operators.  The see-saw runs all its restarts as one batch: each
+contraction step is one batched matrix product (``_fold``), and each
+observable step takes the sign of a 2x2 Hermitian matrix in closed form.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .network import ProbabilityTable, coefficients, nonzero_slots, terms_value
+from .network import ProbabilityTable, check_size, coefficients, nonzero_slots, terms_value
 from .primitives import SettingSymbol
-from .tensor import polar_factor
+from .tensor import DEFAULT_ZERO_TOL
 
 
 class BellTerm(NamedTuple):
@@ -171,68 +173,95 @@ class SeesawResult:
     history: tuple[float, ...]
 
 
+def _fold(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    """``sum_i W[..., i] (x)_q stacks[:, q, i_q]`` over W's trailing
+    ``stacks.shape[1]`` slots: ``(R, D, D, L)``, L the entries of W's
+    leading slots.  One party at a time from the last: each step is one
+    batched matrix product of W's last slot against the party's
+    ``(R, 4, d*d)`` stack, and the party's sites go before the operator's."""
+    r, m, _, d, _ = stacks.shape
+    # t: (restart, bra, ket, leading slots and the slots still to fold)
+    t = w.reshape(1, 1, 1, -1)
+    for q in reversed(range(m)):
+        _, x, y, rest = t.shape
+        t = (t.reshape(len(t), -1, 4) @ stacks[:, q].reshape(r, 4, d * d)).reshape(r, x, y, rest // 4, d, d)
+        t = t.transpose(0, 4, 1, 5, 2, 3).reshape(r, d * x, d * y, rest // 4)
+    return t
+
+
 def _bell_operators(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     """Bell operators sum_i W[i] (x)_p stacks[:, p, i_p] of a batch of
-    restarts, ``(R, D, D)``, one party at a time from the last: each step
-    sums one axis of W into that party's stacks and prepends its site."""
-    r, m, _, d, _ = stacks.shape
-    t = np.broadcast_to(w[..., None, None, None], w.shape + (r, 1, 1))
-    for p in reversed(range(m)):
-        t = np.einsum("...iryc,rixa->...rxyac", t, stacks[:, p])
-        t = t.reshape(t.shape[:-4] + (d * t.shape[-3], d * t.shape[-1]))
-    return t
+    restarts, ``(R, D, D)``."""
+    return _fold(w, stacks)[..., 0]
 
 
 def _effective_stacks(w: np.ndarray, stacks: np.ndarray, states: np.ndarray, p: int) -> np.ndarray:
     """Party p's effective operators G[:, k], k = 0..3, of each restart: the
     value at ``states`` is sum_k Tr[stacks[:, p, k] G[:, k]], G free of
-    party p.  |psi><psi| is folded against each other party's stack in
-    turn, then against W."""
+    party p.  With B'_k the other parties' Bell operator at party p's slot k
+    and Psi the state with party p's qubit first, G = Psi B'^T Psi^dagger."""
     r, m, _, d, _ = stacks.shape
-    # subscripts: restart 0, slot i_q = 1 + q, bra site q = 1 + m + q, ket site q = 1 + 2m + q
-    bra, ket = list(range(1 + m, 1 + 2 * m)), list(range(1 + 2 * m, 1 + 3 * m))
-    psi = states.reshape((r,) + (d,) * m)
-    sub = [0, *bra, *ket]
-    t = np.einsum(psi.conj(), [0, *bra], psi, [0, *ket], sub)
-    for q in range(m):
-        if q != p:
-            out = [0, 1 + q] + [s for s in sub[1:] if s not in (bra[q], ket[q])]
-            t = np.einsum(t, sub, stacks[:, q], [0, 1 + q, bra[q], ket[q]], out)
-            sub = out
-    return np.einsum(w, list(range(1, 1 + m)), t, sub, [0, 1 + p, ket[p], bra[p]])
+    others = [q for q in range(m) if q != p]
+    bt = _fold(w.transpose(p, *others), stacks[:, others]).transpose(0, 3, 2, 1)
+    psi = states.reshape((r,) + (d,) * m).transpose(0, 1 + p, *(1 + q for q in others)).reshape(r, 1, d, -1)
+    return psi @ bt @ psi.conj().transpose(0, 1, 3, 2)
+
+
+def _qubit_sign(g: np.ndarray) -> np.ndarray:
+    """sign(G) of the Hermitian part of each 2x2 matrix of ``g``, as
+    ``tensor.polar_factor`` gives it, in closed form: with G = g0 I + g.sigma
+    the eigenvalues are g0 +- |g|, and one above -``DEFAULT_ZERO_TOL`` goes
+    to +1, so one of magnitude below the tolerance does too."""
+    g0 = (g[..., 0, 0].real + g[..., 1, 1].real) / 2
+    gz = (g[..., 0, 0].real - g[..., 1, 1].real) / 2
+    off = (g[..., 0, 1] + g[..., 1, 0].conj()) / 2  # gx - i gy
+    norm = np.sqrt(gz**2 + off.real**2 + off.imag**2)
+    plus, minus = (np.where(lam > -DEFAULT_ZERO_TOL, 1.0, -1.0) for lam in (g0 + norm, g0 - norm))
+    # sign(G) = (s+ + s-)/2 I + (s+ - s-)/2 g.sigma/|g|; the signs differ only where |g| > 0
+    a, c = (plus + minus) / 2, np.divide(1.0, norm, out=np.zeros_like(norm), where=plus != minus)
+    out = np.empty(g.shape, dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = a + c * gz, a - c * gz
+    out[..., 0, 1] = c * off
+    out[..., 1, 0] = out[..., 0, 1].conj()
+    return out
 
 
 def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> SeesawResult:
     """Alternating maximization of a Bell functional over one qubit per party.
 
     State step: top eigenvector of the Bell operator.  Observable step: each
-    party in turn replaces every binary observable by the polar unitary part
-    of its Hermitian effective operator, the exact maximizer at fixed state.
-    The iteration is monotone; several random restarts guard against poor
-    local optima, and the first restart within ``SEESAW_STALL_TOL`` of the
-    best is returned, so restarts tied up to rounding do not decide it.
+    party in turn replaces every binary observable by the sign (the polar
+    unitary part) of its Hermitian effective operator, the exact maximizer
+    at fixed state.  The iteration is monotone; several random restarts
+    guard against poor local optima, and the first restart within
+    ``SEESAW_STALL_TOL`` of the best is returned, so restarts tied up to
+    rounding do not decide it.
 
     Every restart's initial observables are drawn up front, and the
     restarts iterate as one batch: each step builds all their Bell
-    operators, takes one stacked ``eigh`` and one stacked polar step per
+    operators, takes one stacked ``eigh`` and one stacked sign step per
     party.  A restart leaves the batch when its own history stalls.  The
     Bell operator and the effective operators contract the coefficient
-    tensor ``W`` one party at a time.
+    tensor ``W`` one party at a time.  A batch that would hold more than
+    ``network.MAX_AMPLITUDES`` entries raises ValueError before anything
+    is drawn.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     site_dim = SEESAW_SITE_DIM
     _, w, _ = coefficients(functional.terms, None)
+    # the largest batch: each restart's Bell operator (and every fold step), or its stacks, which outgrow its draws
+    check_size(restarts * max(site_dim ** (2 * w.ndim), w.ndim * 4 * site_dim**2), f"a see-saw of {restarts} restarts")
     reached = _reached(w)
     rng = np.random.default_rng(seed)
     # every restart's draws, in the order of restart, party and base setting
     slots = [(p, k) for p, settings in enumerate(reached) for k in settings]
     signs = np.array([1.0, -1.0] * ((site_dim + 1) // 2))[:site_dim]
-    h = np.empty((restarts, len(slots), site_dim, site_dim), dtype=complex)
+    z = np.empty((restarts, len(slots), 2, site_dim, site_dim))  # real and imaginary parts, drawn as one
     perm = np.empty((restarts, len(slots), site_dim))
     for j in np.ndindex(restarts, len(slots)):
-        h[j] = rng.normal(size=(site_dim, site_dim)) + 1j * rng.normal(size=(site_dim, site_dim))
-        perm[j] = rng.permutation(signs)
+        z[j], perm[j] = rng.normal(size=(2, site_dim, site_dim)), rng.permutation(signs)
+    h = z[:, :, 0] + 1j * z[:, :, 1]
     vecs = np.linalg.eigh(h + np.swapaxes(h, -1, -2).conj())[1]
     stacks = np.zeros((restarts, w.ndim, 4, site_dim, site_dim), dtype=complex)
     stacks[:, :, 3] = np.eye(site_dim)
@@ -255,7 +284,7 @@ def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> 
             break
         for p, settings in enumerate(reached):
             g = _effective_stacks(w, stacks, states, p)[:, settings]
-            stacks[:, p, settings] = polar_factor((g + np.swapaxes(g, -1, -2).conj()) / 2)
+            stacks[:, p, settings] = _qubit_sign(g)
     for r in live:
         done[r] = SeesawResult(histories[r][-1], False, SEESAW_MAX_ITERS, tuple(histories[r]))
     results = [done[r] for r in range(restarts)]

@@ -10,7 +10,8 @@ marked read-only.  ``apply_raw_batch`` is the only code that applies an
 operator to sites of a raw state vector; a single operator is a
 one-element stack.  Its only caller is the Born kernel (``born_table``,
 Eve's layer included); the see-saw contracts a coefficient tensor instead
-and takes its observable step on raw stacks through ``polar_factor``.
+and takes its observable step in closed form, with ``polar_factor``'s
+tolerance ``DEFAULT_ZERO_TOL``.
 """
 
 from __future__ import annotations

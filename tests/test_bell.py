@@ -22,6 +22,7 @@ from gatecert.bell import (
     BellTerm,
     _bell_operators,
     _effective_stacks,
+    _qubit_sign,
     classical_bound,
     evaluate,
     functional_I,
@@ -31,6 +32,7 @@ from gatecert.bell import (
 )
 from gatecert.network import ALMOST_DI, DI, SCHEMES, born_table, coefficients, reference_realization, row_weights
 from gatecert.primitives import SettingSymbol, gate, ghz_bits
+from gatecert.tensor import DEFAULT_ZERO_TOL, polar_factor
 
 SQ2 = np.sqrt(2.0)
 
@@ -311,6 +313,78 @@ def test_coefficient_tensor_matches_termwise_oracle(functional, seed):
     assert abs(classical_bound(functional) - termwise_classical_bound(functional)) <= 1e-12
 
 
+def _random_functional(rng, n):
+    """Six terms with normal coefficients over A1..An, each party's symbol
+    drawn from every symbol and the identity; each party measures in the
+    first term."""
+    labels = [f"A{j}" for j in range(1, n + 1)]
+    symbols = list(SettingSymbol)
+    measured = [sym for sym in symbols if sym is not SettingSymbol.ID]
+    terms = [BellTerm(float(rng.normal()), {label: measured[rng.integers(len(measured))] for label in labels})]
+    terms += [
+        BellTerm(float(rng.normal()), {label: symbols[rng.integers(len(symbols))] for label in labels})
+        for _ in range(5)
+    ]
+    return BellFunctional(n, "random", tuple(terms))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("which", ["I", "random"])
+def test_fold_matches_termwise_oracle_beyond_three_parties(n, which):
+    """At 4 and 5 parties, with random observables in every restart of a
+    batch and a random state per restart, the Bell operators and every
+    party's effective operators of the matmul fold equal the term-wise
+    ones to 1e-12."""
+    rng = np.random.default_rng(n)
+    functional = functional_I((0, 1, 1, 0, 1)[:n]) if which == "I" else _random_functional(rng, n)
+    labels, w, _ = coefficients(functional.terms, None)
+    base = _base_settings(_symbols(functional))
+    assert labels == list(base) and len(labels) == n
+    restarts = 3
+    stacks = np.zeros((restarts, n, 4, 2, 2), dtype=complex)
+    stacks[:, :, 3] = np.eye(2)
+    measured, states = [], []
+    for r in range(restarts):
+        obs = {}
+        for p, label in enumerate(labels):
+            for k in range(3):
+                stacks[r, p, k] = obs[(label, k)] = _random_observable(rng)
+        symbols = _symbols(functional).items()
+        measured.append({(label, sym): _combine(obs, label, sym) for label, syms in symbols for sym in syms})
+        state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        states.append(state / np.linalg.norm(state))
+    states = np.array(states)
+    bell = _bell_operators(w, stacks)
+    for r in range(restarts):
+        assert np.max(np.abs(bell[r] - termwise_bell_operator(functional, measured[r], labels, 2))) <= 1e-12
+    for p, label in enumerate(labels):
+        effective = _effective_stacks(w, stacks, states, p)
+        for r in range(restarts):
+            want = termwise_effective_operators(functional, measured[r], labels, 2, states[r], label, base[label])
+            for k, g in want.items():
+                assert np.max(np.abs(effective[r, k] - g)) <= 1e-12, (label, r, k)
+
+
+def test_qubit_sign_matches_polar_factor():
+    """The closed-form sign equals ``polar_factor`` of the Hermitian part on
+    random 2x2 matrices, shifted so that both eigenvalues share a sign, and
+    on eigenvalues inside +-DEFAULT_ZERO_TOL (sent to +1), +-I and zero."""
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(40, 2, 2)) + 1j * rng.normal(size=(40, 2, 2))
+    h = (g + g.conj().transpose(0, 2, 1)) / 2
+    eye = np.eye(2)
+    u = polar_factor(rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2)))
+    tiny = DEFAULT_ZERO_TOL / 10
+    spectra = [(tiny, -0.7), (-tiny, 0.5), (tiny, -tiny), (0.3, -tiny), (-0.4, -tiny), (2.0, 2.0)]
+    near_zero = np.array([v @ np.diag(s) @ v.conj().T for v, s in zip(u, spectra)])
+    hermitian = np.concatenate([h, h + 10 * eye, h - 10 * eye, near_zero, [eye, -eye, np.zeros((2, 2))]])
+    assert np.max(np.abs(_qubit_sign(hermitian) - polar_factor(hermitian))) <= 1e-12
+    assert np.max(np.abs(_qubit_sign(g) - polar_factor(h))) <= 1e-12
+    assert np.array_equal(_qubit_sign(np.zeros((2, 2))), eye)
+    assert np.array_equal(_qubit_sign(-eye), -eye)
+    assert _qubit_sign(g.reshape(4, 10, 2, 2)).shape == (4, 10, 2, 2)
+
+
 def _protocol_functionals(n):
     return [functional_I(ghz_bits(l, n)) for l in range(2**n)] + [
         functional_K(i, k_sign_bits(k), n) for i in range(1, n + 1) for k in range(4)
@@ -323,8 +397,13 @@ BOUNDS_N3 = [functional_I(ghz_bits(l, 3)) for l in range(8)] + [functional_K(1, 
 
 @pytest.mark.parametrize(
     "funcs, restarts, seeds",
-    [(_protocol_functionals(2), 2, (0,)), (_protocol_functionals(3), 2, (0,)), (BOUNDS_N3, 8, (0, 1))],
-    ids=["2", "3", "bounds-n3"],
+    [
+        (_protocol_functionals(2), 2, (0,)),
+        (_protocol_functionals(3), 2, (0,)),
+        (BOUNDS_N3, 8, (0, 1)),
+        ([functional_I((0,) * 4)], 2, (0,)),
+    ],
+    ids=["2", "3", "bounds-n3", "4"],
 )
 def test_seesaw_matches_termwise_oracle(funcs, restarts, seeds):
     """The same random draws give the term-wise see-saw's returned restart:

@@ -517,6 +517,39 @@ def test_bounds_refuses_nonpositive_restarts(capsys):
     assert "error: --restarts must be at least 1, got -3" in capsys.readouterr().err
 
 
+def test_bounds_refuses_a_batch_beyond_the_amplitude_limit(capsys):
+    """10^9 restarts would need 477 GiB: the see-saw refuses them, naming
+    the size, before it draws anything."""
+    tracemalloc.start()
+    try:
+        code = main(["bounds", "--n", "2", "--restarts", "1000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: a see-saw of 1000000000 restarts would hold 32000000000 amplitudes (476.8 GiB)" in err
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [({"kind": "perturb", "seed": 3}, "epsilon"), ({"kind": "depolarize"}, "eta")],
+    ids=["perturb", "depolarize"],
+)
+def test_adversary_spec_without_its_strength_exits_two(tmp_path, capsys, record, field):
+    """At its default strength a perturb or depolarize spec would run the
+    unchanged realization, so a spec must give it; dilate keeps its
+    defaults, as in the README's example."""
+    adv = tmp_path / "adv.json"
+    adv.write_text(json.dumps(record))
+    assert main(["certify", "--n", "2", "--gate", "cz", "--adversary", str(adv)]) == 2
+    kind = record["kind"]
+    assert f"error: {kind} adversary record is missing field(s) '{field}' (in adversary spec" in capsys.readouterr().err
+    adv.write_text(json.dumps({"kind": "dilate", "junk_dim": 2, "seed": 7}))
+    assert main(["certify", "--n", "2", "--gate", "cz", "--adversary", str(adv)]) == 0
+
+
 _NAN_IDENTITY = [[[float("nan") if (r, c) == (0, 0) else float(r == c), 0.0] for c in range(4)] for r in range(4)]
 
 
