@@ -36,7 +36,7 @@ from .certify import (
     CheckRow,
     certify,
 )
-from .decomp import delta_set, f_coeffs
+from .decomp import delta_set
 from .extract import Extraction, extract_all
 from .network import (
     ALMOST_DI,
@@ -61,7 +61,6 @@ from .primitives import (
     gate_from_record,
     ghz_basis,
     ghz_bits,
-    ghz_int,
     ghz_state,
     haar_unitary,
     pauli,
@@ -73,8 +72,6 @@ from .tensor import (
     Operator,
     StateVector,
     kron,
-    permute_sites,
-    polar_unitary,
 )
 
 __version__ = "0.1.0"
@@ -109,7 +106,6 @@ __all__ = [
     "evaluate",
     "expectation",
     "extract_all",
-    "f_coeffs",
     "functional_I",
     "functional_K",
     "gate",
@@ -117,7 +113,6 @@ __all__ = [
     "gauge_phase",
     "ghz_basis",
     "ghz_bits",
-    "ghz_int",
     "ghz_state",
     "haar_unitary",
     "k_sign_bits",
@@ -125,10 +120,8 @@ __all__ = [
     "load_adversary",
     "load_table",
     "pauli",
-    "permute_sites",
     "perturb",
     "phi_plus",
-    "polar_unitary",
     "read_table",
     "ref_b_observable",
     "ref_observable",

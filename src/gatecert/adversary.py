@@ -19,10 +19,10 @@ correlations and must be caught:
 Each kind is declared once, in ``_KINDS``: its transformation and the spec
 fields it takes by keyword.  The table drives ``AdversarySpec.to_record``
 (``thetas`` as a list, empty when unset), the fields ``from_record`` accepts
-(JSON numbers only for the numeric ones; a perturb record must give
+(finite JSON numbers only for the numeric ones; a perturb record must give
 ``epsilon`` and a depolarize record ``eta``) and the call ``apply_adversary``
 makes, e.g. ``dilate(real, junk_dim=..., seed=..., rotate=...)``.  Spec files
-go through the file layer of ``primitives``.
+go through the file layer of ``primitives``.  A spec's seed is non-negative.
 
 Each kind is new sources plus one ``Realization.map_operators`` walk, in
 which every operator is lifted onto the junk of its sites (``dilate``,
@@ -58,6 +58,8 @@ class AdversarySpec:
     def __post_init__(self) -> None:
         if self.kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
+        if self.seed < 0:
+            raise ValueError(f"adversary seed must be non-negative, got {self.seed}")
 
     def to_record(self) -> dict:
         rec = {name: getattr(self, name) for name in ("kind", *_KINDS[self.kind][1])}

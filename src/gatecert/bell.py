@@ -14,7 +14,8 @@ Every tool reads a functional as one coefficient tensor ``W``
 (``network.coefficients``), an axis per party over base settings 0..2 and
 the identity: ``evaluate`` reads it against a probability table as weights
 on table rows (``network.row_weights``).  ``classical_bound`` and
-``seesaw_max`` (alternating optimization over qubit strategies) contract
+``seesaw_max`` (alternating optimization over qubit strategies) read the
+functional's own copy, ``BellFunctional.tensor``, built once, and contract
 it one party at a time, for the bound, the Bell operator and the effective
 operators.  The see-saw runs all its restarts as one batch: each
 contraction step is one batched matrix product (``_fold``), and each
@@ -24,6 +25,7 @@ observable step takes the sign of a 2x2 Hermitian matrix in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Mapping, NamedTuple, Sequence
 
@@ -46,6 +48,13 @@ class BellFunctional:
     n: int
     label: str
     terms: tuple[BellTerm, ...]
+
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """The coefficient tensor ``W``, ``coefficients(terms, None)[1]``, read-only, built once."""
+        w = coefficients(self.terms, None)[1]
+        w.setflags(write=False)
+        return w
 
 
 def functional_I(l_bits: Sequence[int]) -> BellFunctional:
@@ -148,7 +157,7 @@ def classical_bound(functional: BellFunctional) -> float:
     ``W`` is contracted with its own party's +-1 values, 1 at the identity,
     which leaves the assignments in order, the first party's slowest.
     """
-    _, t, _ = coefficients(functional.terms, None)
+    t = functional.tensor
     for settings in _reached(t):
         grid = np.array(list(product((1.0, -1.0), repeat=len(settings)))).reshape(2 ** len(settings), len(settings))
         values = np.ones((len(grid), 4))
@@ -249,7 +258,7 @@ def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> 
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     site_dim = SEESAW_SITE_DIM
-    _, w, _ = coefficients(functional.terms, None)
+    w = functional.tensor
     # the largest batch: each restart's Bell operator (and every fold step), or its stacks, which outgrow its draws
     check_size(restarts * max(site_dim ** (2 * w.ndim), w.ndim * 4 * site_dim**2), f"a see-saw of {restarts} restarts")
     reached = _reached(w)

@@ -21,9 +21,10 @@ one-term functional) or of the gate's f tensor (``decomp.f_tensor``), for
 all joint outcomes l at once, with the per-party matrices
 ``network.party_matrix``.  Only the f-sum rows depend on the gate.  The
 other checks are built once per (scheme, n), and so is the f-sum frame:
-the check ids, event indices, party matrices, the e=1 ``perp`` row keys
-in ``x_settings`` order and the contraction's path.  Per gate,
-``check_matrix`` computes only f, one contraction and the weight dicts.
+the check ids, event indices, party matrices and the e=1 ``perp`` row
+keys in ``x_settings`` order; the contraction's path is searched once per
+shape (``network.einsum_path``).  Per gate, ``check_matrix`` computes
+only f, one contraction and the weight dicts.
 ``protocol_rows`` lists every settings row any gate's checks read, the
 rows realization-mode ``gatecert certify`` computes.  ``certify`` reads
 the rows the weighted sums weigh once, by the normalized keys the weights
@@ -65,7 +66,6 @@ from .network import (
     ScenarioSpec,
     ZeroProbabilityEvent,
     contract,
-    contract_path,
     event_index,
     event_label,
     expectation,
@@ -212,16 +212,14 @@ def _correlator_check(check_id, rhs, scheme, n, assignment, *, l=None, r=None, s
 
 class _FsumFrame(NamedTuple):
     """What the f-sum checks of every gate share: their ids, rhs and event
-    indices per l, the e=1 ``perp`` row keys in ``x_settings`` order, the
-    party matrices in Pauli order and the path of the f tensor's
-    contraction with them."""
+    indices per l, the e=1 ``perp`` row keys in ``x_settings`` order and
+    the party matrices in Pauli order."""
 
     ids: tuple[str, ...]
     rhs: float
     indices: tuple[tuple, ...]
     keys: tuple[tuple, ...]
     mats: tuple[np.ndarray, ...]
-    path: list
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +235,7 @@ def _fsum_frame(scheme: str, n: int) -> _FsumFrame:
     indices = tuple(event_index(scheme, n, l=l, r=r) for l in range(2**n))
     keys = tuple(scen.row(x, 1, PERP) for x in scen.x_settings())
     mats = (party_matrix(_A1_SYMBOLS),) + (party_matrix(SLOT_SYMBOLS),) * (n - 1)
-    return _FsumFrame(ids, rhs, indices, keys, mats, contract_path((2**n,) + (4,) * n, mats))
+    return _FsumFrame(ids, rhs, indices, keys, mats)
 
 
 def _fsum_checks(scheme: str, n: int, u: Operator) -> list[Check]:
@@ -248,7 +246,7 @@ def _fsum_checks(scheme: str, n: int, u: Operator) -> list[Check]:
     frame = _fsum_frame(scheme, n)
     f = f_tensor(u)
     f = np.where(np.abs(f) < F_ZERO, 0.0, f)
-    w = contract(f, frame.mats, optimize=frame.path).reshape(2**n, len(frame.keys), *(2,) * n)
+    w = contract(f, frame.mats, optimize=True).reshape(2**n, len(frame.keys), *(2,) * n)
     w.setflags(write=False)
     read = w.reshape(2**n, len(frame.keys), -1).any(axis=2)
     return [

@@ -265,6 +265,9 @@ def main(argv=None) -> int:
             name = "--" + flag.replace("_", "-")
             print(f"error: {name} must be positive and finite, got {value!r}", file=sys.stderr)
             return 2
+    if args.seed < 0:
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         # looked up per call, so a command rebound on the module (a tracer's span) runs
         run = {"simulate": cmd_simulate, "bounds": cmd_bounds, "certify": cmd_certify, "decompose": cmd_decompose}

@@ -9,8 +9,8 @@ tensor-Pauli basis with real coefficients
 where the single-site legend is 0=Z, 1=X, 2=Y, 3=identity.  The coefficients
 of a normalized vector satisfy sum_i f^2 = 2^(-N).  ``f_tensor`` computes
 the whole f tensor of a gate, all 2^N states at once, as one chain of
-contractions over a leading l axis; ``f_coeffs`` is the one-state case of
-the same chain.  The deltas stay one matrix-vector product each, with the
+contractions over a leading l axis; ``f_tensor(u)[l]`` holds the
+coefficients of state l.  The deltas stay one matrix-vector product each, with the
 columns of ``primitives.ghz_basis``, as one product with the whole basis
 would round differently.  The f tensor is the weights the check matrix of
 :mod:`gatecert.certify` puts on the tomographic (f-sum) rows, contracted
@@ -49,23 +49,13 @@ def f_tensor(u: Operator) -> np.ndarray:
     return _pauli_coefficients(np.stack(_deltas(u)), u.n_sites)
 
 
-def f_coeffs(delta: StateVector) -> np.ndarray:
-    """Pauli coefficients of |delta><delta|, shape (4,)*N: ``f_tensor``'s
-    contraction on a stack of one state."""
-    n = delta.n_sites
-    if delta.dims != (2,) * n:
-        raise ValueError(f"state must live on qubits, got site dims {delta.dims}")
-    return _pauli_coefficients(delta.amplitudes[None], n)[0]
-
-
 def _pauli_coefficients(amps: np.ndarray, n: int) -> np.ndarray:
     """The read-only real coefficients of each row of ``amps`` (k, 2^N).
 
     With ``rho[l, (a_1 b_1), ..., (a_N b_N)] = conj(amps[l, a]) amps[l, b]``,
     every site's pair axis is contracted with ``_PAULI_Q``, then divided by
     2^N.  An imaginary part above ``IMAG_TOL`` raises ValueError naming the
-    first such coefficient (its state index first when the stack holds more
-    than one)."""
+    first such coefficient, its state index first."""
     rho = (amps.conj()[:, :, None] * amps[:, None, :]).reshape((len(amps),) + (2,) * (2 * n))
     vals = rho.transpose([0] + [1 + p for k in range(n) for p in (k, n + k)]).reshape((len(amps),) + (4,) * n)
     for k in range(1, n + 1):
@@ -74,8 +64,7 @@ def _pauli_coefficients(amps: np.ndarray, n: int) -> np.ndarray:
     bad = np.abs(vals.imag) > IMAG_TOL
     if bad.any():
         idx = tuple(int(v) for v in np.argwhere(bad)[0])
-        where = idx if len(amps) > 1 else idx[1:]
-        raise ValueError(f"coefficient at {where} has imaginary part {vals.imag[idx]:.3e}")
+        raise ValueError(f"coefficient at {idx} has imaginary part {vals.imag[idx]:.3e}")
     out = np.ascontiguousarray(vals.real)
     out.setflags(write=False)
     return out

@@ -32,7 +32,7 @@ no consistent target and is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -40,39 +40,29 @@ from . import network
 from .decomp import delta_set
 from .network import ALMOST_DI, DI, Realization, validate_realization
 from .primitives import ghz_basis
-from .tensor import Operator, StateVector, polar_factor, polar_unitary
+from .tensor import Operator, polar_factor
 
 OP_TOL = 1e-8
 SUPPORT_TOL = 1e-10
 
 
-def regularize(a0: Operator | np.ndarray, a1: Operator | np.ndarray, tilde: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Frame pair (z-like, x-like) from a site's two observables, given as
-    Operators or as the entries of a stack of sites, (..., d, d).
-
-    With ``tilde`` the observables enter through their rotated combinations
-    (a0 -+ a1)/sqrt(2), made into exact involutions by taking the unitary
-    part of the polar decomposition; otherwise they are used as they are.
-    """
-    a0, a1 = (a.entries if isinstance(a, Operator) else a for a in (a0, a1))
-    if not tilde:
-        return a0.copy(), a1.copy()
+def regularize(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame pair (z-like, x-like) from the two observables of each site of
+    a stack, (..., d, d): their rotated combinations (a0 -+ a1)/sqrt(2),
+    made into exact involutions by taking the unitary part of the polar
+    decomposition."""
     pair = polar_factor(np.stack([a0 - a1, a0 + a1]) / np.sqrt(2))
     return pair[0], pair[1]
 
 
-def mirror_frame(
-    z: np.ndarray, x: np.ndarray, source: StateVector | np.ndarray, framed_wing: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frame on the opposite wing of a bipartite source.
+def mirror_frame(z: np.ndarray, x: np.ndarray, psi: np.ndarray, framed_wing: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frame on the opposite wing of a bipartite source, for each frame of a
+    stack (..., d, d) and its source's amplitude matrix psi, (..., d0, d1).
 
     For a frame operator O on wing ``framed_wing``, the partner operator is
     the unitary part of Tr_framed[(O (x) 1) |psi><psi|]; on a maximally
     entangled source this is the transpose of O carried to the other wing.
-    For a stack of frames (..., d, d), ``source`` is the stack of the
-    sources' amplitude matrices, (..., d0, d1).
     """
-    psi = source.amplitudes.reshape(source.dims) if isinstance(source, StateVector) else source
     ops, psi = np.stack([z, x], axis=-3), psi[..., None, :, :]
     if framed_wing == 0:
         # m[b,d] = sum_{a,a'} op[a,a'] psi[a',b] conj(psi)[a,d]
@@ -199,7 +189,7 @@ def extract_all(real: Realization, op_tol: float = OP_TOL) -> LocalFrames:
         pairs = [(obs[0].entries, obs[1].entries) for obs in observables]
         turned = [i - 1 for i in subnets if i in rotated]
         a0s, a1s = [pairs[k][0] for k in turned], [pairs[k][1] for k in turned]
-        for k, pair in zip(turned, _stacked(partial(regularize, tilde=True), a0s, a1s)):
+        for k, pair in zip(turned, _stacked(regularize, a0s, a1s)):
             pairs[k] = pair
         return vetted(name, site, pairs)
 
@@ -327,25 +317,11 @@ def teleported_elements(real: Realization) -> np.ndarray:
     meas = np.stack([m.entries for m in real.l_meas]).reshape((2**n,) + tuple(l_dims) * 2)
     operands += [meas, [6 * n] + c_out + c_in, [6 * n] + a_out + a_in]
     d1 = int(np.prod(r1_dims))
-    elements = np.einsum(*operands, optimize=_path(operands)).reshape(2**n, d1, d1)
+    elements = np.einsum(*operands, optimize=network.einsum_path(operands)).reshape(2**n, d1, d1)
     scale = float(np.max(np.linalg.eigvalsh(elements)[:, -1]))
     if scale <= SUPPORT_TOL:
         raise ValueError("teleported box elements vanish; repeater outcome 0 has no weight")
     return elements / scale
-
-
-@lru_cache(maxsize=None)
-def _shape_path(subscripts: tuple, shapes: tuple) -> list:
-    operands = [x for sub, shape in zip(subscripts, shapes) for x in (np.broadcast_to(0j, shape), list(sub))]
-    return np.einsum_path(*operands, list(subscripts[-1]), optimize="greedy")[0]
-
-
-def _path(operands: list) -> list:
-    """numpy's greedy contraction path for the interleaved einsum
-    ``operands`` (arrays and subscript lists, then the output's), searched
-    once per subscripts and shapes."""
-    subscripts = tuple(tuple(sub) for sub in operands[1::2]) + (tuple(operands[-1]),)
-    return _shape_path(subscripts, tuple(op.shape for op in operands[:-1:2]))
 
 
 def _collective_state(real: Realization) -> np.ndarray:
@@ -484,8 +460,7 @@ class Extraction:
         change and the branch conjugation yields the gate on qubits,
         unitarized through the polar decomposition."""
         branch = self.branch
-        n = self.real.n
-        basis = ghz_basis(n)
+        basis = ghz_basis(self.real.n)
         qn = float(np.real(np.trace(self.junk_floor)))
         m = np.tensordot(self.adjoint_rows, self.basis_rows.conj(), axes=([1, 2], [1, 2])) / qn
         # m[i, l] = <phi_i| target_l>: columns are the rotated basis images
@@ -498,7 +473,7 @@ class Extraction:
             gate = gate_adj.conj().T
         else:
             raise ValueError("realization mixes branch signs across parties")
-        return polar_unitary(Operator(gate, (2,) * n)).entries
+        return polar_factor(gate)
 
     def fidelity(self) -> float:
         """Phase-insensitive overlap |Tr(G^dagger U)/2^N|^2 between the

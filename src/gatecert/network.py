@@ -121,7 +121,7 @@ import numpy as np
 
 from .primitives import EXPANSION, SettingSymbol, ghz_basis, ghz_bits, json_object, phi_plus, read_file
 from .primitives import ref_b_observable, ref_observable, write_file
-from .tensor import IDENTITY_TOL, Operator, StateVector, apply_raw_batch, kron, permute_sites
+from .tensor import IDENTITY_TOL, Operator, StateVector, apply_raw_batch
 
 ALMOST_DI = "almost_di"
 DI = "di"
@@ -482,7 +482,9 @@ def assemble_state(real: Realization) -> StateVector:
     ``MAX_AMPLITUDES`` amplitudes (``check_size``)."""
     check_size(math.prod(src.amplitudes.size for src in real.sources), "the joint state")
     listed = sum(real.layout().source_sites(), ())
-    return permute_sites(kron(list(real.sources)), sorted(range(len(listed)), key=listed.__getitem__))
+    order = sorted(range(len(listed)), key=listed.__getitem__)  # canonical site i is the product's axis order[i]
+    joint = reduce(np.multiply.outer, [src.amplitudes.reshape(src.dims) for src in real.sources]).transpose(order)
+    return StateVector(joint.reshape(-1), joint.shape)
 
 
 def _binary_elements(obs: Operator) -> np.ndarray:
@@ -872,19 +874,26 @@ def coefficients(terms, scen: ScenarioSpec | None) -> tuple[list[str], np.ndarra
     return labels, w, support
 
 
-def contract(w: np.ndarray, matrices: Sequence[np.ndarray], *, optimize: bool | list) -> np.ndarray:
+def contract(w: np.ndarray, matrices: Sequence[np.ndarray], *, optimize: bool) -> np.ndarray:
     """``sum_i W[..., i] prod_p M_p[i_p, x_p, a_p]`` over (..., x_1..x_m,
-    a_1..a_m), W's leading axes kept.  ``optimize`` (pairwise contraction)
-    pays on a gate's f tensor; on a functional's few slots its path search
-    costs several times the contraction.  A path from ``contract_path``
-    gives the contraction ``optimize=True`` does, without the search."""
-    return np.einsum(*_contract_operands(w, matrices), optimize=optimize)
+    a_1..a_m), W's leading axes kept.  ``optimize`` (pairwise contraction,
+    along ``einsum_path``'s path) pays on a gate's f tensor; a functional's
+    few slots are contracted as one einsum."""
+    operands = _contract_operands(w, matrices)
+    return np.einsum(*operands, optimize=einsum_path(operands) if optimize else False)
 
 
-def contract_path(shape: tuple[int, ...], matrices: Sequence[np.ndarray]) -> list:
-    """The pairwise path ``contract(w, matrices, optimize=True)`` searches
-    for a ``w`` of ``shape``, to pass as its ``optimize``."""
-    return np.einsum_path(*_contract_operands(np.broadcast_to(0.0, shape), matrices), optimize="greedy")[0]
+_PATHS: dict[tuple, list] = {}  # einsum_path's paths, by subscripts and shapes
+
+
+def einsum_path(operands: list) -> list:
+    """numpy's greedy contraction path, the one ``optimize=True`` searches
+    for, of the interleaved einsum ``operands`` (arrays and subscript
+    lists, then the output's): searched once per subscripts and shapes."""
+    key = tuple(tuple(op) if isinstance(op, list) else op.shape for op in operands)
+    if key not in _PATHS:
+        _PATHS[key] = np.einsum_path(*operands, optimize="greedy")[0]
+    return _PATHS[key]
 
 
 def _contract_operands(w: np.ndarray, matrices: Sequence[np.ndarray]) -> list:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import codecs
 import json
+import math
 import operator
 import os
 from enum import Enum
@@ -77,24 +78,16 @@ def ghz_bits(l: int, n: int) -> tuple[int, ...]:
     return tuple((l >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def ghz_int(bits: Sequence[int]) -> int:
-    """Integer form of a GHZ bit tuple, big-endian."""
-    out = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"GHZ bits must be 0/1, got {tuple(bits)}")
-        out = (out << 1) | b
-    return out
-
-
 def ghz_state(bits: Sequence[int]) -> StateVector:
     """GHZ-like basis vector |phi_l> for the given bit tuple."""
     bits = tuple(int(b) for b in bits)
     n = len(bits)
     if n < 1:
         raise ValueError("GHZ index needs at least one bit")
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError(f"GHZ bits must be 0/1, got {bits}")
     v = np.zeros(2**n, dtype=complex)
-    idx = ghz_int(bits)
+    idx = sum(b << (n - 1 - i) for i, b in enumerate(bits))  # big-endian
     v[idx] += 1.0
     v[idx ^ (2**n - 1)] += (-1.0) ** bits[0]
     return StateVector(v / SQ2, (2,) * n)
@@ -235,8 +228,9 @@ def json_int(value) -> int:
 
 
 def json_float(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("not a number")
+    """A finite JSON number; ``json`` also parses NaN, Infinity and 1e400 (inf)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError("not a finite number")
     return float(value)
 
 
@@ -259,6 +253,8 @@ def gate_from_record(record: dict, n: int) -> Operator:
         raise ValueError('random gate record needs "random": true and a seed')
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError(f"random gate seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"random gate seed must be non-negative, got {seed}")
     return gate("random", n, seed=seed)
 
 

@@ -112,11 +112,6 @@ def kron(factors: Iterable[StateVector] | Iterable[Operator]):
     raise ValueError("kron factors must be all StateVector or all Operator")
 
 
-def polar_unitary(op: Operator) -> Operator:
-    """Unitary factor of the polar decomposition, as ``polar_factor`` gives it."""
-    return Operator(polar_factor(op.entries), op.dims)
-
-
 def polar_factor(m: np.ndarray) -> np.ndarray:
     """Unitary factor of the polar decomposition of each square matrix of
     the ``(..., d, d)`` array ``m``, each resolved as it would be alone.
@@ -171,11 +166,3 @@ def apply_raw_batch(block: np.ndarray, dims: Sequence[int], mats: np.ndarray, si
     order = [0, *range(2, 2 + before + 1), 1, *range(3 + before, out.ndim)]
     return out.transpose(order).reshape(k * rows, -1)
 
-
-def permute_sites(state: StateVector, order: Sequence[int]) -> StateVector:
-    """Reorder sites so that new site ``i`` is old site ``order[i]``."""
-    order = list(order)
-    if sorted(order) != list(range(state.n_sites)):
-        raise ValueError(f"{order} is not a permutation of {state.n_sites} sites")
-    t = state.amplitudes.reshape(state.dims).transpose(order)
-    return StateVector(t.reshape(-1), tuple(state.dims[i] for i in order))

@@ -31,8 +31,8 @@ the package did before the check matrix, one table pass per Pauli word and
 per expanded setting.  Its helpers ``loop_signed_sum``,
 ``loop_expectation``, ``loop_evaluate`` and ``loop_f_coeffs`` are the
 package's former ``ProbabilityTable.signed_sum``, ``expectation``,
-``evaluate`` and ``f_coeffs``, with ``primitives.EXPANSION`` replaced by the
-weights written out below.
+``evaluate`` and one state's ``f_tensor`` row, with
+``primitives.EXPANSION`` replaced by the weights written out below.
 
 ``termwise_functional_weights`` and ``termwise_correlator_weights`` are the
 oracles of ``gatecert.network.row_weights``: the package's former
@@ -93,7 +93,7 @@ from gatecert.bell import (
     k_sign_bits,
 )
 from gatecert.certify import F_ZERO, CheckRow
-from gatecert.decomp import delta_set, f_coeffs
+from gatecert.decomp import delta_set, f_tensor
 from gatecert.extract import _box_elements
 from gatecert.network import (
     ALMOST_DI,
@@ -110,7 +110,7 @@ from gatecert.network import (
     validate_realization,
 )
 from gatecert.primitives import EXPANSION, SettingSymbol, ghz_basis, ghz_bits, haar_unitary, pauli
-from gatecert.tensor import Operator, StateVector, apply_raw_batch, kron, permute_sites, polar_unitary
+from gatecert.tensor import Operator, StateVector, apply_raw_batch, kron, polar_factor
 
 S = SettingSymbol
 # setting symbol -> ((weight, base setting), ...), with T0 = (S0 - S1)/sqrt2
@@ -456,8 +456,10 @@ def termwise_functional_weights(
 
 def einsum_fsum_weights(u: Operator, n: int) -> np.ndarray:
     """``w[l, x_1..x_N, a_1..a_N]``: the f tensor of the gate contracted
-    with each party's ``party_matrix`` in Pauli order."""
-    f = np.stack([f_coeffs(delta) for delta in delta_set(u)])
+    with each party's ``party_matrix`` in Pauli order.  The f tensor is
+    ``decomp.f_tensor``'s, so that the weights can be compared bit for bit;
+    ``loop_f_coeffs`` checks it, and rounds differently in the last bit."""
+    f = f_tensor(u)
     f = np.where(np.abs(f) < F_ZERO, 0.0, f)
     operands: list = [f, list(range(n + 1))]
     # subscripts: l = 0, symbol i_k = 1 + k, setting x_k = 1 + n + k, outcome a_k = 1 + 2n + k
@@ -690,7 +692,7 @@ def kron_gate(ext, blocks) -> np.ndarray:
         gate = gate_adj.conj().T
     else:
         raise ValueError("realization mixes branch signs across parties")
-    return polar_unitary(Operator(gate, (2,) * n)).entries
+    return polar_factor(gate)
 
 
 def kron_extract_rows(ext) -> dict[str, float]:
@@ -726,7 +728,8 @@ def listed_assemble_state(real: Realization) -> StateVector:
             + [2 * n + 2 * i for i in range(n)]
             + [2 * n + 2 * i + 1 for i in range(n)]
         )
-    return permute_sites(joint, order)
+    amps = joint.amplitudes.reshape(joint.dims).transpose(order)
+    return StateVector(amps.reshape(-1), tuple(joint.dims[i] for i in order))
 
 
 def _embed_junk(entries: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
@@ -1056,9 +1059,7 @@ def termwise_seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int
                     functional, measured, labels, site_dim, state, label, base[label]
                 )
                 for code, g in effective.items():
-                    obs[(label, code)] = polar_unitary(
-                        Operator((g + g.conj().T) / 2, (site_dim,))
-                    ).entries
+                    obs[(label, code)] = polar_factor((g + g.conj().T) / 2)
                 measured.update({(label, sym): _combine(obs, label, sym) for sym in symbols[label]})
             if len(history) >= 2 and abs(history[-1] - history[-2]) < SEESAW_STALL_TOL:
                 converged = True

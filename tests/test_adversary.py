@@ -21,6 +21,7 @@ from gatecert.adversary import (
     perturb,
     save_adversary,
 )
+from gatecert.certify import certify, protocol_rows
 from gatecert.extract import Extraction
 from gatecert.network import (
     ALMOST_DI,
@@ -149,6 +150,35 @@ def test_gauge_phase_di_moves_only_unconsumed_rows():
         else:
             moved = max(moved, d)
     assert moved > 1e-4
+
+
+# di n=3 dilate and depolarize would take the joint state past MAX_AMPLITUDES,
+# so di takes the two hidden-side changes that keep its dimensions.
+@pytest.mark.parametrize(
+    "scheme, kind",
+    [(ALMOST_DI, "dilate"), (ALMOST_DI, "conjugate"), (ALMOST_DI, "gauge_phase"), (DI, "conjugate"), (DI, "gauge_phase")],
+)
+def test_hidden_side_changes_at_three_subnets(scheme, kind):
+    """A random gate's n=3 reference realization changed on the hidden side
+    only: every protocol row stays within 1e-12 of the reference table, and
+    so does every other row except under the di phase gauge, which moves
+    only rows the protocol does not read.  The statistics-only verdicts are
+    equal, and the changed realization's protocol rows computed alone equal
+    its full table's bit for bit."""
+    u = gate("random", 3, seed=13)
+    real = reference_realization(3, u, scheme=scheme)
+    thetas = np.random.default_rng(3).uniform(-np.pi, np.pi, 8)
+    changes = {"dilate": lambda r: dilate(r, junk_dim=2, seed=5), "conjugate": conjugate,
+               "gauge_phase": lambda r: gauge_phase(r, thetas)}
+    changed = changes[kind](real)
+    base, moved, rows = born_table(real), born_table(changed), protocol_rows(scheme, 3)
+    shift = {key: float(np.abs(base.array(key) - moved.array(key)).max()) for key in base.keys()}
+    assert max(shift[key] for key in rows) <= 1e-12
+    others = max(d for key, d in shift.items() if key not in rows)
+    assert others > 1e-4 if (scheme, kind) == (DI, "gauge_phase") else others <= 1e-12
+    assert certify(moved, u).verdict == certify(base, u).verdict == "certified"
+    part = born_table(changed, rows=rows)
+    assert all(part.array(key).tobytes() == moved.array(key).tobytes() for key in rows)
 
 
 def test_gauge_phase_guards():

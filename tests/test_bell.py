@@ -195,6 +195,25 @@ def test_bounds_of_I_beyond_three_parties(n):
     assert abs(res.value - 3 * (n - 1)) <= 1e-9
 
 
+def test_one_coefficient_tensor_per_functional(monkeypatch):
+    """``classical_bound`` and ``seesaw_max`` read the functional's one
+    coefficient tensor: it is built once, read-only, with the bits of a
+    fresh ``coefficients(terms, None)[1]``."""
+    from gatecert import bell
+
+    built = []
+    build = bell.coefficients
+    monkeypatch.setattr(bell, "coefficients", lambda terms, scen: built.append(scen) or build(terms, scen))
+    for func in (functional_I((0, 1, 1)), functional_K(2, (1, 0), 3)):
+        built.clear()
+        bound = classical_bound(func)
+        seesaw_max(func, restarts=2, seed=0)
+        assert classical_bound(func) == bound
+        assert built == [None]
+        assert not func.tensor.flags.writeable
+        assert func.tensor.tobytes() == coefficients(func.terms, None)[1].tobytes()
+
+
 def test_seesaw_refuses_no_restarts():
     for restarts in (0, -3):
         with pytest.raises(ValueError, match=f"^restarts must be at least 1, got {restarts}$"):

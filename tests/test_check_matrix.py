@@ -18,10 +18,9 @@ from hypothesis import given, settings
 from strategies import hidden_side_pairs, realizations
 
 from gatecert.certify import certify, check_matrix
-from gatecert.decomp import delta_set, f_coeffs
+from gatecert.decomp import delta_set, f_tensor
 from gatecert.network import ALMOST_DI, DI, born_table, reference_realization
 from gatecert.primitives import gate
-from gatecert.tensor import StateVector
 
 LHS_TOL = 1e-13
 
@@ -98,16 +97,20 @@ def test_fsum_weights_equal_single_einsum_bit_for_bit(scheme, n):
 
 @pytest.mark.parametrize("scheme, n", [(ALMOST_DI, 2), (ALMOST_DI, 3), (DI, 3)])
 def test_fsum_frame_keeps_the_searched_path(scheme, n):
-    """The f-sum frame holds the pairwise path ``optimize=True`` searches
-    for on a gate's f tensor, so each gate's contraction skips the search
+    """The f-sum contraction of the frame's party matrices with a gate's f
+    tensor runs the pairwise path ``optimize=True`` searches for, taken
+    from ``network.einsum_path``'s cache: each later gate skips the search
     and runs the same steps."""
     from gatecert.certify import _fsum_frame
-    from gatecert.decomp import f_tensor
-    from gatecert.network import _contract_operands
+    from gatecert.network import _contract_operands, contract, einsum_path
 
     frame = _fsum_frame(scheme, n)
     f = f_tensor(gate("random", n, seed=1))
-    assert frame.path == np.einsum_path(*_contract_operands(f, frame.mats), optimize=True)[0]
+    operands = _contract_operands(f, frame.mats)
+    path = einsum_path(operands)
+    assert path == np.einsum_path(*operands, optimize=True)[0]
+    assert einsum_path(_contract_operands(f_tensor(gate("random", n, seed=2)), frame.mats)) is path
+    assert contract(f, frame.mats, optimize=True).tobytes() == np.einsum(*operands, optimize=path).tobytes()
 
 
 @pytest.mark.parametrize("scheme, n, first, second", [(ALMOST_DI, 3, "toffoli", "random"), (DI, 2, "cnot", "cz")])
@@ -151,10 +154,8 @@ def test_f_tensor_is_one_stacked_call(monkeypatch):
 
 
 def test_f_coeffs_match_loop_oracle_three_qubits():
-    rng = np.random.default_rng(5)
-    for _ in range(6):
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        delta = StateVector(v / np.linalg.norm(v), (2, 2, 2))
-        assert np.max(np.abs(f_coeffs(delta) - loop_f_coeffs(delta))) <= 1e-15
-    for delta in delta_set(gate("random", 3, seed=4)):
-        assert np.max(np.abs(f_coeffs(delta) - loop_f_coeffs(delta))) <= 1e-15
+    """Each state's row of ``f_tensor`` against the loop oracle, one Pauli
+    word at a time."""
+    for u in [gate("toffoli", 3)] + [gate("random", 3, seed=seed) for seed in (4, 5, 6)]:
+        for delta, got in zip(delta_set(u), f_tensor(u)):
+            assert np.max(np.abs(got - loop_f_coeffs(delta))) <= 1e-15

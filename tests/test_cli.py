@@ -556,7 +556,7 @@ _NAN_IDENTITY = [[[float("nan") if (r, c) == (0, 0) else float(r == c), 0.0] for
 @pytest.mark.parametrize(
     "record, reason",
     [
-        ({"matrix": _NAN_IDENTITY}, "gate matrix is not unitary (deviation nan)"),
+        ({"matrix": _NAN_IDENTITY}, "matrix entries must be [re, im] pairs of numbers"),
         ({"random": True, "seed": 1.7}, "random gate seed must be an integer, got 1.7"),
         ({"random": True, "seed": True}, "random gate seed must be an integer, got True"),
         ({"name": "cnot", "colour": "red"}, "gate record has unknown field(s) 'colour'"),
@@ -579,6 +579,40 @@ def test_gate_file_input_errors_exit_two(tmp_path, capsys, record, reason):
     captured = capsys.readouterr()
     assert f"error: {reason}" in captured.err
     assert "sum of squares" not in captured.out
+
+
+_INF_IDENTITY = [[[float("inf") if (r, c) == (0, 0) else float(r == c), 0.0] for c in range(4)] for r in range(4)]
+
+
+@pytest.mark.parametrize(
+    "argv, text, reason",
+    [
+        (["bounds", "--n", "2", "--seed", "-1"], None, "--seed must be a non-negative integer, got -1"),
+        (["certify", "--n", "2", "--gate", "cz", "--adversary"], '{"kind": "dilate", "seed": -3}',
+         "adversary seed must be non-negative, got -3 (in adversary spec"),
+        (["decompose", "--n", "2", "--gate"], '{"random": true, "seed": -2}',
+         "random gate seed must be non-negative, got -2 (in gate file"),
+        (["simulate", "--n", "2", "--gate", "cz", "--out", "run", "--adversary"], '{"kind": "perturb", "epsilon": 1e400}',
+         "adversary field 'epsilon' has malformed value inf (in adversary spec"),
+        (["certify", "--n", "2", "--gate", "cz", "--adversary"], '{"kind": "gauge_phase", "thetas": [NaN, 0, 0, 0]}',
+         "adversary field 'thetas' has malformed value [nan, 0, 0, 0] (in adversary spec"),
+        (["decompose", "--n", "2", "--gate"], json.dumps({"matrix": _INF_IDENTITY}),
+         "matrix entries must be [re, im] pairs of numbers (in gate file"),
+    ],
+    ids=["bounds-seed", "adversary-seed", "gate-seed", "epsilon-inf", "thetas-nan", "matrix-inf"],
+)
+def test_negative_seed_or_non_finite_number_exits_two(tmp_path, monkeypatch, capsys, recwarn, argv, text, reason):
+    """A negative seed, or a NaN or infinite JSON number, exits 2 with a
+    reason that names the field, before any numpy warning can be raised."""
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "input.json").write_text(text)
+        argv = argv + ["input.json"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+    assert not recwarn.list
+    assert not (tmp_path / "run").exists()
 
 
 # The mutation property's inputs: each file's text and the command that reads it.

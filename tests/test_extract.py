@@ -33,18 +33,13 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_regularize_tilde_pair():
-    a0 = Operator((X + Z) / SQ2, (2,))
-    a1 = Operator((X - Z) / SQ2, (2,))
-    z, x = regularize(a0, a1, tilde=True)
+    z, x = regularize((X + Z) / SQ2, (X - Z) / SQ2)
     assert np.allclose(z, Z, atol=1e-14)
     assert np.allclose(x, X, atol=1e-14)
-    z2, x2 = regularize(Operator(Z, (2,)), Operator(X, (2,)), tilde=False)
-    assert np.allclose(z2, Z)
-    assert np.allclose(x2, X)
 
 
 def test_mirror_frame_through_phi_plus_is_transpose():
-    src = StateVector(np.eye(2).reshape(-1) / SQ2, (2, 2))
+    src = np.eye(2) / SQ2
     z, x = mirror_frame(Z, X, src, framed_wing=0)
     assert np.allclose(z, Z, atol=1e-14)
     assert np.allclose(x, X, atol=1e-14)
@@ -58,7 +53,7 @@ def test_mirror_frame_complex_rotation_correlators():
     rng = np.random.default_rng(0)
     w0, w1 = haar_unitary(2, rng), haar_unitary(2, rng)
     psi = np.kron(w0, w1) @ (np.eye(2).reshape(-1) / SQ2)
-    src = StateVector(psi, (2, 2))
+    src = psi.reshape(2, 2)
     z0, x0 = w0 @ Z @ w0.conj().T, w0 @ X @ w0.conj().T
     z1, x1 = mirror_frame(z0, x0, src, framed_wing=0)
     assert np.isclose(np.vdot(psi, np.kron(z0, z1) @ psi).real, 1.0, atol=1e-12)
@@ -348,15 +343,14 @@ def test_stacked_frame_helpers_give_each_site_its_own_bits():
         return [keep @ keep.conj().T] + [polar_factor(op) for op in ops] + mirrored
 
     def helpers(k):
-        source = StateVector(psi[k].reshape(-1), (4, 4))
         return [
             support_projector(rho[k]),
-            *regularize(z[k], x[k], tilde=True),
-            *mirror_frame(z[k], x[k], source, framed_wing=0),
-            *mirror_frame(z[k], x[k], source, framed_wing=1),
+            *regularize(z[k], x[k]),
+            *mirror_frame(z[k], x[k], psi[k], framed_wing=0),
+            *mirror_frame(z[k], x[k], psi[k], framed_wing=1),
         ]
 
-    stacked = [support_projector(rho), *regularize(z, x, tilde=True)]
+    stacked = [support_projector(rho), *regularize(z, x)]
     stacked += [*mirror_frame(z, x, psi, framed_wing=0), *mirror_frame(z, x, psi, framed_wing=1)]
     for k in range(3):
         for want, got_2d, got_stack in zip(alone(k), helpers(k), stacked):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from gatecert.primitives import (
     gate_from_record,
     ghz_basis,
     ghz_bits,
-    ghz_int,
     ghz_state,
     haar_unitary,
     pauli,
@@ -38,12 +39,21 @@ def test_pauli_legend_and_algebra():
 
 
 def test_ghz_bits_int_roundtrip():
+    """``ghz_state(ghz_bits(l, n))`` carries +1/sqrt2 at index l: the bits
+    read back big-endian to the integer they came from."""
     for n in (2, 3):
         for l in range(2**n):
             bits = ghz_bits(l, n)
             assert len(bits) == n
-            assert ghz_int(bits) == l
+            amps = ghz_state(bits).amplitudes
+            assert np.isclose(amps[l], 1 / SQ2) and np.isclose(abs(amps[l ^ (2**n - 1)]), 1 / SQ2)
     assert ghz_bits(5, 3) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("bits", [(0, 2), (1, -1), (3,)])
+def test_ghz_state_rejects_bits_outside_zero_one(bits):
+    with pytest.raises(ValueError, match=f"GHZ bits must be 0/1, got {re.escape(str(bits))}"):
+        ghz_state(bits)
 
 
 def test_ghz_states_two_qubits_explicit():

@@ -7,9 +7,7 @@ from gatecert.tensor import (
     StateVector,
     apply_raw_batch,
     kron,
-    permute_sites,
     polar_factor,
-    polar_unitary,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -70,23 +68,6 @@ def test_basis_ordering_site0_most_significant():
     assert np.argmax(np.abs(v.amplitudes)) == 2
 
 
-def test_permute_sites_roundtrip():
-    v = rand_state((2, 3, 4), seed=7)
-    w = permute_sites(v, [2, 0, 1])
-    assert w.dims == (4, 2, 3)
-    back = permute_sites(w, [1, 2, 0])
-    assert np.allclose(back.amplitudes, v.amplitudes)
-
-
-def test_permute_sites_explicit_swap():
-    # swapping a 2x3 system maps index 3*i + j to 2*j + i
-    v = rand_state((2, 3), seed=3)
-    w = permute_sites(v, [1, 0])
-    for i in range(2):
-        for j in range(3):
-            assert np.isclose(w.amplitudes[2 * j + i], v.amplitudes[3 * i + j])
-
-
 def test_apply_raw_single_site_vs_dense():
     v = rand_state((2, 2, 2), seed=1)
     got = apply_raw(v.amplitudes, v.dims, Y, [1])
@@ -99,11 +80,11 @@ def test_apply_raw_two_sites_ordering():
     v = rand_state((2, 2, 2), seed=2)
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     got = apply_raw(v.amplitudes, v.dims, cnot, [2, 0])
-    # dense reference: permute (2,0,1), apply cnot x eye, permute back
-    perm = permute_sites(v, [2, 0, 1])
-    dense = np.kron(cnot, np.eye(2)) @ perm.amplitudes
-    back = permute_sites(StateVector(dense, (2, 2, 2)), [1, 2, 0])
-    assert np.allclose(got, back.amplitudes)
+    # dense reference: permute the sites to (2, 0, 1), apply cnot x eye, permute back
+    perm = v.amplitudes.reshape(2, 2, 2).transpose(2, 0, 1).reshape(-1)
+    dense = np.kron(cnot, np.eye(2)) @ perm
+    back = dense.reshape(2, 2, 2).transpose(1, 2, 0).reshape(-1)
+    assert np.allclose(got, back)
 
 
 def test_apply_raw_batch_matches_loop():
@@ -125,18 +106,18 @@ def test_polar_unitary_recovers_rotation():
     h = h + h.conj().T
     w = np.linalg.eigh(h)[1]  # unitary
     stretched = w @ np.diag([1.0, 2.0, 0.5, 3.0])
-    u = polar_unitary(Operator(stretched @ w.conj().T, (4,)))
-    assert u.is_unitary()
+    u = polar_factor(stretched @ w.conj().T)
+    assert Operator(u, (4,)).is_unitary()
     # polar factor of (w d w^dag) with positive d is the identity
-    assert np.allclose(u.entries, np.eye(4), atol=1e-10)
-    v = polar_unitary(Operator(stretched, (4,)))
-    assert np.allclose(v.entries, w, atol=1e-10)
+    assert np.allclose(u, np.eye(4), atol=1e-10)
+    v = polar_factor(stretched)
+    assert np.allclose(v, w, atol=1e-10)
 
 
 def test_polar_unitary_fills_null_directions():
     # Hermitian input with a null eigendirection still yields a full unitary
-    u = polar_unitary(Operator(np.diag([1.0, 0.0, -2.0]).astype(complex), (3,)))
-    assert np.allclose(u.entries, np.diag([1.0, 1.0, -1.0]))
+    u = polar_factor(np.diag([1.0, 0.0, -2.0]).astype(complex))
+    assert np.allclose(u, np.diag([1.0, 1.0, -1.0]))
 
 
 def test_polar_factor_of_a_stack_is_per_matrix_bit_for_bit():
