@@ -36,8 +36,7 @@ from .certify import (
     CheckRow,
     certify,
 )
-from .decomp import delta_set
-from .extract import Extraction, extract_all
+from .extract import Extraction
 from .network import (
     ALMOST_DI,
     DI,
@@ -45,9 +44,7 @@ from .network import (
     ProbabilityTable,
     Realization,
     ScenarioSpec,
-    assemble_state,
     born_table,
-    expectation,
     load_table,
     read_table,
     reference_realization,
@@ -68,11 +65,7 @@ from .primitives import (
     ref_b_observable,
     ref_observable,
 )
-from .tensor import (
-    Operator,
-    StateVector,
-    kron,
-)
+from .tensor import Operator, StateVector
 
 __version__ = "0.1.0"
 
@@ -95,17 +88,13 @@ __all__ = [
     "SettingSymbol",
     "StateVector",
     "apply_adversary",
-    "assemble_state",
     "born_table",
     "certify",
     "classical_bound",
     "conjugate",
-    "delta_set",
     "depolarize_sources",
     "dilate",
     "evaluate",
-    "expectation",
-    "extract_all",
     "functional_I",
     "functional_K",
     "gate",
@@ -116,7 +105,6 @@ __all__ = [
     "ghz_state",
     "haar_unitary",
     "k_sign_bits",
-    "kron",
     "load_adversary",
     "load_table",
     "pauli",

@@ -256,5 +256,6 @@ _KINDS = {
     "depolarize": (depolarize_sources, ("eta",)),
 }
 ADVERSARY_KINDS = tuple(_KINDS)
-# Fields a record must give: at its default strength the kind would leave the realization unchanged.
-_REQUIRED = {"perturb": ("epsilon",), "depolarize": ("eta",)}
+# Fields a record must give: without them a gauge has no phases, and a perturbation or depolarization
+# at its default strength would leave the realization unchanged.
+_REQUIRED = {"gauge_phase": ("thetas",), "perturb": ("epsilon",), "depolarize": ("eta",)}

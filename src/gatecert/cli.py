@@ -71,7 +71,10 @@ def _build_realization(args, u):
     adversary = None
     if args.adversary:
         spec = load_adversary(args.adversary)
-        real = apply_adversary(real, spec)
+        try:
+            real = apply_adversary(real, spec)
+        except ValueError as err:
+            raise ValueError(f"{err} (in adversary spec {args.adversary})") from None
         adversary = spec.to_record()
     return real, adversary
 

@@ -22,6 +22,10 @@ bounds the largest array of every pass, so the stacks stay in cache and
 memory stays at one pass whatever N and the site dimensions are.  Frames
 are built and vetted one collection at a time, as stacks over its sites.
 
+One support rule serves both schemes: each site's frame is vetted on the
+support P_j of the site's state, and the checks compare on the tensor
+product P of the supports of the sites Eve acts on (see ``Extraction``).
+
 Branch convention: a realization built with V = conj(U) ("plus") steers the
 joint box toward the complex-conjugated images of the rotated basis states,
 so the comparison targets are conj(delta_l); with V = U ("minus") they are
@@ -32,7 +36,7 @@ no consistent target and is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -44,6 +48,7 @@ from .tensor import Operator, polar_factor
 
 OP_TOL = 1e-8
 SUPPORT_TOL = 1e-10
+FULL_SUPPORT_TOL = 1e-12  # entrywise distance from the identity at which a site's support is the whole site
 
 
 def regularize(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,21 +147,6 @@ class LocalFrames:
     l: tuple[SiteFrame, ...]
     r1: tuple[SiteFrame, ...] | None = None
     r2: tuple[SiteFrame, ...] | None = None
-
-    def grouped(self, collection: str) -> np.ndarray:
-        frames = getattr(self, collection)
-        if frames is None:
-            raise ValueError(f"no {collection!r} frames in the {self.scheme} scheme")
-        return grouped_isometry([f.isometry() for f in frames])
-
-    def junk_floor(self, collection: str) -> np.ndarray:
-        """Positive junk-side operator (x)_j K_{j,0} K_{j,0}^dagger."""
-        frames = getattr(self, collection)
-        out = np.array([[1.0 + 0j]])
-        for f in frames:
-            k0 = (np.eye(f.z.shape[0]) + f.z) / 2
-            out = np.kron(out, k0 @ k0.conj().T)
-        return out
 
 
 def _site_states(real: Realization) -> dict[int, np.ndarray]:
@@ -287,11 +277,11 @@ def _targets(u: Operator, branch: str) -> list[np.ndarray]:
     raise ValueError(f"no consistent comparison target for branch {branch!r}")
 
 
-def _box_elements(real: Realization) -> list[np.ndarray]:
-    """The effective box elements V^dagger E_l V, one per outcome l, formed
-    as stacks of as many outcomes as ``network.PASS_ENTRIES`` allows."""
+def _box_elements(real: Realization, v: np.ndarray) -> list[np.ndarray]:
+    """The effective box elements v^dagger E_l v for Eve's operation v, one
+    per outcome l, formed as stacks of as many outcomes as
+    ``network.PASS_ENTRIES`` allows."""
     raw = [m.entries for m in real.l_meas] if real.scheme == ALMOST_DI else teleported_elements(real)
-    v = real.eve.entries
     step = max(1, network.PASS_ENTRIES // v.size)
     return [el for start in range(0, len(raw), step) for el in v.conj().T @ np.stack(raw[start : start + step]) @ v]
 
@@ -324,22 +314,27 @@ def teleported_elements(real: Realization) -> np.ndarray:
     return elements / scale
 
 
-def _collective_state(real: Realization) -> np.ndarray:
-    """Reduced state of the collective Eve acts on: the second wing of each
-    of the first N sources (L sites for almost_di, R_{*,1} sites for di)."""
-    states = _site_states(real)
-    return reduce(np.kron, [states[s] for s in real.layout().v_sites()], np.array([[1.0 + 0j]]))
-
-
 class Extraction:
     """The operator-level checks of one realization against a target gate.
+
+    One support rule serves both schemes: every check compares operators on
+    the support of the state of Eve's collective (the L sites in almost_di,
+    the R_{*,1} sites in di), the tensor product P of the site supports
+    P_j that ``extract_all`` vetted the frames on.  Each site's swap
+    isometry acts as K_j P_j, Eve's operation as P V P, the box elements as
+    P V^dagger E_l V P, and the junk floor is (x)_j K_{j,0} P_j
+    K_{j,0}^dagger.  So a local isometry of the reference certifies with
+    junk in any state, product states included.  On full support P is the
+    identity and none of this does any arithmetic.  A phase gauge of the
+    box changes Eve's operation itself but not the statistics: the
+    measurement distances and the unitary certificate pass, while the
+    block deviation and the fidelity fail.
 
     The checks contract W on its qubit axis (see the module docstring).
     What they share is computed once, on first use: the local frames, the
     branch, the comparison targets and their coefficients in the ideal
-    basis, the support of the collective state, Eve's operation Vbar
-    restricted to that support, the rows C_i = (<phi_i| (x) 1) W of the
-    ideal basis, C_i Vbar^dagger and the junk floor.  W is not kept: a
+    basis, the support, Vbar = P V P, the rows C_i = (<phi_i| (x) 1) W of
+    the ideal basis, C_i Vbar^dagger and the junk floor.  W is not kept: a
     target's row (<target_l| (x) 1) W is a combination of the C_i.  Target
     pull-backs and GHZ blocks are formed as stacks in passes of at most
     about ``network.PASS_ENTRIES`` entries and not kept.  ``u`` may be None when
@@ -350,7 +345,7 @@ class Extraction:
         self.real = real
         self.u = u
         self.frames = extract_all(real, op_tol)
-        self.collection = "l" if real.scheme == ALMOST_DI else "r1"
+        self.sites = getattr(self.frames, "l" if real.scheme == ALMOST_DI else "r1")
 
     @cached_property
     def branch(self) -> str:
@@ -361,14 +356,24 @@ class Extraction:
         return _targets(self.u, self.branch)
 
     @cached_property
-    def support(self) -> np.ndarray:
-        return support_projector(_collective_state(self.real))
+    def support(self) -> tuple[np.ndarray, ...] | None:
+        """The support projectors P_j of the sites of Eve's collective, or
+        None when every site has full support."""
+        if all(np.max(np.abs(f.support - np.eye(len(f.z)))) < FULL_SUPPORT_TOL for f in self.sites):
+            return None
+        return tuple(f.support for f in self.sites)
+
+    @cached_property
+    def isometries(self) -> list[np.ndarray]:
+        """The swap isometry of each site of Eve's collective on its support, K_j P_j."""
+        if self.support is None:
+            return [f.isometry() for f in self.sites]
+        return [f.isometry() @ p for f, p in zip(self.sites, self.support)]
 
     @cached_property
     def vbar(self) -> np.ndarray:
-        if self.real.scheme == ALMOST_DI:
-            return self.real.eve.entries
-        return _restricted_eve(self.real, self.support)
+        """Eve's operation on the support, P V P = ((V P)^dagger P)^dagger."""
+        return _adjoint(self._times_support(_adjoint(self._times_support(self.real.eve.entries))))
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -378,7 +383,7 @@ class Extraction:
     @cached_property
     def basis_rows(self) -> np.ndarray:
         """C_i = (<phi_i| (x) 1) W for the ideal basis states, (2^N, dj, D)."""
-        w = self.frames.grouped(self.collection)
+        w = grouped_isometry(self.isometries)
         return np.tensordot(ghz_basis(self.real.n).conj(), w.reshape(2**self.real.n, -1, w.shape[1]), axes=(0, 0))
 
     @cached_property
@@ -394,7 +399,7 @@ class Extraction:
         A pass stacks the pull-backs W^dagger (|target_l><target_l| (x) 1) W
         as B_l^dagger B_l, with B_l = (<target_l| (x) 1) W = sum_i
         conj(coeffs[i, l]) C_i, uses them for both residuals and drops them."""
-        elements, rows = _box_elements(self.real), self.basis_rows
+        elements, rows = _box_elements(self.real, self._times_support(self.real.eve.entries)), self.basis_rows
         flat = rows.reshape(len(rows), -1)
         step = max(1, network.PASS_ENTRIES // rows[0].size)
         dists, worst = [], 0.0
@@ -402,18 +407,30 @@ class Extraction:
             ls = slice(start, start + step)
             # one vector-matrix product per outcome, as each B_l is formed alone
             b = (self.coeffs[:, ls].T.conj()[:, None, :] @ flat).reshape((-1,) + rows.shape[1:])
-            g = self._on_support(_adjoint(b) @ b)
-            dists += np.max(np.abs(self._on_support(np.stack(elements[ls])) - g), axis=(1, 2)).tolist()
+            g = _adjoint(b) @ b
+            dists += np.max(np.abs(np.stack(elements[ls]) - g), axis=(1, 2)).tolist()
             cv = rows[ls] @ self.vbar
             worst = max(worst, float(np.max(np.abs(_adjoint(cv) @ cv - g))))
         return np.array(dists), worst
 
     @cached_property
     def junk_floor(self) -> np.ndarray:
-        return self.frames.junk_floor(self.collection)
+        """The positive junk operator (x)_j K_{j,0} P_j K_{j,0}^dagger."""
+        out = np.array([[1.0 + 0j]])
+        for k in self.isometries:
+            k0 = k[: k.shape[1]]
+            out = np.kron(out, k0 @ k0.conj().T)
+        return out
 
-    def _on_support(self, op: np.ndarray) -> np.ndarray:
-        return op if self.real.scheme == ALMOST_DI else self.support @ op @ self.support
+    def _times_support(self, op: np.ndarray) -> np.ndarray:
+        """op P for a stack (..., m, D), as (P op^dagger)^dagger: each P_j
+        acts on its site's digit, so no D x D projector is formed."""
+        if self.support is None:
+            return op
+        dims, op = [len(p) for p in self.support], _adjoint(op)
+        for j, p in enumerate(self.support):
+            op = (p @ op.reshape(op.shape[:-2] + (int(np.prod(dims[:j])), dims[j], -1))).reshape(op.shape)
+        return _adjoint(op)
 
     def measurement_distances(self) -> np.ndarray:
         """Entrywise distances between the realized effective box elements
@@ -426,10 +443,9 @@ class Extraction:
 
         With F_l and G_l the frame pull-backs of the ideal basis projectors
         and of the rotated target projectors, a faithful realization
-        satisfies V^dagger F_l V = G_l for every l; the certificate is the
-        worst entrywise deviation (Eve restricted to the collective's
-        support).  F_l = C_l^dagger C_l, so V^dagger F_l V is the Gram
-        matrix of C_l V."""
+        satisfies Vbar^dagger F_l Vbar = G_l for every l; the certificate is
+        the worst entrywise deviation.  F_l = C_l^dagger C_l, so
+        Vbar^dagger F_l Vbar is the Gram matrix of C_l Vbar."""
         return self._residuals[1]
 
     def block_deviation(self) -> float:
@@ -437,17 +453,15 @@ class Extraction:
 
         Grouping the lifted adjoint of Eve's operation into 2^N x 2^N
         junk-sized blocks indexed by ideal basis states, block (i, l) of a
-        faithful realization equals <phi_i|target_l> times one fixed
-        positive junk operator (x)_j K_{j,0} K_{j,0}^dagger."""
+        faithful realization equals <phi_i|target_l> times the junk floor."""
         basis, q, coeffs = ghz_basis(self.real.n), self.junk_floor, self.coeffs
-        ks = [f.isometry() for f in getattr(self.frames, self.collection)]
         dj, rows = q.shape[0], self.adjoint_rows.reshape(-1, self.adjoint_rows.shape[-1])
         step = max(1, network.PASS_ENTRIES // (2**self.real.n * dj))  # rows per pass, each a 2^N x dj slice of blocks
         worst = 0.0
         for start in range(0, rows.shape[0], step):
             # row (i, a) is row a of C_i Vbar^dagger; blocks[:, l] = those rows of C_i Vbar^dagger C_l^dagger
             i, a = np.divmod(np.arange(start, min(start + step, rows.shape[0])), dj)
-            blocks = basis.T @ _times_w_adjoint(rows[start : start + step], ks)
+            blocks = basis.T @ _times_w_adjoint(rows[start : start + step], self.isometries)
             blocks -= coeffs[i][:, :, None] * q[a][:, None, :]
             worst = max(worst, float(np.max(np.abs(blocks))))
         return worst
@@ -500,12 +514,3 @@ def _times_w_adjoint(r: np.ndarray, ks: list[np.ndarray]) -> np.ndarray:
     t = t.reshape([m] + [x for d in dims for x in (2, d)])
     t = t.transpose([0] + [1 + 2 * s for s in range(n)] + [2 + 2 * s for s in range(n)])
     return t.reshape(m, 2**n, -1)
-
-
-def _restricted_eve(real: Realization, support: np.ndarray) -> np.ndarray:
-    """Eve's operation compressed to the support of the collective state.
-    On full support this is just V."""
-    eye = np.eye(support.shape[0])
-    if np.max(np.abs(support - eye)) < 1e-12:
-        return real.eve.entries
-    return support @ real.eve.entries @ support

@@ -2,8 +2,8 @@
 
 States and operators carry an explicit tuple of per-site dimensions.  The
 computational basis is row-major with site 0 as the most significant digit,
-so ``kron(a, b)`` agrees with ``numpy.kron`` and the basis index of
-``|b0 b1 ... bk>`` is the mixed-radix integer with ``b0`` leading.
+as in ``numpy.kron``: the basis index of ``|b0 b1 ... bk>`` is the
+mixed-radix integer with ``b0`` leading.
 
 Everything here is pure: inputs are never mutated and stored arrays are
 marked read-only.  ``apply_raw_batch`` is the only code that applies an
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,22 +93,6 @@ class Operator:
     def is_unitary(self) -> bool:
         d = self.dim
         return bool(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(d))) <= IDENTITY_TOL)
-
-
-def kron(factors: Iterable[StateVector] | Iterable[Operator]):
-    """Tensor product of states or of operators, site lists concatenated."""
-    items = list(factors)
-    if not items:
-        raise ValueError("kron of an empty factor list")
-    if all(isinstance(f, StateVector) for f in items):
-        amps = reduce(np.kron, [f.amplitudes for f in items])
-        dims = sum((f.dims for f in items), ())
-        return StateVector(amps, dims)
-    if all(isinstance(f, Operator) for f in items):
-        m = reduce(np.kron, [f.entries for f in items])
-        dims = sum((f.dims for f in items), ())
-        return Operator(m, dims)
-    raise ValueError("kron factors must be all StateVector or all Operator")
 
 
 def polar_factor(m: np.ndarray) -> np.ndarray:

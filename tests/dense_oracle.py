@@ -50,8 +50,10 @@ measurement distances, the unitary certificate, the GHZ block deviation and
 the fidelity computed the way the package did before it contracted the
 grouped isometry W, by forming ``np.kron(projector, 1_dj)`` of size
 (2^N dj)^2 and multiplying it by W on both sides, and by materialising every
-GHZ block of W Vbar^dagger W^dagger.  It reads the shared pieces (frames,
-targets, W, Vbar, support, junk floor) from the ``Extraction``.
+GHZ block of W Vbar^dagger W^dagger.  It forms the support rule densely:
+P = (x)_j P_j as one matrix, P X P around every compared operator, Vbar =
+P V P and the junk floor from (x)_j K_{j,0} P_j K_{j,0}^dagger.  It reads
+the frames, their site supports and the targets from the ``Extraction``.
 
 ``listed_assemble_state``, ``listed_dilate``, ``listed_conjugate`` and
 ``listed_depolarize_sources`` are the oracles of ``assemble_state`` and of
@@ -94,7 +96,7 @@ from gatecert.bell import (
 )
 from gatecert.certify import F_ZERO, CheckRow
 from gatecert.decomp import delta_set, f_tensor
-from gatecert.extract import _box_elements
+from gatecert.extract import _box_elements, grouped_isometry
 from gatecert.network import (
     ALMOST_DI,
     DI,
@@ -110,7 +112,7 @@ from gatecert.network import (
     validate_realization,
 )
 from gatecert.primitives import EXPANSION, SettingSymbol, ghz_basis, ghz_bits, haar_unitary, pauli
-from gatecert.tensor import Operator, StateVector, apply_raw_batch, kron, polar_factor
+from gatecert.tensor import Operator, StateVector, apply_raw_batch, polar_factor
 
 S = SettingSymbol
 # setting symbol -> ((weight, base setting), ...), with T0 = (S0 - S1)/sqrt2
@@ -619,24 +621,38 @@ def loop_table_rows(table, u, tol) -> tuple[list[CheckRow], str]:
 
 
 def _kron_w(ext):
-    """The grouped isometry W, (2^N dj, D), and dj."""
-    w = ext.frames.grouped(ext.collection)
+    """The grouped isometry W of the frames of Eve's collective, (2^N dj, D), and dj."""
+    w = grouped_isometry([f.isometry() for f in ext.sites])
     return w, w.shape[0] // 2**ext.real.n
 
 
+def _kron_support(ext) -> np.ndarray:
+    """The support projector P = (x)_j P_j of Eve's collective as one dense
+    matrix; the identity on full support."""
+    return np.eye(ext.real.eve.dim) if ext.support is None else reduce(np.kron, ext.support)
+
+
+def _kron_junk_floor(ext) -> np.ndarray:
+    """(x)_j K_{j,0} P_j K_{j,0}^dagger, every factor formed densely."""
+    p = [np.eye(len(f.z)) for f in ext.sites] if ext.support is None else ext.support
+    k0s = [(np.eye(len(f.z)) + f.z) / 2 for f in ext.sites]
+    return reduce(np.kron, [k0 @ pj @ k0.conj().T for k0, pj in zip(k0s, p)])
+
+
 def kron_measurement_distances(ext) -> np.ndarray:
-    targets, (w, dj) = ext.targets, _kron_w(ext)
+    targets, (w, dj), p = ext.targets, _kron_w(ext), _kron_support(ext)
     dists = []
-    for l, el in enumerate(_box_elements(ext.real)):
+    for l, el in enumerate(_box_elements(ext.real, ext.real.eve.entries)):
         t = targets[l]
         proj = np.outer(t, t.conj())
         pull = w.conj().T @ np.kron(proj, np.eye(dj)) @ w
-        dists.append(float(np.max(np.abs(ext._on_support(el) - ext._on_support(pull)))))
+        dists.append(float(np.max(np.abs(p @ el @ p - p @ pull @ p))))
     return np.array(dists)
 
 
 def kron_unitary_certificate(ext) -> float:
-    targets, (w, dj), vbar = ext.targets, _kron_w(ext), ext.vbar
+    targets, (w, dj), p = ext.targets, _kron_w(ext), _kron_support(ext)
+    vbar = p @ ext.real.eve.entries @ p
     basis = ghz_basis(ext.real.n)
     worst = 0.0
     for l in range(2**ext.real.n):
@@ -645,7 +661,7 @@ def kron_unitary_certificate(ext) -> float:
         t = targets[l]
         g_op = w.conj().T @ np.kron(np.outer(t, t.conj()), np.eye(dj)) @ w
         lhs = vbar.conj().T @ f_op @ vbar
-        worst = max(worst, float(np.max(np.abs(lhs - ext._on_support(g_op)))))
+        worst = max(worst, float(np.max(np.abs(lhs - p @ g_op @ p))))
     return worst
 
 
@@ -659,13 +675,13 @@ def _ghz_blocks(lifted: np.ndarray, basis: np.ndarray, dj: int) -> np.ndarray:
 
 
 def kron_blocks(ext) -> np.ndarray:
-    w, dj = _kron_w(ext)
-    lifted = w @ ext.vbar.conj().T @ w.conj().T
+    (w, dj), p = _kron_w(ext), _kron_support(ext)
+    lifted = w @ (p @ ext.real.eve.entries @ p).conj().T @ w.conj().T
     return _ghz_blocks(lifted, ghz_basis(ext.real.n), dj)
 
 
 def kron_block_deviation(ext, blocks) -> float:
-    targets, q = ext.targets, ext.junk_floor
+    targets, q = ext.targets, _kron_junk_floor(ext)
     basis = ghz_basis(ext.real.n)
     worst = 0.0
     for i in range(2**ext.real.n):
@@ -680,7 +696,7 @@ def kron_block_deviation(ext, blocks) -> float:
 def kron_gate(ext, blocks) -> np.ndarray:
     branch = ext.branch
     n = ext.real.n
-    q = ext.junk_floor
+    q = _kron_junk_floor(ext)
     basis = ghz_basis(n)
     qn = float(np.real(np.trace(q)))
     m = np.einsum("ikjk->ij", blocks) / qn
@@ -715,7 +731,7 @@ def kron_extract_rows(ext) -> dict[str, float]:
 
 def listed_assemble_state(real: Realization) -> StateVector:
     """Tensor product of all sources, permuted into the canonical site order."""
-    joint = kron(list(real.sources))
+    joint = StateVector(reduce(np.kron, [s.amplitudes for s in real.sources]), sum((s.dims for s in real.sources), ()))
     n = real.n
     if real.scheme == ALMOST_DI:
         # source order A1 L1 A2 L2 ... -> A1..AN L1..LN

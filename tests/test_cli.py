@@ -534,13 +534,14 @@ def test_bounds_refuses_a_batch_beyond_the_amplitude_limit(capsys):
 
 @pytest.mark.parametrize(
     "record, field",
-    [({"kind": "perturb", "seed": 3}, "epsilon"), ({"kind": "depolarize"}, "eta")],
-    ids=["perturb", "depolarize"],
+    [({"kind": "perturb", "seed": 3}, "epsilon"), ({"kind": "depolarize"}, "eta"), ({"kind": "gauge_phase"}, "thetas")],
+    ids=["perturb", "depolarize", "gauge_phase"],
 )
 def test_adversary_spec_without_its_strength_exits_two(tmp_path, capsys, record, field):
     """At its default strength a perturb or depolarize spec would run the
-    unchanged realization, so a spec must give it; dilate keeps its
-    defaults, as in the README's example."""
+    unchanged realization, and a gauge without phases has nothing to apply,
+    so a spec must give it; dilate keeps its defaults, as in the README's
+    example."""
     adv = tmp_path / "adv.json"
     adv.write_text(json.dumps(record))
     assert main(["certify", "--n", "2", "--gate", "cz", "--adversary", str(adv)]) == 2
@@ -548,6 +549,24 @@ def test_adversary_spec_without_its_strength_exits_two(tmp_path, capsys, record,
     assert f"error: {kind} adversary record is missing field(s) '{field}' (in adversary spec" in capsys.readouterr().err
     adv.write_text(json.dumps({"kind": "dilate", "junk_dim": 2, "seed": 7}))
     assert main(["certify", "--n", "2", "--gate", "cz", "--adversary", str(adv)]) == 0
+
+
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        ({"kind": "gauge_phase", "thetas": [0.1, 0.2]}, "need 4 phases, got 2"),
+        ({"kind": "depolarize", "eta": 1.5}, "depolarizing strength must be in [0, 1], got 1.5"),
+        ({"kind": "dilate", "junk_dim": -1}, "junk dimension must be >= 1, got -1"),
+    ],
+    ids=["thetas-length", "eta-range", "junk-negative"],
+)
+def test_adversary_spec_the_realization_refuses_names_its_file(tmp_path, capsys, record, reason):
+    """A well-formed spec that the realization refuses exits 2 with one
+    line naming the spec file, as a malformed one does."""
+    adv = tmp_path / "adv.json"
+    adv.write_text(json.dumps(record))
+    assert main(["certify", "--n", "2", "--gate", "cz", "--adversary", str(adv)]) == 2
+    assert capsys.readouterr().err == f"error: {reason} (in adversary spec {adv})\n"
 
 
 _NAN_IDENTITY = [[[float("nan") if (r, c) == (0, 0) else float(r == c), 0.0] for c in range(4)] for r in range(4)]

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from dense_oracle import kron_extract_rows
+from strategies import with_junk
 
 from gatecert import extract, network
-from gatecert.adversary import _lift, conjugate, dilate
+from gatecert.adversary import _lift, conjugate, depolarize_sources, dilate, gauge_phase, perturb
 from gatecert.extract import (
     OP_TOL,
     Extraction,
@@ -21,7 +22,7 @@ from gatecert.extract import (
     swap_isometry,
     teleported_elements,
 )
-from gatecert.certify import certify
+from gatecert.certify import certify, protocol_rows
 from gatecert.network import ALMOST_DI, DI, born_table, reference_realization
 from gatecert.primitives import gate, haar_unitary, ref_observable
 from gatecert.tensor import Operator, StateVector, polar_factor
@@ -149,9 +150,9 @@ def test_branch_detection():
 
 def test_effective_elements_reference_almost():
     real = reference_realization(2, gate("swap", 2))
-    elements, support = extract._box_elements(real), extract.Extraction(real, None).support
+    elements = extract._box_elements(real, real.eve.entries)
+    assert extract.Extraction(real, None).support is None  # every L site has full support
     assert len(elements) == 4
-    assert np.allclose(support, np.eye(4), atol=1e-12)
     total = sum(elements)
     assert np.allclose(total, np.eye(4), atol=1e-12)
 
@@ -220,49 +221,41 @@ def test_mixed_branch_has_no_comparison_target():
 
 def test_certify_computes_shared_extraction_pieces_once(monkeypatch):
     """One ``Extraction`` serves every operator-level row of a report: the
-    frames, branch, targets, effective elements, support of the collective
-    state (di only) and the grouped isometry W, from which the ideal-basis
-    rows of the GHZ blocks are contracted, are computed once, and the rows
-    equal the steps run on their own."""
+    frames, branch, targets, effective elements and the grouped isometry W,
+    from which the ideal-basis rows of the GHZ blocks are contracted, are
+    computed once, and the rows equal the steps run on their own.  The
+    only support projectors are the site supports ``extract_all`` vets the
+    frames on, one stacked call per collection, in both schemes; with junk
+    of Schmidt rank 1 they are not full and the rows still come out once."""
     calls = Counter()
-    collective = []
 
     def counted(name):
         fn = getattr(extract, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            out = fn(*args, **kwargs)
-            if name == "_collective_state":
-                collective.append(out)
-            elif name == "support_projector" and any(args[0] is rho for rho in collective):
-                calls["collective support"] += 1
-            return out
+            return fn(*args, **kwargs)
 
         return wrapper
 
-    names = ("extract_all", "branch_of", "delta_set", "_box_elements", "_collective_state", "grouped_isometry")
+    names = ("extract_all", "branch_of", "delta_set", "_box_elements", "grouped_isometry")
     for name in names + ("support_projector",):
         monkeypatch.setattr(extract, name, counted(name))
     u = gate("random", 2, seed=6)
-    for scheme, junk in ((ALMOST_DI, 2), (DI, 1)):
-        real = dilate(reference_realization(2, u, scheme=scheme), junk_dim=junk, seed=3)
+    for scheme, junk in ((ALMOST_DI, 2), (DI, 1), (ALMOST_DI, 0), (DI, 0)):
+        ref = reference_realization(2, u, scheme=scheme)
+        real = dilate(ref, junk_dim=junk, seed=3) if junk else depolarize_sources(ref, 0.0)
         calls.clear()
         rows = {c.id: c.lhs for c in certify(born_table(real), u, realization=real).checks}
-        once = {name: 1 for name in names}
-        if scheme == ALMOST_DI:
-            once["_collective_state"] = 0  # almost_di checks never restrict to the support
-        else:
-            once["collective support"] = 1
-        site_supports = calls.pop("support_projector") - calls["collective support"]
-        assert site_supports == (2 if scheme == ALMOST_DI else 4)  # one stacked call per collection in extract_all
-        assert calls == Counter(once)
+        assert calls.pop("support_projector") == (2 if scheme == ALMOST_DI else 4)
+        assert calls == Counter({name: 1 for name in names})
         dists = Extraction(real, u).measurement_distances()
         alone = {f"extract.meas[{l:02b}]": dists[l] for l in range(4)}
         alone["extract.unitary"] = Extraction(real, u).unitary_certificate()
         alone["extract.blocks"] = Extraction(real, u).block_deviation()
         alone["extract.fidelity"] = Extraction(real, u).fidelity()
         assert all(abs(rows[key] - value) <= 1e-13 for key, value in alone.items())
+        assert (Extraction(real, u).support is None) == bool(junk)
 
 
 def _with_degenerate_pairs(real, parties=(), subnets=()):
@@ -385,3 +378,64 @@ def test_sites_of_different_dimensions_match_the_lifted_extractor(scheme):
     assert rows["extract.blocks"] == pytest.approx(ext.block_deviation(), abs=1e-13)
     dists = ext.measurement_distances()
     assert all(abs(rows[f"extract.meas[{l:02b}]"] - dists[l]) <= 1e-13 for l in range(4))
+
+
+_PRODUCT_JUNK = np.diag([1.0, 0.0]).astype(complex)  # |0>|0>: Schmidt rank 1
+
+
+@pytest.mark.parametrize(
+    "name, change, verdict, branch",
+    [
+        ("toffoli", lambda r: with_junk(r, _PRODUCT_JUNK), "certified", "plus"),
+        ("random", lambda r: with_junk(r, _PRODUCT_JUNK, seed=4), "certified", "plus"),
+        ("toffoli", lambda r: depolarize_sources(r, 0.0), "certified", "plus"),
+        ("random", lambda r: dilate(r, junk_dim=2, seed=5), "certified", "plus"),
+        ("random", conjugate, "certified", "minus"),
+        ("toffoli", lambda r: perturb(r, 0.05, seed=1), "not-certified", "plus"),
+    ],
+    ids=["toffoli-product-junk", "random-product-junk-rotated", "depolarize-0", "dilate-2", "conjugate", "perturb"],
+)
+def test_realization_mode_verdicts_at_three_subnets(name, change, verdict, branch):
+    """almost_di n=3 local isometries of the reference certify in
+    realization mode with the reference's branch (minus when conjugated),
+    whatever the junk's Schmidt rank; at eta 0 each second wing carries a
+    product junk state of dimension 4.  A perturbed Eve stays refused, as
+    does the depolarized realization at eta 0.05
+    (``test_extract_oracle.test_depolarized_three_subnets_fit_in_memory``)."""
+    u = gate(name, 3, seed=2)
+    real = change(reference_realization(3, u))
+    report = certify(born_table(real, rows=protocol_rows(ALMOST_DI, 3)), u, realization=real)
+    assert (report.verdict, report.branch) == (verdict, branch)
+
+
+@pytest.mark.parametrize("scheme, change", [(ALMOST_DI, "perturb"), (ALMOST_DI, "depolarize"), (DI, "perturb"), (DI, "depolarize")])
+def test_realization_mode_refuses_noise_on_rank_deficient_junk(scheme, change):
+    """At n=2 the depolarized realization's sites are rank deficient at any
+    eta: at eta 0 it certifies, at eta 0.05 it does not, and neither does a
+    perturbed Eve behind product junk."""
+    u = gate("cnot", 2)
+    real = reference_realization(2, u, scheme=scheme)
+    rows = protocol_rows(scheme, 2)
+    clean = depolarize_sources(real, 0.0)
+    assert certify(born_table(clean, rows=rows), u, realization=clean).verdict == "certified"
+    noisy = depolarize_sources(real, 0.05) if change == "depolarize" else perturb(with_junk(real, _PRODUCT_JUNK), 0.05, seed=1)
+    assert Extraction(noisy, u).support is not None
+    assert certify(born_table(noisy, rows=rows), u, realization=noisy).verdict == "not-certified"
+
+
+@pytest.mark.parametrize("scheme, n", [(ALMOST_DI, 2), (DI, 2), (ALMOST_DI, 3), (DI, 3)])
+def test_phase_gauge_is_invisible_to_the_statistics_only(scheme, n):
+    """A phase gauge of the box leaves every row the protocol reads
+    unchanged, so statistics-only mode certifies; realization mode does
+    not, because the block deviation and the fidelity compare Eve's
+    operation itself, which the gauge changes.  The measurement distances
+    and the unitary certificate, which compare Eve only through the box
+    elements, pass."""
+    u = gate("random", n, seed=3)
+    real = gauge_phase(reference_realization(n, u, scheme=scheme), np.random.default_rng(3).uniform(-np.pi, np.pi, 2**n))
+    table = born_table(real, rows=protocol_rows(scheme, n))
+    assert certify(table, u).verdict == "certified"
+    report = certify(table, u, realization=real)
+    failed = {c.id for c in report.checks if not c.passed}
+    assert report.verdict == "not-certified"
+    assert failed == {"extract.blocks", "extract.fidelity"}

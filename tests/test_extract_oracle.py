@@ -6,7 +6,9 @@ the GHZ blocks a few rows at a time; the oracle forms ``np.kron(projector,
 1_dj)`` and every block.  Property cases draw random n=2 gates in both
 schemes and both branches, dilated with junk dimension 1 to 3 or depolarized
 (see ``strategies.realizations``), each checked against a random gate, cnot
-and the gate extracted from it; fixed cases cover n=3.  Every row must be
+and the gate extracted from it, and with junk of every Schmidt rank
+(``strategies.junk_of_every_rank``), whose verdicts must also equal the
+reference's; fixed cases cover n=3.  Every row must be
 within ``ROW_TOL`` of the oracle's: the two sum the same products in another
 order.  A last test guards the memory of the depolarized n=3 case, which
 the lifted extractor needs over 1 GB for.
@@ -18,10 +20,10 @@ import pytest
 from dense_oracle import kron_extract_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import realizations
+from strategies import junk_of_every_rank, realizations
 
 from gatecert.adversary import depolarize_sources, dilate
-from gatecert.certify import _realization_rows, certify
+from gatecert.certify import _realization_rows, certify, protocol_rows
 from gatecert.extract import OP_TOL, Extraction
 from gatecert.network import ALMOST_DI, DI, born_table, reference_realization
 from gatecert.primitives import gate
@@ -48,6 +50,25 @@ def own_gate(real):
 @given(realizations(kinds=("dilate", "depolarize"), junk_dims=st.integers(1, 3)))
 def test_extract_rows_match_kron_oracle(real):
     assert_matches_kron_oracle(real, (gate("random", 2, seed=11), gate("cnot", 2), own_gate(real)))
+
+
+@settings(max_examples=20)
+@given(junk_of_every_rank())
+def test_junk_of_every_schmidt_rank_certifies_like_the_reference(case):
+    """A local isometry of the reference whose junk has any Schmidt rank,
+    the product state included, gets the reference's realization-mode
+    verdict and branch and its statistics-only report, and its rows match
+    the lifted extractor, which forms the support projector densely."""
+    u, real, moved = case
+    rows = protocol_rows(real.scheme, real.n)
+    base, table = born_table(real, rows=rows), born_table(moved, rows=rows)
+    want, got = certify(base, u, realization=real), certify(table, u, realization=moved)
+    assert (got.verdict, got.branch) == (want.verdict, want.branch) == ("certified", "plus" if real.branch == 1 else "minus")
+    want, got = certify(base, u), certify(table, u)
+    assert (got.verdict, got.branch) == (want.verdict, want.branch)
+    assert [c.id for c in got.checks] == [c.id for c in want.checks]
+    assert max(abs(a.lhs - b.lhs) for a, b in zip(got.checks, want.checks)) <= 1e-12
+    assert_matches_kron_oracle(moved, (u,))
 
 
 @pytest.mark.parametrize("scheme, junk", [(ALMOST_DI, 2), (DI, None), (DI, 2)])

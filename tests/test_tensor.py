@@ -6,7 +6,6 @@ from gatecert.tensor import (
     Operator,
     StateVector,
     apply_raw_batch,
-    kron,
     polar_factor,
 )
 
@@ -47,25 +46,13 @@ def test_entries_are_read_only():
         op.entries[0, 0] = 5.0
 
 
-def test_kron_matches_numpy():
-    a = Operator(X, (2,))
-    b = Operator(np.diag([1.0, 2.0, 3.0]).astype(complex), (3,))
-    prod = kron([a, b])
-    assert prod.dims == (2, 3)
-    assert np.allclose(prod.entries, np.kron(X, np.diag([1.0, 2.0, 3.0])))
-    sa = StateVector(np.array([1.0, 2.0]) / np.sqrt(5), (2,))
-    sb = StateVector(np.array([0.0, 1.0, 0.0]), (3,))
-    sv = kron([sa, sb])
-    assert sv.dims == (2, 3)
-    assert np.allclose(sv.amplitudes, np.kron(sa.amplitudes, sb.amplitudes))
-
-
 def test_basis_ordering_site0_most_significant():
     # |1>|0> must sit at index 2 of a two-qubit vector
-    one = StateVector(np.array([0.0, 1.0]), (2,))
-    zero = StateVector(np.array([1.0, 0.0]), (2,))
-    v = kron([one, zero])
+    one, zero = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    v = StateVector(np.kron(one, zero), (2, 2))
     assert np.argmax(np.abs(v.amplitudes)) == 2
+    flipped = apply_raw_batch(v.amplitudes[None, :], v.dims, X[None], [0])  # X on site 0 flips the leading digit
+    assert np.argmax(np.abs(flipped[0])) == 0
 
 
 def test_apply_raw_single_site_vs_dense():
