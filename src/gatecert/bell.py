@@ -31,7 +31,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .network import ProbabilityTable, check_size, coefficients, nonzero_slots, terms_value
+from .network import ProbabilityTable, check_size, coefficients, terms_value
 from .primitives import SettingSymbol
 from .tensor import DEFAULT_ZERO_TOL
 
@@ -52,7 +52,7 @@ class BellFunctional:
     @cached_property
     def tensor(self) -> np.ndarray:
         """The coefficient tensor ``W``, ``coefficients(terms, None)[1]``, read-only, built once."""
-        w = coefficients(self.terms, None)[1]
+        _, w = coefficients(self.terms, None)
         w.setflags(write=False)
         return w
 
@@ -145,7 +145,8 @@ def evaluate(
 
 def _reached(w: np.ndarray) -> list[np.ndarray]:
     """Base settings each party's axis of ``w`` reaches, ascending."""
-    return [slots[slots < 3] for slots in nonzero_slots(w)]
+    axes = range(w.ndim)
+    return [np.flatnonzero(np.any(w != 0, axis=tuple(q for q in axes if q != p))[:3]) for p in axes]
 
 
 def classical_bound(functional: BellFunctional) -> float:

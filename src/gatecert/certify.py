@@ -19,12 +19,12 @@ check's weights with one contraction, ``network.contract``: of a Bell
 functional's coefficient tensor (``network.row_weights``; a correlator is a
 one-term functional) or of the gate's f tensor (``decomp.f_tensor``), for
 all joint outcomes l at once, with the per-party matrices
-``network.party_matrix``.  Only the f-sum rows depend on the gate.  The
-other checks are built once per (scheme, n), and so is the f-sum frame:
-the check ids, event indices, party matrices and the e=1 ``perp`` row
-keys in ``x_settings`` order; the contraction's path is searched once per
-shape (``network.einsum_path``).  Per gate, ``check_matrix`` computes
-only f, one contraction and the weight dicts.
+``network.party_matrix``; every contraction takes the path
+``network.einsum_path`` searches once per shape.  Only the f-sum rows
+depend on the gate.  The other checks are built once per (scheme, n), and
+so is the f-sum frame: the check ids, event indices, party matrices and
+the e=1 ``perp`` row keys in ``x_settings`` order.  Per gate,
+``check_matrix`` computes only f, one contraction and the weight dicts.
 ``protocol_rows`` lists every settings row any gate's checks read, the
 rows realization-mode ``gatecert certify`` computes.  ``certify`` reads
 the rows the weighted sums weigh once, by the normalized keys the weights
@@ -246,7 +246,7 @@ def _fsum_checks(scheme: str, n: int, u: Operator) -> list[Check]:
     frame = _fsum_frame(scheme, n)
     f = f_tensor(u)
     f = np.where(np.abs(f) < F_ZERO, 0.0, f)
-    w = contract(f, frame.mats, optimize=True).reshape(2**n, len(frame.keys), *(2,) * n)
+    w = contract(f, frame.mats).reshape(2**n, len(frame.keys), *(2,) * n)
     w.setflags(write=False)
     read = w.reshape(2**n, len(frame.keys), -1).any(axis=2)
     return [

@@ -86,14 +86,16 @@ repeater i's on x or y, L's on more than e (almost_di) or y (di), or, on
 the rows y != perp, box i's on more than y_i; the message names the party
 and two rows.
 
-Every table-level check is weights on rows.  ``coefficients`` reads a Bell
-functional into one coefficient tensor W, the only reader of ``EXPANSION``
-and of the label rules; ``contract`` gives its row weights, ``sum_i W[i]
-prod_p M_p[i_p, x_p, a_p]`` with ``party_matrix`` M_p, and ``row_weights``
-lays them onto the outcomes ``event_index`` selects.  ``row_weights`` is
-memoized on its arguments, so ``expectation``, ``terms_value`` (and through
-it ``bell.evaluate``) and the check matrix of ``certify`` build each
-functional's weights once per condition and share one read-only mapping.
+Every table-level check is weights on rows.  ``party_matrix``, the one
+reader of ``EXPANSION``, gives each symbol's weights on settings and
+outcomes; ``coefficients`` reads a Bell functional into one tensor W over
+``SLOT_SYMBOLS``; ``contract`` gives ``sum_i W[i] prod_p M_p[i_p, x_p,
+a_p]`` with ``party_matrix`` M_p along ``einsum_path``'s path, as every
+contraction does; ``row_weights`` lays it onto the rows each term's
+symbols reach, over the outcomes ``event_index`` selects.  ``row_weights``
+is memoized, so ``expectation``, ``terms_value`` (and through it
+``bell.evaluate``) and ``certify``'s check matrix build each functional's
+weights once per condition and share one read-only mapping.
 
 ``check_size`` refuses, before allocating, an array of more than
 ``MAX_AMPLITUDES`` complex entries: ``assemble_state`` asks it about the
@@ -848,39 +850,34 @@ def event_index(scheme: str, n: int, *, l: int | None = None, r: Mapping[int, in
     return tuple(index)
 
 
-def coefficients(terms, scen: ScenarioSpec | None) -> tuple[list[str], np.ndarray, np.ndarray]:
+def coefficients(terms, scen: ScenarioSpec | None) -> tuple[list[str], np.ndarray]:
     """The parties a Bell functional's ``(coeff, assignment)`` terms measure,
-    in label order; its tensor ``W``, an axis per party over ``SLOT_SYMBOLS``:
-    each term's coefficient times its parties' ``EXPANSION`` vectors (the
-    identity slot where it omits one), summed in term order; and
-    ``support[t]``, 1 where term t's product is nonzero.  With a scenario
-    every label must be one its tables read (``_check_label``)."""
+    in party order (A2 before A10, the boxes last), and its tensor ``W``, an
+    axis per party over ``SLOT_SYMBOLS``: each term's coefficient times its
+    parties' slot vectors (``party_matrix`` on outcome 0, the identity slot
+    where it omits one), summed in term order.  With a scenario every label
+    must be one its tables read (``_check_label``)."""
     used = [(label, sym) for _, assignment in terms for label, sym in assignment.items()]
     if scen is not None:
         for label, sym in used:
             _check_label(label, sym, scen.n, scen.scheme)
-    labels = sorted({label for label, sym in used if sym is not SettingSymbol.ID})
-    unit = np.eye(4)
-    w = np.zeros((4,) * len(labels))
-    support = np.zeros((len(terms),) + w.shape)
-    for t, (coeff, assignment) in enumerate(terms):
-        vecs = [unit[3]] * len(labels)
-        for label, sym in assignment.items():
-            if sym is not SettingSymbol.ID:
-                vecs[labels.index(label)] = sum(c * unit[k] for c, k in EXPANSION[sym])
-        outer = reduce(np.multiply.outer, vecs, np.ones(()))
-        w = w + coeff * outer
-        support[t] = outer != 0
-    return labels, w, support
+    labels = sorted({label for label, sym in used if sym is not SettingSymbol.ID}, key=lambda x: (x[:1], len(x), x))
+    w, identity = np.zeros((4,) * len(labels)), np.eye(4)[3]
+    for coeff, assignment in terms:
+        vecs = [identity] * len(labels)
+        measured = [(label, sym) for label, sym in assignment.items() if sym is not SettingSymbol.ID]
+        for (label, _), row in zip(measured, party_matrix(tuple(sym for _, sym in measured))[:, :, 0]):
+            vecs[labels.index(label)] = np.append(row, 0.0)
+        w = w + coeff * reduce(np.multiply.outer, vecs, np.ones(()))
+    return labels, w
 
 
-def contract(w: np.ndarray, matrices: Sequence[np.ndarray], *, optimize: bool) -> np.ndarray:
+def contract(w: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
     """``sum_i W[..., i] prod_p M_p[i_p, x_p, a_p]`` over (..., x_1..x_m,
-    a_1..a_m), W's leading axes kept.  ``optimize`` (pairwise contraction,
-    along ``einsum_path``'s path) pays on a gate's f tensor; a functional's
-    few slots are contracted as one einsum."""
+    a_1..a_m), W's leading axes kept, contracted pairwise along
+    ``einsum_path``'s path."""
     operands = _contract_operands(w, matrices)
-    return np.einsum(*operands, optimize=einsum_path(operands) if optimize else False)
+    return np.einsum(*operands, optimize=einsum_path(operands))
 
 
 _PATHS: dict[tuple, list] = {}  # einsum_path's paths, by subscripts and shapes
@@ -905,19 +902,16 @@ def _contract_operands(w: np.ndarray, matrices: Sequence[np.ndarray]) -> list:
     return operands + [[*range(lead), *range(w.ndim, w.ndim + 2 * m)]]
 
 
-def nonzero_slots(t: np.ndarray) -> list[np.ndarray]:
-    """For each axis of ``t``, ascending, the indices at which ``t`` is nonzero somewhere."""
-    return [np.flatnonzero(np.any(t != 0, axis=tuple(q for q in range(t.ndim) if q != p))) for p in range(t.ndim)]
-
-
 def row_weights(terms, scheme: str, n: int, *, e: int, l=None, r=None) -> Mapping[tuple, np.ndarray]:
     """Weight array of a Bell functional's ``(coeff, assignment)`` terms on
     each settings row they read, over the outcomes ``event_index(scheme, n,
     l=l, r=r)`` selects: ``contract`` of ``coefficients`` with each measured
-    party's ``party_matrix``, constant on every other axis.  A party a term
-    omits reads setting 0; a term whose boxes all do reads the ``perp``
-    rows.  Rows are listed by the first term that reads them, then with the
-    first party's setting varying slowest.
+    party's ``party_matrix``, constant on every other axis.  A term reads
+    the settings its symbols reach (``party_matrix`` nonzero on outcome 0),
+    setting 0 where it omits a party, and the y rows if it measures a box,
+    else the ``perp`` rows, which weigh W at the identity of every box.
+    Rows are listed by the first term that reads them, then with the first
+    party's setting varying slowest.
 
     Memoized: equal arguments, compared with their types and in their
     order, give the same read-only mapping of read-only arrays.  A refused
@@ -955,39 +949,37 @@ def _memo_row_weights(args) -> Mapping[tuple, np.ndarray]:
 def _build_row_weights(terms, scheme: str, n: int, e: int, l, r) -> dict[tuple, np.ndarray]:
     """``row_weights`` without the memo."""
     scen = ScenarioSpec(scheme, n)
-    labels, w, support = coefficients(terms, scen)
+    labels, w = coefficients(terms, scen)
     if l is not None and any(label.startswith("B") for _, assignment in terms for label in assignment):
         raise ValueError("cannot combine box observables with a joint-outcome condition")
-    boxes = [label for label in labels if label.startswith("B")]
-    perp = (..., *(3,) * len(boxes))  # every box at the identity
-    parts = [(w[perp], support[perp], labels[: len(labels) - len(boxes)], False)]
-    if boxes:
-        w, support = w.copy(), support.copy()
-        w[perp] = support[perp] = 0.0
-        parts.append((w, support, labels, True))
-    free = n - len(r or {}) if scheme == DI else 0
-    full = (2,) * n + (4,) * free + ((2,) * n if l is None else ())
-    shape = full[: n + free] + ((2**n,) if l is None else ())  # the box bits as one l axis
-    rows = []
-    for w, support, who, boxed in parts:
-        ix = np.ix_(*nonzero_slots(support.any(axis=0)))  # the sums skip nothing but zeros
-        mats = [party_matrix(SLOT_SYMBOLS)[k.ravel(), : 3 if label[0] == "A" else 2] for k, label in zip(ix, who)]
-        # each term's support rides along: a slot weighs outcome 0 of every setting it reaches by 1
-        both = contract(np.concatenate([w[None], support])[(slice(None), *ix)], mats, optimize=False)
-        # a settings axis per party, and for rows y per box, 1 long where no term measures it
-        axes = [3 if f"A{i}" in who else 1 for i in range(1, n + 1)]
-        axes += [2 if f"B{i}" in who else 1 for i in range(1, n + 1)] * boxed
-        value = both[0].reshape(*axes, -1)
-        read = both[(slice(1, None), ..., *(0,) * len(who))].reshape(len(support), *axes) != 0  # read[t]: term t's rows
-        # the outcome axes of the measured parties, then of their boxes' bits of l
-        dims = [2 if f"A{i}" in who else 1 for i in range(1, n + 1)] + [1] * free
-        dims += [2 if f"B{i}" in who else 1 for i in range(1, n + 1)] if l is None else []
-        for pos in map(tuple, np.argwhere(read.any(axis=0))):
-            weight = (value[pos].reshape(dims) * np.ones(full)).reshape(shape)
-            key = scen.row(pos[:n], e, pos[n:] if boxed else PERP)
-            rows.append((int(np.argmax(read[(slice(None), *pos)])), pos, key, weight))
-    rows.sort(key=lambda row: row[:2])
-    return {key: weight for _, _, key, weight in rows}
+    # the conditioned row, with l split into the box bits b_1..b_n while it is free
+    shape = np.broadcast_to(0.0, scen.outcome_shape())[event_index(scheme, n, l=l, r=r)].shape
+    full = shape[:-1] + (2,) * n if l is None else shape
+    parties = [f"A{i}" for i in range(1, n + 1)] + [f"B{i}" for i in range(1, n + 1)]
+    rows: dict = {}  # key -> whether it is a y row, and the settings of A_1..A_n (and of B_1..B_n if so)
+    for _, assignment in terms:
+        symbols = tuple(assignment.get(party, SettingSymbol.ID) for party in parties)
+        boxed = any(sym is not SettingSymbol.ID for sym in symbols[n:])
+        reach = party_matrix(symbols)[: 2 * n if boxed else n, :, 0] != 0
+        for xs in product(*map(np.flatnonzero, reach)):
+            rows.setdefault(scen.row(xs[:n], e, xs[n:] if boxed else PERP), (boxed, xs))
+    boxes = sum(label.startswith("B") for label in labels)
+    perp = (..., *(3,) * boxes)  # every box at the identity
+    values = {}  # for y rows and perp rows: the contraction, the parties it measures, their axes in `full`
+    for boxed in {boxed for boxed, _ in rows.values()}:
+        who, part = (labels, w.copy()) if boxed else (labels[: len(labels) - boxes], w[perp])
+        if boxed:
+            part[perp] = 0.0
+        mats = [party_matrix(SLOT_SYMBOLS)[:, : 3 if label[0] == "A" else 2] for label in who]
+        at = [parties.index(label) for label in who]
+        dims = np.ones(len(full), int)  # A_1..A_n's outcomes, the free repeaters, the box bits b_1..b_n
+        dims[[p if p < n else p - 2 * n for p in at]] = 2
+        values[boxed] = contract(part, mats), at, dims
+    ones, weights = np.ones(full), {}
+    for key, (boxed, xs) in rows.items():
+        value, at, dims = values[boxed]
+        weights[key] = (value[tuple(xs[p] for p in at)].reshape(dims) * ones).reshape(shape)
+    return weights
 
 
 def weighted_sum(

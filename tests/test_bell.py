@@ -286,13 +286,30 @@ def assert_weights_match_termwise(functional, scheme, n, exact):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_protocol_weights_equal_termwise_oracle_bit_for_bit(scheme, n):
     """The functionals ``certify`` reads, under every condition, in both
     schemes: the weights of every check row, and so every report digit, are
-    those of the term-wise builder."""
-    for functional in _protocol_functionals(n) if scheme == DI else _protocol_functionals(n)[: 2**n]:
+    those of the term-wise builder.  At n=4, where the contraction path
+    reorders the sums most, di reads I[0000] and every K functional."""
+    functionals = _protocol_functionals(n)
+    if scheme == ALMOST_DI:
+        functionals = functionals[: 2**n]
+    elif n == 4:
+        functionals = functionals[:1] + functionals[2**n :]
+    for functional in functionals:
         assert_weights_match_termwise(functional, scheme, n, exact=True)
+
+
+def test_row_weights_keep_party_order_beyond_nine_parties():
+    """At n=10 the parties A2 and A10 keep their order, so each party's
+    sign lands on its own outcome axis, as in the term-wise builder."""
+    terms = (BellTerm(1.0, {"A2": SettingSymbol.S0}), BellTerm(2.0, {"A10": SettingSymbol.S0}))
+    functional = BellFunctional(10, "A2+2A10", terms)
+    assert coefficients(functional.terms, None)[0] == ["A2", "A10"]
+    got = row_weights(functional.terms, ALMOST_DI, 10, e=0, l=0)
+    want = termwise_functional_weights(functional, ALMOST_DI, 10, e=0, l=0)
+    assert list(got) == list(want) and all(got[key].tobytes() == w.tobytes() for key, w in want.items())
 
 
 @settings(max_examples=60)
@@ -311,7 +328,7 @@ def test_coefficient_tensor_matches_termwise_oracle(functional, seed):
             continue
         assert_weights_match_termwise(functional, scheme, 2, exact=False)
     rng = np.random.default_rng(seed)
-    labels, w, _ = coefficients(functional.terms, None)
+    labels, w = coefficients(functional.terms, None)
     base = _base_settings(_symbols(functional))
     assert labels == list(base)
     stacks = np.zeros((len(labels), 4, 2, 2), dtype=complex)
@@ -356,7 +373,7 @@ def test_fold_matches_termwise_oracle_beyond_three_parties(n, which):
     ones to 1e-12."""
     rng = np.random.default_rng(n)
     functional = functional_I((0, 1, 1, 0, 1)[:n]) if which == "I" else _random_functional(rng, n)
-    labels, w, _ = coefficients(functional.terms, None)
+    labels, w = coefficients(functional.terms, None)
     base = _base_settings(_symbols(functional))
     assert labels == list(base) and len(labels) == n
     restarts = 3

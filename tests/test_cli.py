@@ -16,7 +16,7 @@ from table_files import move_mass, table_lines, with_change
 
 from gatecert import cli
 from gatecert.adversary import AdversarySpec, save_adversary
-from gatecert.certify import protocol_rows
+from gatecert.certify import CertificationReport, certify, protocol_rows
 from gatecert.cli import main
 from gatecert.network import DI, SCHEMES, ScenarioSpec, born_table, load_table, reference_realization, save_table
 from gatecert.primitives import gate
@@ -140,14 +140,21 @@ def test_certify_record_missing_field_exits_two(tmp_path, capsys):
 
 
 def test_certify_zero_probability_event_exits_one(tmp_path, capsys, zero_element_repeater):
+    """The failing row names the event on stdout and in the report file,
+    which reads back as the report ``certify`` returns."""
     table = born_table(zero_element_repeater)
     path = tmp_path / "table.jsonl"
     save_table(table, str(path))
-    assert main(["certify", "--scheme", "di", "--gate", "cnot", "--table", str(path)]) == 1
+    argv = ["certify", "--scheme", "di", "--gate", "cnot", "--table", str(path), "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
     out = capsys.readouterr().out
     assert "FAIL  step1.k[1;1]" in out
     assert "r_1=1 has probability 0" in out
     assert "verdict: not-certified" in out
+    rec = json.loads((tmp_path / "run" / "report.json").read_text())
+    row = next(row for row in rec["checks"] if row["id"] == "step1.k[1;1]")
+    assert row["detail"] == "r_1=1 has probability 0" and row["passed"] is False
+    assert CertificationReport.from_record(rec) == certify(table, gate("cnot", 2))
 
 
 def test_certify_wrong_gate_exits_one(tmp_path):

@@ -548,10 +548,10 @@ RESTRICTED_ADVERSARIES = (
 @pytest.mark.parametrize("scheme, n", RESTRICTED_SCENARIOS)
 def test_restricted_born_table_equals_full_table(scheme, n):
     """``born_table(real, rows=R)`` holds exactly the rows R, each equal to
-    the full table's bit for bit, for the protocol rows and for random row
-    sets; ``certify`` gives the same report on either table (the
-    operator-level rows read the realization only, and the CLI test of
-    realization-mode certify covers them)."""
+    the full table's bit for bit, for the protocol rows, for random row
+    sets and for the rows of one input e; ``certify`` gives the same report
+    on either table (the operator-level rows read the realization only, and
+    the CLI test of realization-mode certify covers them)."""
     u = gate("random", n, seed=7)
     rng = np.random.default_rng(n)
     for spec in RESTRICTED_ADVERSARIES:
@@ -561,7 +561,8 @@ def test_restricted_born_table_equals_full_table(scheme, n):
         real = real if spec is None else apply_adversary(real, spec)
         full = born_table(real)
         keys = list(full.keys())
-        for rows in ([keys[k] for k in rng.choice(len(keys), 7, replace=False)], protocol_rows(scheme, n)):
+        sample = [keys[k] for k in rng.choice(len(keys), 7, replace=False)]
+        for rows in (sample, *([key for key in keys if key[1] == e] for e in (0, 1)), protocol_rows(scheme, n)):
             part = born_table(real, rows=rows)
             assert set(part.keys()) == set(rows)
             assert all(np.array_equal(part.array(key), full.array(key)) for key in rows)
@@ -1001,6 +1002,75 @@ def test_binary_observable_messages(name, fault, message):
         broken = replace(real, b_obs=(real.b_obs[0], (real.b_obs[1][0], bad)))
     with pytest.raises(ValueError) as err:
         validate_realization(broken)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("scheme", "unknown scheme 'xy'"),
+        ("branch", "branch must be +1 or -1, got 0"),
+        ("source count", "expected 2 sources, got 1"),
+        ("tripartite source", "source 0 must be bipartite, has 3 sites"),
+        ("party count", "expected observables for 2 parties, got 1"),
+        ("observable pair", "party 1 needs 3 observables, got 2"),
+        ("joint box count", "joint box needs 4 elements, got 3"),
+        ("eve dims", "eve operation has dims (2,), expected (2, 2)"),
+        ("almost_di boxes", "almost_di realizations carry no box observables or repeaters"),
+        ("almost_di repeaters", "almost_di realizations carry no box observables or repeaters"),
+        ("di without boxes", "di realization needs binary boxes for 2 subnets"),
+        ("one box observable", "subnet 1 needs 2 box observables"),
+        ("di without repeaters", "di realization needs repeaters for 2 subnets"),
+        ("three repeater elements", "repeater 1 needs 4 elements"),
+        ("reference gate dims", "target gate must act on 2 qubits, got dims (2, 2, 2)"),
+        ("reference gate", "target gate is not unitary"),
+        ("reference branch", "branch must be +1 or -1, got 0"),
+        ("reference scheme", "unknown scheme 'xy'"),
+        ("almost_di repeater condition", "repeater conditions apply only to di tables"),
+        ("repeater condition subnet", "repeater conditions name subnets [3], not all in 1..2"),
+        ("table scenarios", "tables describe different scenarios"),
+        ("table rows", "settings row ((0, 0), 0) present in only one table"),
+    ],
+)
+def test_structural_fault_messages(fault, message):
+    """A realization of the wrong shape is refused naming the part, and so
+    are the wrong arguments of ``reference_realization``, ``event_index``
+    and ``ProbabilityTable.max_difference``."""
+    from gatecert.network import event_index
+
+    u = gate("cnot", 2)
+    almost, di = (reference_realization(2, u, scheme=scheme) for scheme in SCHEMES)
+    uniform = {((0, 0), 0): np.full((2, 2, 4), 1 / 16)}
+
+    def refused(real, **fields):
+        return lambda: validate_realization(replace(real, **fields))
+
+    faults = {
+        "scheme": refused(almost, scheme="xy"),
+        "branch": refused(almost, branch=0),
+        "source count": refused(almost, sources=almost.sources[:1]),
+        "tripartite source": refused(almost, sources=(ghz_state((0, 0, 0)),) + almost.sources[1:]),
+        "party count": refused(almost, a_obs=almost.a_obs[:1]),
+        "observable pair": refused(almost, a_obs=(almost.a_obs[0][:2],) + almost.a_obs[1:]),
+        "joint box count": refused(almost, l_meas=almost.l_meas[:3]),
+        "eve dims": refused(almost, eve=Operator(np.eye(2, dtype=complex), (2,))),
+        "almost_di boxes": refused(almost, b_obs=di.b_obs),
+        "almost_di repeaters": refused(almost, repeaters=di.repeaters),
+        "di without boxes": refused(di, b_obs=None),
+        "one box observable": refused(di, b_obs=(di.b_obs[0][:1],) + di.b_obs[1:]),
+        "di without repeaters": refused(di, repeaters=None),
+        "three repeater elements": refused(di, repeaters=(di.repeaters[0][:3],) + di.repeaters[1:]),
+        "reference gate dims": lambda: reference_realization(2, gate("toffoli", 3)),
+        "reference gate": lambda: reference_realization(2, Operator(2 * np.eye(4, dtype=complex), (2, 2))),
+        "reference branch": lambda: reference_realization(2, u, branch=0),
+        "reference scheme": lambda: reference_realization(2, u, scheme="xy"),
+        "almost_di repeater condition": lambda: event_index(ALMOST_DI, 2, r={1: 0}),
+        "repeater condition subnet": lambda: event_index(DI, 2, r={3: 0}),
+        "table scenarios": lambda: ProbabilityTable(ALMOST_DI, 2, {}).max_difference(ProbabilityTable(DI, 2, {})),
+        "table rows": lambda: ProbabilityTable(ALMOST_DI, 2, uniform).max_difference(ProbabilityTable(ALMOST_DI, 2, {})),
+    }
+    with pytest.raises(ValueError) as err:
+        faults[fault]()
     assert str(err.value) == message
 
 
