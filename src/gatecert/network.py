@@ -33,27 +33,39 @@ sqrt(lambda) v^dagger of the eigenpairs of E above an eps-scaled rank
 cutoff (d * machine eps * max(1, |E|)); the factors of one measurement
 are zero-padded to a common rank, so a zero element is a block of zero
 rows.  A probability is then the squared norm ||(K_a (x) K_r (x) K_l) psi||^2,
-real and non-negative by construction.  The A layer comes last; before it,
-a row M (A sites by collapsed rank sites) with more rank than A amplitudes
-is replaced by R^T, R the triangular factor of M^T = QR.  As M M^dagger =
-R^T conj(R), every squared norm the A layer takes is kept.  A realization
-``born_table`` validates itself is diagonalized once: validation's ``eigh``
-of the joint box and of each repeater also gives their factors.
+real and non-negative by construction.  A realization ``born_table``
+validates itself is diagonalized once: validation's ``eigh`` of the joint
+box and of each repeater also gives their factors.
 
-Every layer after Eve's block runs in passes bounded by ``PASS_ENTRIES``,
-the entry budget ``extract`` uses too: the first repeater's outcomes are
-taken in groups, and the rows entering the compression and the A layer in
-passes, each as many as keep the largest array built within the budget.
-A pass writes its probabilities straight into the arrays of the rows the
-call returns, and the joint state is dropped once Eve's block exists, so
-the kernel holds the joint state and Eve's block, one pass and the
-returned rows: 3.3 MiB traced for di n=2 dilated by 2 or depolarized
-(joint state 1 MiB), and 54 MiB for the 50.5 MiB of the 101 di n=4
-protocol rows.  A pass has a multiple of the rows that give every matrix
-product of the A layer a multiple of four columns, which OpenBLAS's
-complex product takes four at a time (any last few another way); so each
-row's arithmetic, and every bit of the table, is the same whatever the
-budget.
+The kernel contracts along the network and never builds a di realization's
+joint state.  Eve acts on the collective state Phi_e = (1_A (x) V^e)
+(x)_i psi_i of the sources A_i -- V_i, on (A_1..A_N, V_1..V_N) with V the
+L sites (almost_di, where it is the joint state) or the R_{*,1} sites (di:
+256 amplitudes at di n=2 dilated by 2, whose joint state holds 65 536).
+In di each repeater is folded with its second source phi_i into one swap
+map T_i[r, rho, l, j] = sum_k K_i[r, rho, (j, k)] phi_i[k, l] from
+R_{i,1} onto (rank rho, L_i).  For a box setting y, box i folds into the
+map too, and each outcome's (rho beta x d_R1) matrix W is replaced by its
+triangular factor from ``np.linalg.qr(W, mode="r")`` where that has fewer
+rows: a probability sees W only through W^dagger W = R^dagger R.  For
+``perp`` the joint box measures the L_i parts of the mapped rows; in
+almost_di it measures the L sites of Phi_e.  The A layer comes last;
+before it, a row M (A sites by collapsed rank sites) with more rank than
+A amplitudes is replaced by R^T, R the triangular factor of M^T = QR.  As
+M M^dagger = R^T conj(R), every squared norm the A layer takes is kept.
+
+The compression and the A layer run in passes bounded by ``PASS_ENTRIES``,
+the entry budget ``extract`` uses too, each as many rows as keep the
+largest array built within the budget.  A pass writes its probabilities
+straight into the arrays of the rows the call returns, so the kernel holds
+the collective state, one (e, y) block's rows before the A layer, one pass
+and the returned rows: 3.3 and 3.4 MiB traced for di n=2 dilated by 2 and
+depolarized (1 MiB of ``perp`` rows before the joint box), and 53 MiB for
+the 50.5 MiB of the 101 di n=4 protocol rows.  A pass has a multiple of
+the rows that give every matrix product of the A layer a multiple of four
+columns, which OpenBLAS's complex product takes four at a time (any last
+few another way); so each row's arithmetic, and every bit of the table,
+is the same whatever the budget.
 
 A settings row is keyed ``(x, e)`` for almost_di and ``(x, e, y)`` for di;
 ``ScenarioSpec.row`` is the only code that validates and normalizes such
@@ -99,10 +111,12 @@ weights once per condition and share one read-only mapping.
 
 ``check_size`` refuses, before allocating, an array of more than
 ``MAX_AMPLITUDES`` complex entries: ``assemble_state`` asks it about the
-joint state, and ``adversary.dilate`` and ``adversary.depolarize_sources``
-about the largest matrix they build.  A full table of a di n=2 realization
-dilated by 3, 1.7e6 amplitudes, takes 0.8-1.1 s and 124 MB peak RSS in a
-fresh process (2-vCPU VM, one BLAS thread).
+joint state, ``born_table`` asks the same of a di realization's joint
+state, which it never builds, as the rule that admits it, and
+``adversary.dilate`` and ``adversary.depolarize_sources`` ask about the
+largest matrix they build.  A full table of a di n=2 realization dilated
+by 3, whose joint state would hold 1.7e6 amplitudes, takes 0.21-0.23 s
+and 118 MB peak RSS in a fresh process (2-vCPU VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -135,10 +149,12 @@ SUM_TOL = 1e-12
 ZERO_WEIGHT_TOL = 1e-14
 MAX_TABLE_N = 8  # an almost_di table at n=9 holds 1e10 probabilities
 SIGNALLING_TOL = 1e-11  # exact tables deviate by at most about 1e-15
-MAX_AMPLITUDES = 2**22  # di n=2 dilated by 3 needs 1.7e6 and 124 MB; di n=4 needs 2**16
+# Largest joint state of an admitted realization: di n=2 dilated by 3 has 1.7e6
+# amplitudes (its full table takes 118 MB), di n=4 2**16.
+MAX_AMPLITUDES = 2**22
 # Complex entries of the largest array one stacked pass holds, in the Born
-# kernel after Eve's block and in ``extract``: a pass takes as many
-# first-repeater outcomes, rows or outcomes as fit (always at least one).
+# kernel's A layer and in ``extract``: a pass takes as many rows or
+# outcomes as fit (always at least one).
 # In ``extract``, at almost_di n=3 without junk (D = 8) one pass holds
 # every outcome and every GHZ-block row; with junk of dimension 2 (D = 64)
 # a pass holds 4 outcomes or 32 rows.  2^14 entries (256 KiB): extraction
@@ -482,11 +498,21 @@ def assemble_state(real: Realization) -> StateVector:
     """Tensor product of all sources, permuted into the canonical site order.
     Raises ValueError, before allocating, if it would hold more than
     ``MAX_AMPLITUDES`` amplitudes (``check_size``)."""
-    check_size(math.prod(src.amplitudes.size for src in real.sources), "the joint state")
-    listed = sum(real.layout().source_sites(), ())
-    order = sorted(range(len(listed)), key=listed.__getitem__)  # canonical site i is the product's axis order[i]
-    joint = reduce(np.multiply.outer, [src.amplitudes.reshape(src.dims) for src in real.sources]).transpose(order)
+    _check_joint_size(real)
+    joint = _source_product(real.sources, real.layout().source_sites())
     return StateVector(joint.reshape(-1), joint.shape)
+
+
+def _check_joint_size(real: Realization) -> None:
+    check_size(math.prod(src.amplitudes.size for src in real.sources), "the joint state")
+
+
+def _source_product(sources: Sequence[StateVector], pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The tensor product of ``sources``, each on the two sites of its entry
+    of ``pairs``, with one axis per site in ascending site order."""
+    listed = sum(pairs, ())
+    order = sorted(range(len(listed)), key=listed.__getitem__)  # the k-th smallest site is the product's axis order[k]
+    return reduce(np.multiply.outer, [src.amplitudes.reshape(src.dims) for src in sources]).transpose(order)
 
 
 def _binary_elements(obs: Operator) -> np.ndarray:
@@ -543,17 +569,18 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
 
     ``rows`` holds settings keys as tables hold them, each normalized by
     ``ScenarioSpec.key``, so a key outside the scenario raises ValueError
-    naming it.  The joint state is assembled once.  Layers on disjoint
-    sites commute, so the repeaters are measured once per e, the L boxes
-    once per (e, y) block, and, after each row is compressed onto the A
-    sites where that shrinks it, the A layer with one stacked factor per
-    party that covers the settings the block asks of that party; a block
-    that holds no requested row is skipped.  Every layer after Eve's runs
-    in passes of about ``PASS_ENTRIES`` entries (``_fill_rows``).  The rows
-    a block computes are every combination of those party settings, each
-    checked to sum to one within ``SUM_TOL``; the table keeps the requested
-    ones, each its own array and equal to the full table's row bit for
-    bit."""
+    naming it.  A di realization is admitted while its joint state would
+    pass ``check_size``, though only the collective state is built (see
+    the module docstring).  Layers on disjoint sites commute, so Eve acts
+    once per e, the joint box or the swap maps once per (e, y) block, and,
+    after each row is compressed onto the A sites where that shrinks it,
+    the A layer with one stacked factor per party that covers the settings
+    the block asks of that party; a block that holds no requested row is
+    skipped.  The A layer runs in passes of about ``PASS_ENTRIES`` entries
+    (``_fill_rows``).  The rows a block computes are every combination of
+    those party settings, each checked to sum to one within ``SUM_TOL``;
+    the table keeps the requested ones, each its own array and equal to the
+    full table's row bit for bit."""
     spectra: dict = {}  # eigenpairs of the joint box and the repeaters, if this call validates
     _validate_once(real, spectra)
     lay = real.layout()
@@ -567,18 +594,14 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
             need.add(xi)
     a_stacks = [_factor_stack(*_eigh([el for obs in triple for el in _binary_elements(obs)])) for triple in real.a_obs]
     joint = _factor_stack(*(spectra.pop("joint box", None) or _eigh([m.entries for m in real.l_meas])))
-    l_layers = {PERP: [(joint, lay.l_sites())]}
-    rep_layers = []  # repeater n first
-    if real.scheme == DI:
-        for i in range(n, 0, -1):
-            quad = [el.entries for el in real.repeaters[i - 1]]
-            stack = _factor_stack(*(spectra.pop(f"repeater {i}", None) or _eigh(quad)))
-            rep_layers.append((stack, [lay.r1_site(i), lay.r2_site(i)]))
-        boxes = [[_factor_stack(*_eigh(_binary_elements(obs))) for obs in pair] for pair in real.b_obs]
-        for y in scen.y_settings()[:-1]:
-            l_layers[y] = [(boxes[i - 1][y[i - 1]], [lay.l_site(i)]) for i in range(n, 0, -1)]
+    dims = lay.dims[: 2 * n]  # the collective's sites A_1..A_n, V_1..V_n are the first 2n
+    if real.scheme == ALMOST_DI:
+        psi = assemble_state(real).amplitudes[None, :]
+    else:
+        _check_joint_size(real)
+        psi = _source_product(real.sources[:n], lay.source_sites()[:n]).reshape(1, -1)
+        maps = _swap_maps(real, spectra)
     entries: dict = {}
-    psi = assemble_state(real).amplitudes[None, :]
     for e in (0, 1):
         blocks = []
         for y in [y for y in scen.y_settings() or [PERP] if (e, y) in needs]:
@@ -593,94 +616,102 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
                 (a_stacks[i - 1][[2 * x + a for x in settings[i - 1] for a in (0, 1)]], [lay.a_site(i)])
                 for i in range(n, 0, -1)
             ]
-            blocks.append((l_layers[y], a_layers, keys, np.zeros(len(keys))))
+            blocks.append((y, a_layers, keys, np.zeros(len(keys))))
         if not blocks:
             continue
         if e:
-            # Eve's block replaces the joint state; her V sites are contiguous
-            # and ascending, so collapsing them keeps the flat layout
-            psi = apply_raw_batch(psi, lay.dims, real.eve.entries[None], lay.v_sites())
-        _fill_rows(psi, lay, rep_layers, blocks, entries)
-        for _, _, keys, totals in blocks:
+            # Eve's V sites are contiguous and ascending, so collapsing them keeps the flat layout
+            psi = apply_raw_batch(psi, dims, real.eve.entries[None], lay.v_sites())
+        for y, a_layers, keys, totals in blocks:
+            if real.scheme == ALMOST_DI:
+                rows_in = _measure(psi, dims, [(joint, lay.l_sites())])
+            else:
+                rows_in = _swapped(psi, dims, maps[y], joint if y == PERP else None)
+            _fill_rows(*rows_in, a_layers, keys, totals, entries)
+            del rows_in  # the next block's rows are built without this one's
             for key, total in zip(keys, totals):
                 if not abs(total - 1.0) <= SUM_TOL:  # NaN fails too
                     raise ValueError(f"setting {key}: probabilities sum to {float(total)!r}")
     return ProbabilityTable._adopt(real.scheme, n, entries)
 
 
-def _fill_rows(psi: np.ndarray, lay: SiteLayout, rep_layers: list, blocks: list, entries: dict) -> None:
-    """Measure the one-row block ``psi`` for every (e, y) block of
-    ``blocks``, each ``(l_layers, a_layers, keys, totals)``: write each
-    row's probabilities into ``entries[key]``, where ``entries`` holds the
-    key, and add them up into ``totals``.
-
-    The first repeater's outcomes are taken in groups and the rows that
-    enter the compression and the A layer in passes, each as large as
-    ``PASS_ENTRIES`` allows, so no array holds much more than one pass;
-    every row's arithmetic is the one of a single pass over all of them."""
-    n, d_l = lay.n, 2**lay.n
-    # outcome arrays are (a_1..a_n, r_1..r_n, l) in di, with `others` values of
-    # (r_1..r_{n-1}) and `width` of r_n, and (a_1..a_n, l) in almost_di
-    others, width = (4 ** (n - 1), 4) if rep_layers else (1, 1)
-    for lo, m, group, dims in _groups(psi, lay, rep_layers, [l_layers for l_layers, *_ in blocks]):
-        # group rows are (r_1..r_{n-1}, r_n - lo) with m values of r_n; within a row's
-        # array, one value of (r_1..r_{n-1}) spans a run of m * d_l entries (r_n - lo, l)
-        run = m * d_l
-        for l_layers, a_layers, keys, totals in blocks:
-            out, rdims = _measure(group, dims, l_layers)
-            # rows (l, r_1..r_{n-1}, r_n - lo) -> (r_1..r_{n-1}, r_n - lo, l), the order of a row's array
-            out = out.reshape(d_l, -1, out.shape[1]).swapaxes(0, 1).reshape(len(out), -1)
-            d_a, rest = math.prod(rdims[:n]), math.prod(rdims[n:])
-            sizes = _layer_sizes(d_a * min(d_a, rest), lay.dims, a_layers)
-            # a matrix product takes its columns four at a time and the last few otherwise: passes
-            # of a multiple of `unit` rows give every product a multiple of four columns, so each
-            # row keeps the bits of one pass over all rows
-            unit = 4 // math.gcd(4, *(cols for cols, _ in sizes))
-            fit = unit * max(1, PASS_ENTRIES // (unit * max(out.shape[1], *(size for _, size in sizes))))
-            counts = [len(stack) // 2 for stack, _ in reversed(a_layers)]  # settings of parties 1..n
-            views = {
-                c: entries[key].reshape(2**n, others, width * d_l)[:, :, lo * d_l : lo * d_l + run]
-                for c, key in enumerate(keys)
-                if key in entries
-            }
-            # a pass is whole runs or, where one run is more than fits, a part of one
-            runs, piece = max(1, fit // run), min(fit, run)
-            for r0, a in product(range(0, others, runs), range(0, run, piece)):
-                r1, b = min(r0 + runs, others), min(a + piece, run)
-                part, pdims = out[r0 * run + a : (r1 - 1) * run + b], rdims
-                if rest > d_a:
-                    # M = R^T Q^T, Q with orthonormal columns: R^T keeps every norm the A layer takes
-                    r = np.linalg.qr(part.reshape(-1, d_a, rest).transpose(0, 2, 1), mode="r")
-                    part = r.transpose(0, 2, 1).reshape(len(part), -1)
-                    pdims = rdims[:n] + (d_a,) + (1,) * (len(rdims) - n - 1)
-                part, _ = _measure(part, pdims, a_layers)
-                probs = (part.real**2 + part.imag**2).sum(axis=1)
-                # rows (x_1 a_1 .. x_n a_n, pass row) -> (settings, a_1..a_n, r_1..r_{n-1}, r_n - lo and l)
-                probs = probs.reshape(*(k for count in counts for k in (count, 2)), r1 - r0, b - a)
-                probs = probs.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n, 2 * n + 1)
-                probs = probs.reshape(len(keys), 2**n, r1 - r0, b - a)
-                totals += probs.sum(axis=(1, 2, 3))
-                for c, view in views.items():
-                    view[:, r0:r1, a:b] = probs[c]
+def _swap_maps(real: Realization, spectra: dict) -> dict:
+    """The swap maps of subnets 1..n (see the module docstring) per y of
+    the scenario: for ``perp`` each T as a ``(4, rank, d_L, d_R1)`` array,
+    for a box setting each map folded with its box, W[(r, b), (rho, beta),
+    j] = sum_l B[b, beta, l] T[r, rho, l, j], or its triangular factor
+    where that has fewer rows, as an ``(8, rank, d_R1)`` stack."""
+    n = real.n
+    maps: dict = {PERP: []}
+    folded = []  # per subnet, the stack for each box setting
+    for i in range(1, n + 1):
+        k = _factor_stack(*(spectra.pop(f"repeater {i}", None) or _eigh([el.entries for el in real.repeaters[i - 1]])))
+        src = real.sources[n + i - 1]
+        d_r1 = k.shape[2] // src.dims[0]
+        t = (k.reshape(4, -1, d_r1, src.dims[0]) @ src.amplitudes.reshape(src.dims)).swapaxes(2, 3)
+        maps[PERP].append(t)
+        boxes = [_factor_stack(*_eigh(_binary_elements(obs))) for obs in real.b_obs[i - 1]]
+        ws = [(box[None, :, None] @ t[:, None]).reshape(8, -1, d_r1) for box in boxes]
+        folded.append([np.linalg.qr(w, mode="r") if w.shape[1] > d_r1 else w for w in ws])
+    for y in real.scenario().y_settings()[:-1]:
+        maps[y] = [folded[i][b] for i, b in enumerate(y)]
+    return maps
 
 
-def _groups(psi: np.ndarray, lay: SiteLayout, rep_layers: list, l_layer_sets: list) -> Iterator[tuple]:
-    """``(lo, m, block, dims)``: ``psi`` measured by every repeater, the
-    first (repeater n) on its outcomes lo..lo+m-1 only, as many as keep the
-    largest block any of ``l_layer_sets`` then builds within
-    ``PASS_ENTRIES``; ``psi`` itself, once, when there are no repeaters."""
-    if not rep_layers:
-        yield 0, 1, psi, lay.dims
-        return
-    (first, sites), later = rep_layers[0], rep_layers[1:]
-    rank = first.shape[1]
-    one = psi.size // math.prod(lay.dims[s] for s in sites) * rank  # entries of one outcome's block
-    most = max(one, *(size for layers in l_layer_sets for _, size in _layer_sizes(one, lay.dims, later + layers)))
-    # at least two factor rows: numpy takes a one-row factor as a vector, whose products round otherwise
-    step = max(1 if rank > 1 else 2, PASS_ENTRIES // most)
-    for lo in range(0, len(first), step):
-        block, dims = _measure(psi, lay.dims, [(first[lo : lo + step], sites)] + later)
-        yield lo, len(first[lo : lo + step]), block, dims
+def _swapped(psi: np.ndarray, dims: tuple[int, ...], maps: list, joint: np.ndarray | None) -> tuple:
+    """The di collective block ``psi`` on ``dims`` after each swap map of
+    ``maps`` (subnet n's first) and, for ``perp``, the joint box ``joint``
+    on the L_i: rows (r_1..r_n, l) and the sites of a row, A_1..A_n first."""
+    n = len(maps)
+    layers = [(m.reshape(len(m), -1, m.shape[-1]), [n + i]) for i, m in reversed(list(enumerate(maps)))]
+    block, rdims = _measure(psi, dims, layers)
+    if joint is None:
+        # rows (r_1, b_1, .., r_n, b_n) -> (r_1..r_n, b_1..b_n), whose box bits are l
+        order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n]
+        return block.reshape(*(4, 2) * n, -1).transpose(order).reshape(len(block), -1), rdims
+    # each map's site holds (rank, L_i); rows (l, r_1..r_n) -> (r_1..r_n, l)
+    rdims = rdims[:n] + sum((m.shape[1:3] for m in maps), ())
+    block, rdims = _measure(block, rdims, [(joint, list(range(n + 1, 3 * n, 2)))])
+    return block.reshape(len(joint), -1, block.shape[1]).swapaxes(0, 1).reshape(len(block), -1), rdims
+
+
+def _fill_rows(out: np.ndarray, rdims: tuple[int, ...], a_layers: list, keys: list, totals: np.ndarray, entries: dict) -> None:
+    """Measure each row of ``out``, with sites of dimensions ``rdims``
+    (A_1..A_n first) and rows (r_1..r_n, l) in di and l in almost_di, by
+    ``a_layers``: write the probabilities of row ``keys[c]`` into
+    ``entries[keys[c]]`` where ``entries`` holds the key, and add them up
+    into ``totals[c]``.
+
+    The rows enter the compression and the A layer in passes as large as
+    ``PASS_ENTRIES`` allows, so no array of the A layer holds much more
+    than one pass; every row's arithmetic is the one of a single pass over
+    all of them."""
+    n = len(a_layers)
+    d_a, rest = math.prod(rdims[:n]), math.prod(rdims[n:])
+    sizes = _layer_sizes(d_a * min(d_a, rest), rdims, a_layers)
+    # a matrix product takes its columns four at a time and the last few otherwise: passes
+    # of a multiple of `unit` rows give every product a multiple of four columns, so each
+    # row keeps the bits of one pass over all rows
+    unit = 4 // math.gcd(4, *(cols for cols, _ in sizes))
+    fit = unit * max(1, PASS_ENTRIES // (unit * max(out.shape[1], *(size for _, size in sizes))))
+    counts = [len(stack) // 2 for stack, _ in reversed(a_layers)]  # settings of parties 1..n
+    views = {c: entries[key].reshape(2**n, -1) for c, key in enumerate(keys) if key in entries}
+    for r0 in range(0, len(out), fit):
+        part, pdims = out[r0 : r0 + fit], rdims
+        m = len(part)
+        if rest > d_a:
+            # M = R^T Q^T, Q with orthonormal columns: R^T keeps every norm the A layer takes
+            r = np.linalg.qr(part.reshape(-1, d_a, rest).transpose(0, 2, 1), mode="r")
+            part = r.transpose(0, 2, 1).reshape(m, -1)
+            pdims = rdims[:n] + (d_a,) + (1,) * (len(rdims) - n - 1)
+        part, _ = _measure(part, pdims, a_layers)
+        probs = (part.real**2 + part.imag**2).sum(axis=1)
+        # rows (x_1 a_1 .. x_n a_n, pass row) -> (settings, a_1..a_n, pass row)
+        probs = probs.reshape(*(k for count in counts for k in (count, 2)), m)
+        probs = probs.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n).reshape(len(keys), 2**n, m)
+        totals += probs.sum(axis=(1, 2))
+        for c, view in views.items():
+            view[:, r0 : r0 + m] = probs[c]
 
 
 class ProbabilityTable:

@@ -454,12 +454,12 @@ FROZEN_FLAGS = {
 # sha256 of the exit code and stdout (the output directory written as OUT),
 # then of report.json where the command writes one
 FROZEN_DIGESTS = {
-    "di-n2-cnot": "cc5be4dec9c832101ef493e925d7a91c41b40fe7851f202aac61cd1fe9a34086",
-    "di-n2-cnot --table": "f1148e987296cdea81403f2b13a3093f47fa79709ac0074478e91407cfa29494",
+    "di-n2-cnot": "f2a1c33e4dacc3532809dfc2736bd7aff9c579143183907262dfecba596e64a7",
+    "di-n2-cnot --table": "d87dbccbe7e51d8bbc0829e46cf154c296bed474c37759e768b69a748d35ff3e",
     "almost_di-n3-toffoli": "b862120b518456e0cf30ecee9c1590e377f1d2a1fbd778a9d583e7e896303c87",
     "almost_di-n3-toffoli --table": "0f6b8da5d98adf14a559d03125d02f2ca5bbe665f6d20c0bbaba8a862dfcf2be",
-    "di-n3-random": "a744bf16be92fbbb98511d2ea8d81a70d547685bf41d52813c6ca94575df99d6",
-    "di-n3-random --table": "8d8c5f2a462a8f68eeb459d0ae9f4dd88ebe3629c900471a7c34120f3f3b309b",
+    "di-n3-random": "e1605fe7efebe20e69deaf0374232b3749f5cf926205661f401b495b27ea910e",
+    "di-n3-random --table": "6e73c01fd8cdd62ba18cc1188f5c78c2a117e4a092788779721c8c57f97aa7ed",
     "decompose": "70d7583a7a56472aecb586aa5a0738ee0644a1ba5f848e866f27b04232c5dc73",
     "explain": "2f47219c062ec29acf71f09c83779b07b1303cc06797951f6388cf99ba61fc74",
 }
