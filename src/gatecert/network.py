@@ -80,19 +80,28 @@ record per settings row, in ``ScenarioSpec.settings()`` order:
 ``{"e": e, "p": [...], "x": [x_1..x_N]}``, plus ``"y"`` (a bit list or
 ``"perp"``) for di.  ``p`` is the row's outcome array flattened in C order
 over (a_1..a_N, (r_1..r_N,) l); float repr makes the round trip exact.
-Tables hold few distinct values (247 among the 2.0e6 floats of di n=3
-toffoli), so the writer formats each distinct value of a row once and the
-reader parses each distinct number text of a line once; the format is
-unchanged: the text is the record's JSON with sorted keys, and the parsed
-values are the ones ``json.loads`` gives.  ``save_table`` and
-``load_table`` go through the file layer of ``primitives``: the file is
-replaced atomically, and a load error names the file.
+Beyond the JSON text itself, a file costs array operations over the whole
+table, not Python work per entry or per row.  Tables hold few distinct
+values (247 among the 2.0e6 floats of di n=3 toffoli), so the writer
+formats each distinct value once per pass of a quarter of ``PASS_ENTRIES``
+entries and writes each pass at once; the reader decodes every line with
+one ``json.JSONDecoder``, whose memo parses each distinct number text once
+and is cleared only when it holds more than one row's texts.  Each
+record's ``p`` becomes a row of one stacked array, grown as records arrive
+and never sized from the header; the entry and sum checks and the
+no-signalling check run on that array, and the table holds read-only views
+of its rows.  The format is unchanged: the text is the record's JSON with
+sorted keys, and the parsed values are the ones ``json.loads`` gives.
+``save_table`` and ``load_table`` go through the file layer of
+``primitives``: the file is replaced atomically, and a load error names
+the file.
 The reader rejects, with a ValueError naming the line, a record that lacks
 a field, has settings outside the scenario, repeats a row, or whose ``p``
 has the wrong length, a negative or non-finite entry, or a sum more than
-``SUM_TOL`` from one; a file missing rows is rejected naming the first,
-and a header whose n is not an integer from 2 to ``MAX_TABLE_N`` before
-any row is read.  A complete table is rejected if it signals, by more than
+``SUM_TOL`` from one; of several faulty lines it names the first, however
+late the stacked checks run.  A file missing rows is rejected naming the
+first, and a header whose n is not an integer from 2 to ``MAX_TABLE_N``
+before any row is read.  A complete table is rejected if it signals, by more than
 ``SIGNALLING_TOL``: if party A_i's marginal depends on more than x_i,
 repeater i's on x or y, L's on more than e (almost_di) or y (di), or, on
 the rows y != perp, box i's on more than y_i; the message names the party
@@ -152,9 +161,15 @@ SIGNALLING_TOL = 1e-11  # exact tables deviate by at most about 1e-15
 # Largest joint state of an admitted realization: di n=2 dilated by 3 has 1.7e6
 # amplitudes (its full table takes 118 MB), di n=4 2**16.
 MAX_AMPLITUDES = 2**22
-# Complex entries of the largest array one stacked pass holds, in the Born
-# kernel's A layer and in ``extract``: a pass takes as many rows or
-# outcomes as fit (always at least one).
+# Entries of the largest array one stacked pass holds, for three users: the
+# Born kernel's A layer and ``extract`` (complex entries; a pass takes as
+# many rows or outcomes as fit, always at least one), and ``write_table``,
+# which formats each distinct value of a pass of table rows once.  A table
+# entry in a writer pass holds about four times the 16 bytes of a complex
+# entry (its value, sort keys, a reference and its text), so the writer
+# takes a quarter of the budget: 16 rows at di n=2, one at di n=3.  Writer
+# passes of the whole budget run no faster and leave 1 MB more peak RSS in
+# the ``roundtrip`` benchmark.
 # In ``extract``, at almost_di n=3 without junk (D = 8) one pass holds
 # every outcome and every GHZ-block row; with junk of dimension 2 (D = 64)
 # a pass holds 4 outcomes or 32 rows.  2^14 entries (256 KiB): extraction
@@ -1076,58 +1091,83 @@ def terms_value(table: ProbabilityTable, terms, *, e: int, l, r, renormalize: bo
 # --- serialization ---------------------------------------------------------
 
 
-def _float_list_text(values: np.ndarray) -> str:
-    """The JSON list text of ``values.tolist()`` without its brackets, formatting each
-    distinct value once: distinct by bit pattern, so -0.0 stays apart from
-    0.0.  Tables hold finite values only, whose repr is their JSON text."""
+def _float_texts(values: np.ndarray) -> list:
+    """``values.tolist()`` with each entry replaced by its JSON text, each
+    distinct value formatted once: distinct by bit pattern, so -0.0 stays
+    apart from 0.0.  Tables hold finite values only, whose repr is their
+    JSON text."""
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = list(map(repr, distinct.view(np.float64).tolist()))
-    return ", ".join(np.array(texts, dtype=object)[inverse].tolist())
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[inverse.reshape(values.shape)].tolist()
 
 
 def write_table(table: ProbabilityTable, stream: io.TextIOBase) -> None:
     """A header line, then one record per settings row the table holds, in
     ``ScenarioSpec.settings()`` order, each the JSON text of the record with
-    sorted keys.  Settings are Python ints, whose list text is their JSON."""
+    sorted keys.  Settings are Python ints, whose list text is their JSON.
+    Rows go in passes of about ``PASS_ENTRIES // 4`` entries, one write each."""
     stream.write(f'{{"kind": "probability_table", "n": {table.n}, "scheme": "{table.scheme}"}}\n')
-    for key in table.scenario().settings():
-        if key not in table.entries:
-            continue
-        p = _float_list_text(table.entries[key].ravel())
-        y = "" if table.scheme != DI else ', "y": ' + (f'"{PERP}"' if key[2] == PERP else str(list(key[2])))
-        stream.write(f'{{"e": {key[1]}, "p": [{p}], "x": {list(key[0])}{y}}}\n')
+    keys = [key for key in table.scenario().settings() if key in table.entries]
+    step = max(1, PASS_ENTRIES // 4 // math.prod(table.scenario().outcome_shape()))
+    for r0 in range(0, len(keys), step):
+        part = keys[r0 : r0 + step]
+        pieces = []
+        for key, p in zip(part, _float_texts(np.array([table.entries[key].ravel() for key in part]))):
+            y = "" if table.scheme != DI else ', "y": ' + (f'"{PERP}"' if key[2] == PERP else str(list(key[2])))
+            pieces += (f'{{"e": {key[1]}, "p": [', ", ".join(p), f'], "x": {list(key[0])}{y}}}\n')
+        stream.write("".join(pieces))
 
 
 def save_table(table: ProbabilityTable, path: str) -> None:
     write_file(path, lambda fh: write_table(table, fh))
 
 
-def _check_no_signalling(table: ProbabilityTable) -> None:
+def _check_rows(values: np.ndarray, linenos: list[int]) -> None:
+    """Raise ValueError naming the line of the first row of ``values`` with
+    a negative or non-finite entry, or a sum more than ``SUM_TOL`` from one."""
+    ok = np.isfinite(values) & (values >= 0)
+    bad = ~ok.all(axis=1) | (np.abs(values.sum(axis=1) - 1.0) > SUM_TOL)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    p = values[k]
+    if not ok[k].all():
+        j = int(np.argmin(ok[k]))
+        raise ValueError(f"line {linenos[k]}: p[{j}] = {float(p[j])!r} is negative or not finite")
+    raise ValueError(f"line {linenos[k]}: p sums to {float(p.sum())!r}, not 1")
+
+
+def _check_no_signalling(scen: ScenarioSpec, index: Mapping[tuple, int], values: np.ndarray) -> None:
     """Raise ValueError if a marginal depends, by more than ``SIGNALLING_TOL``,
     on a setting that cannot reach it: A_i's p(a_i) on more than x_i,
     repeater i's p(r_i) on x or y (the central party acts before it), L's
     p(l) on more than e (almost_di) or y (di), or box i's bit on more than
-    y_i on the rows y != perp.  The message names the party and two rows."""
-    keys = list(table.scenario().settings())
-    n = table.n
-    core = np.stack([table.entries[key].sum(axis=-1) for key in keys])  # (row, a_1..a_N, (r_1..r_N))
-    joint = np.stack([table.entries[key].reshape(-1, 2**n).sum(axis=0) for key in keys])  # (row, l)
+    y_i on the rows y != perp.  ``values`` stacks the flat rows of a
+    complete table, settings key ``key`` at row ``index[key]``; the message
+    names the party and two rows."""
+    keys = list(scen.settings())
+    n, order = scen.n, [index[key] for key in keys]
+    # (row, a_1..a_N, (r_1..r_N)) and (row, l), summed as matrix products: a numpy
+    # sum over an axis as short as l's runs ten times slower
+    ls = 2**n
+    core = (values.reshape(-1, ls) @ np.ones(ls)).reshape(len(values), *scen.outcome_shape()[:-1])[order]
+    joint = (np.ones(values.shape[1] // ls) @ values.reshape(len(values), -1, ls))[order]
 
     def marginal(arr, axis):
         return arr.sum(axis=tuple(a for a in range(1, arr.ndim) if a != axis))
 
     groups = [(f"party A_{i}", keys, marginal(core, i), [key[0][i - 1] for key in keys]) for i in range(1, n + 1)]
-    if table.scheme == DI:
+    if scen.scheme == DI:
         groups += [(f"repeater {i}", keys, marginal(core, n + i), [key[1] for key in keys]) for i in range(1, n + 1)]
         boxed = [k for k, key in enumerate(keys) if key[2] != PERP]
         bits, ys = joint[boxed].reshape(len(boxed), *(2,) * n), [keys[k] for k in boxed]
         groups += [(f"box {i}", ys, marginal(bits, i), [key[2][i - 1] for key in ys]) for i in range(1, n + 1)]
     groups.append(("party L", keys, joint, [key[-1] for key in keys]))  # by e in almost_di, y in di
-    for who, rows, values, labels in groups:
+    for who, rows, marg, labels in groups:
         first: dict = {}
         # each row's first row with the same setting
         ref = np.array([first.setdefault(label, k) for k, label in enumerate(labels)])
-        dev = np.abs(values - values[ref]).max(axis=1)
+        dev = np.abs(marg - marg[ref]).max(axis=1)
         k = int(np.argmax(dev))
         if dev[k] > SIGNALLING_TOL:
             raise ValueError(
@@ -1146,9 +1186,13 @@ class _FloatMemo(dict):
 def read_table(stream: io.TextIOBase) -> ProbabilityTable:
     """Parse a table file line by line.  A malformed or unphysical record
     raises ValueError naming its line, and a JSON error its column within
-    that line; a missing settings row raises ValueError naming the first
-    one missing, and a signalling table one naming the party and two rows
-    (``_check_no_signalling``)."""
+    that line; the first faulty line is named.  A missing settings row
+    raises ValueError naming the first one missing, and a signalling table
+    one naming the party and two rows (``_check_no_signalling``).
+
+    Each record's ``p`` becomes a row of one stacked array, grown as records
+    arrive; the entry and sum checks run on it once a line is faulty or the
+    file has ended, and the table holds read-only views of its rows."""
     lines = enumerate(stream, start=1)
     for lineno, ln in lines:
         if ln.strip():
@@ -1173,15 +1217,21 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
     shape = scen.outcome_shape()
     size = math.prod(shape)
     fields = ("e", "p", "x", "y") if scen.scheme == DI else ("e", "p", "x")
-    arrays: dict[tuple, np.ndarray] = {}
+    memo = _FloatMemo()
+    decode = json.JSONDecoder(parse_float=memo.__getitem__).decode
+    index: dict[tuple, int] = {}  # settings key -> row of the stack
+    linenos: list[int] = []
+    stack = np.empty((1, size))
     for lineno, ln in lines:
         if not ln.strip():
             continue
+        if len(memo) > size:
+            # kept across lines, as tables repeat their values, but never more than one row's texts
+            memo.clear()
         try:
-            # one memo per line, so it holds at most one row's number texts
-            rec = json.JSONDecoder(parse_float=_FloatMemo().__getitem__).decode(ln.rstrip("\n"))
+            rec = decode(ln.rstrip("\n"))
             key = scen.row(rec["x"], rec["e"], rec["y"] if scen.scheme == DI else PERP)
-            if key in arrays:
+            if key in index:
                 raise ValueError(f"duplicate settings row {key}")
             p = np.array(rec["p"], dtype=float)
             if p.shape != (size,):
@@ -1189,27 +1239,32 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
             if not set(map(type, rec["p"])) <= {float, int}:
                 raise ValueError("p holds an entry that is not a JSON number")
             json_object(rec, fields, "record")
-            ok = np.isfinite(p) & (p >= 0)
-            if not ok.all():
-                k = int(np.argmin(ok))
-                raise ValueError(f"p[{k}] = {float(p[k])!r} is negative or not finite")
-            total = float(p.sum())
-            if abs(total - 1.0) > SUM_TOL:
-                raise ValueError(f"p sums to {total!r}, not 1")
-            arrays[key] = p.reshape(shape)
         except KeyError as err:
-            raise ValueError(f"line {lineno}: record lacks field {err.args[0]!r}") from None
+            fault = f"line {lineno}: record lacks field {err.args[0]!r}"
         except json.JSONDecodeError as err:
-            raise ValueError(f"line {lineno}, column {err.colno}: {err.msg}") from None
+            fault = f"line {lineno}, column {err.colno}: {err.msg}"
         except (OverflowError, TypeError, ValueError) as err:
-            raise ValueError(f"line {lineno}: {err}") from None
-    missing = [key for key in scen.settings() if key not in arrays]
+            fault = f"line {lineno}: {err}"
+        else:
+            if len(linenos) == len(stack):
+                grown = np.empty((2 * len(stack), size))
+                grown[: len(stack)] = stack
+                stack = grown
+            stack[len(linenos)] = p
+            index[key] = len(linenos)
+            linenos.append(lineno)
+            continue
+        _check_rows(stack[: len(linenos)], linenos)  # an earlier line's fault comes first
+        raise ValueError(fault)
+    stack.setflags(write=False)
+    values = stack[: len(linenos)]
+    _check_rows(values, linenos)
+    missing = [key for key in scen.settings() if key not in index]
     if missing:
-        rows = len(missing) + len(arrays)
+        rows = len(missing) + len(index)
         raise ValueError(f"table lacks {len(missing)} of {rows} settings rows, the first is {missing[0]}")
-    table = ProbabilityTable._adopt(scen.scheme, n, arrays)
-    _check_no_signalling(table)
-    return table
+    _check_no_signalling(scen, index, values)
+    return ProbabilityTable._adopt(scen.scheme, n, {key: values[k].reshape(shape) for key, k in index.items()})
 
 
 def load_table(path: str) -> ProbabilityTable:

@@ -8,6 +8,7 @@ by test_tensor) and compares every probability entry.
 import io
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from dense_oracle import apply_raw, dumps_write_table, steered_state, termwise_correlator_weights
 from hypothesis import strategies as st
 from strategies import realizations
-from table_files import move_mass, read_with_change, table_lines
+from table_files import local_table, move_mass, read_with_change, table_lines, with_change
 
 from gatecert.adversary import AdversarySpec, apply_adversary, depolarize_sources, dilate
 from gatecert.certify import certify, check_matrix, protocol_rows
@@ -503,15 +504,21 @@ def test_row_is_the_one_settings_key(scheme, n, data):
             ProbabilityTable(scheme, n, {table_key: np.zeros(scen.outcome_shape())})
 
 
+def partial_table(scheme):
+    """A cz n=2 table holding a third of the rows, inserted in shuffled order."""
+    table = born_table(reference_realization(2, gate("cz", 2), scheme=scheme))
+    keys = list(table.keys())
+    chosen = [keys[k] for k in np.random.default_rng(5).permutation(len(keys))[: len(keys) // 3]]
+    return ProbabilityTable(scheme, 2, {key: table.array(key) for key in chosen})
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_partial_table_written_in_settings_order(scheme):
     """A table holding a third of the rows, inserted in shuffled order,
     writes them in the sorted order of the former writer."""
-    table = born_table(reference_realization(2, gate("cz", 2), scheme=scheme))
-    keys = list(table.keys())
-    chosen = [keys[k] for k in np.random.default_rng(5).permutation(len(keys))[: len(keys) // 3]]
-    partial = ProbabilityTable(scheme, 2, {key: table.array(key) for key in chosen})
-    assert list(partial.keys()) == chosen != sorted(chosen, key=repr)
+    partial = partial_table(scheme)
+    chosen = list(partial.keys())
+    assert chosen != sorted(chosen, key=repr)
     buf, oracle = io.StringIO(), io.StringIO()
     write_table(partial, buf)
     dumps_write_table(partial, oracle)
@@ -694,6 +701,11 @@ def test_table_arrays_are_read_only_and_unaliased():
             assert not t.array(key).flags.writeable
             with pytest.raises(ValueError):
                 t.array(key)[(0,) * t.array(key).ndim] = 1.0
+            # nor is any array the row is a view of, the loader's stacked rows included
+            arr = t.array(key)
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+                assert not arr.flags.writeable
 
 
 def test_max_difference_sees_every_entry():
@@ -885,16 +897,24 @@ def test_writer_matches_json_dumps_oracle(real):
     assert_bitwise_equal(table, read_table(io.StringIO(buf.getvalue())))
 
 
-def test_special_floats_round_trip_byte_identical():
-    """-0.0 stays apart from 0.0, and -0.0, the smallest subnormal, a value
-    repr writes in exponent form and 1.0 are written as json.dumps writes
-    them and read back bit for bit."""
+def special_floats_entries():
+    """The rows of an almost_di n=2 table: the e=0 rows hold 1.0, -0.0 and
+    zeros, the e=1 rows, views of one array, 0.99999, 1e-05 (which repr
+    writes in exponent form), the smallest subnormal, -0.0 and zeros."""
     exact = np.zeros(16)
     exact[0] = 1.0
     exact[1] = -0.0
     spread = np.zeros(16)
     spread[:4] = 1.0 - 1e-05, 1e-05, 5e-324, -0.0
-    entries = {key: (exact if key[1] == 0 else spread).reshape(2, 2, 4) for key in ScenarioSpec(ALMOST_DI, 2).settings()}
+    return {key: (exact if key[1] == 0 else spread).reshape(2, 2, 4) for key in ScenarioSpec(ALMOST_DI, 2).settings()}
+
+
+def test_special_floats_round_trip_byte_identical():
+    """-0.0 stays apart from 0.0, and -0.0, the smallest subnormal, a value
+    repr writes in exponent form and 1.0 are written as json.dumps writes
+    them and read back bit for bit."""
+    entries = special_floats_entries()
+    spread = entries[((0, 0), 1)].reshape(-1)
     table = ProbabilityTable(ALMOST_DI, 2, entries)
     buf, oracle = io.StringIO(), io.StringIO()
     write_table(table, buf)
@@ -912,6 +932,118 @@ def test_special_floats_round_trip_byte_identical():
         spread[4] = bad
         with pytest.raises(ValueError, match="has a NaN or infinite entry"):
             ProbabilityTable(ALMOST_DI, 2, entries)
+
+
+@pytest.mark.parametrize("budget", [1, 300, "default"])
+def test_writer_pass_budget_keeps_every_byte(monkeypatch, budget):
+    """The writer formats each distinct value once per pass of a quarter of
+    ``PASS_ENTRIES`` entries; one row per pass (budget 1, and 300 for 64 or
+    more entries a row), several, or the default give the bytes of
+    ``json.dumps``, on full tables, a partial one, and rows whose -0.0 and
+    0.0 share a pass or lie across a pass boundary."""
+    from gatecert import network
+
+    if budget != "default":
+        monkeypatch.setattr(network, "PASS_ENTRIES", budget)
+    tables = [
+        born_table(reference_realization(2, gate("cnot", 2), scheme=DI)),
+        born_table(reference_realization(3, gate("toffoli", 3))),
+        partial_table(DI),
+        ProbabilityTable(ALMOST_DI, 2, special_floats_entries()),
+    ]
+    for table in tables:
+        buf, oracle = io.StringIO(), io.StringIO()
+        write_table(table, buf)
+        dumps_write_table(table, oracle)
+        assert buf.getvalue() == oracle.getvalue()
+
+
+def test_no_repeat_table_round_trips():
+    """A table whose floats hardly repeat, so that the reader's memo of
+    number texts fills and is cleared, is written as ``json.dumps`` writes
+    it and reads back bit for bit; it does not signal."""
+    table = local_table(DI, 2, seed=3)
+    assert len(np.unique(table.array(((0, 0), 0, PERP)))) == 256
+    buf, oracle = io.StringIO(), io.StringIO()
+    write_table(table, buf)
+    dumps_write_table(table, oracle)
+    assert buf.getvalue() == oracle.getvalue()
+    back = read_table(io.StringIO(buf.getvalue()))
+    assert_bitwise_equal(table, back)
+    again = io.StringIO()
+    write_table(back, again)
+    assert again.getvalue() == buf.getvalue()
+
+
+def negate_later_largest(p):
+    return p[:1] + negate_largest(p[1:])
+
+
+VALUE_FAULTS = {
+    "negative": ({"p": negate_largest}, r"p\[[0-9]+\] = -[0-9.e-]+ is negative or not finite$"),
+    "sum": ({"p": lambda p: [p[0] + 1e-11] + p[1:]}, "p sums to [0-9.]+, not 1$"),
+}
+
+
+@pytest.mark.parametrize("value", VALUE_FAULTS)
+@pytest.mark.parametrize("structural", ["unknown-field", "duplicate"])
+@pytest.mark.parametrize("value_first", [True, False], ids=["value-first", "structural-first"])
+def test_read_table_names_the_first_of_two_faulty_lines(value, structural, value_first):
+    """The loader checks entries and sums once over the stacked rows, yet a
+    file with a value fault and a structural fault names the earlier line,
+    in either order."""
+    lines = table_lines(DI)
+    first, later = 3, 7
+    value_at, structural_at = (first, later) if value_first else (later, first)
+    value_change, value_reason = VALUE_FAULTS[value]
+    previous = json.loads(lines[structural_at - 1])
+    structural_change, structural_reason = {
+        "unknown-field": ({"eps": 0.05}, re.escape("record has unknown field(s) 'eps'") + "$"),
+        "duplicate": ({field: previous[field] for field in ("e", "x", "y")}, re.escape("duplicate settings row (")),
+    }[structural]
+    lines = with_change(with_change(lines, value_at, value_change), structural_at, structural_change)
+    reason = value_reason if value_first else structural_reason
+    with pytest.raises(ValueError, match=f"^line {first + 1}: {reason}"):
+        read_table(io.StringIO("\n".join(lines)))
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"p": lambda p: ["abc"] + negate_later_largest(p)[1:], "eps": 0.05}, "could not convert string to float: 'abc'"),
+        ({"p": lambda p: ["0.1"] + negate_later_largest(p)[1:], "eps": 0.05}, "p holds an entry that is not a JSON number"),
+        ({"p": lambda p: [negate_largest(p)], "eps": 0.05}, "p has shape (1, 256), expected a list of 256 probabilities"),
+        ({"p": negate_largest, "eps": 0.05}, "record has unknown field(s) 'eps'"),
+        ({"p": lambda p: negate_largest([p[0] + 1e-11] + p[1:])}, "is negative or not finite"),
+    ],
+    ids=["conversion", "entry-type", "shape", "unknown-field", "negative"],
+)
+def test_read_table_precedence_within_a_line(change, reason):
+    """A record with several faults is refused for the first in the order:
+    conversion or shape of p, entry types, unknown field, negative entry,
+    sum."""
+    with pytest.raises(ValueError, match=f"^line 5: .*{re.escape(reason)}"):
+        read_with_change(table_lines(DI), 4, change)
+
+
+def test_read_table_does_not_size_the_table_from_its_header():
+    """An almost_di n=8 header announces 13 122 rows of 65 536 entries
+    (6.9 GB); a file holding one valid record is refused for the rows it
+    lacks, and reading it holds a few rows, not the announced table."""
+    size = 2**16
+    header = '{"kind": "probability_table", "n": 8, "scheme": "almost_di"}'
+    record = json.dumps({"e": 0, "p": [1.0 / size] * size, "x": [0] * 8}, sort_keys=True)
+    stream = io.StringIO(header + "\n" + record + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape("table lacks 13121 of 13122 settings rows, the first is")):
+            read_table(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the line and its stripped copy take about 4.8 rows of 512 KiB; the
+    # decoded list, p and the stacked row one each
+    assert peak < 10 * size * 8
 
 
 @pytest.mark.parametrize(
