@@ -86,9 +86,11 @@ values (247 among the 2.0e6 floats of di n=3 toffoli), so the writer
 formats each distinct value once per pass of a quarter of ``PASS_ENTRIES``
 entries and writes each pass at once; the reader decodes every line with
 one ``json.JSONDecoder``, whose memo parses each distinct number text once
-and is cleared only when it holds more than one row's texts.  Each
-record's ``p`` becomes a row of one stacked array, grown as records arrive
-and never sized from the header; the entry and sum checks and the
+and is cleared before a line once it holds more than one row's texts, so
+it never holds more than about two rows' texts.  Each record's ``p``
+becomes a row of one stacked array, grown in place as records arrive,
+never sized from the header and trimmed to the rows read, so that loading
+holds about one copy of the table.  The entry and sum checks and the
 no-signalling check run on that array, and the table holds read-only views
 of its rows.  The format is unchanged: the text is the record's JSON with
 sorted keys, and the parsed values are the ones ``json.loads`` gives.
@@ -1190,9 +1192,9 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
     raises ValueError naming the first one missing, and a signalling table
     one naming the party and two rows (``_check_no_signalling``).
 
-    Each record's ``p`` becomes a row of one stacked array, grown as records
-    arrive; the entry and sum checks run on it once a line is faulty or the
-    file has ended, and the table holds read-only views of its rows."""
+    Each record's ``p`` becomes a row of one stacked array, grown in place as
+    records arrive; the entry and sum checks run on it once a line is faulty
+    or the file has ended, and the table holds read-only views of its rows."""
     lines = enumerate(stream, start=1)
     for lineno, ln in lines:
         if ln.strip():
@@ -1221,12 +1223,14 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
     decode = json.JSONDecoder(parse_float=memo.__getitem__).decode
     index: dict[tuple, int] = {}  # settings key -> row of the stack
     linenos: list[int] = []
-    stack = np.empty((1, size))
+    # grown in place as records arrive, never sized from the header; ``resize``
+    # requires that no view of it exists, and none does before the end
+    values = np.empty((1, size))
     for lineno, ln in lines:
         if not ln.strip():
             continue
         if len(memo) > size:
-            # kept across lines, as tables repeat their values, but never more than one row's texts
+            # kept across lines, as tables repeat their values; it holds at most about two rows' texts
             memo.clear()
         try:
             rec = decode(ln.rstrip("\n"))
@@ -1246,18 +1250,16 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
         except (OverflowError, TypeError, ValueError) as err:
             fault = f"line {lineno}: {err}"
         else:
-            if len(linenos) == len(stack):
-                grown = np.empty((2 * len(stack), size))
-                grown[: len(stack)] = stack
-                stack = grown
-            stack[len(linenos)] = p
+            if len(linenos) == len(values):
+                values.resize((2 * len(values), size))
+            values[len(linenos)] = p
             index[key] = len(linenos)
             linenos.append(lineno)
             continue
-        _check_rows(stack[: len(linenos)], linenos)  # an earlier line's fault comes first
+        _check_rows(values[: len(linenos)], linenos)  # an earlier line's fault comes first
         raise ValueError(fault)
-    stack.setflags(write=False)
-    values = stack[: len(linenos)]
+    values.resize((len(linenos), size))  # no spare rows
+    values.setflags(write=False)
     _check_rows(values, linenos)
     missing = [key for key in scen.settings() if key not in index]
     if missing:
