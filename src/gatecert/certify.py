@@ -65,6 +65,7 @@ from .network import (
     Realization,
     ScenarioSpec,
     ZeroProbabilityEvent,
+    check_gate,
     contract,
     event_index,
     event_label,
@@ -356,10 +357,7 @@ def certify(
     the branch is pinned to "plus" or "minus".  Missing settings rows
     raise ValueError.
     """
-    if u.dims != (2,) * table.n:
-        raise ValueError(f"target gate must act on {table.n} qubits, got dims {u.dims}")
-    if not u.is_unitary():
-        raise ValueError("target gate is not unitary")
+    check_gate(u, table.n)
     rows = _table_rows(table, check_matrix(table.scheme, table.n, u), tol)
     mixed = any(row.id.startswith("branch.") and row.lhs < 0 for row in rows)
     branch = "mixed" if mixed else "undetermined"

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import network
 from .decomp import delta_set
-from .network import ALMOST_DI, DI, Realization, validate_realization
+from .network import ALMOST_DI, DI, Realization, check_gate, validate_realization
 from .primitives import ghz_basis
 from .tensor import Operator, polar_factor
 
@@ -338,10 +338,13 @@ class Extraction:
     target's row (<target_l| (x) 1) W is a combination of the C_i.  Target
     pull-backs and GHZ blocks are formed as stacks in passes of at most
     about ``network.PASS_ENTRIES`` entries and not kept.  ``u`` may be None when
-    only the extracted gate is wanted.
+    only the extracted gate is wanted; then every check that compares with
+    the target raises ValueError.
     """
 
     def __init__(self, real: Realization, u: Operator | None, op_tol: float = OP_TOL):
+        if u is not None:
+            check_gate(u, real.n)
         self.real = real
         self.u = u
         self.frames = extract_all(real, op_tol)
@@ -353,7 +356,12 @@ class Extraction:
 
     @cached_property
     def targets(self) -> list[np.ndarray]:
-        return _targets(self.u, self.branch)
+        return _targets(self._target(), self.branch)
+
+    def _target(self) -> Operator:
+        if self.u is None:
+            raise ValueError("this extraction has no target gate (u is None)")
+        return self.u
 
     @cached_property
     def support(self) -> tuple[np.ndarray, ...] | None:
@@ -492,7 +500,7 @@ class Extraction:
     def fidelity(self) -> float:
         """Phase-insensitive overlap |Tr(G^dagger U)/2^N|^2 between the
         extracted gate G and the target."""
-        overlap = abs(np.trace(self.gate().conj().T @ self.u.entries) / 2**self.real.n) ** 2
+        overlap = abs(np.trace(self.gate().conj().T @ self._target().entries) / 2**self.real.n) ** 2
         return float(overlap)
 
 

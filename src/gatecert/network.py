@@ -33,9 +33,11 @@ sqrt(lambda) v^dagger of the eigenpairs of E above an eps-scaled rank
 cutoff (d * machine eps * max(1, |E|)); the factors of one measurement
 are zero-padded to a common rank, so a zero element is a block of zero
 rows.  A probability is then the squared norm ||(K_a (x) K_r (x) K_l) psi||^2,
-real and non-negative by construction.  A realization ``born_table``
-validates itself is diagonalized once: validation's ``eigh`` of the joint
-box and of each repeater also gives their factors.
+real and non-negative by construction.  The factors of the joint box and
+of each repeater are ``Realization.factors``, which validates the
+realization once per object and keeps, read-only, the stacks its ``eigh``
+of each POVM gives; the binary observables and boxes, which validation
+checks without a diagonalization, are factored by each ``born_table``.
 
 The kernel contracts along the network and never builds a di realization's
 joint state.  Eve acts on the collective state Phi_e = (1_A (x) V^e)
@@ -136,10 +138,9 @@ import io
 import json
 import math
 import re
-import weakref
 from collections import abc
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -190,6 +191,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n={self.n!r} is not an integer")
         if self.n < 2:
             raise ValueError("at least two subnets are required")
 
@@ -351,28 +354,26 @@ class Realization:
             ops["repeaters"] = tuple(tuple(fn(el, pair) for el in quad) for quad, pair in zip(self.repeaters, pairs))
         return replace(self, **ops, **fields)
 
-
-# Realizations that passed ``validate_realization``, by id.  A realization
-# and its operators are frozen and read-only, so a pass stays valid for the
-# object's lifetime; the weak values drop an entry when its realization is
-# collected, before its id can be reused.
-_VALIDATED: weakref.WeakValueDictionary[int, Realization] = weakref.WeakValueDictionary()
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """The read-only square-root factor stacks (``_factor_stack``) of the
+        joint box, then, in di, of repeaters 1..n: the ones ``_check_povm``
+        computes while it checks this realization.  A realization and its
+        operators are frozen and read-only, so the check runs once per
+        object; a refused realization raises ValueError on every read."""
+        return _validate(self)
 
 
 def validate_realization(real: Realization) -> None:
     """Check structural and operator invariants to ``tensor.IDENTITY_TOL``; raises
-    ValueError on failure.  Each realization object is checked once."""
-    _validate_once(real, None)
+    ValueError on failure.  The check is ``real.factors``, so each realization
+    object is checked once, and one that passed keeps the factors of its
+    joint box and repeaters for ``born_table``."""
+    real.factors
 
 
-def _validate_once(real: Realization, spectra: dict | None) -> None:
-    """``validate_realization``; a check that runs fills ``spectra`` as ``_check_povm`` does."""
-    if _VALIDATED.get(id(real)) is not real:
-        _validate(real, spectra)
-        _VALIDATED[id(real)] = real
-
-
-def _validate(real: Realization, spectra: dict | None) -> None:
+def _validate(real: Realization) -> tuple[np.ndarray, ...]:
+    """``validate_realization``'s checks; returns ``Realization.factors``."""
     n = real.n
     if real.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {real.scheme!r}")
@@ -398,7 +399,7 @@ def _validate(real: Realization, spectra: dict | None) -> None:
     dl = int(np.prod(l_dims))
     if len(real.l_meas) != 2**n:
         raise ValueError(f"joint box needs {2**n} elements, got {len(real.l_meas)}")
-    _check_povm(real.l_meas, dl, "joint box", spectra)
+    joint = _check_povm(real.l_meas, dl, "joint box")
     v_dims = real.l_dims() if real.scheme == ALMOST_DI else real.r1_dims()
     if real.eve.dims != v_dims:
         raise ValueError(f"eve operation has dims {real.eve.dims}, expected {v_dims}")
@@ -407,7 +408,7 @@ def _validate(real: Realization, spectra: dict | None) -> None:
     if real.scheme == ALMOST_DI:
         if real.b_obs is not None or real.repeaters is not None:
             raise ValueError("almost_di realizations carry no box observables or repeaters")
-        return
+        return (joint,)
     if real.b_obs is None or len(real.b_obs) != n:
         raise ValueError(f"di realization needs binary boxes for {n} subnets")
     for i, pair in enumerate(real.b_obs, start=1):
@@ -418,6 +419,7 @@ def _validate(real: Realization, spectra: dict | None) -> None:
     if real.repeaters is None or len(real.repeaters) != n:
         raise ValueError(f"di realization needs repeaters for {n} subnets")
     r1_dims, r2_dims = real.r1_dims(), real.r2_dims()
+    factors = [joint]
     for i, quad in enumerate(real.repeaters, start=1):
         if len(quad) != 4:
             raise ValueError(f"repeater {i} needs 4 elements")
@@ -425,7 +427,8 @@ def _validate(real: Realization, spectra: dict | None) -> None:
         for k, el in enumerate(quad):
             if el.dims != pair_dims:
                 raise ValueError(f"repeater element R[{i},{k}] has dims {el.dims}, expected {pair_dims}")
-        _check_povm(quad, int(np.prod(pair_dims)), f"repeater {i}", spectra)
+        factors.append(_check_povm(quad, int(np.prod(pair_dims)), f"repeater {i}"))
+    return tuple(factors)
 
 
 def _check_binary(name: str, obs: Operator, dim: int) -> None:
@@ -439,18 +442,16 @@ def _check_binary(name: str, obs: Operator, dim: int) -> None:
         raise ValueError(f"{name} does not square to identity (dev {dev:.2e})")
 
 
-def _check_povm(elements: Sequence[Operator], dim: int, what: str, spectra: dict | None) -> None:
+def _check_povm(elements: Sequence[Operator], dim: int, what: str) -> np.ndarray:
     """Each element, in order, of dimension ``dim``, Hermitian and positive,
     the first fault named; then the sum the identity.  The elements before
-    the first dimension or Hermitian fault are diagonalized as one stack:
-    by ``eigvalsh``, or, with ``spectra``, by ``eigh``, whose eigenpairs
-    ``spectra[what]`` holds once every check has passed."""
+    the first dimension or Hermitian fault are diagonalized as one stack by
+    ``eigh``; returns the read-only ``_factor_stack`` of its eigenpairs."""
     tol = IDENTITY_TOL
     k = next((k for k, el in enumerate(elements) if el.dim != dim or not el.is_hermitian()), len(elements))
     if k:
-        stack = np.stack([el.entries for el in elements[:k]])
-        eig = (np.linalg.eigvalsh(stack), None) if spectra is None else np.linalg.eigh(stack)
-        lows = eig[0][:, 0]
+        vals, vecs = _eigh([el.entries for el in elements[:k]])
+        lows = vals[:, 0]
         j = int(np.argmax(lows < -tol))
         if lows[j] < -tol:
             raise ValueError(f"{what} element {j} is not positive (min eig {lows[j]:.2e})")
@@ -463,18 +464,16 @@ def _check_povm(elements: Sequence[Operator], dim: int, what: str, spectra: dict
         total += el.entries
     if np.max(np.abs(total - np.eye(dim))) > tol:
         raise ValueError(f"{what} elements do not sum to identity")
-    if spectra is not None:
-        spectra[what] = eig
+    stack = _factor_stack(vals, vecs)
+    stack.setflags(write=False)
+    return stack
 
 
 def reference_realization(n: int, u: Operator, branch: int = +1, scheme: str = ALMOST_DI) -> Realization:
     """Ideal realization for the target gate: maximally entangled sources,
     reference observables, GHZ-basis boxes, Bell-basis repeaters, and
     V = conj(U) for branch +1 (V = U for branch -1)."""
-    if u.dims != (2,) * n:
-        raise ValueError(f"target gate must act on {n} qubits, got dims {u.dims}")
-    if not u.is_unitary():
-        raise ValueError("target gate is not unitary")
+    check_gate(u, n)
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
     a_obs = tuple(
@@ -494,6 +493,14 @@ def reference_realization(n: int, u: Operator, branch: int = +1, scheme: str = A
     bell = tuple(_projector(phi, (2, 2)) for phi in ghz_basis(2).T)
     repeaters = tuple(bell for _ in range(n))
     return Realization(DI, n, sources, a_obs, l_meas, v, branch, b_obs, repeaters)
+
+
+def check_gate(u: Operator, n: int) -> None:
+    """Raise ValueError unless the target gate ``u`` is a unitary on ``n`` qubits."""
+    if u.dims != (2,) * n:
+        raise ValueError(f"target gate must act on {n} qubits, got dims {u.dims}")
+    if not u.is_unitary():
+        raise ValueError("target gate is not unitary")
 
 
 def _projector(amplitudes: np.ndarray, dims: tuple[int, ...]) -> Operator:
@@ -598,8 +605,7 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
     those party settings, each checked to sum to one within ``SUM_TOL``;
     the table keeps the requested ones, each its own array and equal to the
     full table's row bit for bit."""
-    spectra: dict = {}  # eigenpairs of the joint box and the repeaters, if this call validates
-    _validate_once(real, spectra)
+    joint = real.factors[0]  # the first read validates the realization
     lay = real.layout()
     n = real.n
     scen = real.scenario()
@@ -610,14 +616,13 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
         for need, xi in zip(needs.setdefault((e, y), [set() for _ in range(n)]), x):
             need.add(xi)
     a_stacks = [_factor_stack(*_eigh([el for obs in triple for el in _binary_elements(obs)])) for triple in real.a_obs]
-    joint = _factor_stack(*(spectra.pop("joint box", None) or _eigh([m.entries for m in real.l_meas])))
     dims = lay.dims[: 2 * n]  # the collective's sites A_1..A_n, V_1..V_n are the first 2n
     if real.scheme == ALMOST_DI:
         psi = assemble_state(real).amplitudes[None, :]
     else:
         _check_joint_size(real)
         psi = _source_product(real.sources[:n], lay.source_sites()[:n]).reshape(1, -1)
-        maps = _swap_maps(real, spectra)
+        maps = _swap_maps(real)
     entries: dict = {}
     for e in (0, 1):
         blocks = []
@@ -652,7 +657,7 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
     return ProbabilityTable._adopt(real.scheme, n, entries)
 
 
-def _swap_maps(real: Realization, spectra: dict) -> dict:
+def _swap_maps(real: Realization) -> dict:
     """The swap maps of subnets 1..n (see the module docstring) per y of
     the scenario: for ``perp`` each T as a ``(4, rank, d_L, d_R1)`` array,
     for a box setting each map folded with its box, W[(r, b), (rho, beta),
@@ -662,7 +667,7 @@ def _swap_maps(real: Realization, spectra: dict) -> dict:
     maps: dict = {PERP: []}
     folded = []  # per subnet, the stack for each box setting
     for i in range(1, n + 1):
-        k = _factor_stack(*(spectra.pop(f"repeater {i}", None) or _eigh([el.entries for el in real.repeaters[i - 1]])))
+        k = real.factors[i]
         src = real.sources[n + i - 1]
         d_r1 = k.shape[2] // src.dims[0]
         t = (k.reshape(4, -1, d_r1, src.dims[0]) @ src.amplitudes.reshape(src.dims)).swapaxes(2, 3)
@@ -885,12 +890,19 @@ SLOT_SYMBOLS = (SettingSymbol.S0, SettingSymbol.S1, SettingSymbol.S2, SettingSym
 def event_index(scheme: str, n: int, *, l: int | None = None, r: Mapping[int, int] | None = None) -> tuple:
     """Index selecting, on a row's outcome array, the outcomes of the
     conditioning event: joint outcome ``l`` and repeater outcomes ``r``
-    (subnet -> outcome); unconditioned axes are kept whole."""
+    (subnet -> outcome); unconditioned axes are kept whole.  Raises
+    ValueError naming an ``l`` that is not an integer in 0..2^n-1, and an
+    outcome of ``r`` that is not one in 0..3."""
     if r and scheme != DI:
         raise ValueError("repeater conditions apply only to di tables")
     r = r or {}
     if not set(r) <= set(range(1, n + 1)):
         raise ValueError(f"repeater conditions name subnets {sorted(r)}, not all in 1..{n}")
+    if l is not None and not _setting(l, 2**n):
+        raise ValueError(f"joint outcome l={l!r} is not an integer in 0..{2**n - 1}")
+    for i, k in sorted(r.items()):
+        if not _setting(k, 4):
+            raise ValueError(f"repeater outcome r_{i}={k!r} is not an integer in 0..3")
     index: list = [slice(None)] * n
     if scheme == DI:
         index += [int(r[i]) if i in r else slice(None) for i in range(1, n + 1)]

@@ -1,5 +1,6 @@
 """Local frame extraction and the operator-level certification identities."""
 
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -146,6 +147,23 @@ def test_branch_detection():
     third = Operator(-plus.a_obs[1][2].entries, (2,))
     mixed = replace(plus, a_obs=(plus.a_obs[0], (plus.a_obs[1][0], plus.a_obs[1][1], third)))
     assert branch_of(mixed, extract_all(mixed)) == "mixed"
+
+
+def test_extraction_checks_its_target_gate():
+    """A target gate of the wrong size or not unitary is refused as
+    ``certify`` refuses it.  Without a target, every check that compares
+    with it raises ValueError, and the extracted gate is read as with one."""
+    u = gate("cnot", 2)
+    real = reference_realization(2, u, scheme=DI)
+    with pytest.raises(ValueError, match=re.escape("target gate must act on 2 qubits, got dims (2, 2, 2)")):
+        Extraction(real, gate("toffoli", 3))
+    with pytest.raises(ValueError, match="^target gate is not unitary$"):
+        Extraction(real, Operator(2 * np.eye(4, dtype=complex), (2, 2)))
+    ext = Extraction(real, None)
+    for check in (ext.measurement_distances, ext.unitary_certificate, ext.block_deviation, ext.fidelity):
+        with pytest.raises(ValueError, match=r"^this extraction has no target gate \(u is None\)$"):
+            check()
+    assert ext.gate().tobytes() == Extraction(real, u).gate().tobytes()
 
 
 def test_effective_elements_reference_almost():

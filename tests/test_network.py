@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from strategies import realizations
 from table_files import local_table, move_mass, read_with_change, table_lines, with_change
 
-from gatecert.adversary import AdversarySpec, apply_adversary, depolarize_sources, dilate
+from gatecert.adversary import ADVERSARY_KINDS, AdversarySpec, apply_adversary, depolarize_sources, dilate
 from gatecert.certify import certify, check_matrix, protocol_rows
 from gatecert.network import (
     ALMOST_DI,
@@ -101,9 +101,9 @@ def test_realization_is_validated_once(monkeypatch):
     checked = []
     check_povm = network._check_povm
 
-    def counted(elements, dim, what, spectra):
+    def counted(elements, dim, what):
         checked.append(what)
-        check_povm(elements, dim, what, spectra)
+        return check_povm(elements, dim, what)
 
     monkeypatch.setattr(network, "_check_povm", counted)
     u = gate("cnot", 2)
@@ -400,6 +400,44 @@ def test_condition_probability_values():
         assert np.isclose(almost.signed_sum((x0, 0), l=l), 0.25, atol=1e-13)
 
 
+@pytest.mark.parametrize(
+    "condition, named",
+    [
+        ({"l": -1}, "joint outcome l=-1"),
+        ({"l": 4}, "joint outcome l=4"),
+        ({"l": True}, "joint outcome l=True"),
+        ({"r": {1: -1}}, "repeater outcome r_1=-1"),
+        ({"r": {1: 4}}, "repeater outcome r_1=4"),
+    ],
+)
+def test_conditions_outside_the_outcomes_are_refused(condition, named):
+    """Every reader refuses, naming the value, a joint outcome outside
+    0..2^n-1 or a repeater outcome outside 0..3, where an index would count
+    from the end, run past it or read a bool as an outcome."""
+    from gatecert.bell import evaluate, functional_I
+
+    table = born_table(reference_realization(2, gate("cnot", 2), scheme=DI))
+    readers = (
+        lambda: table.signed_sum(((0, 0), 0, PERP), **condition),
+        lambda: expectation(table, {"A1": SettingSymbol.S0}, e=0, **condition),
+        lambda: evaluate(functional_I((0, 0)), table, renormalize=False, **condition),
+        lambda: row_weights(((1.0, {"A1": SettingSymbol.S0}),), DI, 2, e=0, **condition),
+    )
+    for read in readers:
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} is not an integer in 0..[34]$"):
+            read()
+
+
+@pytest.mark.parametrize("n", [3.0, 2.0, True, "2", None])
+def test_scenario_refuses_a_non_integer_n(n):
+    """A float, bool or other non-integer n is refused where the scenario is
+    built, not by a TypeError later."""
+    for build in (lambda: ScenarioSpec(ALMOST_DI, n), lambda: ProbabilityTable(ALMOST_DI, n, {})):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'n={n!r} is not an integer')}$"):
+            build()
+    assert ScenarioSpec(DI, np.int64(2)).outcome_shape() == (2, 2, 4, 4, 4)
+
+
 def test_table_roundtrip_identical():
     for scheme in (ALMOST_DI, DI):
         table = born_table(reference_realization(2, gate("cz", 2), scheme=scheme))
@@ -637,24 +675,52 @@ def test_born_table_builds_row_keys_without_revalidating(monkeypatch):
 
 
 def test_born_table_diagonalizes_each_measurement_once(monkeypatch):
-    """A realization ``born_table`` validates is diagonalized once per
-    measurement stack: validation's ``eigh`` of the joint box and the
-    repeaters also gives their factors.  A realization validated before
-    has each stack diagonalized once by factoring."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        fn = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, fn=fn, name=name: calls.append((name, a.shape)) or fn(a))
-    # 2 A stacks of 6 elements, the joint box, 2 repeaters and 4 boxes
-    stacks = sorted([(6, 2, 2)] * 2 + [(4, 4, 4)] * 3 + [(2, 2, 2)] * 4)
-    real = reference_realization(2, gate("cnot", 2), scheme=DI)
-    for _ in range(2):  # the first call validates
-        calls.clear()
-        born_table(real)
-        assert sorted(shape for _, shape in calls) == stacks and {name for name, _ in calls} == {"eigh"}
-    calls.clear()
-    validate_realization(replace(real, branch=real.branch))
-    assert calls == [("eigvalsh", (4, 4, 4))] * 3
+    """On one realization object, the joint box and each repeater are
+    diagonalized once in all: the check ``Realization.factors`` runs keeps
+    the factors of their ``eigh`` for every later ``born_table`` and
+    realization-mode ``certify``.  Each ``born_table`` factors the A
+    observables and the boxes itself.  A ``replace`` copy is checked, and
+    diagonalized, again."""
+    stacks = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: stacks.append(a) or eigh(a))
+    u = gate("cnot", 2)
+    real = reference_realization(2, u, scheme=DI)
+    povms = [np.stack([m.entries for m in real.l_meas])] + [np.stack([el.entries for el in q]) for q in real.repeaters]
+
+    def povm_calls():
+        return sum(any(a.shape == p.shape and np.array_equal(a, p) for p in povms) for a in stacks)
+
+    born_table(real)
+    assert povm_calls() == 3
+    stacks.clear()
+    table = born_table(real)
+    # 2 A stacks of 6 elements and 4 boxes
+    assert sorted(a.shape for a in stacks) == [(2, 2, 2)] * 4 + [(6, 2, 2)] * 2
+    assert certify(table, u, realization=real).verdict == "certified"
+    validate_realization(real)
+    assert povm_calls() == 0
+    copy = replace(real, branch=real.branch)
+    validate_realization(copy)
+    born_table(copy)
+    assert povm_calls() == 3
+
+
+@pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+@settings(max_examples=4)
+@given(data=st.data())
+def test_kept_factors_give_the_tables_of_fresh_ones(kind, data):
+    """A second ``born_table`` of a realization, which reads the factors the
+    first one kept, and one of a ``replace`` copy, which computes them
+    again, give tables bit-identical to the first; the kept stacks are
+    read-only."""
+    real = data.draw(realizations(kinds=(kind,)))
+    first = born_table(real)
+    for table in (born_table(real), born_table(replace(real, branch=real.branch))):
+        assert list(table.keys()) == list(first.keys())
+        assert all(table.array(key).tobytes() == first.array(key).tobytes() for key in first.keys())
+    assert len(real.factors) == (1 if real.scheme == ALMOST_DI else 3)
+    assert not any(stack.flags.writeable for stack in real.factors)
 
 
 @pytest.mark.parametrize("scheme, n", RESTRICTED_SCENARIOS)
