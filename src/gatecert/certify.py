@@ -380,19 +380,18 @@ def _realization_rows(real: Realization, u: Operator, op_tol: float) -> tuple[li
         rows.append(CheckRow("extract.frames", 1.0, 0.0, 0.0, detail=str(err)))
         return rows, "undetermined"
     rows.append(CheckRow("extract.frames", 0.0, 0.0, 0.0))
-    branch = ext.branch
-    if branch == "mixed":
-        rows.append(
-            CheckRow(
-                "extract.branch",
-                0.0,
-                1.0,
-                0.0,
-                detail="parties realize opposite signs of the third setting",
-            )
-        )
+    try:
+        branch, detail = ext.branch, "parties realize opposite signs of the third setting"
+    except ValueError as err:
+        branch, detail = "undetermined", str(err)
+    if branch not in ("plus", "minus"):
+        rows.append(CheckRow("extract.branch", 0.0, 1.0, 0.0, detail=detail))
         return rows, branch
-    dists = ext.measurement_distances()
+    try:
+        dists = ext.measurement_distances()
+    except ValueError as err:
+        rows.append(CheckRow("extract.meas", 1.0, 0.0, 0.0, detail=str(err)))
+        return rows, branch
     n = real.n
     for l in range(2**n):
         rows.append(

@@ -10,17 +10,21 @@ qubit operators that can be compared entrywise against the ideal ones.
 gives the branch, the measurement distances, the unitary certificate, the
 block deviation, the extracted gate and its fidelity to ``u``.
 
-The grouped isometry W of a collection is held as (2^N, dj, D): qubit
-index, junk index, input.  Every operator-level check is a contraction on
-its first axis: for a qubit state s, B = (<s| (x) 1) W is a (dj, D) matrix
-and the pull-back W^dagger (|s><s| (x) 1) W is B^dagger B, so no operator
-lifted by the junk identity, of size (2^N dj)^2, is ever formed.  The GHZ
-blocks of W Vbar^dagger W^dagger, which hold (2^N dj)^2 entries, are walked
-in passes of rows with W^dagger applied site by site, and the per-outcome
-pull-backs in passes of outcomes; one entry budget, ``network.PASS_ENTRIES``,
-bounds the largest array of every pass, so the stacks stay in cache and
-memory stays at one pass whatever N and the site dimensions are.  Frames
-are built and vetted one collection at a time, as stacks over its sites.
+The grouped isometry W = (x)_j K_j P_j of a collection is never formed:
+each site's K_j P_j is the stack [K_{j,0} P_j, K_{j,1} P_j], which
+``tensor.apply_layers`` applies to the rows of a block as the Born kernel
+applies its measurements, and so are the support projectors P_j.  Every
+operator-level check is a contraction on W's qubit index: for a qubit
+state s, B = (<s| (x) 1) W is a (dj, D) matrix and the pull-back
+W^dagger (|s><s| (x) 1) W is B^dagger B, so no operator lifted by the junk
+identity, of size (2^N dj)^2, is ever formed.  The rows of the ideal basis
+are built in passes of junk rows, the GHZ blocks of W Vbar^dagger
+W^dagger, which hold (2^N dj)^2 entries, in passes of rows that W^dagger
+is applied to, and the per-outcome pull-backs in passes of outcomes; one
+entry budget, ``network.PASS_ENTRIES``, bounds the largest array of every
+pass, so the stacks stay in cache and memory stays at one pass whatever N
+and the site dimensions are.  Frames are built and vetted one collection
+at a time, as stacks over its sites.
 
 One support rule serves both schemes: each site's frame is vetted on the
 support P_j of the site's state, and the checks compare on the tensor
@@ -44,7 +48,7 @@ from . import network
 from .decomp import delta_set
 from .network import ALMOST_DI, DI, Realization, check_gate, validate_realization
 from .primitives import ghz_basis
-from .tensor import Operator, polar_factor
+from .tensor import Operator, apply_layers, polar_factor
 
 OP_TOL = 1e-8
 SUPPORT_TOL = 1e-10
@@ -92,24 +96,6 @@ def swap_isometry(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     k[:d] = k0
     k[d:] = k1
     return k
-
-
-def grouped_isometry(ks: list[np.ndarray]) -> np.ndarray:
-    """Tensor product of per-site swap isometries with outputs regrouped as
-    (qubit_1..qubit_n, junk_1..junk_n)."""
-    n = len(ks)
-    dims = [k.shape[1] for k in ks]
-    full = ks[0]
-    for k in ks[1:]:
-        full = np.kron(full, k)
-    # rows of `full` are indexed by interleaved (q_1, j_1, q_2, j_2, ...)
-    shape = []
-    for d in dims:
-        shape += [2, d]
-    order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
-    full = full.reshape(shape + [int(np.prod(dims))])
-    full = np.transpose(full, order + [2 * n])
-    return full.reshape(2**n * int(np.prod(dims)), int(np.prod(dims)))
 
 
 def support_projector(rho: np.ndarray) -> np.ndarray:
@@ -330,12 +316,13 @@ class Extraction:
     measurement distances and the unitary certificate pass, while the
     block deviation and the fidelity fail.
 
-    The checks contract W on its qubit axis (see the module docstring).
+    The checks contract W on its qubit index (see the module docstring).
     What they share is computed once, on first use: the local frames, the
     branch, the comparison targets and their coefficients in the ideal
-    basis, the support, Vbar = P V P, the rows C_i = (<phi_i| (x) 1) W of
-    the ideal basis, C_i Vbar^dagger and the junk floor.  W is not kept: a
-    target's row (<target_l| (x) 1) W is a combination of the C_i.  Target
+    basis, the support, W's layers, Vbar = P V P, the rows C_i = (<phi_i|
+    (x) 1) W of the ideal basis, C_i Vbar^dagger and the junk floor.  W is
+    not formed: a target's row (<target_l| (x) 1) W is a combination of the
+    C_i.  Target
     pull-backs and GHZ blocks are formed as stacks in passes of at most
     about ``network.PASS_ENTRIES`` entries and not kept.  ``u`` may be None when
     only the extracted gate is wanted; then every check that compares with
@@ -349,6 +336,7 @@ class Extraction:
         self.u = u
         self.frames = extract_all(real, op_tol)
         self.sites = getattr(self.frames, "l" if real.scheme == ALMOST_DI else "r1")
+        self.dims = tuple(len(f.z) for f in self.sites)
 
     @cached_property
     def branch(self) -> str:
@@ -372,16 +360,25 @@ class Extraction:
         return tuple(f.support for f in self.sites)
 
     @cached_property
-    def isometries(self) -> list[np.ndarray]:
-        """The swap isometry of each site of Eve's collective on its support, K_j P_j."""
-        if self.support is None:
-            return [f.isometry() for f in self.sites]
-        return [f.isometry() @ p for f, p in zip(self.sites, self.support)]
+    def layers(self) -> list[tuple[np.ndarray, list[int]]]:
+        """W as layers of ``tensor.apply_layers``: the swap isometry of each
+        site of Eve's collective on its support, K_j P_j, as the stack
+        [K_{j,0} P_j, K_{j,1} P_j], last site first.  Applied to the rows of
+        a block they give W times each row, with rows (q_1..q_N, row)."""
+        ks = [f.isometry() for f in self.sites]
+        if self.support is not None:
+            ks = [k @ p for k, p in zip(ks, self.support)]
+        return [(ks[j].reshape(2, d, d), [j]) for j, d in reversed(list(enumerate(self.dims)))]
 
     @cached_property
     def vbar(self) -> np.ndarray:
-        """Eve's operation on the support, P V P = ((V P)^dagger P)^dagger."""
-        return _adjoint(self._times_support(_adjoint(self._times_support(self.real.eve.entries))))
+        """Eve's operation on the support, P V P: flattened to one row, V P
+        has its row digits on sites 0..N-1, where the P_j act."""
+        eve = self.real.eve.entries
+        if self.support is None:
+            return eve
+        layers = [(p[None], [j]) for j, p in enumerate(self.support)]
+        return apply_layers(self._times_support(eve).reshape(1, -1), self.dims * 2, layers)[0].reshape(eve.shape)
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -390,9 +387,18 @@ class Extraction:
 
     @cached_property
     def basis_rows(self) -> np.ndarray:
-        """C_i = (<phi_i| (x) 1) W for the ideal basis states, (2^N, dj, D)."""
-        w = grouped_isometry(self.isometries)
-        return np.tensordot(ghz_basis(self.real.n).conj(), w.reshape(2**self.real.n, -1, w.shape[1]), axes=(0, 0))
+        """C_i = (<phi_i| (x) 1) W for the ideal basis states, (2^N, dj, D).
+        Row j of every (<q| (x) 1) W is W^T applied to the unit row e_j, so
+        the layers' transposed stacks applied to rows of the identity give
+        W's rows (q, j), in passes of junk rows."""
+        n, d, basis = self.real.n, self.real.eve.dim, ghz_basis(self.real.n).conj()
+        transposed = [(stack.swapaxes(1, 2), sites) for stack, sites in self.layers]
+        out = np.empty((2**n, d, d), dtype=complex)
+        step = max(1, network.PASS_ENTRIES // (2**n * d))
+        for start in range(0, d, step):
+            w, _ = apply_layers(np.eye(min(step, d - start), d, start), self.dims, transposed)
+            out[:, start : start + step] = np.tensordot(basis, w.reshape(2**n, -1, d), axes=(0, 0))
+        return out
 
     @cached_property
     def adjoint_rows(self) -> np.ndarray:
@@ -425,20 +431,17 @@ class Extraction:
     def junk_floor(self) -> np.ndarray:
         """The positive junk operator (x)_j K_{j,0} P_j K_{j,0}^dagger."""
         out = np.array([[1.0 + 0j]])
-        for k in self.isometries:
-            k0 = k[: k.shape[1]]
-            out = np.kron(out, k0 @ k0.conj().T)
+        for stack, _ in reversed(self.layers):
+            out = np.kron(out, stack[0] @ stack[0].conj().T)
         return out
 
     def _times_support(self, op: np.ndarray) -> np.ndarray:
-        """op P for a stack (..., m, D), as (P op^dagger)^dagger: each P_j
-        acts on its site's digit, so no D x D projector is formed."""
+        """op P for op of shape (m, D): a row of op P is P^T = conj(P)
+        applied to that row of op, as one-element stacks of conj(P_j) on
+        the sites, so no D x D projector is formed."""
         if self.support is None:
             return op
-        dims, op = [len(p) for p in self.support], _adjoint(op)
-        for j, p in enumerate(self.support):
-            op = (p @ op.reshape(op.shape[:-2] + (int(np.prod(dims[:j])), dims[j], -1))).reshape(op.shape)
-        return _adjoint(op)
+        return apply_layers(op, self.dims, [(p.conj()[None], [j]) for j, p in enumerate(self.support)])[0]
 
     def measurement_distances(self) -> np.ndarray:
         """Entrywise distances between the realized effective box elements
@@ -462,17 +465,22 @@ class Extraction:
         Grouping the lifted adjoint of Eve's operation into 2^N x 2^N
         junk-sized blocks indexed by ideal basis states, block (i, l) of a
         faithful realization equals <phi_i|target_l> times the junk floor."""
-        basis, q, coeffs = ghz_basis(self.real.n), self.junk_floor, self.coeffs
+        n, basis, q, coeffs = self.real.n, ghz_basis(self.real.n), self.junk_floor, self.coeffs
         dj, rows = q.shape[0], self.adjoint_rows.reshape(-1, self.adjoint_rows.shape[-1])
-        step = max(1, network.PASS_ENTRIES // (2**self.real.n * dj))  # rows per pass, each a 2^N x dj slice of blocks
-        worst = 0.0
-        for start in range(0, rows.shape[0], step):
-            # row (i, a) is row a of C_i Vbar^dagger; blocks[:, l] = those rows of C_i Vbar^dagger C_l^dagger
-            i, a = np.divmod(np.arange(start, min(start + step, rows.shape[0])), dj)
-            blocks = basis.T @ _times_w_adjoint(rows[start : start + step], self.isometries)
-            blocks -= coeffs[i][:, :, None] * q[a][:, None, :]
-            worst = max(worst, float(np.max(np.abs(blocks))))
-        return worst
+        step = max(1, network.PASS_ENTRIES // (2**n * dj))  # rows per pass, each a 2^N x dj slice of blocks
+
+        # one call per pass, so that a pass's blocks are freed before the next pass applies W
+        def deviation(start: int) -> float:
+            # row (i, a) is row a of C_i Vbar^dagger; r W^dagger = conj(W conj(r)) has rows (q, row), so
+            # blocks[l] = those rows of C_i Vbar^dagger C_l^dagger
+            r = rows[start : start + step]
+            i, a = np.divmod(np.arange(start, start + len(r)), dj)
+            blocks = basis.T @ apply_layers(r.conj(), self.dims, self.layers)[0].conj().reshape(2**n, -1)
+            blocks = blocks.reshape(2**n, len(r), dj)
+            blocks -= coeffs[i].T[:, :, None] * q[a]
+            return float(np.max(np.abs(blocks)))
+
+        return max(map(deviation, range(0, rows.shape[0], step)))
 
     def gate(self) -> np.ndarray:
         """Gate read out of the realization through the local frames.
@@ -506,19 +514,3 @@ class Extraction:
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2).conj()
-
-
-def _times_w_adjoint(r: np.ndarray, ks: list[np.ndarray]) -> np.ndarray:
-    """r W^dagger for r of shape (m, D), with W the grouped isometry of the
-    per-site isometries ``ks``: each site's K^dagger acts on its own leg,
-    last site first, so W^dagger is never formed.  Returns (m, 2^N, dj)."""
-    m, n = r.shape[0], len(ks)
-    dims = [k.shape[1] for k in ks]
-    t, after = r, 1
-    for k, d in zip(ks[::-1], dims[::-1]):
-        t = np.matmul(k.conj(), t.reshape(-1, d, after))
-        after *= 2 * d
-    # legs (m, q_1, j_1, ..., q_N, j_N), regrouped as in grouped_isometry
-    t = t.reshape([m] + [x for d in dims for x in (2, d)])
-    t = t.transpose([0] + [1 + 2 * s for s in range(n)] + [2 + 2 * s for s in range(n)])
-    return t.reshape(m, 2**n, -1)

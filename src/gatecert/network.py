@@ -72,9 +72,10 @@ is the same whatever the budget.
 A settings row is keyed ``(x, e)`` for almost_di and ``(x, e, y)`` for di;
 ``ScenarioSpec.row`` is the only code that validates and normalizes such
 a key, and ``ScenarioSpec.settings()`` lists every key in order.  An
-operator reaches its sites only through ``tensor.apply_raw_batch``: Eve's
-layer applies a one-element stack, whose V sites are contiguous and
-ascending, so the flat layout is kept.
+operator reaches its sites only through ``tensor.apply_raw_batch``, which
+extraction shares: Eve's layer applies a one-element stack, whose V sites
+are contiguous and ascending, so the flat layout is kept, and every other
+layer goes through ``tensor.apply_layers``.
 
 Table files (``write_table``/``read_table``) hold a header line
 ``{"kind": "probability_table", "n": N, "scheme": S}``, then one JSON
@@ -149,7 +150,7 @@ import numpy as np
 
 from .primitives import EXPANSION, SettingSymbol, ghz_basis, ghz_bits, json_object, phi_plus, read_file
 from .primitives import ref_b_observable, ref_observable, write_file
-from .tensor import IDENTITY_TOL, Operator, StateVector, apply_raw_batch
+from .tensor import IDENTITY_TOL, Operator, StateVector, apply_layers, apply_raw_batch
 
 ALMOST_DI = "almost_di"
 DI = "di"
@@ -564,16 +565,6 @@ def _factor_stack(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _measure(block: np.ndarray, dims: tuple[int, ...], layers) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Apply each ``(stack, sites)`` of ``layers`` in turn; returns the new
-    block and its site dimensions."""
-    for stack, sites in layers:
-        new_dims = [1 if s in sites else d for s, d in enumerate(dims)]
-        new_dims[sites[0]] = stack.shape[1]
-        block, dims = apply_raw_batch(block, dims, stack, sites), tuple(new_dims)
-    return block, dims
-
-
 def _layer_sizes(size: int, dims: tuple[int, ...], layers) -> list[tuple[int, int]]:
     """For one row of ``size`` entries to which ``layers`` are applied in
     turn, ``dims`` the dimensions of their sites: the columns each layer's
@@ -646,7 +637,7 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
             psi = apply_raw_batch(psi, dims, real.eve.entries[None], lay.v_sites())
         for y, a_layers, keys, totals in blocks:
             if real.scheme == ALMOST_DI:
-                rows_in = _measure(psi, dims, [(joint, lay.l_sites())])
+                rows_in = apply_layers(psi, dims, [(joint, lay.l_sites())])
             else:
                 rows_in = _swapped(psi, dims, maps[y], joint if y == PERP else None)
             _fill_rows(*rows_in, a_layers, keys, totals, entries)
@@ -686,14 +677,14 @@ def _swapped(psi: np.ndarray, dims: tuple[int, ...], maps: list, joint: np.ndarr
     on the L_i: rows (r_1..r_n, l) and the sites of a row, A_1..A_n first."""
     n = len(maps)
     layers = [(m.reshape(len(m), -1, m.shape[-1]), [n + i]) for i, m in reversed(list(enumerate(maps)))]
-    block, rdims = _measure(psi, dims, layers)
+    block, rdims = apply_layers(psi, dims, layers)
     if joint is None:
         # rows (r_1, b_1, .., r_n, b_n) -> (r_1..r_n, b_1..b_n), whose box bits are l
         order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n]
         return block.reshape(*(4, 2) * n, -1).transpose(order).reshape(len(block), -1), rdims
     # each map's site holds (rank, L_i); rows (l, r_1..r_n) -> (r_1..r_n, l)
     rdims = rdims[:n] + sum((m.shape[1:3] for m in maps), ())
-    block, rdims = _measure(block, rdims, [(joint, list(range(n + 1, 3 * n, 2)))])
+    block, rdims = apply_layers(block, rdims, [(joint, list(range(n + 1, 3 * n, 2)))])
     return block.reshape(len(joint), -1, block.shape[1]).swapaxes(0, 1).reshape(len(block), -1), rdims
 
 
@@ -726,7 +717,7 @@ def _fill_rows(out: np.ndarray, rdims: tuple[int, ...], a_layers: list, keys: li
             r = np.linalg.qr(part.reshape(-1, d_a, rest).transpose(0, 2, 1), mode="r")
             part = r.transpose(0, 2, 1).reshape(m, -1)
             pdims = rdims[:n] + (d_a,) + (1,) * (len(rdims) - n - 1)
-        part, _ = _measure(part, pdims, a_layers)
+        part, _ = apply_layers(part, pdims, a_layers)
         probs = (part.real**2 + part.imag**2).sum(axis=1)
         # rows (x_1 a_1 .. x_n a_n, pass row) -> (settings, a_1..a_n, pass row)
         probs = probs.reshape(*(k for count in counts for k in (count, 2)), m)

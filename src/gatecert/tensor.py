@@ -6,12 +6,14 @@ as in ``numpy.kron``: the basis index of ``|b0 b1 ... bk>`` is the
 mixed-radix integer with ``b0`` leading.
 
 Everything here is pure: inputs are never mutated and stored arrays are
-marked read-only.  ``apply_raw_batch`` is the only code that applies an
-operator to sites of a raw state vector; a single operator is a
-one-element stack.  Its only caller is the Born kernel (``born_table``,
-Eve's layer included); the see-saw contracts a coefficient tensor instead
-and takes its observable step in closed form, with ``polar_factor``'s
-tolerance ``DEFAULT_ZERO_TOL``.
+marked read-only.  ``apply_raw_batch`` is the only code that applies
+matrices to sites of the rows of a block; a single operator is a
+one-element stack, and ``apply_layers`` applies a list of stacks in turn.
+Their callers are the Born kernel (``born_table``, Eve's layer included)
+and extraction (the swap isometries W and the support projectors); the
+see-saw contracts a coefficient tensor instead and takes its observable
+step in closed form, with ``polar_factor``'s tolerance
+``DEFAULT_ZERO_TOL``.
 """
 
 from __future__ import annotations
@@ -149,3 +151,14 @@ def apply_raw_batch(block: np.ndarray, dims: Sequence[int], mats: np.ndarray, si
     order = [0, *range(2, 2 + before + 1), 1, *range(3 + before, out.ndim)]
     return out.transpose(order).reshape(k * rows, -1)
 
+
+def apply_layers(block: np.ndarray, dims: Sequence[int], layers) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Apply each ``(stack, sites)`` of ``layers`` in turn with
+    ``apply_raw_batch``; returns the new block and its site dimensions.
+    Each layer prepends its outcome digit, so the last layer's is the most
+    significant digit of the row index."""
+    for stack, sites in layers:
+        new_dims = [1 if s in sites else d for s, d in enumerate(dims)]
+        new_dims[sites[0]] = stack.shape[1]
+        block, dims = apply_raw_batch(block, dims, stack, sites), tuple(new_dims)
+    return block, dims

@@ -53,7 +53,9 @@ grouped isometry W, by forming ``np.kron(projector, 1_dj)`` of size
 GHZ block of W Vbar^dagger W^dagger.  It forms the support rule densely:
 P = (x)_j P_j as one matrix, P X P around every compared operator, Vbar =
 P V P and the junk floor from (x)_j K_{j,0} P_j K_{j,0}^dagger.  It reads
-the frames, their site supports and the targets from the ``Extraction``.
+the frames, their site supports and the targets from the ``Extraction``,
+and builds W itself with ``grouped_isometry``, the package's former chain
+of ``np.kron`` calls, so it shares no W with the package.
 
 ``listed_assemble_state``, ``listed_dilate``, ``listed_conjugate`` and
 ``listed_depolarize_sources`` are the oracles of ``assemble_state`` and of
@@ -96,7 +98,7 @@ from gatecert.bell import (
 )
 from gatecert.certify import F_ZERO, CheckRow
 from gatecert.decomp import delta_set, f_tensor
-from gatecert.extract import _box_elements, grouped_isometry
+from gatecert.extract import _box_elements
 from gatecert.network import (
     ALMOST_DI,
     DI,
@@ -618,6 +620,24 @@ def loop_table_rows(table, u, tol) -> tuple[list[CheckRow], str]:
 
 
 # --- the lifted extractor ----------------------------------------------------
+
+
+def grouped_isometry(ks: list[np.ndarray]) -> np.ndarray:
+    """Tensor product of per-site swap isometries with outputs regrouped as
+    (qubit_1..qubit_n, junk_1..junk_n)."""
+    n = len(ks)
+    dims = [k.shape[1] for k in ks]
+    full = ks[0]
+    for k in ks[1:]:
+        full = np.kron(full, k)
+    # rows of `full` are indexed by interleaved (q_1, j_1, q_2, j_2, ...)
+    shape = []
+    for d in dims:
+        shape += [2, d]
+    order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
+    full = full.reshape(shape + [int(np.prod(dims))])
+    full = np.transpose(full, order + [2 * n])
+    return full.reshape(2**n * int(np.prod(dims)), int(np.prod(dims)))
 
 
 def _kron_w(ext):

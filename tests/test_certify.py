@@ -220,6 +220,42 @@ def test_zero_probability_event_fails_named_row(zero_element_repeater):
         assert row.detail == "r_1=1 has probability 0"
 
 
+def _late_extraction_failure(scheme):
+    """n=2 cnot realizations whose frames are built but whose extraction
+    fails later: in almost_di party 1's third observable is its first, so
+    the branch has no y-direction to read; in di repeater 1's outcome 0 has
+    the zero element, so the teleported box elements vanish."""
+    real = reference_realization(2, gate("cnot", 2), scheme=scheme)
+    if scheme == ALMOST_DI:
+        a = real.a_obs[0]
+        return replace(real, a_obs=((a[0], a[1], a[0]),) + real.a_obs[1:])
+    r = real.repeaters[0]
+    zero = Operator(np.zeros((4, 4)), r[0].dims)
+    return replace(real, repeaters=((zero, r[1], r[2], Operator(r[3].entries + r[0].entries, r[3].dims)),) + real.repeaters[1:])
+
+
+@pytest.mark.parametrize(
+    "scheme, row_id, reason",
+    [
+        (ALMOST_DI, "extract.branch", "party 1: third observable has no overlap with the frame's y-direction"),
+        (DI, "extract.meas", "teleported box elements vanish; repeater outcome 0 has no weight"),
+    ],
+)
+def test_late_extraction_failure_fails_named_row(scheme, row_id, reason):
+    """Extraction failing after its frames are built gives a failing row
+    that names the reason, not an exception, and the verdict of the
+    statistics alone."""
+    u, real = gate("cnot", 2), _late_extraction_failure(scheme)
+    table = born_table(real)
+    assert certify(table, u).verdict == "not-certified"
+    report = certify(table, u, realization=real)
+    assert report.verdict == "not-certified"
+    rows = {c.id: c for c in report.checks}
+    assert rows["extract.frames"].passed
+    assert not rows[row_id].passed
+    assert rows[row_id].detail == reason
+
+
 @settings(max_examples=25)
 @given(hidden_side_pairs())
 def test_statistics_only_report_invariant_under_hidden_side_changes(case):

@@ -3,10 +3,11 @@
 import re
 from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
-from dense_oracle import kron_extract_rows
+from dense_oracle import grouped_isometry, kron_extract_rows
 from strategies import with_junk
 
 from gatecert import extract, network
@@ -16,7 +17,6 @@ from gatecert.extract import (
     Extraction,
     branch_of,
     extract_all,
-    grouped_isometry,
     mirror_frame,
     regularize,
     support_projector,
@@ -25,8 +25,8 @@ from gatecert.extract import (
 )
 from gatecert.certify import certify, protocol_rows
 from gatecert.network import ALMOST_DI, DI, born_table, reference_realization
-from gatecert.primitives import gate, haar_unitary, ref_observable
-from gatecert.tensor import Operator, StateVector, polar_factor
+from gatecert.primitives import gate, ghz_basis, haar_unitary, ref_observable
+from gatecert.tensor import Operator, StateVector, apply_layers, polar_factor
 
 SQ2 = np.sqrt(2.0)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -86,15 +86,26 @@ def test_swap_isometry_is_isometry_for_any_involutions():
 
 
 def test_grouped_isometry_reorders_qubit_and_junk_legs():
+    """The package's W: the sites' stacks [K_0, K_1], applied last site
+    first, give W times each row with the qubit digits first, so on the rows
+    of the identity row (q1, q2, input) holds column input of W's rows
+    (q1, q2, j1, j2); and ``Extraction.basis_rows`` is W in that leg order
+    contracted with the ideal basis."""
     ka = swap_isometry(Z, X)
     kb = swap_isometry(X, Z)  # a different frame on site 2
-    w = grouped_isometry([ka, kb])
-    assert w.shape == (16, 4)
+    out, dims = apply_layers(np.eye(4), (2, 2), [(kb.reshape(2, 2, 2), [1]), (ka.reshape(2, 2, 2), [0])])
+    assert out.shape == (16, 4) and dims == (2, 2)
+    w = out.reshape(4, 4, 4).swapaxes(1, 2).reshape(16, 4)
     assert np.allclose(w.conj().T @ w, np.eye(4), atol=1e-13)
     # output legs ordered (q1, q2, j1, j2): compare against manual regroup
     raw = np.kron(ka, kb).reshape(2, 2, 2, 2, 4)
     manual = raw.transpose(0, 2, 1, 3, 4).reshape(16, 4)
     assert np.allclose(w, manual)
+    ext = Extraction(dilate(reference_realization(2, gate("cnot", 2)), junk_dim=2, seed=3), None)
+    w = grouped_isometry([f.isometry() for f in ext.sites])
+    want = np.tensordot(ghz_basis(2).conj(), w.reshape(4, -1, w.shape[1]), axes=(0, 0))
+    assert ext.basis_rows.flags.c_contiguous
+    assert np.allclose(ext.basis_rows, want, atol=1e-13)
 
 
 def test_support_projector_rank():
@@ -239,9 +250,9 @@ def test_mixed_branch_has_no_comparison_target():
 
 def test_certify_computes_shared_extraction_pieces_once(monkeypatch):
     """One ``Extraction`` serves every operator-level row of a report: the
-    frames, branch, targets, effective elements and the grouped isometry W,
-    from which the ideal-basis rows of the GHZ blocks are contracted, are
-    computed once, and the rows equal the steps run on their own.  The
+    frames, branch, targets, effective elements and the ideal-basis rows
+    of the GHZ blocks, contracted from the swap isometries W, are computed
+    once, and the rows equal the steps run on their own.  The
     only support projectors are the site supports ``extract_all`` vets the
     frames on, one stacked call per collection, in both schemes; with junk
     of Schmidt rank 1 they are not full and the rows still come out once."""
@@ -256,9 +267,19 @@ def test_certify_computes_shared_extraction_pieces_once(monkeypatch):
 
         return wrapper
 
-    names = ("extract_all", "branch_of", "delta_set", "_box_elements", "grouped_isometry")
+    names = ("extract_all", "branch_of", "delta_set", "_box_elements")
     for name in names + ("support_projector",):
         monkeypatch.setattr(extract, name, counted(name))
+    build_rows = Extraction.basis_rows.func
+
+    def basis_rows(self):
+        calls["basis_rows"] += 1
+        return build_rows(self)
+
+    counted_rows = cached_property(basis_rows)
+    counted_rows.__set_name__(Extraction, "basis_rows")
+    monkeypatch.setattr(Extraction, "basis_rows", counted_rows)
+    names += ("basis_rows",)
     u = gate("random", 2, seed=6)
     for scheme, junk in ((ALMOST_DI, 2), (DI, 1), (ALMOST_DI, 0), (DI, 0)):
         ref = reference_realization(2, u, scheme=scheme)

@@ -8,7 +8,9 @@ schemes and both branches, dilated with junk dimension 1 to 3 or depolarized
 (see ``strategies.realizations``), each checked against a random gate, cnot
 and the gate extracted from it, and with junk of every Schmidt rank
 (``strategies.junk_of_every_rank``), whose verdicts must also equal the
-reference's; fixed cases cover n=3.  Every row must be
+reference's; fixed cases cover n=3, and junk on one source alone, at n=2
+and n=3, whose collective has sites of different dimensions, with full
+and with partial support.  Every row must be
 within ``ROW_TOL`` of the oracle's: the two sum the same products in another
 order.  A last test guards the memory of the depolarized n=3 case, which
 the lifted extractor needs over 1 GB for.
@@ -16,18 +18,19 @@ the lifted extractor needs over 1 GB for.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from dense_oracle import kron_extract_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import junk_of_every_rank, realizations
 
-from gatecert.adversary import depolarize_sources, dilate
+from gatecert.adversary import _lift, depolarize_sources, dilate
 from gatecert.certify import _realization_rows, certify, protocol_rows
 from gatecert.extract import OP_TOL, Extraction
 from gatecert.network import ALMOST_DI, DI, born_table, reference_realization
 from gatecert.primitives import gate
-from gatecert.tensor import Operator
+from gatecert.tensor import Operator, StateVector
 
 ROW_TOL = 1e-13
 
@@ -78,6 +81,37 @@ def test_extract_rows_match_kron_oracle_three_subnets(scheme, junk):
     if junk is not None:
         real = dilate(real, junk_dim=junk, seed=5)
     assert_matches_kron_oracle(real, (u, gate("random", 3, seed=8)))
+
+
+def junk_on_one_source(real, index, chi):
+    """``real`` with the junk state of amplitude matrix ``chi`` on source
+    ``index`` alone, and every operator on its two sites lifted by the
+    identity on the junk there."""
+    lay, sources = real.layout(), list(real.sources)
+    junk = [1] * len(lay.dims)
+    (s0, s1), src = lay.source_sites()[index], sources[index]
+    junk[s0], junk[s1] = chi.shape
+    amp = np.tensordot(src.amplitudes.reshape(src.dims), chi, axes=0).transpose(0, 2, 1, 3)
+    sources[index] = StateVector(amp.reshape(-1), (src.dims[0] * chi.shape[0], src.dims[1] * chi.shape[1]))
+    return real.map_operators(lambda op, sites: _lift(op, [junk[s] for s in sites], None), sources=tuple(sources))
+
+
+@pytest.mark.parametrize("scheme", [ALMOST_DI, DI])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rank", [1, 2], ids=["partial-support", "full-support"])
+def test_junk_on_one_source_matches_kron_oracle(scheme, n, rank):
+    """Junk of dimension 2 on the source of subnet 2 alone doubles that
+    site of Eve's collective, so its sites differ in dimension; junk of
+    Schmidt rank 1 leaves the site partial support, rank 2 full."""
+    u = gate("toffoli" if n == 3 else "cnot", n)
+    chi = np.random.default_rng(7).normal(size=(2, 2, 2)) @ np.array([1.0, 1j])
+    if rank == 1:
+        chi = np.outer(chi[0], chi[1])
+    real = junk_on_one_source(reference_realization(n, u, scheme=scheme), 1, chi / np.linalg.norm(chi))
+    ext = Extraction(real, u)
+    assert ext.dims == (2, 4, 2)[:n]
+    assert (ext.support is None) == (rank == 2)
+    assert_matches_kron_oracle(real, (u, gate("random", n, seed=8)))
 
 
 def test_depolarized_three_subnets_fit_in_memory():
