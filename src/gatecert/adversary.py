@@ -29,7 +29,7 @@ which every operator is lifted onto the junk of its sites (``dilate``,
 ``depolarize``) or conjugated, or is ``dataclasses.replace`` of Eve's
 operation (``gauge_phase``, ``perturb``).  ``dilate`` and
 ``depolarize_sources`` refuse, before they allocate anything, a lift whose
-largest matrix would exceed ``network.MAX_AMPLITUDES`` entries.
+largest matrix would exceed ``tensor.MAX_AMPLITUDES`` entries.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from math import prod
 import numpy as np
 
 from .extract import teleported_elements
-from .network import ALMOST_DI, Realization, check_size
+from .network import ALMOST_DI, Realization
 from .primitives import haar_unitary, json_bool, json_float, json_int, json_object, pauli, read_json, write_json
-from .tensor import Operator, StateVector
+from .tensor import Operator, StateVector, check_size
 
 
 @dataclass(frozen=True)

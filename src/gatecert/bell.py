@@ -31,9 +31,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .network import ProbabilityTable, check_size, coefficients, terms_value
+from .network import ProbabilityTable, coefficients, terms_value
 from .primitives import SettingSymbol
-from .tensor import DEFAULT_ZERO_TOL
+from .tensor import DEFAULT_ZERO_TOL, check_size
 
 
 class BellTerm(NamedTuple):
@@ -253,7 +253,7 @@ def seesaw_max(functional: BellFunctional, restarts: int = 8, seed: int = 0) -> 
     party.  A restart leaves the batch when its own history stalls.  The
     Bell operator and the effective operators contract the coefficient
     tensor ``W`` one party at a time.  A batch that would hold more than
-    ``network.MAX_AMPLITUDES`` entries raises ValueError before anything
+    ``tensor.MAX_AMPLITUDES`` entries raises ValueError before anything
     is drawn.
     """
     if restarts < 1:

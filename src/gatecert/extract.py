@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import Iterator
 
 import numpy as np
 
@@ -263,13 +264,14 @@ def _targets(u: Operator, branch: str) -> list[np.ndarray]:
     raise ValueError(f"no consistent comparison target for branch {branch!r}")
 
 
-def _box_elements(real: Realization, v: np.ndarray) -> list[np.ndarray]:
-    """The effective box elements v^dagger E_l v for Eve's operation v, one
-    per outcome l, formed as stacks of as many outcomes as
-    ``network.PASS_ENTRIES`` allows."""
+def _box_elements(real: Realization, v: np.ndarray) -> Iterator[np.ndarray]:
+    """The effective box elements v^dagger E_l v for Eve's operation v in
+    order of the outcome l, one stack of as many outcomes as
+    ``network.PASS_ENTRIES`` allows per pass, formed as the pass is read."""
     raw = [m.entries for m in real.l_meas] if real.scheme == ALMOST_DI else teleported_elements(real)
     step = max(1, network.PASS_ENTRIES // v.size)
-    return [el for start in range(0, len(raw), step) for el in v.conj().T @ np.stack(raw[start : start + step]) @ v]
+    for start in range(0, len(raw), step):
+        yield v.conj().T @ np.stack(raw[start : start + step]) @ v
 
 
 def teleported_elements(real: Realization) -> np.ndarray:
@@ -412,17 +414,18 @@ class Extraction:
         over the outcomes l, as many per pass as ``network.PASS_ENTRIES`` allows.
         A pass stacks the pull-backs W^dagger (|target_l><target_l| (x) 1) W
         as B_l^dagger B_l, with B_l = (<target_l| (x) 1) W = sum_i
-        conj(coeffs[i, l]) C_i, uses them for both residuals and drops them."""
-        elements, rows = _box_elements(self.real, self._times_support(self.real.eve.entries)), self.basis_rows
+        conj(coeffs[i, l]) C_i, uses them and ``_box_elements``'s stack of
+        the pass for both residuals and drops them."""
+        rows = self.basis_rows
         flat = rows.reshape(len(rows), -1)
-        step = max(1, network.PASS_ENTRIES // rows[0].size)
-        dists, worst = [], 0.0
-        for start in range(0, len(elements), step):
-            ls = slice(start, start + step)
+        dists, worst, start = [], 0.0, 0
+        for elements in _box_elements(self.real, self._times_support(self.real.eve.entries)):
+            ls = slice(start, start + len(elements))
+            start = ls.stop
             # one vector-matrix product per outcome, as each B_l is formed alone
             b = (self.coeffs[:, ls].T.conj()[:, None, :] @ flat).reshape((-1,) + rows.shape[1:])
             g = _adjoint(b) @ b
-            dists += np.max(np.abs(np.stack(elements[ls]) - g), axis=(1, 2)).tolist()
+            dists += np.max(np.abs(elements - g), axis=(1, 2)).tolist()
             cv = rows[ls] @ self.vbar
             worst = max(worst, float(np.max(np.abs(_adjoint(cv) @ cv - g))))
         return np.array(dists), worst

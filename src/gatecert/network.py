@@ -39,11 +39,10 @@ realization once per object and keeps, read-only, the stacks its ``eigh``
 of each POVM gives; the binary observables and boxes, which validation
 checks without a diagonalization, are factored by each ``born_table``.
 
-The kernel contracts along the network and never builds a di realization's
-joint state.  Eve acts on the collective state Phi_e = (1_A (x) V^e)
-(x)_i psi_i of the sources A_i -- V_i, on (A_1..A_N, V_1..V_N) with V the
-L sites (almost_di, where it is the joint state) or the R_{*,1} sites (di:
-256 amplitudes at di n=2 dilated by 2, whose joint state holds 65 536).
+The kernel contracts along the network.  Eve acts on the collective state
+Phi_e = (1_A (x) V^e) (x)_i psi_i of the first N sources A_i -- V_i, on
+(A_1..A_N, V_1..V_N) with V the L sites (almost_di, where these are every
+source) or the R_{*,1} sites (di: 256 amplitudes at di n=2 dilated by 2).
 In di each repeater is folded with its second source phi_i into one swap
 map T_i[r, rho, l, j] = sum_k K_i[r, rho, (j, k)] phi_i[k, l] from
 R_{i,1} onto (rank rho, L_i).  For a box setting y, box i folds into the
@@ -123,14 +122,14 @@ is memoized, so ``expectation``, ``terms_value`` (and through it
 ``bell.evaluate``) and ``certify``'s check matrix build each functional's
 weights once per condition and share one read-only mapping.
 
-``check_size`` refuses, before allocating, an array of more than
-``MAX_AMPLITUDES`` complex entries: ``assemble_state`` asks it about the
-joint state, ``born_table`` asks the same of a di realization's joint
-state, which it never builds, as the rule that admits it, and
-``adversary.dilate`` and ``adversary.depolarize_sources`` ask about the
-largest matrix they build.  A full table of a di n=2 realization dilated
-by 3, whose joint state would hold 1.7e6 amplitudes, takes 0.21-0.23 s
-and 118 MB peak RSS in a fresh process (2-vCPU VM, one BLAS thread).
+No size is predicted: ``tensor.check_size`` refuses the collective state
+before it is built and ``tensor.apply_raw_batch`` every layer, so a
+realization is refused at its first array of more than
+``tensor.MAX_AMPLITUDES`` entries.  Each e runs its ``perp`` block, the
+largest, first: di n=3 dilated by 2 is refused within 0.1 s of CPU.  A
+full table of di n=2 dilated by 3, whose ``perp`` block holds 1.7e6
+amplitudes, takes 0.23-0.28 s and 118 MB peak RSS in a fresh process
+(2-vCPU VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -150,7 +149,7 @@ import numpy as np
 
 from .primitives import EXPANSION, SettingSymbol, ghz_basis, ghz_bits, json_object, phi_plus, read_file
 from .primitives import ref_b_observable, ref_observable, write_file
-from .tensor import IDENTITY_TOL, Operator, StateVector, apply_layers, apply_raw_batch
+from .tensor import IDENTITY_TOL, Operator, StateVector, apply_layers, apply_raw_batch, check_size
 
 ALMOST_DI = "almost_di"
 DI = "di"
@@ -162,9 +161,6 @@ SUM_TOL = 1e-12
 ZERO_WEIGHT_TOL = 1e-14
 MAX_TABLE_N = 8  # an almost_di table at n=9 holds 1e10 probabilities
 SIGNALLING_TOL = 1e-11  # exact tables deviate by at most about 1e-15
-# Largest joint state of an admitted realization: di n=2 dilated by 3 has 1.7e6
-# amplitudes (its full table takes 118 MB), di n=4 2**16.
-MAX_AMPLITUDES = 2**22
 # Entries of the largest array one stacked pass holds, for three users: the
 # Born kernel's A layer and ``extract`` (complex entries; a pass takes as
 # many rows or outcomes as fit, always at least one), and ``write_table``,
@@ -508,33 +504,10 @@ def _projector(amplitudes: np.ndarray, dims: tuple[int, ...]) -> Operator:
     return Operator(np.outer(amplitudes, amplitudes.conj()), dims)
 
 
-def check_size(size: int, what: str) -> None:
-    """Raise ValueError naming ``what`` if an array of ``size`` complex
-    entries would hold more than ``MAX_AMPLITUDES``."""
-    if size > MAX_AMPLITUDES:
-        gib = size * 16 / 2**30 if size < 2**1000 else math.inf  # beyond, the division overflows a float
-        raise ValueError(
-            f"{what} would hold {size} amplitudes ({gib:.1f} GiB), "
-            f"more than MAX_AMPLITUDES = {MAX_AMPLITUDES}"
-        )
-
-
-def assemble_state(real: Realization) -> StateVector:
-    """Tensor product of all sources, permuted into the canonical site order.
-    Raises ValueError, before allocating, if it would hold more than
-    ``MAX_AMPLITUDES`` amplitudes (``check_size``)."""
-    _check_joint_size(real)
-    joint = _source_product(real.sources, real.layout().source_sites())
-    return StateVector(joint.reshape(-1), joint.shape)
-
-
-def _check_joint_size(real: Realization) -> None:
-    check_size(math.prod(src.amplitudes.size for src in real.sources), "the joint state")
-
-
 def _source_product(sources: Sequence[StateVector], pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """The tensor product of ``sources``, each on the two sites of its entry
     of ``pairs``, with one axis per site in ascending site order."""
+    check_size(math.prod(src.amplitudes.size for src in sources), "the collective state")
     listed = sum(pairs, ())
     order = sorted(range(len(listed)), key=listed.__getitem__)  # the k-th smallest site is the product's axis order[k]
     return reduce(np.multiply.outer, [src.amplitudes.reshape(src.dims) for src in sources]).transpose(order)
@@ -584,18 +557,17 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
 
     ``rows`` holds settings keys as tables hold them, each normalized by
     ``ScenarioSpec.key``, so a key outside the scenario raises ValueError
-    naming it.  A di realization is admitted while its joint state would
-    pass ``check_size``, though only the collective state is built (see
-    the module docstring).  Layers on disjoint sites commute, so Eve acts
-    once per e, the joint box or the swap maps once per (e, y) block, and,
-    after each row is compressed onto the A sites where that shrinks it,
-    the A layer with one stacked factor per party that covers the settings
-    the block asks of that party; a block that holds no requested row is
-    skipped.  The A layer runs in passes of about ``PASS_ENTRIES`` entries
-    (``_fill_rows``).  The rows a block computes are every combination of
-    those party settings, each checked to sum to one within ``SUM_TOL``;
-    the table keeps the requested ones, each its own array and equal to the
-    full table's row bit for bit."""
+    naming it.  A layer of more than ``tensor.MAX_AMPLITUDES`` entries is
+    refused (see the module docstring).  Layers on disjoint sites commute,
+    so Eve acts once per e, the joint box or the swap maps once per (e, y)
+    block, and, after each row is compressed onto the A sites where that
+    shrinks it, the A layer with one stacked factor per party that covers
+    the settings the block asks of that party; a block that holds no
+    requested row is skipped.  The A layer runs in passes of about
+    ``PASS_ENTRIES`` entries (``_fill_rows``).  The rows a block computes
+    are every combination of those party settings, each checked to sum to
+    one within ``SUM_TOL``; the table keeps the requested ones, each its
+    own array and equal to the full table's row bit for bit."""
     joint = real.factors[0]  # the first read validates the realization
     lay = real.layout()
     n = real.n
@@ -608,11 +580,8 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
             need.add(xi)
     a_stacks = [_factor_stack(*_eigh([el for obs in triple for el in _binary_elements(obs)])) for triple in real.a_obs]
     dims = lay.dims[: 2 * n]  # the collective's sites A_1..A_n, V_1..V_n are the first 2n
-    if real.scheme == ALMOST_DI:
-        psi = assemble_state(real).amplitudes[None, :]
-    else:
-        _check_joint_size(real)
-        psi = _source_product(real.sources[:n], lay.source_sites()[:n]).reshape(1, -1)
+    psi = _source_product(real.sources[:n], lay.source_sites()[:n]).reshape(1, -1)
+    if real.scheme == DI:
         maps = _swap_maps(real)
     entries: dict = {}
     for e in (0, 1):
@@ -635,7 +604,8 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
         if e:
             # Eve's V sites are contiguous and ascending, so collapsing them keeps the flat layout
             psi = apply_raw_batch(psi, dims, real.eve.entries[None], lay.v_sites())
-        for y, a_layers, keys, totals in blocks:
+        # the perp block, the largest, runs first, so an oversized realization is refused at its first block
+        for y, a_layers, keys, totals in sorted(blocks, key=lambda block: block[0] != PERP):
             if real.scheme == ALMOST_DI:
                 rows_in = apply_layers(psi, dims, [(joint, lay.l_sites())])
             else:

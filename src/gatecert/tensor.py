@@ -14,6 +14,11 @@ and extraction (the swap isometries W and the support projectors); the
 see-saw contracts a coefficient tensor instead and takes its observable
 step in closed form, with ``polar_factor``'s tolerance
 ``DEFAULT_ZERO_TOL``.
+
+``check_size`` is the one size rule: an array of more than
+``MAX_AMPLITUDES`` complex entries is refused before it is allocated.
+``apply_raw_batch`` asks it of every output, so what it builds is bounded
+by construction.
 """
 
 from __future__ import annotations
@@ -26,6 +31,20 @@ import numpy as np
 
 DEFAULT_ZERO_TOL = 1e-8
 IDENTITY_TOL = 1e-10  # entrywise deviation with which an operator satisfies its identity (Hermitian, unitary, POVM)
+# Largest array of complex entries the package builds.  The largest layer of an admitted
+# realization is the ``perp`` block of di n=2 dilated by 3, 1.7e6 amplitudes; di n=4's is 2**16.
+MAX_AMPLITUDES = 2**22
+
+
+def check_size(size: int, what: str) -> None:
+    """Raise ValueError naming ``what`` if an array of ``size`` complex
+    entries would hold more than ``MAX_AMPLITUDES``."""
+    if size > MAX_AMPLITUDES:
+        gib = size * 16 / 2**30 if size < 2**1000 else math.inf  # beyond, the division overflows a float
+        raise ValueError(
+            f"{what} would hold {size} amplitudes ({gib:.1f} GiB), "
+            f"more than MAX_AMPLITUDES = {MAX_AMPLITUDES}"
+        )
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -133,7 +152,9 @@ def apply_raw_batch(block: np.ndarray, dims: Sequence[int], mats: np.ndarray, si
     ``(k * rows, dim')`` block whose row index is ``outcome * rows + row``,
     i.e. the new outcome digit is prepended as the most significant digit.
     When the sites are contiguous and ascending, a square operator leaves
-    the flat layout of each row as it was.
+    the flat layout of each row as it was.  An output of more than
+    ``MAX_AMPLITUDES`` entries raises ValueError (``check_size``) before
+    anything is computed.
     """
     dims = tuple(dims)
     sites = list(sites)
@@ -141,6 +162,8 @@ def apply_raw_batch(block: np.ndarray, dims: Sequence[int], mats: np.ndarray, si
     d = math.prod(dims[s] for s in sites)
     mats = np.asarray(mats).reshape(len(mats), -1, d)
     k, rank = mats.shape[:2]
+    if k * rank * (block.size // d) > MAX_AMPLITUDES:
+        check_size(k * rank * (block.size // d), "a layer's output")
     # one (k*rank, d) x (d, rows*rest) product with the measured sites leading
     others = [s for s in range(len(dims)) if s not in sites]
     t = block.reshape((rows,) + dims).transpose([s + 1 for s in sites] + [0] + [s + 1 for s in others])

@@ -7,7 +7,8 @@ projectors are applied to the whole state once per setting x, and the
 L-layer bras are contracted against that block.
 This is the kernel the package shipped before it moved to square-root
 factors; it is slow (seconds for di n=3) but shares no code with the
-factored kernel beyond state assembly.  ``apply_raw`` and
+factored kernel: it assembles the joint state of every source with
+``listed_assemble_state``.  ``apply_raw`` and
 ``_state_with_eve`` are the package's former single-operator applier and
 Eve's layer, kept as the dense reference of ``tensor.apply_raw_batch``, so
 that no oracle here runs the applier it checks.
@@ -55,14 +56,15 @@ P = (x)_j P_j as one matrix, P X P around every compared operator, Vbar =
 P V P and the junk floor from (x)_j K_{j,0} P_j K_{j,0}^dagger.  It reads
 the frames, their site supports and the targets from the ``Extraction``,
 and builds W itself with ``grouped_isometry``, the package's former chain
-of ``np.kron`` calls, so it shares no W with the package.
+of ``np.kron`` calls, so it shares no W with the package; it forms each
+effective box element V^dagger E_l V itself, one matrix at a time.
 
-``listed_assemble_state``, ``listed_dilate``, ``listed_conjugate`` and
-``listed_depolarize_sources`` are the oracles of ``assemble_state`` and of
-the adversaries in ``gatecert.adversary``: the package's former bodies,
-which write out per scheme which site each source wing and each operator
-sits on instead of reading ``SiteLayout.source_sites`` and
-``Realization.map_operators``.  Their ``_embed_junk``, ``_embed_first_junk``
+``listed_assemble_state`` is the package's former assembly of the joint
+state of every source, and ``listed_dilate``, ``listed_conjugate`` and
+``listed_depolarize_sources`` are the oracles of the adversaries in
+``gatecert.adversary``: the package's former bodies, which write out per
+scheme which site each source wing and each operator sits on instead of
+reading ``SiteLayout.source_sites`` and ``Realization.map_operators``.  Their ``_embed_junk``, ``_embed_first_junk``
 and ``_rotate_op`` are the former lifts onto junk.
 
 ``termwise_classical_bound`` and ``termwise_seesaw_max`` are the oracles of
@@ -98,7 +100,7 @@ from gatecert.bell import (
 )
 from gatecert.certify import F_ZERO, CheckRow
 from gatecert.decomp import delta_set, f_tensor
-from gatecert.extract import _box_elements
+from gatecert.extract import teleported_elements
 from gatecert.network import (
     ALMOST_DI,
     DI,
@@ -108,7 +110,6 @@ from gatecert.network import (
     Realization,
     ScenarioSpec,
     ZeroProbabilityEvent,
-    assemble_state,
     event_label,
     party_matrix,
     validate_realization,
@@ -140,7 +141,7 @@ def apply_raw(vec: np.ndarray, dims: Sequence[int], mat: np.ndarray, sites: Sequ
 
 
 def _state_with_eve(real: Realization, e: int) -> np.ndarray:
-    psi = assemble_state(real)
+    psi = listed_assemble_state(real)
     if e == 0:
         return psi.amplitudes
     lay = real.layout()
@@ -662,7 +663,10 @@ def _kron_junk_floor(ext) -> np.ndarray:
 def kron_measurement_distances(ext) -> np.ndarray:
     targets, (w, dj), p = ext.targets, _kron_w(ext), _kron_support(ext)
     dists = []
-    for l, el in enumerate(_box_elements(ext.real, ext.real.eve.entries)):
+    real, v = ext.real, ext.real.eve.entries
+    raw = [m.entries for m in real.l_meas] if real.scheme == ALMOST_DI else teleported_elements(real)
+    for l, el in enumerate(raw):
+        el = v.conj().T @ el @ v
         t = targets[l]
         proj = np.outer(t, t.conj())
         pull = w.conj().T @ np.kron(proj, np.eye(dj)) @ w

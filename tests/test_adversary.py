@@ -9,6 +9,7 @@ from dense_oracle import listed_assemble_state, listed_conjugate, listed_depolar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatecert import network
 from gatecert.adversary import (
     ADVERSARY_KINDS,
     AdversarySpec,
@@ -28,7 +29,6 @@ from gatecert.network import (
     DI,
     PERP,
     SCHEMES,
-    assemble_state,
     born_table,
     reference_realization,
     validate_realization,
@@ -152,7 +152,7 @@ def test_gauge_phase_di_moves_only_unconsumed_rows():
     assert moved > 1e-4
 
 
-# di n=3 dilate and depolarize would take the joint state past MAX_AMPLITUDES,
+# di n=3 dilate and depolarize would take the perp block past MAX_AMPLITUDES,
 # so di takes the two hidden-side changes that keep its dimensions.
 @pytest.mark.parametrize(
     "scheme, kind",
@@ -281,15 +281,15 @@ def adversary_pairs(draw):
 def test_adversaries_match_listed_oracle(pair):
     """``dilate``, ``conjugate`` and ``depolarize_sources`` read the site map
     and lift operators through one walk; every source and operator must
-    equal the listed oracle's bit for bit, and so must the assembled state
-    where it has at most 2^18 amplitudes (a dilated, depolarized di state
-    has 4e8)."""
+    equal the listed oracle's bit for bit, and so must the joint state the
+    site map assembles where it has at most 2^18 amplitudes (a dilated,
+    depolarized di state has 4e8)."""
     new, old = pair
     assert (new.scheme, new.n, new.branch) == (old.scheme, old.n, old.branch)
     assert new.layout() == old.layout()
     assert _parts(new) == _parts(old)
     if math.prod(new.layout().dims) > 2**18:
         return
-    state, listed = assemble_state(new), listed_assemble_state(old)
-    assert state.dims == listed.dims
-    assert state.amplitudes.tobytes() == listed.amplitudes.tobytes()
+    state, listed = network._source_product(new.sources, new.layout().source_sites()), listed_assemble_state(old)
+    assert state.shape == listed.dims
+    assert state.tobytes() == listed.amplitudes.tobytes()

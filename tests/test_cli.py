@@ -351,20 +351,20 @@ def test_certify_signalling_table_exits_two(tmp_path_factory, scheme, index, who
 @pytest.mark.parametrize(
     "spec, amplitudes",
     [
-        (AdversarySpec("dilate", junk_dim=3, seed=1), 6**12),
+        (AdversarySpec("dilate", junk_dim=3, seed=1), 60466176),
         (AdversarySpec("depolarize", eta=0.05), 16**6),
     ],
     ids=["dilate", "depolarize"],
 )
 def test_simulate_oversized_realization_exits_two(tmp_path, capsys, spec, amplitudes):
-    """di n=3 dilated by junk of dimension 3 has 12 sites of dimension 6,
-    and depolarized its 6 sources of dimension 16: simulate exits 2 naming
-    the joint state's amplitude count, before allocating it."""
+    """di n=3 dilated by junk of dimension 3, or depolarized, has a perp
+    block past the cap: simulate exits 2 naming the amplitude count of the
+    first layer that would be too large, before allocating it."""
     adv = tmp_path / "adv.json"
     save_adversary(spec, str(adv))
     argv = ["simulate", "--scheme", "di", "--n", "3", "--gate", "toffoli", "--adversary", str(adv), "--out", str(tmp_path / "run")]
     assert main(argv) == 2
-    assert f"the joint state would hold {amplitudes} amplitudes" in capsys.readouterr().err
+    assert f"a layer's output would hold {amplitudes} amplitudes" in capsys.readouterr().err
     assert not (tmp_path / "run" / "table.jsonl").exists()
 
 

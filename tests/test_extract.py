@@ -177,13 +177,19 @@ def test_extraction_checks_its_target_gate():
     assert ext.gate().tobytes() == Extraction(real, u).gate().tobytes()
 
 
-def test_effective_elements_reference_almost():
+def test_effective_elements_reference_almost(monkeypatch):
+    """``_box_elements`` yields one stack per pass of ``PASS_ENTRIES // D^2``
+    outcomes, each element with the bits of a single pass over all."""
     real = reference_realization(2, gate("swap", 2))
-    elements = extract._box_elements(real, real.eve.entries)
+    stacks = list(extract._box_elements(real, real.eve.entries))
     assert extract.Extraction(real, None).support is None  # every L site has full support
-    assert len(elements) == 4
-    total = sum(elements)
+    assert [len(stack) for stack in stacks] == [4]  # at D = 4 one pass holds every outcome
+    total = sum(stacks[0])
     assert np.allclose(total, np.eye(4), atol=1e-12)
+    monkeypatch.setattr(network, "PASS_ENTRIES", 2 * 4**2)
+    passes = list(extract._box_elements(real, real.eve.entries))
+    assert [len(stack) for stack in passes] == [2, 2]
+    assert np.concatenate(passes).tobytes() == stacks[0].tobytes()
 
 
 def test_teleported_elements_structure():

@@ -14,22 +14,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from dense_oracle import apply_raw, dumps_write_table, steered_state, termwise_correlator_weights
+from dense_oracle import apply_raw, dumps_write_table, listed_assemble_state, steered_state, termwise_correlator_weights
 from hypothesis import strategies as st
 from strategies import realizations
 from table_files import local_table, move_mass, read_with_change, table_lines, with_change
 
+from gatecert import tensor
 from gatecert.adversary import ADVERSARY_KINDS, AdversarySpec, apply_adversary, depolarize_sources, dilate
 from gatecert.certify import certify, check_matrix, protocol_rows
 from gatecert.network import (
     ALMOST_DI,
     DI,
-    MAX_AMPLITUDES,
     PERP,
     SCHEMES,
     ProbabilityTable,
     ScenarioSpec,
-    assemble_state,
     born_table,
     expectation,
     load_table,
@@ -122,7 +121,7 @@ def test_assemble_state_site_order_almost():
     real = reference_realization(2, gate("identity", 2))
     odd = ghz_state((0, 1))
     real = replace(real, sources=(real.sources[0], odd))
-    psi = assemble_state(real)
+    psi = listed_assemble_state(real)
     t = np.kron(real.sources[0].amplitudes, odd.amplitudes).reshape(2, 2, 2, 2)
     want = t.transpose(0, 2, 1, 3).reshape(-1)  # (A1 L1 A2 L2) -> (A1 A2 L1 L2)
     assert np.allclose(psi.amplitudes, want)
@@ -132,7 +131,7 @@ def test_assemble_state_site_order_di():
     real = reference_realization(2, gate("identity", 2), scheme=DI)
     vecs = [ghz_state((0, 0)), ghz_state((0, 1)), ghz_state((1, 0)), ghz_state((1, 1))]
     real = replace(real, sources=tuple(vecs))
-    psi = assemble_state(real)
+    psi = listed_assemble_state(real)
     # listed order (A1 R11)(A2 R21)(R12 L1)(R22 L2) -> canonical
     t = np.kron(np.kron(vecs[0].amplitudes, vecs[1].amplitudes),
                 np.kron(vecs[2].amplitudes, vecs[3].amplitudes)).reshape((2,) * 8)
@@ -170,7 +169,7 @@ def test_site_map_covers_every_site_and_operator(scheme):
 def dense_almost_probs(real, x, e):
     """Independent Born-rule evaluation for one almost_di settings row."""
     n = real.n
-    psi = assemble_state(real).amplitudes
+    psi = listed_assemble_state(real).amplitudes
     dims = (2,) * (2 * n)
     if e:
         psi = apply_raw(psi, dims, real.eve.entries, list(range(n, 2 * n)))
@@ -198,7 +197,7 @@ def test_born_table_against_dense_oracle_di():
     real = reference_realization(2, gate("cz", 2), scheme=DI)
     table = born_table(real)
     n = 2
-    psi0 = assemble_state(real).amplitudes
+    psi0 = listed_assemble_state(real).amplitudes
     dims = (2,) * 8
     bells = [np.outer(ghz_state(ghz_bits(r, 2)).amplitudes, ghz_state(ghz_bits(r, 2)).amplitudes.conj()) for r in range(4)]
     for x, e, y in (((0, 0), 0, PERP), ((1, 2), 1, PERP), ((0, 0), 0, (0, 1)), ((2, 1), 1, (1, 0))):
@@ -384,7 +383,7 @@ def test_di_r0_conditioning_reproduces_almost_di_state():
     u = gate("random", 2, seed=5)
     di = reference_realization(2, u, scheme=DI)
     steered = steered_state(di, e=0, r={1: 0, 2: 0})
-    almost = assemble_state(reference_realization(2, u)).amplitudes
+    almost = listed_assemble_state(reference_realization(2, u)).amplitudes
     assert np.isclose(np.trace(steered).real, 1.0, atol=1e-12)
     assert np.isclose(np.vdot(almost, steered @ almost).real, 1.0, atol=1e-12)
 
@@ -565,24 +564,45 @@ def test_partial_table_written_in_settings_order(scheme):
 
 
 def test_born_table_assembles_the_state_once(monkeypatch):
-    """almost_di's Eve acts on the one joint state, not a second assembly;
-    di never assembles the joint state, only the collective of its first n
+    """Both schemes build Eve's collective state, the product of the first
+    n sources, once per call; di never builds the joint state of its 2n
     sources."""
     from gatecert import network
 
     calls = []
-    assemble = network.assemble_state
-    monkeypatch.setattr(network, "assemble_state", lambda real: calls.append(real) or assemble(real))
-    for scheme, assembled in ((ALMOST_DI, 1), (DI, 0)):
+    build = network._source_product
+    monkeypatch.setattr(network, "_source_product", lambda sources, pairs: calls.append(len(sources)) or build(sources, pairs))
+    for scheme in SCHEMES:
         real = reference_realization(2, gate("random", 2, seed=3), scheme=scheme)
         calls.clear()
         born_table(real)
-        assert calls == [real] * assembled
+        assert calls == [2]
+
+
+@pytest.mark.parametrize(
+    "scheme, cap, amplitudes",
+    [(DI, 2**16, 2**18), (ALMOST_DI, 2**8, 2**9)],
+    ids=["di-repeaters", "almost_di-box"],
+)
+def test_born_table_refuses_a_layer_past_the_cap(monkeypatch, scheme, cap, amplitudes):
+    """The size rule holds every layer the kernel builds, whatever the ranks
+    of the measurements: at n=3 with every repeater element I/4 (di) or
+    every joint-box element I/8 (almost_di), the collective state is small
+    (64 amplitudes) but the swap maps or the joint box grow it past the
+    cap, and ``born_table`` names the layer's size."""
+    real = reference_realization(3, gate("toffoli", 3), scheme=scheme)
+    if scheme == DI:
+        real = replace(real, repeaters=((Operator(np.eye(4) / 4, (2, 2)),) * 4,) * 3)
+    else:
+        real = replace(real, l_meas=(Operator(np.eye(8) / 8, (2, 2, 2)),) * 8)
+    monkeypatch.setattr(tensor, "MAX_AMPLITUDES", cap)
+    with pytest.raises(ValueError, match=f"a layer's output would hold {amplitudes} amplitudes .*MAX_AMPLITUDES = {cap}$"):
+        born_table(real)
 
 
 RESTRICTED_SCENARIOS = [(DI, 2), (DI, 3), (ALMOST_DI, 2), (ALMOST_DI, 3)]
 # The adversaries of the restricted-kernel test; dilate and depolarize
-# would take di n=3 past MAX_AMPLITUDES.
+# would take di n=3's perp block past tensor.MAX_AMPLITUDES.
 RESTRICTED_ADVERSARIES = (
     None,
     AdversarySpec("dilate", junk_dim=2, seed=4),
@@ -1169,12 +1189,13 @@ def test_read_table_accepts_repeater_marginal_that_depends_on_e():
     assert table.max_difference(read_table(io.StringIO(buf.getvalue()))) == 0.0
 
 
-def test_assemble_state_refuses_oversized_state():
-    """A depolarized, 3-dilated di n=2 realization would need 20736^2
-    amplitudes (6.9 GB); the guard raises before allocating them."""
+def test_born_table_refuses_oversized_realization():
+    """A depolarized, 3-dilated di n=2 realization has a small collective
+    state (20736 amplitudes), but its perp block would need 429981696
+    amplitudes (6.9 GB); ``born_table`` raises before allocating them."""
     real = dilate(depolarize_sources(reference_realization(2, gate("cnot", 2), scheme=DI), 0.05), 3)
-    with pytest.raises(ValueError, match=f"would hold 429981696 amplitudes .*more than MAX_AMPLITUDES = {MAX_AMPLITUDES}"):
-        assemble_state(real)
+    with pytest.raises(ValueError, match=f"would hold 429981696 amplitudes .*more than MAX_AMPLITUDES = {tensor.MAX_AMPLITUDES}"):
+        born_table(real)
 
 
 def test_nan_source_rejected():

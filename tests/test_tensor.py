@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dense_oracle import apply_raw
 
+from gatecert import tensor
 from gatecert.tensor import (
     Operator,
     StateVector,
@@ -142,3 +145,20 @@ def test_dims_must_multiply_out():
         Operator(np.eye(6), (2, 2))
     with pytest.raises(ValueError):
         StateVector(np.zeros(5), (2, 2))
+
+
+def test_apply_raw_batch_refuses_an_oversized_output_before_allocating(monkeypatch):
+    """An output of more than ``MAX_AMPLITUDES`` entries raises ValueError
+    naming its size before the product is formed, so the traced peak stays
+    far below the refused array; an output at the cap is built."""
+    monkeypatch.setattr(tensor, "MAX_AMPLITUDES", 2**12)
+    block, mats = np.ones((1, 2**10), dtype=complex), np.ones((2**8, 2, 2), dtype=complex)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"a layer's output would hold 262144 amplitudes .*MAX_AMPLITUDES = 4096$"):
+            apply_raw_batch(block, (2,) * 10, mats, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 262144 * 16 // 16
+    assert apply_raw_batch(block, (2,) * 10, mats[:4], [0]).shape == (4, 2**10)
