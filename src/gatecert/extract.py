@@ -11,11 +11,12 @@ gives the branch, the measurement distances, the unitary certificate, the
 block deviation, the extracted gate and its fidelity to ``u``.
 
 The grouped isometry W = (x)_j K_j P_j of a collection is never formed:
-each site's K_j P_j is the stack [K_{j,0} P_j, K_{j,1} P_j], which
-``tensor.apply_layers`` applies to the rows of a block as the Born kernel
-applies its measurements, and so are the support projectors P_j.  Every
-operator-level check is a contraction on W's qubit index: for a qubit
-state s, B = (<s| (x) 1) W is a (dj, D) matrix and the pull-back
+each site's K_j P_j acts as K_j Q_j on the support's dimension, the stack
+[K_{j,0} Q_j, K_{j,1} Q_j], which ``tensor.apply_layers`` applies to the
+rows of a block as the Born kernel applies its measurements, and so are
+the support isometries Q_j.  Every operator-level check is a contraction
+on W's qubit index: for a qubit state s, B = (<s| (x) 1) W is a (dj, D)
+matrix and the pull-back
 W^dagger (|s><s| (x) 1) W is B^dagger B, so no operator lifted by the junk
 identity, of size (2^N dj)^2, is ever formed.  The rows of the ideal basis
 are built in passes of junk rows, the GHZ blocks of W Vbar^dagger
@@ -29,6 +30,11 @@ at a time, as stacks over its sites.
 One support rule serves both schemes: each site's frame is vetted on the
 support P_j of the site's state, and the checks compare on the tensor
 product P of the supports of the sites Eve acts on (see ``Extraction``).
+The checks run at the support's dimension S, not the site's D: each site
+is compressed onto the isometry Q_j of the eigenvectors
+``support_projector`` keeps, P_j = Q_j Q_j^dagger, and a residual matrix
+is expanded back through Q, site by site, before its entrywise maximum,
+so the reported numbers are those of the full sites up to rounding.
 
 Branch convention: a realization built with V = conj(U) ("plus") steers the
 joint box toward the complex-conjugated images of the rotated basis states,
@@ -39,6 +45,7 @@ no consistent target and is rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterator
@@ -265,11 +272,12 @@ def _targets(u: Operator, branch: str) -> list[np.ndarray]:
 
 
 def _box_elements(real: Realization, v: np.ndarray) -> Iterator[np.ndarray]:
-    """The effective box elements v^dagger E_l v for Eve's operation v in
-    order of the outcome l, one stack of as many outcomes as
-    ``network.PASS_ENTRIES`` allows per pass, formed as the pass is read."""
+    """The effective box elements v^dagger E_l v for Eve's operation v, (D,
+    S), on the support's S dimensions, in order of the outcome l, one stack
+    of as many D x D elements as ``network.PASS_ENTRIES`` allows per pass,
+    formed as the pass is read."""
     raw = [m.entries for m in real.l_meas] if real.scheme == ALMOST_DI else teleported_elements(real)
-    step = max(1, network.PASS_ENTRIES // v.size)
+    step = max(1, network.PASS_ENTRIES // len(v) ** 2)
     for start in range(0, len(raw), step):
         yield v.conj().T @ np.stack(raw[start : start + step]) @ v
 
@@ -311,8 +319,14 @@ class Extraction:
     P_j that ``extract_all`` vetted the frames on.  Each site's swap
     isometry acts as K_j P_j, Eve's operation as P V P, the box elements as
     P V^dagger E_l V P, and the junk floor is (x)_j K_{j,0} P_j
-    K_{j,0}^dagger.  So a local isometry of the reference certifies with
-    junk in any state, product states included.  On full support P is the
+    K_{j,0}^dagger.  They are computed on the support, P = Q Q^dagger with
+    Q the product of the ``bases`` Q_j: each frame as K_j Q_j, Eve as
+    Q^dagger V Q, the box elements as Q^dagger V^dagger E_l V Q, and each
+    residual matrix of ``_residuals`` expanded back as Q X Q^dagger before
+    its entrywise maximum (``_expanded``, D^2 work per outcome); the GHZ
+    blocks of ``block_deviation`` have junk indices only, which Q leaves
+    whole.  So a local isometry of the reference certifies with junk in
+    any state, product states included.  On full support P is the
     identity and none of this does any arithmetic.  A phase gauge of the
     box changes Eve's operation itself but not the statistics: the
     measurement distances and the unitary certificate pass, while the
@@ -321,8 +335,9 @@ class Extraction:
     The checks contract W on its qubit index (see the module docstring).
     What they share is computed once, on first use: the local frames, the
     branch, the comparison targets and their coefficients in the ideal
-    basis, the support, W's layers, Vbar = P V P, the rows C_i = (<phi_i|
-    (x) 1) W of the ideal basis, C_i Vbar^dagger and the junk floor.  W is
+    basis, the support, W's layers, Vbar = Q^dagger V Q, the rows C_i =
+    (<phi_i| (x) 1) W Q of the ideal basis, C_i Vbar^dagger and the junk
+    floor.  W is
     not formed: a target's row (<target_l| (x) 1) W is a combination of the
     C_i.  Target
     pull-backs and GHZ blocks are formed as stacks in passes of at most
@@ -339,6 +354,8 @@ class Extraction:
         self.frames = extract_all(real, op_tol)
         self.sites = getattr(self.frames, "l" if real.scheme == ALMOST_DI else "r1")
         self.dims = tuple(len(f.z) for f in self.sites)
+        # the dimensions the checks run at: each site's support's
+        self.cdims = self.dims if self.bases is None else tuple(q.shape[1] for q in self.bases)
 
     @cached_property
     def branch(self) -> str:
@@ -362,25 +379,37 @@ class Extraction:
         return tuple(f.support for f in self.sites)
 
     @cached_property
+    def bases(self) -> tuple[np.ndarray, ...] | None:
+        """Isometries Q_j with P_j = Q_j Q_j^dagger, (d_j, rank_j): the
+        eigenvectors of each support projector of eigenvalue one, or None
+        when every site has full support."""
+        if self.support is None:
+            return None
+        return tuple(vecs[:, vals > 0.5] for vals, vecs in map(np.linalg.eigh, self.support))
+
+    @cached_property
     def layers(self) -> list[tuple[np.ndarray, list[int]]]:
         """W as layers of ``tensor.apply_layers``: the swap isometry of each
-        site of Eve's collective on its support, K_j P_j, as the stack
-        [K_{j,0} P_j, K_{j,1} P_j], last site first.  Applied to the rows of
-        a block they give W times each row, with rows (q_1..q_N, row)."""
+        site of Eve's collective on its support, K_j Q_j, as the stack
+        [K_{j,0} Q_j, K_{j,1} Q_j], last site first.  Applied to the rows of
+        a block on the support's sites (``cdims``) they give W Q times each
+        row, with rows (q_1..q_N, row) on the whole sites."""
         ks = [f.isometry() for f in self.sites]
-        if self.support is not None:
-            ks = [k @ p for k, p in zip(ks, self.support)]
-        return [(ks[j].reshape(2, d, d), [j]) for j, d in reversed(list(enumerate(self.dims)))]
+        if self.bases is not None:
+            ks = [k @ q for k, q in zip(ks, self.bases)]
+        return [(ks[j].reshape(2, d, -1), [j]) for j, d in reversed(list(enumerate(self.dims)))]
 
     @cached_property
     def vbar(self) -> np.ndarray:
-        """Eve's operation on the support, P V P: flattened to one row, V P
-        has its row digits on sites 0..N-1, where the P_j act."""
+        """Eve's operation on the support, Q^dagger V Q: flattened to one
+        row, V Q has its row digits on sites 0..N-1, where the Q_j^dagger
+        act."""
         eve = self.real.eve.entries
-        if self.support is None:
+        if self.bases is None:
             return eve
-        layers = [(p[None], [j]) for j, p in enumerate(self.support)]
-        return apply_layers(self._times_support(eve).reshape(1, -1), self.dims * 2, layers)[0].reshape(eve.shape)
+        layers = [(q.conj().T[None], [j]) for j, q in enumerate(self.bases)]
+        s = math.prod(self.cdims)
+        return apply_layers(self._on_support(eve).reshape(1, -1), self.dims + self.cdims, layers)[0].reshape(s, s)
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -389,17 +418,19 @@ class Extraction:
 
     @cached_property
     def basis_rows(self) -> np.ndarray:
-        """C_i = (<phi_i| (x) 1) W for the ideal basis states, (2^N, dj, D).
-        Row j of every (<q| (x) 1) W is W^T applied to the unit row e_j, so
-        the layers' transposed stacks applied to rows of the identity give
-        W's rows (q, j), in passes of junk rows."""
+        """C_i = (<phi_i| (x) 1) W Q for the ideal basis states, (2^N, dj,
+        S), S the support's dimension.  Row j of every (<q| (x) 1) W Q is
+        (W Q)^T applied to the unit row e_j, so the layers' transposed
+        stacks applied to rows of the identity give W Q's rows (q, j), in
+        passes of junk rows."""
         n, d, basis = self.real.n, self.real.eve.dim, ghz_basis(self.real.n).conj()
+        s = math.prod(self.cdims)
         transposed = [(stack.swapaxes(1, 2), sites) for stack, sites in self.layers]
-        out = np.empty((2**n, d, d), dtype=complex)
-        step = max(1, network.PASS_ENTRIES // (2**n * d))
+        out = np.empty((2**n, d, s), dtype=complex)
+        step = max(1, network.PASS_ENTRIES // (2**n * s))
         for start in range(0, d, step):
             w, _ = apply_layers(np.eye(min(step, d - start), d, start), self.dims, transposed)
-            out[:, start : start + step] = np.tensordot(basis, w.reshape(2**n, -1, d), axes=(0, 0))
+            out[:, start : start + step] = np.tensordot(basis, w.reshape(2**n, -1, s), axes=(0, 0))
         return out
 
     @cached_property
@@ -415,36 +446,51 @@ class Extraction:
         A pass stacks the pull-backs W^dagger (|target_l><target_l| (x) 1) W
         as B_l^dagger B_l, with B_l = (<target_l| (x) 1) W = sum_i
         conj(coeffs[i, l]) C_i, uses them and ``_box_elements``'s stack of
-        the pass for both residuals and drops them."""
+        the pass for both residuals and drops them.  Every matrix is on
+        the support; each residual is expanded back through Q before its
+        entrywise maximum (``_expanded``)."""
         rows = self.basis_rows
         flat = rows.reshape(len(rows), -1)
         dists, worst, start = [], 0.0, 0
-        for elements in _box_elements(self.real, self._times_support(self.real.eve.entries)):
+        for elements in _box_elements(self.real, self._on_support(self.real.eve.entries)):
             ls = slice(start, start + len(elements))
             start = ls.stop
             # one vector-matrix product per outcome, as each B_l is formed alone
             b = (self.coeffs[:, ls].T.conj()[:, None, :] @ flat).reshape((-1,) + rows.shape[1:])
             g = _adjoint(b) @ b
-            dists += np.max(np.abs(elements - g), axis=(1, 2)).tolist()
+            dists += np.max(np.abs(self._expanded(elements - g)), axis=1).tolist()
             cv = rows[ls] @ self.vbar
-            worst = max(worst, float(np.max(np.abs(_adjoint(cv) @ cv - g))))
+            worst = max(worst, float(np.max(np.abs(self._expanded(_adjoint(cv) @ cv - g)))))
         return np.array(dists), worst
 
     @cached_property
     def junk_floor(self) -> np.ndarray:
-        """The positive junk operator (x)_j K_{j,0} P_j K_{j,0}^dagger."""
+        """The positive junk operator (x)_j K_{j,0} P_j K_{j,0}^dagger, each
+        factor (K_{j,0} Q_j)(K_{j,0} Q_j)^dagger."""
         out = np.array([[1.0 + 0j]])
         for stack, _ in reversed(self.layers):
             out = np.kron(out, stack[0] @ stack[0].conj().T)
         return out
 
-    def _times_support(self, op: np.ndarray) -> np.ndarray:
-        """op P for op of shape (m, D): a row of op P is P^T = conj(P)
-        applied to that row of op, as one-element stacks of conj(P_j) on
-        the sites, so no D x D projector is formed."""
-        if self.support is None:
+    def _on_support(self, op: np.ndarray) -> np.ndarray:
+        """op Q for op of shape (m, D), (m, S): a row of op Q is Q^T applied
+        to that row of op, as one-element stacks of Q_j^T on the sites, so
+        no D x S isometry is formed."""
+        if self.bases is None:
             return op
-        return apply_layers(op, self.dims, [(p.conj()[None], [j]) for j, p in enumerate(self.support)])[0]
+        return apply_layers(op, self.dims, [(q.T[None], [j]) for j, q in enumerate(self.bases)])[0]
+
+    def _expanded(self, ops: np.ndarray) -> np.ndarray:
+        """Q X Q^dagger of each matrix X of the stack ``ops``, (k, S, S),
+        flattened to (k, D^2): with X flattened to a row, Q_j acts on its
+        row digits and conj(Q_j) on its column digits, site by site.  On
+        full support, ``ops`` flattened."""
+        if self.bases is None:
+            return ops.reshape(len(ops), -1)
+        n = len(self.bases)
+        layers = [(q[None], [j]) for j, q in enumerate(self.bases)]
+        layers += [(q.conj()[None], [n + j]) for j, q in enumerate(self.bases)]
+        return apply_layers(ops.reshape(len(ops), -1), self.cdims * 2, layers)[0]
 
     def measurement_distances(self) -> np.ndarray:
         """Entrywise distances between the realized effective box elements
@@ -471,6 +517,9 @@ class Extraction:
         n, basis, q, coeffs = self.real.n, ghz_basis(self.real.n), self.junk_floor, self.coeffs
         dj, rows = q.shape[0], self.adjoint_rows.reshape(-1, self.adjoint_rows.shape[-1])
         step = max(1, network.PASS_ENTRIES // (2**n * dj))  # rows per pass, each a 2^N x dj slice of blocks
+        # on the support a row has S entries, and one product with the C_l^dagger side by side,
+        # (S, 2^N dj), gives its blocks
+        adjoints = None if self.bases is None else self.basis_rows.conj().transpose(2, 0, 1).reshape(-1, 2**n * dj)
 
         # one call per pass, so that a pass's blocks are freed before the next pass applies W
         def deviation(start: int) -> float:
@@ -478,8 +527,11 @@ class Extraction:
             # blocks[l] = those rows of C_i Vbar^dagger C_l^dagger
             r = rows[start : start + step]
             i, a = np.divmod(np.arange(start, start + len(r)), dj)
-            blocks = basis.T @ apply_layers(r.conj(), self.dims, self.layers)[0].conj().reshape(2**n, -1)
-            blocks = blocks.reshape(2**n, len(r), dj)
+            if adjoints is None:
+                blocks = basis.T @ apply_layers(r.conj(), self.dims, self.layers)[0].conj().reshape(2**n, -1)
+                blocks = blocks.reshape(2**n, len(r), dj)
+            else:
+                blocks = (r @ adjoints).reshape(len(r), 2**n, dj).swapaxes(0, 1)
             blocks -= coeffs[i].T[:, :, None] * q[a]
             return float(np.max(np.abs(blocks)))
 

@@ -39,6 +39,20 @@ realization once per object and keeps, read-only, the stacks its ``eigh``
 of each POVM gives; the binary observables and boxes, which validation
 checks without a diagonalization, are factored by each ``born_table``.
 
+Each L site's wing is run at the dimension its source reaches.  Where a
+source's L wing is wider than its partner (d1 > d0, as under
+``depolarize``, whose purification widens the wing by 4), the wing is
+compressed exactly, with no tolerance, onto the d0 columns Q of the QR of
+the transposed amplitude matrix M^T = QR: the source becomes R^T and
+every measurement on the wing is factored as Q^dagger E Q, the joint box
+on the product of the Q (in almost_di for e = 1 on V Q, Eve folded into
+the basis) and, in di, each box.  Positivity of the full joint-box
+elements is then checked by Cholesky factorizations, and ``eigh`` runs on
+the compressed elements only.  A wing no wider than its partner (the
+reference, ``conjugate``, ``gauge_phase``, ``perturb`` and ``dilate``) is
+not compressed, and its table keeps every bit.  The R_{i,1} wings in di,
+on which Eve acts collectively, are never compressed.
+
 The kernel contracts along the network.  Eve acts on the collective state
 Phi_e = (1_A (x) V^e) (x)_i psi_i of the first N sources A_i -- V_i, on
 (A_1..A_N, V_1..V_N) with V the L sites (almost_di, where these are every
@@ -60,8 +74,8 @@ the entry budget ``extract`` uses too, each as many rows as keep the
 largest array built within the budget.  A pass writes its probabilities
 straight into the arrays of the rows the call returns, so the kernel holds
 the collective state, one (e, y) block's rows before the A layer, one pass
-and the returned rows: 3.3 and 3.4 MiB traced for di n=2 dilated by 2 and
-depolarized (1 MiB of ``perp`` rows before the joint box), and 53 MiB for
+and the returned rows: 3.3 MiB traced for di n=2 dilated by 2 (1 MiB of
+``perp`` rows before the joint box), 0.9 MiB depolarized, and 53 MiB for
 the 50.5 MiB of the 101 di n=4 protocol rows.  A pass has a multiple of
 the rows that give every matrix product of the A layer a multiple of four
 columns, which OpenBLAS's complex product takes four at a time (any last
@@ -122,14 +136,18 @@ is memoized, so ``expectation``, ``terms_value`` (and through it
 ``bell.evaluate``) and ``certify``'s check matrix build each functional's
 weights once per condition and share one read-only mapping.
 
-No size is predicted: ``tensor.check_size`` refuses the collective state
-before it is built and ``tensor.apply_raw_batch`` every layer, so a
-realization is refused at its first array of more than
-``tensor.MAX_AMPLITUDES`` entries.  Each e runs its ``perp`` block, the
-largest, first: di n=3 dilated by 2 is refused within 0.1 s of CPU.  A
-full table of di n=2 dilated by 3, whose ``perp`` block holds 1.7e6
-amplitudes, takes 0.23-0.28 s and 118 MB peak RSS in a fresh process
-(2-vCPU VM, one BLAS thread).
+``tensor.check_size`` refuses the collective state before it is built and
+``tensor.apply_raw_batch`` every layer, so a realization is refused at its
+first array of more than ``tensor.MAX_AMPLITUDES`` entries.  Each e runs
+its ``perp`` block, the largest, first, and in di the sizes of its layers
+up to the joint box are checked before the joint box is (``born_table``):
+di n=3 dilated by 2 is refused within 0.01 s of CPU at 40 MB peak RSS.
+di n=3 depolarized, whose ``perp`` block holds 4^3 * 8 * (4 * 2)^3 =
+262144 amplitudes with its L wings compressed, is admitted;
+its full table takes 2.2 s of CPU and 158 MB peak RSS.  A full table of di
+n=2 dilated by 3, whose ``perp`` block holds 1.7e6 amplitudes, takes
+0.23-0.28 s and 118 MB peak RSS in a fresh process (2-vCPU VM, one BLAS
+thread).
 """
 
 from __future__ import annotations
@@ -354,10 +372,28 @@ class Realization:
     @cached_property
     def factors(self) -> tuple[np.ndarray, ...]:
         """The read-only square-root factor stacks (``_factor_stack``) of the
-        joint box, then, in di, of repeaters 1..n: the ones ``_check_povm``
-        computes while it checks this realization.  A realization and its
-        operators are frozen and read-only, so the check runs once per
-        object; a refused realization raises ValueError on every read."""
+        joint box as the state reaches it for e = 0 and for e = 1, then, in
+        di, of repeaters 1..n: the ones the check of this realization
+        computes.  The joint box is checked and factored last (``_check_povm``),
+        after every other check (``_checked``), on the wing of each L site
+        the state reaches: where a source's L wing is wider than its partner
+        (d1 > d0), only the d0 columns Q of the QR of the transposed amplitude
+        matrix carry the state, so the box is factored as Q^dagger E Q with
+        Q the product of the L sites' Q (identity on the others), and, in
+        almost_di for e = 1, as (V Q)^dagger E (V Q), Eve folded into the
+        basis; its positivity is then checked by Cholesky on the full
+        elements.  Without such a wing the two stacks are one, and one
+        ``eigh`` both checks and factors.  A realization and its operators
+        are frozen and read-only, so the check runs once per object; a
+        refused realization raises ValueError on every read."""
+        _, wings, repeaters = self._checked
+        return _joint_factors(self, wings) + repeaters
+
+    @cached_property
+    def _checked(self) -> tuple:
+        """Every check but the joint box's (``_validate``): the sources with
+        each wider L wing compressed, the wing isometries Q (None where not
+        compressed) and the repeaters' factor stacks."""
         return _validate(self)
 
 
@@ -369,8 +405,8 @@ def validate_realization(real: Realization) -> None:
     real.factors
 
 
-def _validate(real: Realization) -> tuple[np.ndarray, ...]:
-    """``validate_realization``'s checks; returns ``Realization.factors``."""
+def _validate(real: Realization) -> tuple:
+    """``validate_realization``'s checks but the joint box's; returns ``Realization._checked``."""
     n = real.n
     if real.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {real.scheme!r}")
@@ -393,19 +429,26 @@ def _validate(real: Realization) -> tuple[np.ndarray, ...]:
         for x, obs in enumerate(triple):
             _check_binary(f"observable A[{i},{x}]", obs, a_dims[i - 1])
     l_dims = real.l_dims()
-    dl = int(np.prod(l_dims))
     if len(real.l_meas) != 2**n:
         raise ValueError(f"joint box needs {2**n} elements, got {len(real.l_meas)}")
-    joint = _check_povm(real.l_meas, dl, "joint box")
     v_dims = real.l_dims() if real.scheme == ALMOST_DI else real.r1_dims()
     if real.eve.dims != v_dims:
         raise ValueError(f"eve operation has dims {real.eve.dims}, expected {v_dims}")
     if not real.eve.is_unitary():
         raise ValueError("eve operation is not unitary")
+    # the last n sources end at L_1..L_n in both schemes; a wider L wing keeps the d0 columns Q of
+    # M^T = QR, and the source becomes R^T, since M = R^T Q^T: exact, no tolerance
+    sources, wings = list(real.sources), []
+    for k in range(len(sources) - n, len(sources)):
+        (d0, d1), q = sources[k].dims, None
+        if d1 > d0:
+            q, r = np.linalg.qr(sources[k].amplitudes.reshape(d0, d1).T)
+            sources[k] = StateVector(r.T, (d0, d0))
+        wings.append(q)
     if real.scheme == ALMOST_DI:
         if real.b_obs is not None or real.repeaters is not None:
             raise ValueError("almost_di realizations carry no box observables or repeaters")
-        return (joint,)
+        return tuple(sources), tuple(wings), ()
     if real.b_obs is None or len(real.b_obs) != n:
         raise ValueError(f"di realization needs binary boxes for {n} subnets")
     for i, pair in enumerate(real.b_obs, start=1):
@@ -416,7 +459,7 @@ def _validate(real: Realization) -> tuple[np.ndarray, ...]:
     if real.repeaters is None or len(real.repeaters) != n:
         raise ValueError(f"di realization needs repeaters for {n} subnets")
     r1_dims, r2_dims = real.r1_dims(), real.r2_dims()
-    factors = [joint]
+    factors = []
     for i, quad in enumerate(real.repeaters, start=1):
         if len(quad) != 4:
             raise ValueError(f"repeater {i} needs 4 elements")
@@ -424,8 +467,21 @@ def _validate(real: Realization) -> tuple[np.ndarray, ...]:
         for k, el in enumerate(quad):
             if el.dims != pair_dims:
                 raise ValueError(f"repeater element R[{i},{k}] has dims {el.dims}, expected {pair_dims}")
-        factors.append(_check_povm(quad, int(np.prod(pair_dims)), f"repeater {i}"))
-    return tuple(factors)
+        factors += _check_povm(quad, int(np.prod(pair_dims)), f"repeater {i}", None)
+    return tuple(sources), tuple(wings), tuple(factors)
+
+
+def _joint_factors(real: Realization, wings: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The joint box checked by ``_check_povm`` and factored for e = 0 and
+    e = 1 on the wings (see ``Realization.factors``)."""
+    dl = int(np.prod(real.l_dims()))
+    if all(q is None for q in wings):
+        joint = _check_povm(real.l_meas, dl, "joint box", None)[0]
+        return joint, joint
+    q = reduce(np.kron, [np.eye(d) if w is None else w for w, d in zip(wings, real.l_dims())])
+    bases = [q, real.eve.entries @ q] if real.scheme == ALMOST_DI else [q]
+    stacks = _check_povm(real.l_meas, dl, "joint box", bases)
+    return stacks[0], stacks[-1]
 
 
 def _check_binary(name: str, obs: Operator, dim: int) -> None:
@@ -439,14 +495,25 @@ def _check_binary(name: str, obs: Operator, dim: int) -> None:
         raise ValueError(f"{name} does not square to identity (dev {dev:.2e})")
 
 
-def _check_povm(elements: Sequence[Operator], dim: int, what: str) -> np.ndarray:
+def _check_povm(elements: Sequence[Operator], dim: int, what: str, bases: list | None) -> list[np.ndarray]:
     """Each element, in order, of dimension ``dim``, Hermitian and positive,
-    the first fault named; then the sum the identity.  The elements before
-    the first dimension or Hermitian fault are diagonalized as one stack by
-    ``eigh``; returns the read-only ``_factor_stack`` of its eigenpairs."""
+    the first fault named; then the sum the identity.  Returns read-only
+    ``_factor_stack``s.  Without ``bases`` the elements before the first
+    dimension or Hermitian fault are diagonalized as one stack by ``eigh``,
+    which checks them and gives the one stack returned.  With ``bases``,
+    isometries B, each such element E is positive when the Cholesky
+    factorization of E + tol I exists (an element's eigenvalues are
+    computed only to name its fault), and the stacks returned factor
+    B^dagger E B for each B."""
     tol = IDENTITY_TOL
     k = next((k for k, el in enumerate(elements) if el.dim != dim or not el.is_hermitian()), len(elements))
-    if k:
+    if bases is not None:
+        for j, el in enumerate(elements[:k]):
+            if not _cholesky_exists(el.entries + tol * np.eye(dim)):
+                low = np.linalg.eigvalsh(el.entries)[0]
+                if low < -tol:
+                    raise ValueError(f"{what} element {j} is not positive (min eig {low:.2e})")
+    elif k:
         vals, vecs = _eigh([el.entries for el in elements[:k]])
         lows = vals[:, 0]
         j = int(np.argmax(lows < -tol))
@@ -461,9 +528,21 @@ def _check_povm(elements: Sequence[Operator], dim: int, what: str) -> np.ndarray
         total += el.entries
     if np.max(np.abs(total - np.eye(dim))) > tol:
         raise ValueError(f"{what} elements do not sum to identity")
-    stack = _factor_stack(vals, vecs)
-    stack.setflags(write=False)
-    return stack
+    if bases is None:
+        stacks = [_factor_stack(vals, vecs)]
+    else:
+        stacks = [_factor_stack(*_eigh([b.conj().T @ el.entries @ b for el in elements])) for b in bases]
+    for stack in stacks:
+        stack.setflags(write=False)
+    return stacks
+
+
+def _cholesky_exists(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def reference_realization(n: int, u: Operator, branch: int = +1, scheme: str = ALMOST_DI) -> Realization:
@@ -567,8 +646,15 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
     ``PASS_ENTRIES`` entries (``_fill_rows``).  The rows a block computes
     are every combination of those party settings, each checked to sum to
     one within ``SUM_TOL``; the table keeps the requested ones, each its
-    own array and equal to the full table's row bit for bit."""
-    joint = real.factors[0]  # the first read validates the realization
+    own array and equal to the full table's row bit for bit.
+
+    The realization is checked in the order that refuses an oversized one
+    first: every check but the joint box's, the repeater factors and the
+    swap maps, then the size rule on the layers of the ``perp`` block up to
+    the joint box, and only then the joint box's positivity and factors
+    (``Realization.factors``).  So a realization both oversized and invalid
+    gets the size message."""
+    sources, wings, _ = real._checked
     lay = real.layout()
     n = real.n
     scen = real.scenario()
@@ -579,10 +665,16 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
         for need, xi in zip(needs.setdefault((e, y), [set() for _ in range(n)]), x):
             need.add(xi)
     a_stacks = [_factor_stack(*_eigh([el for obs in triple for el in _binary_elements(obs)])) for triple in real.a_obs]
-    dims = lay.dims[: 2 * n]  # the collective's sites A_1..A_n, V_1..V_n are the first 2n
-    psi = _source_product(real.sources[:n], lay.source_sites()[:n]).reshape(1, -1)
+    # the collective's sites A_1..A_n, V_1..V_n are the first 2n, each L wing as compressed
+    psi = _source_product(sources[:n], lay.source_sites()[:n])
+    dims, psi = psi.shape, psi.reshape(1, -1)
     if real.scheme == DI:
         maps = _swap_maps(real)
+        if any(y == PERP for _, y in needs):
+            for _, size in _layer_sizes(psi.size, dims, _map_layers(maps[PERP])):
+                check_size(size, "a layer's output")
+    joints = real.factors  # the joint box's checks come last
+    folded = real.scheme == ALMOST_DI and any(q is not None for q in wings)  # Eve is in the e = 1 stack
     entries: dict = {}
     for e in (0, 1):
         blocks = []
@@ -601,15 +693,15 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
             blocks.append((y, a_layers, keys, np.zeros(len(keys))))
         if not blocks:
             continue
-        if e:
+        if e and not folded:
             # Eve's V sites are contiguous and ascending, so collapsing them keeps the flat layout
             psi = apply_raw_batch(psi, dims, real.eve.entries[None], lay.v_sites())
         # the perp block, the largest, runs first, so an oversized realization is refused at its first block
         for y, a_layers, keys, totals in sorted(blocks, key=lambda block: block[0] != PERP):
             if real.scheme == ALMOST_DI:
-                rows_in = apply_layers(psi, dims, [(joint, lay.l_sites())])
+                rows_in = apply_layers(psi, dims, [(joints[e], lay.l_sites())])
             else:
-                rows_in = _swapped(psi, dims, maps[y], joint if y == PERP else None)
+                rows_in = _swapped(psi, dims, maps[y], joints[e] if y == PERP else None)
             _fill_rows(*rows_in, a_layers, keys, totals, entries)
             del rows_in  # the next block's rows are built without this one's
             for key, total in zip(keys, totals):
@@ -619,21 +711,23 @@ def born_table(real: Realization, rows=None) -> "ProbabilityTable":
 
 
 def _swap_maps(real: Realization) -> dict:
-    """The swap maps of subnets 1..n (see the module docstring) per y of
-    the scenario: for ``perp`` each T as a ``(4, rank, d_L, d_R1)`` array,
-    for a box setting each map folded with its box, W[(r, b), (rho, beta),
-    j] = sum_l B[b, beta, l] T[r, rho, l, j], or its triangular factor
-    where that has fewer rows, as an ``(8, rank, d_R1)`` stack."""
-    n = real.n
+    """The swap maps of subnets 1..n (see the module docstring), from the
+    repeaters' factor stacks and the sources and L wings as compressed
+    (``Realization._checked``), per y of the scenario: for ``perp`` each T
+    as a ``(4, rank, d_L, d_R1)`` array, for a box setting each map folded
+    with its box, factored on the L wing, W[(r, b), (rho, beta), j] =
+    sum_l B[b, beta, l] T[r, rho, l, j], or its triangular factor where
+    that has fewer rows, as an ``(8, rank, d_R1)`` stack."""
+    n, (sources, wings, repeaters) = real.n, real._checked
     maps: dict = {PERP: []}
     folded = []  # per subnet, the stack for each box setting
     for i in range(1, n + 1):
-        k = real.factors[i]
-        src = real.sources[n + i - 1]
+        k, src, q = repeaters[i - 1], sources[n + i - 1], wings[i - 1]
         d_r1 = k.shape[2] // src.dims[0]
         t = (k.reshape(4, -1, d_r1, src.dims[0]) @ src.amplitudes.reshape(src.dims)).swapaxes(2, 3)
         maps[PERP].append(t)
-        boxes = [_factor_stack(*_eigh(_binary_elements(obs))) for obs in real.b_obs[i - 1]]
+        elements = [_binary_elements(obs) for obs in real.b_obs[i - 1]]
+        boxes = [_factor_stack(*_eigh(els if q is None else q.conj().T @ els @ q)) for els in elements]
         ws = [(box[None, :, None] @ t[:, None]).reshape(8, -1, d_r1) for box in boxes]
         folded.append([np.linalg.qr(w, mode="r") if w.shape[1] > d_r1 else w for w in ws])
     for y in real.scenario().y_settings()[:-1]:
@@ -641,13 +735,19 @@ def _swap_maps(real: Realization) -> dict:
     return maps
 
 
+def _map_layers(maps: list) -> list:
+    """The swap maps ``maps`` of subnets 1..n as layers of ``apply_layers``
+    on the collective's R_{i,1} sites, subnet n's first."""
+    n = len(maps)
+    return [(m.reshape(len(m), -1, m.shape[-1]), [n + i]) for i, m in reversed(list(enumerate(maps)))]
+
+
 def _swapped(psi: np.ndarray, dims: tuple[int, ...], maps: list, joint: np.ndarray | None) -> tuple:
     """The di collective block ``psi`` on ``dims`` after each swap map of
     ``maps`` (subnet n's first) and, for ``perp``, the joint box ``joint``
     on the L_i: rows (r_1..r_n, l) and the sites of a row, A_1..A_n first."""
     n = len(maps)
-    layers = [(m.reshape(len(m), -1, m.shape[-1]), [n + i]) for i, m in reversed(list(enumerate(maps)))]
-    block, rdims = apply_layers(psi, dims, layers)
+    block, rdims = apply_layers(psi, dims, _map_layers(maps))
     if joint is None:
         # rows (r_1, b_1, .., r_n, b_n) -> (r_1..r_n, b_1..b_n), whose box bits are l
         order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n]
@@ -1196,8 +1296,9 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
     decode = json.JSONDecoder(parse_float=memo.__getitem__).decode
     index: dict[tuple, int] = {}  # settings key -> row of the stack
     linenos: list[int] = []
-    # grown in place as records arrive, never sized from the header; ``resize``
-    # requires that no view of it exists, and none does before the end
+    # grown in place as records arrive, never sized from the header.  No view of
+    # it exists before the final trim, so ``resize`` skips its reference check,
+    # which a tracer's or debugger's snapshot of this frame's locals would fail
     values = np.empty((1, size))
     for lineno, ln in lines:
         if not ln.strip():
@@ -1224,14 +1325,14 @@ def read_table(stream: io.TextIOBase) -> ProbabilityTable:
             fault = f"line {lineno}: {err}"
         else:
             if len(linenos) == len(values):
-                values.resize((2 * len(values), size))
+                values.resize((2 * len(values), size), refcheck=False)
             values[len(linenos)] = p
             index[key] = len(linenos)
             linenos.append(lineno)
             continue
         _check_rows(values[: len(linenos)], linenos)  # an earlier line's fault comes first
         raise ValueError(fault)
-    values.resize((len(linenos), size))  # no spare rows
+    values.resize((len(linenos), size), refcheck=False)  # no spare rows
     values.setflags(write=False)
     _check_rows(values, linenos)
     missing = [key for key in scen.settings() if key not in index]

@@ -1,11 +1,9 @@
 """Hypothesis strategies shared by the property tests."""
 
-from dataclasses import replace
-
 import numpy as np
 from hypothesis import strategies as st
 
-from gatecert.adversary import ADVERSARY_KINDS, conjugate, depolarize_sources, dilate, gauge_phase, perturb
+from gatecert.adversary import ADVERSARY_KINDS, _lift, conjugate, depolarize_sources, dilate, gauge_phase, perturb
 from gatecert.network import ALMOST_DI, DI, SCHEMES, reference_realization
 from gatecert.primitives import gate, haar_unitary
 from gatecert.tensor import StateVector
@@ -56,33 +54,43 @@ def hidden_side_pairs(draw):
 
 
 def with_junk(real, junk, seed=None):
-    """``real`` with the junk state of amplitude matrix ``junk``, (j, j),
-    shared by the two wings of every source and every operator lifted by
-    the identity on it; with ``seed``, each site is then conjugated by its
-    own Haar-random unitary."""
-    j = len(junk)
+    """``real`` with the junk state of amplitude matrix ``junk``, (j0, j1),
+    shared by the two wings of every source, j0 on the first and j1 on the
+    second, and every operator lifted by the identity on the junk of its
+    sites; with ``seed``, each site is then conjugated by its own
+    Haar-random unitary."""
+    j0, j1 = junk.shape
+    lay = real.layout()
+    lift = [1] * len(lay.dims)
+    for s0, s1 in lay.source_sites():
+        lift[s0], lift[s1] = j0, j1
     sources = tuple(
-        StateVector(np.einsum("ab,jk->ajbk", src.amplitudes.reshape(src.dims), junk), (src.dims[0] * j, src.dims[1] * j))
+        StateVector(np.einsum("ab,jk->ajbk", src.amplitudes.reshape(src.dims), junk), (src.dims[0] * j0, src.dims[1] * j1))
         for src in real.sources
     )
-    lifted = replace(dilate(real, j, rotate=False), sources=sources)
+    lifted = real.map_operators(lambda op, sites: _lift(op, [lift[s] for s in sites], None), sources=sources)
     return lifted if seed is None else dilate(lifted, 1, seed=seed)
 
 
 @st.composite
 def junk_of_every_rank(draw):
     """A random n=2 gate, its reference realization in either scheme and
-    branch, and that realization with junk of dimension 1 to 3 and any
-    Schmidt rank up to it, with site rotations or without.  The Schmidt
-    bases are the computational ones (rank 1 is the product state |0>|0>)
-    or Haar-random."""
+    branch, and that realization with junk of dimensions j0 <= j1 <= 3 on
+    the two wings of every source and any Schmidt rank up to j0, with site
+    rotations or without.  Where j1 > j0 every second wing, and so every L
+    wing, is wider than its partner.  The Schmidt bases are the
+    computational ones (rank 1 is the product state |0>|0>) or
+    Haar-random."""
     scheme, branch = draw(st.sampled_from(SCHEMES)), draw(st.sampled_from((+1, -1)))
     u = gate("random", 2, seed=draw(SEEDS))
     real = reference_realization(2, u, branch=branch, scheme=scheme)
-    # (junk dimension, Schmidt rank), the ranks below full first
-    j, rank = draw(st.sampled_from(((2, 1), (3, 1), (3, 2), (1, 1), (2, 2), (3, 3))))
+    # (junk dimensions, Schmidt rank), the ranks below full first, then the wider second wings
+    j0, j1, rank = draw(st.sampled_from(
+        ((2, 2, 1), (3, 3, 1), (3, 3, 2), (1, 1, 1), (2, 2, 2), (3, 3, 3), (1, 2, 1), (1, 3, 1), (2, 3, 1), (2, 3, 2))
+    ))
     rng = np.random.default_rng(draw(SEEDS))
-    junk = np.diag(np.r_[rng.uniform(0.1, 1.0, rank), np.zeros(j - rank)]).astype(complex)
+    junk = np.zeros((j0, j1), dtype=complex)
+    junk[range(rank), range(rank)] = rng.uniform(0.1, 1.0, rank)
     if draw(st.booleans()):
-        junk = haar_unitary(j, rng) @ junk @ haar_unitary(j, rng).T
+        junk = haar_unitary(j0, rng) @ junk @ haar_unitary(j1, rng).T
     return u, real, with_junk(real, junk / np.linalg.norm(junk), draw(st.one_of(st.none(), SEEDS)))

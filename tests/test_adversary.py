@@ -152,8 +152,9 @@ def test_gauge_phase_di_moves_only_unconsumed_rows():
     assert moved > 1e-4
 
 
-# di n=3 dilate and depolarize would take the perp block past MAX_AMPLITUDES,
-# so di takes the two hidden-side changes that keep its dimensions.
+# di n=3 dilate would take the perp block past MAX_AMPLITUDES, so di takes the
+# two hidden-side changes that keep its dimensions here, and depolarize(0.0),
+# whose L wings are compressed, in the next test.
 @pytest.mark.parametrize(
     "scheme, kind",
     [(ALMOST_DI, "dilate"), (ALMOST_DI, "conjugate"), (ALMOST_DI, "gauge_phase"), (DI, "conjugate"), (DI, "gauge_phase")],
@@ -179,6 +180,27 @@ def test_hidden_side_changes_at_three_subnets(scheme, kind):
     assert certify(moved, u).verdict == certify(base, u).verdict == "certified"
     part = born_table(changed, rows=rows)
     assert all(part.array(key).tobytes() == moved.array(key).tobytes() for key in rows)
+
+
+def test_depolarized_di_at_three_subnets():
+    """di n=3 toffoli depolarized at eta 0, each second wing carrying a
+    product purification of dimension 4: its protocol rows stay within
+    1e-12 of the reference's, and it certifies with the reference's branch
+    statistics-only and in realization mode.  At eta 0.05 neither mode
+    certifies."""
+    u = gate("toffoli", 3)
+    real, rows = reference_realization(3, u, scheme=DI), protocol_rows(DI, 3)
+    base = born_table(real, rows=rows)
+    want = [(r.verdict, r.branch) for r in (certify(base, u), certify(base, u, realization=real))]
+    assert want == [("certified", "undetermined"), ("certified", "plus")]
+    for eta in (0.0, 0.05):
+        noisy = depolarize_sources(real, eta)
+        table = born_table(noisy, rows=rows)
+        got = [(r.verdict, r.branch) for r in (certify(table, u), certify(table, u, realization=noisy))]
+        if eta == 0.0:
+            assert table.max_difference(base) <= 1e-12 and got == want
+        else:
+            assert [verdict for verdict, _ in got] == ["not-certified"] * 2
 
 
 def test_gauge_phase_guards():

@@ -350,22 +350,31 @@ def test_certify_signalling_table_exits_two(tmp_path_factory, scheme, index, who
 
 @pytest.mark.parametrize(
     "spec, amplitudes",
-    [
-        (AdversarySpec("dilate", junk_dim=3, seed=1), 60466176),
-        (AdversarySpec("depolarize", eta=0.05), 16**6),
-    ],
-    ids=["dilate", "depolarize"],
+    [(AdversarySpec("dilate", junk_dim=3, seed=1), 60466176)],
+    ids=["dilate"],
 )
 def test_simulate_oversized_realization_exits_two(tmp_path, capsys, spec, amplitudes):
-    """di n=3 dilated by junk of dimension 3, or depolarized, has a perp
-    block past the cap: simulate exits 2 naming the amplitude count of the
-    first layer that would be too large, before allocating it."""
+    """di n=3 dilated by junk of dimension 3 has a perp block past the cap:
+    simulate exits 2 naming the amplitude count of the first layer that
+    would be too large, before allocating it."""
     adv = tmp_path / "adv.json"
     save_adversary(spec, str(adv))
     argv = ["simulate", "--scheme", "di", "--n", "3", "--gate", "toffoli", "--adversary", str(adv), "--out", str(tmp_path / "run")]
     assert main(argv) == 2
     assert f"a layer's output would hold {amplitudes} amplitudes" in capsys.readouterr().err
     assert not (tmp_path / "run" / "table.jsonl").exists()
+
+
+def test_simulate_admits_depolarized_di_three_subnets(tmp_path):
+    """di n=3 depolarized: each L wing is compressed from 8 to 2 dimensions,
+    so the perp block holds 4^3 * 8 * (4 * 2)^3 = 262144 amplitudes, not
+    16^6 past the cap, and simulate writes the whole table."""
+    adv = tmp_path / "adv.json"
+    save_adversary(AdversarySpec("depolarize", eta=0.05), str(adv))
+    argv = ["simulate", "--scheme", "di", "--n", "3", "--gate", "toffoli", "--adversary", str(adv), "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    with open(tmp_path / "run" / "table.jsonl") as fh:
+        assert sum(1 for _ in fh) == 1 + len(list(ScenarioSpec(DI, 3).settings()))
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,9 @@ each row to its factor on the A sites before the A layer, so one fixed case
 of each is checked against the oracle, for non-negative entries, for an
 exact file round trip and for the kernel's traced peak memory.  di junk of
 every Schmidt rank, where the folded swap maps are compressed most, is
-checked against the dense oracle of the junk-free realization.  The
+checked against the dense oracle of the junk-free realization, and so is
+junk whose second wing is the wider, in both schemes, on whose L wings the
+kernel factors the boxes.  The
 kernel's peak is also bounded on protocol rows, and the memory a returned
 table holds by the bytes of its rows.
 """
@@ -94,6 +96,28 @@ def test_swap_maps_on_junk_of_every_rank(case):
     full = born_table(lifted)
     assert full.max_difference(dense_born_table(real)) <= ORACLE_TOL
     part = born_table(lifted, rows=protocol_rows(DI, 2))
+    assert all(part.array(key).tobytes() == full.array(key).tobytes() for key in part.keys())
+
+
+def _wide(case):
+    """Whether the lifted realization's L wings are wider than their partners."""
+    d0, d1 = case[2].sources[-1].dims
+    return d1 > d0
+
+
+@settings(max_examples=12)
+@given(junk_of_every_rank().filter(_wide))
+def test_compressed_wings_on_junk_of_every_rank(case):
+    """Both schemes with junk whose second wing is the wider, of every
+    Schmidt rank: the kernel factors the joint box (and in di the boxes) on
+    each compressed L wing, and its table is within ``ORACLE_TOL`` of the
+    dense oracle's table of the junk-free realization; the protocol rows
+    equal the full table's bit for bit."""
+    _, real, lifted = case
+    assert all(q is not None for q in lifted._checked[1])
+    full = born_table(lifted)
+    assert full.max_difference(dense_born_table(real)) <= ORACLE_TOL
+    part = born_table(lifted, rows=protocol_rows(real.scheme, 2))
     assert all(part.array(key).tobytes() == full.array(key).tobytes() for key in part.keys())
 
 

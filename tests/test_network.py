@@ -8,6 +8,7 @@ by test_tensor) and compares every probability entry.
 import io
 import json
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -93,20 +94,20 @@ def test_validate_rejects_broken_parts():
 
 def test_realization_is_validated_once(monkeypatch):
     """``born_table`` then realization-mode ``certify`` check each POVM of a
-    realization once; a copy of it is checked again."""
+    realization once, the joint box last; a copy of it is checked again."""
     from gatecert import network
     from gatecert.certify import certify
 
     checked = []
     check_povm = network._check_povm
 
-    def counted(elements, dim, what):
+    def counted(elements, dim, what, bases):
         checked.append(what)
-        return check_povm(elements, dim, what)
+        return check_povm(elements, dim, what, bases)
 
     monkeypatch.setattr(network, "_check_povm", counted)
     u = gate("cnot", 2)
-    for scheme, povms in ((ALMOST_DI, ["joint box"]), (DI, ["joint box", "repeater 1", "repeater 2"])):
+    for scheme, povms in ((ALMOST_DI, ["joint box"]), (DI, ["repeater 1", "repeater 2", "joint box"])):
         real = reference_realization(2, u, scheme=scheme)
         checked.clear()
         assert certify(born_table(real), u, realization=real).verdict == "certified"
@@ -732,14 +733,15 @@ def test_born_table_diagonalizes_each_measurement_once(monkeypatch):
 def test_kept_factors_give_the_tables_of_fresh_ones(kind, data):
     """A second ``born_table`` of a realization, which reads the factors the
     first one kept, and one of a ``replace`` copy, which computes them
-    again, give tables bit-identical to the first; the kept stacks are
+    again, give tables bit-identical to the first; the kept stacks, the
+    joint box's for e = 0 and e = 1 and then each repeater's, are
     read-only."""
     real = data.draw(realizations(kinds=(kind,)))
     first = born_table(real)
     for table in (born_table(real), born_table(replace(real, branch=real.branch))):
         assert list(table.keys()) == list(first.keys())
         assert all(table.array(key).tobytes() == first.array(key).tobytes() for key in first.keys())
-    assert len(real.factors) == (1 if real.scheme == ALMOST_DI else 3)
+    assert len(real.factors) == (2 if real.scheme == ALMOST_DI else 4)
     assert not any(stack.flags.writeable for stack in real.factors)
 
 
@@ -810,6 +812,27 @@ def test_loaded_rows_share_one_trimmed_array():
         stacks.append(arr)
     assert len(stacks) == 90 and all(arr is stacks[0] for arr in stacks)
     assert stacks[0].shape == (90, 256)
+
+
+def test_read_table_under_a_tracer():
+    """A tracer's snapshot of the reader's locals holds one more reference
+    to its stacked array, which ``resize``'s reference check refuses; the
+    reader loads the table all the same, as under a profiler or debugger."""
+    table = born_table(reference_realization(2, gate("cnot", 2), scheme=DI))
+    buf = io.StringIO()
+    write_table(table, buf)
+
+    def tracer(frame, event, arg):
+        frame.f_locals  # the snapshot a profiler, coverage or pdb takes
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        back = read_table(io.StringIO(buf.getvalue()))
+    finally:
+        sys.settrace(previous)
+    assert back.max_difference(table) == 0.0
 
 
 def test_max_difference_sees_every_entry():
@@ -1191,10 +1214,11 @@ def test_read_table_accepts_repeater_marginal_that_depends_on_e():
 
 def test_born_table_refuses_oversized_realization():
     """A depolarized, 3-dilated di n=2 realization has a small collective
-    state (20736 amplitudes), but its perp block would need 429981696
-    amplitudes (6.9 GB); ``born_table`` raises before allocating them."""
+    state (20736 amplitudes), but its perp block would need 26873856
+    amplitudes (0.4 GB) with each L wing compressed from 24 to 6
+    dimensions; ``born_table`` raises before allocating them."""
     real = dilate(depolarize_sources(reference_realization(2, gate("cnot", 2), scheme=DI), 0.05), 3)
-    with pytest.raises(ValueError, match=f"would hold 429981696 amplitudes .*more than MAX_AMPLITUDES = {tensor.MAX_AMPLITUDES}"):
+    with pytest.raises(ValueError, match=f"would hold 26873856 amplitudes .*more than MAX_AMPLITUDES = {tensor.MAX_AMPLITUDES}"):
         born_table(real)
 
 
@@ -1353,6 +1377,53 @@ def test_povm_messages(part, fault, message):
         with pytest.raises(ValueError) as err:
             check(broken)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("depolarized", [False, True], ids=["eigh", "cholesky"])
+def test_joint_box_positivity_at_ten_times_the_tolerance(depolarized):
+    """A joint-box element whose least eigenvalue is -10 tol is refused, its
+    message the same whether one ``eigh`` checks the elements (full wings)
+    or Cholesky factorizations of E + tol I do (compressed wings); one at
+    -tol/10 is accepted.  The shift moves weight from element 1 to element
+    0 along a vector element 0 annihilates, so the sum stays the identity."""
+    real = reference_realization(2, gate("cnot", 2))
+    real = depolarize_sources(real, 0.05) if depolarized else real
+    e0, e1, dims = real.l_meas[0].entries, real.l_meas[1].entries, real.l_meas[0].dims
+    v = e1[:, np.argmax(np.diag(e1).real)]
+    v = v / np.linalg.norm(v)
+    for shift, refused in ((10 * tensor.IDENTITY_TOL, True), (tensor.IDENTITY_TOL / 10, False)):
+        moved = shift * np.outer(v, v.conj())
+        l_meas = (Operator(e0 - moved, dims), Operator(e1 + moved, dims)) + real.l_meas[2:]
+        changed = replace(real, l_meas=l_meas)
+        if refused:
+            with pytest.raises(ValueError, match=re.escape("joint box element 0 is not positive (min eig -1.00e-09)")):
+                validate_realization(changed)
+        else:
+            validate_realization(changed)
+
+
+@pytest.mark.parametrize("eta, cap, amplitudes", [(None, 2**11, 2**12), (0.05, 2**17, 2**18)], ids=["reference", "depolarize"])
+def test_born_table_refuses_before_the_joint_box(monkeypatch, eta, cap, amplitudes):
+    """di n=3 toffoli past a lowered cap at its perp block: the size rule
+    refuses before the joint box is checked or factored, with no ``eigh``
+    of its stack of 8 elements and no Cholesky factorization, and so names
+    the size even when the joint box is not positive either.  Once the cap
+    is lifted the joint box is checked."""
+    real = reference_realization(3, gate("toffoli", 3), scheme=DI)
+    real = real if eta is None else depolarize_sources(real, eta)
+    calls = []
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, fn=fn, name=name: calls.append((name, a.shape)) or fn(a))
+    lifted = tensor.MAX_AMPLITUDES
+    monkeypatch.setattr(tensor, "MAX_AMPLITUDES", cap)
+    for changed in (real, replace(real, l_meas=_povm_fault(real.l_meas, "negative"))):
+        with pytest.raises(ValueError, match=f"^a layer's output would hold {amplitudes} amplitudes"):
+            born_table(changed)
+    assert not [call for call in calls if call[0] == "cholesky" or call[1][0] == 8]
+    monkeypatch.setattr(tensor, "MAX_AMPLITUDES", lifted)
+    validate_realization(real)
+    assert [call for call in calls if call[0] == "cholesky" or call[1][0] == 8]
 
 
 @pytest.mark.parametrize(
